@@ -5,7 +5,7 @@
 //
 //	mlperf-serve                              serve on :8080
 //	mlperf-serve -addr :9000 -workers 8
-//	mlperf-serve -cache-dir /var/cache/mlperf -shards 4
+//	mlperf-serve -cache-dir /var/cache/mlperf
 //	mlperf-serve -max-inflight 16 -max-queue 64 -tenant-rate 50
 //
 // Endpoints:
@@ -46,7 +46,6 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep engine worker pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent cell cache directory, guarded by the circuit breaker")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cap the cache directory's size in bytes, evicting oldest entries on overflow (0 = unbounded)")
-	shards := flag.Int("shards", 0, "shard grid queries across N digest-sharded queues (0/1 = plain pool)")
 	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a slot before shedding (0 = 2*max-inflight)")
 	maxCells := flag.Int64("max-cells", 4096, "max summed simulation cost (cells) of executing requests")
@@ -68,7 +67,6 @@ func main() {
 		Workers:          *workers,
 		CacheDir:         *cacheDir,
 		CacheMaxBytes:    *cacheMax,
-		Shards:           *shards,
 		MaxInFlight:      *maxInflight,
 		MaxQueue:         *maxQueue,
 		MaxCellsInFlight: *maxCells,
@@ -97,7 +95,6 @@ func main() {
 		sink.Config("addr", *addr)
 		sink.Config("cache-dir", *cacheDir)
 		sink.Config("cache-max-bytes", strconv.FormatInt(*cacheMax, 10))
-		sink.Config("shards", strconv.Itoa(*shards))
 		sink.Config("max-inflight", strconv.Itoa(*maxInflight))
 		sink.Config("max-cells", strconv.FormatInt(*maxCells, 10))
 	}

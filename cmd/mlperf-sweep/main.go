@@ -7,15 +7,12 @@
 //	mlperf-sweep -workers 4 -bench res50_tf -gpus 1,2,4,8
 //	mlperf-sweep -bench gnmt_py -gpus 4 -faults plan.json -cell-timeout 30s -retries 2 -partial
 //	mlperf-sweep -bench res50_tf -gpus 1,2,4,8 -cache-dir ~/.cache/mlperf-cells
-//	mlperf-sweep -bench res50_tf,ncf_py -gpus 1,2,4 -shards 4
 //
 // Cells run concurrently on the sweep engine's worker pool (-workers,
 // default GOMAXPROCS); -seq forces the sequential reference path. With
 // -cache-dir, results persist in a content-addressed store and a later
-// run over the same cells replays from disk without simulating; with
-// -shards N, cells are partitioned across N digest-sharded queues with
-// work stealing. Output order and values are identical in every
-// configuration.
+// run over the same cells replays from disk without simulating. Output
+// order and values are identical in every configuration.
 //
 // The hardened path engages when any of -faults, -cell-timeout, -retries
 // or -partial is set: each cell runs with panic containment, the given
@@ -89,8 +86,8 @@ func main() {
 		bench: *bench, system: *system, gpus: *gpus, batch: *batch, prec: *prec,
 		out: *out, seq: *seq, faults: *faults,
 		cellTimeout: *cellTimeout, retries: *retries, partial: *partial,
-		shards: engineFlags.Shards, cacheDir: engineFlags.CacheDir,
-		sink: sink,
+		cacheDir: engineFlags.CacheDir,
+		sink:     sink,
 	}
 	sink.Log().Info("sweep start",
 		telemetry.F("bench", *bench), telemetry.F("system", *system),
@@ -118,7 +115,7 @@ type runConfig struct {
 	cacheDir                                      string
 	seq, partial                                  bool
 	cellTimeout                                   time.Duration
-	retries, shards                               int
+	retries                                       int
 	sink                                          *telecli.Sink
 }
 
@@ -160,8 +157,8 @@ func run(ctx context.Context, cfg runConfig) error {
 		if hardened {
 			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cell-timeout/-retries/-partial")
 		}
-		if cfg.shards > 1 || cfg.cacheDir != "" {
-			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -shards/-cache-dir")
+		if cfg.cacheDir != "" {
+			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cache-dir")
 		}
 		recs, err = sweep.RunSequential(g)
 		if err != nil {
@@ -176,12 +173,7 @@ func run(ctx context.Context, cfg runConfig) error {
 			Retries:     cfg.retries,
 			Partial:     true,
 		}
-		if cfg.shards > 1 {
-			recs, report, err = sweep.Default.RunSharded(ctx, g,
-				sweep.ShardOptions{Options: opts, Shards: cfg.shards})
-		} else {
-			recs, report, err = sweep.Default.RunWithOptions(ctx, g, opts)
-		}
+		recs, report, err = sweep.Default.RunWithOptions(ctx, g, opts)
 		if err != nil {
 			return err
 		}

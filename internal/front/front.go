@@ -637,7 +637,7 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 // handleSweepStream fans a grid out as backend streams and interleaves
 // their frames onto one client stream, re-indexing each record frame
 // from its slice-local index to the global one. The terminal summary
-// aggregates the backends' summaries; per-backend cache/sharding detail
+// aggregates the backends' summaries; per-backend cache detail
 // stays on the backends' own /v1/stats.
 func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep_stream")

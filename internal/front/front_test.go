@@ -82,32 +82,25 @@ func renderCSV(t *testing.T, recs []sweep.Record) string {
 
 const tableGrid = "benchmarks=res50_tf,res50_mx,ssd_py,mrcnn_py,xfmr_py,ncf_py&gpus=1,2,4"
 
-// referenceCSV runs the same grid through a single-process sharded
-// engine — the ground truth the merged front-tier result must match
-// byte for byte.
-func referenceCSV(t *testing.T, shards int) (string, int) {
+// referenceCSV runs the same grid through the sequential reference
+// path — the ground truth the merged front-tier result must match byte
+// for byte.
+func referenceCSV(t *testing.T) (string, int) {
 	t.Helper()
-	g := sweep.Grid{
+	recs, err := sweep.RunSequential(sweep.Grid{
 		Benchmarks: []string{"res50_tf", "res50_mx", "ssd_py", "mrcnn_py", "xfmr_py", "ncf_py"},
 		GPUCounts:  []int{1, 2, 4},
-	}
-	keys, err := g.Cells()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.NewEngine(4)
-	recs, _, err := eng.RunCellsSharded(context.Background(), keys,
-		sweep.ShardOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderCSV(t, recs), len(keys)
+	return renderCSV(t, recs), len(recs)
 }
 
 // The tentpole acceptance: a grid swept through the front over two
-// backends merges byte-identically to a single-process RunSharded.
+// backends merges byte-identically to the sequential reference.
 func TestFrontSweepMergesByteIdentical(t *testing.T) {
-	want, cells := referenceCSV(t, 2)
+	want, cells := referenceCSV(t)
 	c := newCluster(t, 2, Config{})
 
 	code, body, _ := get(t, c.frontTS.URL+"/v1/sweep?"+tableGrid)
@@ -123,7 +116,7 @@ func TestFrontSweepMergesByteIdentical(t *testing.T) {
 			merged.Completed, merged.Cells, merged.Partial, cells)
 	}
 	if got := renderCSV(t, merged.Records); got != want {
-		t.Fatalf("front-merged CSV differs from single-process RunSharded:\n--- front ---\n%s--- single ---\n%s", got, want)
+		t.Fatalf("front-merged CSV differs from RunSequential:\n--- front ---\n%s--- single ---\n%s", got, want)
 	}
 
 	// The grid genuinely fanned out: both backends simulated a share,
@@ -148,7 +141,7 @@ func TestFrontSweepMergesByteIdentical(t *testing.T) {
 // global order reassemble byte-identically, and the aggregated summary
 // accounts for every cell.
 func TestFrontStreamMergesByteIdentical(t *testing.T) {
-	want, cells := referenceCSV(t, 2)
+	want, cells := referenceCSV(t)
 	c := newCluster(t, 2, Config{})
 
 	code, body, hdr := get(t, c.frontTS.URL+"/v1/sweep/stream?"+tableGrid)
@@ -182,7 +175,7 @@ func TestFrontStreamMergesByteIdentical(t *testing.T) {
 		t.Fatalf("summary %+v, want clean %d-cell aggregate", summary, cells)
 	}
 	if got := renderCSV(t, recs); got != want {
-		t.Fatalf("front-streamed CSV differs from single-process RunSharded")
+		t.Fatalf("front-streamed CSV differs from RunSequential")
 	}
 }
 
@@ -268,7 +261,7 @@ func TestFrontFailsOverWhenBackendDrains(t *testing.T) {
 		t.Fatalf("drain-time sweep %d/%d partial=%v, want complete",
 			merged.Completed, merged.Cells, merged.Partial)
 	}
-	want, _ := referenceCSV(t, 2)
+	want, _ := referenceCSV(t)
 	if got := renderCSV(t, merged.Records); got != want {
 		t.Fatal("drain-time merged CSV differs from reference")
 	}

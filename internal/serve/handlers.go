@@ -384,15 +384,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// Partial on: a deadline mid-grid returns the completed cells with
 		// the partial flag set instead of an error — the server-side form
 		// of mlperf-sweep's -partial.
-		opts := sweep.Options{Partial: true}
-		var recs []sweep.Record
-		var rep *sweep.Report
-		var rerr error
-		if n := s.eng.ShardCount(); n > 1 {
-			recs, rep, rerr = s.eng.RunCellsSharded(ctx, keys, sweep.ShardOptions{Options: opts, Shards: n})
-		} else {
-			recs, rep, rerr = s.eng.RunCellsWithOptions(ctx, keys, opts)
-		}
+		recs, rep, rerr := s.eng.RunCellsWithOptions(ctx, keys, sweep.Options{Partial: true})
 		if rerr != nil {
 			return nil, 0, rerr
 		}

@@ -81,9 +81,6 @@ type Config struct {
 	// CacheMaxBytes caps the cache directory's size; past it the oldest
 	// entries are evicted on write-through (0 = unbounded).
 	CacheMaxBytes int64
-	// Shards routes grid queries through the shard coordinator (<=1 =
-	// plain worker pool).
-	Shards int
 
 	// MaxInFlight caps concurrently executing admitted requests
 	// (default 8).
@@ -219,9 +216,6 @@ func New(cfg Config) (*Server, error) {
 		reg = telemetry.New()
 	}
 	eng.SetTelemetry(reg)
-	if cfg.Shards > 1 {
-		eng.SetShards(cfg.Shards)
-	}
 	flight := cfg.Flight
 	if flight == nil {
 		flight = telemetry.NewFlightRecorder(cfg.FlightSize)

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"mlperf/internal/shard"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -34,10 +33,9 @@ import (
 //     by its type ("record" / "summary") with the JSON as data.
 //
 // Frames carry the cell's grid index. Frames arrive in completion
-// order — per shard that is queue (index) order, but stealing and
-// re-dispatch may interleave shards — so clients reassemble by index;
-// the concatenated records, index-sorted, are byte-identical to the
-// unary /v1/sweep records at any worker x shard combination.
+// order, which concurrent workers interleave, so clients reassemble by
+// index; the concatenated records, index-sorted, are byte-identical to
+// the unary /v1/sweep records at any worker count.
 //
 // Backpressure: the completion channel is buffered to the full grid,
 // so a slow client never stalls engine workers — the write loop is the
@@ -50,8 +48,8 @@ import (
 
 // StreamFrame is one frame of a /v1/sweep/stream response. Type is
 // "record" (one completed cell: Index + Record) or "summary" (the
-// terminal frame: the Report's counts, failures, cache and sharding
-// stats, and the partial reason when the run was cut short).
+// terminal frame: the Report's counts, failures and cache stats, and
+// the partial reason when the run was cut short).
 type StreamFrame struct {
 	Type string `json:"type"`
 
@@ -69,7 +67,6 @@ type StreamFrame struct {
 	Reason    string            `json:"reason,omitempty"`
 	Failures  []string          `json:"failures,omitempty"`
 	Cache     *sweep.CacheStats `json:"cache,omitempty"`
-	Sharding  *shard.Stats      `json:"sharding,omitempty"`
 }
 
 // cellSpec is the JSON wire form of one requested cell, for POST
@@ -309,13 +306,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 	resCh := make(chan outcome, 1)
 	go func() {
-		var rep *sweep.Report
-		var rerr error
-		if n := s.eng.ShardCount(); n > 1 {
-			_, rep, rerr = s.eng.RunCellsSharded(ctx, keys, sweep.ShardOptions{Options: opts, Shards: n})
-		} else {
-			_, rep, rerr = s.eng.RunCellsWithOptions(ctx, keys, opts)
-		}
+		_, rep, rerr := s.eng.RunCellsWithOptions(ctx, keys, opts)
 		close(done)
 		resCh <- outcome{rep, rerr}
 	}()
@@ -354,7 +345,6 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		Completed: res.rep.Completed,
 		Partial:   res.rep.Failed(),
 		Canceled:  res.rep.Canceled,
-		Sharding:  res.rep.Sharding,
 	}
 	if sum.Partial {
 		s.partials.Add(1)

@@ -82,15 +82,13 @@ func post(t *testing.T, url, body string, hdr ...string) (int, string, http.Head
 
 // The equivalence contract: for a Table IV grid, the streamed record
 // frames reassembled by index must render to the exact bytes of the
-// unary /v1/sweep records' CSV — at one shard and through the shard
-// coordinator, where completion order interleaves shards.
+// unary /v1/sweep records' CSV — on one worker and on four, where
+// completion order interleaves cells.
 func TestStreamEqualsUnarySweepByteForByte(t *testing.T) {
 	const grid = "benchmarks=res50_tf,res50_mx,ssd_py,mrcnn_py,xfmr_py,ncf_py&gpus=1,2,4"
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng := sweep.NewEngine(4)
-			eng.SetShards(shards)
-			srv, ts := newTestServer(t, Config{Engine: eng}, nil)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{Engine: sweep.NewEngine(workers)}, nil)
 
 			code, body, _ := get(t, ts.URL+"/v1/sweep?"+grid)
 			if code != http.StatusOK {
@@ -122,17 +120,11 @@ func TestStreamEqualsUnarySweepByteForByte(t *testing.T) {
 			if len(frames)-1 != unary.Cells {
 				t.Fatalf("%d record frames for %d cells", len(frames)-1, unary.Cells)
 			}
-			if shards > 1 {
-				if last.Sharding == nil || last.Sharding.Shards != shards {
-					t.Fatalf("summary sharding stats %+v, want %d shards", last.Sharding, shards)
-				}
-			}
-
 			streamCSV := renderCSV(t, reassemble(t, frames, unary.Cells))
 			unaryCSV := renderCSV(t, unary.Records)
 			if streamCSV != unaryCSV {
-				t.Fatalf("streamed CSV differs from unary CSV at %d shards:\n--- stream ---\n%s--- unary ---\n%s",
-					shards, streamCSV, unaryCSV)
+				t.Fatalf("streamed CSV differs from unary CSV at %d workers:\n--- stream ---\n%s--- unary ---\n%s",
+					workers, streamCSV, unaryCSV)
 			}
 
 			st := srv.Snapshot()

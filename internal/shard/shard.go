@@ -1,26 +1,13 @@
-// Package shard partitions a batch of content-addressed work items
-// across N shard queues and executes them with work stealing and
-// straggler re-dispatch. It is the scheduling layer under the sweep
-// engine's sharded grid runs: items are assigned to shards by
-// consistent hashing on their canonical digest — so the same cell lands
-// on the same shard run after run, and growing the shard count remaps
-// only ~1/N of the keys — while stealing and re-dispatch keep the whole
-// pool busy when the static partition turns out to be unbalanced or one
-// item straggles.
-//
-// The coordinator schedules; it does not interpret results. Callers
-// own result storage and must make it idempotent (a re-dispatched item
-// can execute twice), which the sweep engine gets for free from its
-// singleflight memo cache plus a per-index sync.Once.
+// Package shard is the consistent-hash ring the front tier routes
+// sweep cells to backends with. Keys are canonical cell digests, so the
+// same cell lands on the same backend request after request (and its
+// memo cache stays warm there), and growing the backend count remaps
+// only ~1/N of the keys.
 package shard
 
 import (
-	"context"
 	"hash/fnv"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // DefaultReplicas is the virtual-node count per shard on the hash ring.
@@ -111,239 +98,4 @@ func (r *Ring) Owner(key string) int {
 		i = 0
 	}
 	return r.points[i].shard
-}
-
-// Options tunes a coordinator run. The zero value means: 1 shard,
-// one worker per shard, DefaultReplicas virtual nodes, at most one
-// concurrent duplicate per item.
-type Options struct {
-	// Shards is the number of shard queues (< 1 = 1).
-	Shards int
-	// Workers is the total worker goroutine count across all shards
-	// (< 1 = Shards). Worker w's home shard is w mod Shards.
-	Workers int
-	// Replicas is the virtual-node count per shard (<= 0 =
-	// DefaultReplicas).
-	Replicas int
-	// MaxDuplicates caps how many workers may execute one item
-	// concurrently via straggler re-dispatch (< 2 = 2: the original
-	// plus one re-dispatch).
-	MaxDuplicates int
-}
-
-// Stats describes how a coordinator run distributed its work.
-type Stats struct {
-	// Shards is the shard count the run used.
-	Shards int
-	// Assigned counts items initially hashed to each shard.
-	Assigned []int64
-	// Completed counts items whose first completion ran on a worker
-	// homed at each shard. Completed differing from Assigned is
-	// stealing/re-dispatch at work.
-	Completed []int64
-	// Steals counts items transferred between shard queues by work
-	// stealing.
-	Steals int64
-	// Redispatches counts duplicate executions launched for straggling
-	// in-flight items by otherwise-idle workers.
-	Redispatches int64
-}
-
-// itemState tracks one item through the run.
-type itemState struct {
-	// running counts concurrent executions (re-dispatch duplicates).
-	running atomic.Int32
-	// done flips once, on first completion.
-	done atomic.Bool
-}
-
-// queue is one shard's work queue.
-type queue struct {
-	mu    sync.Mutex
-	items []int
-}
-
-// pop takes from the front (the shard's own drain order).
-func (q *queue) pop() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return 0, false
-	}
-	i := q.items[0]
-	q.items = q.items[1:]
-	return i, true
-}
-
-// stealHalf removes the back half of the queue (at least one item).
-func (q *queue) stealHalf() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.items)
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	stolen := append([]int(nil), q.items[n-take:]...)
-	q.items = q.items[:n-take]
-	return stolen
-}
-
-// push appends items (used to land stolen batches on the thief's
-// queue).
-func (q *queue) push(items []int) {
-	q.mu.Lock()
-	q.items = append(q.items, items...)
-	q.mu.Unlock()
-}
-
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// Run partitions items 0..n-1 onto shard queues by consistent hashing
-// on digestOf(i) and executes run(item, homeShard) across the worker
-// pool until every item has completed once or ctx is canceled. A worker
-// drains its home queue first, then steals half the largest other
-// queue, and finally re-dispatches a straggling in-flight item rather
-// than idle — so one slow cell cannot strand an otherwise-empty pool.
-// run may therefore execute the same item concurrently up to
-// MaxDuplicates times; callers make completion idempotent.
-//
-// Run returns only after every launched execution has returned: no
-// run() call is in flight once it does.
-func Run(ctx context.Context, n int, digestOf func(int) string, run func(item, homeShard int), opts Options) Stats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = shards
-	}
-	maxDup := opts.MaxDuplicates
-	if maxDup < 2 {
-		maxDup = 2
-	}
-	st := Stats{
-		Shards:    shards,
-		Assigned:  make([]int64, shards),
-		Completed: make([]int64, shards),
-	}
-	if n <= 0 {
-		return st
-	}
-
-	ring := NewRing(shards, opts.Replicas)
-	queues := make([]*queue, shards)
-	for s := range queues {
-		queues[s] = &queue{}
-	}
-	for i := 0; i < n; i++ {
-		s := ring.Owner(digestOf(i))
-		queues[s].items = append(queues[s].items, i)
-		st.Assigned[s]++
-	}
-
-	states := make([]itemState, n)
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-	var steals, redispatches atomic.Int64
-	completed := make([]atomic.Int64, shards)
-
-	execute := func(i, home int) {
-		states[i].running.Add(1)
-		run(i, home)
-		states[i].running.Add(-1)
-		if states[i].done.CompareAndSwap(false, true) {
-			completed[home].Add(1)
-			remaining.Add(-1)
-		}
-	}
-
-	// steal moves half of the largest foreign queue onto home and
-	// reports whether anything arrived.
-	steal := func(home int) bool {
-		victim, best := -1, 0
-		for s := range queues {
-			if s == home {
-				continue
-			}
-			if l := queues[s].len(); l > best {
-				victim, best = s, l
-			}
-		}
-		if victim < 0 {
-			return false
-		}
-		stolen := queues[victim].stealHalf()
-		if len(stolen) == 0 {
-			return false
-		}
-		steals.Add(int64(len(stolen)))
-		queues[home].push(stolen)
-		return true
-	}
-
-	// redispatch picks a straggling in-flight item under the duplicate
-	// cap, preferring the lowest index (the one a sequential run would
-	// be stuck on).
-	redispatch := func() (int, bool) {
-		for i := 0; i < n; i++ {
-			if states[i].done.Load() {
-				continue
-			}
-			r := states[i].running.Load()
-			if r > 0 && int(r) < maxDup {
-				redispatches.Add(1)
-				return i, true
-			}
-		}
-		return 0, false
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		home := w % shards
-		go func() {
-			defer wg.Done()
-			for {
-				if remaining.Load() == 0 || ctx.Err() != nil {
-					return
-				}
-				if i, ok := queues[home].pop(); ok {
-					execute(i, home)
-					continue
-				}
-				if steal(home) {
-					continue
-				}
-				if i, ok := redispatch(); ok {
-					execute(i, home)
-					continue
-				}
-				// Nothing queued, nothing to steal, every straggler at
-				// its duplicate cap: wait for the dust to settle.
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(200 * time.Microsecond):
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	st.Steals = steals.Load()
-	st.Redispatches = redispatches.Load()
-	for s := range completed {
-		st.Completed[s] = completed[s].Load()
-	}
-	return st
 }

@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // digests fabricates n deterministic distinct keys.
@@ -58,123 +55,5 @@ func TestRingConsistency(t *testing.T) {
 	// disguise.
 	if moved == 0 || moved > len(keys)/2 {
 		t.Errorf("%d of %d keys moved going 4→5 shards, want a small nonzero fraction", moved, len(keys))
-	}
-}
-
-func TestRunExecutesEveryItemOnce(t *testing.T) {
-	const n = 200
-	keys := digests(n)
-	execs := make([]atomic.Int64, n)
-	st := Run(context.Background(), n,
-		func(i int) string { return keys[i] },
-		func(i, home int) { execs[i].Add(1) },
-		Options{Shards: 4, Workers: 8})
-
-	var assigned, completed int64
-	for s := 0; s < st.Shards; s++ {
-		assigned += st.Assigned[s]
-		completed += st.Completed[s]
-	}
-	if assigned != n || completed != n {
-		t.Errorf("assigned %d / completed %d, want %d each (stats %+v)", assigned, completed, n, st)
-	}
-	for i := range execs {
-		if execs[i].Load() < 1 {
-			t.Errorf("item %d never executed", i)
-		}
-	}
-}
-
-// TestRunStealsFromOverloadedShard hashes every item onto one shard and
-// proves the other workers steal rather than idle.
-func TestRunStealsFromOverloadedShard(t *testing.T) {
-	const n = 64
-	var execs atomic.Int64
-	st := Run(context.Background(), n,
-		func(int) string { return "everything-hashes-here" },
-		func(i, home int) {
-			execs.Add(1)
-			time.Sleep(100 * time.Microsecond) // give thieves something to take
-		},
-		Options{Shards: 4, Workers: 4})
-
-	var completed int64
-	nonHome := int64(0)
-	for s := 0; s < st.Shards; s++ {
-		completed += st.Completed[s]
-		if st.Assigned[s] == 0 {
-			nonHome += st.Completed[s]
-		}
-	}
-	if completed != n {
-		t.Errorf("completed %d, want %d", completed, n)
-	}
-	if st.Steals == 0 || nonHome == 0 {
-		t.Errorf("no stealing despite a fully skewed partition: %+v", st)
-	}
-}
-
-// TestRunRedispatchesStraggler parks one item and proves an idle worker
-// re-dispatches it instead of waiting, and that duplicate completions
-// are still counted once.
-func TestRunRedispatchesStraggler(t *testing.T) {
-	const n = 6
-	keys := digests(n)
-	execs := make([]atomic.Int64, n)
-	st := Run(context.Background(), n,
-		func(i int) string { return keys[i] },
-		func(i, home int) {
-			execs[i].Add(1)
-			if i == 0 {
-				time.Sleep(30 * time.Millisecond)
-			}
-		},
-		Options{Shards: 1, Workers: 4, MaxDuplicates: 2})
-
-	var completed int64
-	for s := 0; s < st.Shards; s++ {
-		completed += st.Completed[s]
-	}
-	if completed != n {
-		t.Errorf("completed %d, want %d — duplicates must count once", completed, n)
-	}
-	if st.Redispatches == 0 {
-		t.Errorf("straggler was never re-dispatched: %+v", st)
-	}
-	if got := execs[0].Load(); got < 1 || got > 2 {
-		t.Errorf("straggler executed %d times, want 1..MaxDuplicates", got)
-	}
-}
-
-func TestRunCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var execs atomic.Int64
-	keys := digests(50)
-	done := make(chan Stats, 1)
-	go func() {
-		done <- Run(ctx, 50,
-			func(i int) string { return keys[i] },
-			func(i, home int) { execs.Add(1) },
-			Options{Shards: 2, Workers: 4})
-	}()
-	select {
-	case st := <-done:
-		var completed int64
-		for s := 0; s < st.Shards; s++ {
-			completed += st.Completed[s]
-		}
-		if completed != execs.Load() {
-			t.Errorf("completed %d but executed %d", completed, execs.Load())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run hung on a canceled context")
-	}
-}
-
-func TestRunZeroItems(t *testing.T) {
-	st := Run(context.Background(), 0, nil, nil, Options{Shards: 3})
-	if st.Shards != 3 || st.Steals != 0 || st.Redispatches != 0 {
-		t.Errorf("zero-item stats %+v", st)
 	}
 }

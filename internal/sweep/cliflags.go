@@ -9,7 +9,7 @@ import (
 )
 
 // CLIFlags binds the engine-shaping flags every sweep-driving CLI
-// shares: the persistent cache directory and the shard count. Register
+// shares: the persistent cache directory and its size cap. Register
 // before flag.Parse, Apply after.
 type CLIFlags struct {
 	// CacheDir is the -cache-dir value ("" = memory-only).
@@ -17,11 +17,9 @@ type CLIFlags struct {
 	// CacheMaxBytes is the -cache-max-bytes value (0 = unbounded); past
 	// it the oldest cached cells are evicted on write-through.
 	CacheMaxBytes int64
-	// Shards is the -shards value (0/1 = plain worker pool).
-	Shards int
 }
 
-// RegisterCLIFlags declares -cache-dir and -shards on fs (nil = the
+// RegisterCLIFlags declares -cache-dir and -cache-max-bytes on fs (nil = the
 // default flag set).
 func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	if fs == nil {
@@ -32,27 +30,21 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 		"persistent content-addressed cell cache directory (created if missing; sharable across runs and processes)")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", 0,
 		"cap the cache directory's size in bytes, evicting oldest entries on overflow (0 = unbounded)")
-	fs.IntVar(&f.Shards, "shards", 0,
-		"partition grid cells across N digest-sharded queues with work stealing (0/1 = plain worker pool)")
 	return f
 }
 
 // Apply configures the engine from the parsed flags: validates the
-// shard count, opens (creating if needed) the persistent tier and
-// attaches both. Callers should detach the store at exit
+// size cap, then opens (creating if needed) and attaches the persistent
+// tier. Callers should detach the store at exit
 // (defer e.SetStore(nil)) so a process-shared engine does not outlive
 // the flag scope.
 func (f *CLIFlags) Apply(e *Engine) error {
-	if f.Shards < 0 {
-		return fmt.Errorf("sweep: -shards must be >= 0 (0 = unsharded), got %d", f.Shards)
-	}
 	if f.CacheMaxBytes < 0 {
 		return fmt.Errorf("sweep: -cache-max-bytes must be >= 0 (0 = unbounded), got %d", f.CacheMaxBytes)
 	}
 	if f.CacheMaxBytes > 0 && f.CacheDir == "" {
 		return fmt.Errorf("sweep: -cache-max-bytes requires -cache-dir")
 	}
-	e.SetShards(f.Shards)
 	if f.CacheDir != "" {
 		ds, err := OpenDiskStore(f.CacheDir)
 		if err != nil {
@@ -64,10 +56,9 @@ func (f *CLIFlags) Apply(e *Engine) error {
 	return nil
 }
 
-// Record writes the flags into a telemetry sink's config via set (the
-// CLI's sink.Config function); values that equal their defaults are
-// recorded too, so a manifest states the cache/shard posture
-// explicitly.
+// Record writes the set flags into a telemetry sink's config via set
+// (the CLI's sink.Config function); a manifest without a cache-dir key
+// ran memory-only.
 func (f *CLIFlags) Record(set func(key, value string)) {
 	if f.CacheDir != "" {
 		set("cache-dir", f.CacheDir)
@@ -75,7 +66,6 @@ func (f *CLIFlags) Record(set func(key, value string)) {
 	if f.CacheMaxBytes > 0 {
 		set("cache-max-bytes", strconv.FormatInt(f.CacheMaxBytes, 10))
 	}
-	set("shards", strconv.Itoa(f.Shards))
 }
 
 // FillManifest copies the cache snapshot into a run manifest — the

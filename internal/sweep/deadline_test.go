@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// A client deadline expiring mid-sharded-run must come back as a valid
-// Partial report — the serve daemon's deadline-propagation contract:
+// A client deadline expiring mid-run must come back as a valid Partial
+// report — the serve daemon's deadline-propagation contract:
 // every completed cell's record is present, every other cell is a
 // typed FailCanceled, and the arithmetic closes.
-func TestClientDeadlineMidShardedRunReturnsPartial(t *testing.T) {
+func TestClientDeadlineMidRunReturnsPartial(t *testing.T) {
 	const n = 12
 	keys := normKeys(t, n)
 
@@ -34,12 +34,9 @@ func TestClientDeadlineMidShardedRunReturnsPartial(t *testing.T) {
 		return Record{Benchmark: k.Benchmark, System: k.System, GPUs: k.GPUs, TimeToTrainMin: 1}, nil
 	})
 
-	recs, report, err := e.RunCellsSharded(ctx, keys, ShardOptions{
-		Options: Options{Partial: true},
-		Shards:  3,
-	})
+	recs, report, err := e.RunCellsWithOptions(ctx, keys, Options{Partial: true})
 	if err != nil {
-		t.Fatalf("partial sharded run must not fail wholesale: %v", err)
+		t.Fatalf("partial run must not fail wholesale: %v", err)
 	}
 	if !report.Canceled {
 		t.Fatal("report.Canceled = false after mid-run cancellation")

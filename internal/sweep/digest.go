@@ -57,8 +57,8 @@ func digestOf(k CellKey) string {
 // Digest returns the cell's canonical content address: the SHA-256 of
 // the normalized key under the current KeySchema. Spelling variants of
 // one cell share a digest; any two distinct configurations get distinct
-// digests. This is the name the on-disk cache tier and the shard
-// coordinator both key on.
+// digests. This is the name the on-disk cache tier and the front tier's
+// routing ring both key on.
 func (k CellKey) Digest() (string, error) {
 	nk, err := k.normalize()
 	if err != nil {

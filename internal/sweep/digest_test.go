@@ -17,8 +17,8 @@ const goldenPlanJSON = `{"Seed":7,"Stragglers":[{"Lane":"compute","Factor":1.5,"
 // If this test fails you have changed the key normalization, the wire
 // encoding, or something they depend on (canonical benchmark/system
 // names, the fault plan's canonical JSON). That silently cold-starts
-// every persistent cache in the fleet and misfiles every shard
-// assignment. Either revert the change, or accept the cold start
+// every persistent cache in the fleet and reroutes every cell the
+// front tier places. Either revert the change, or accept the cold start
 // EXPLICITLY by bumping KeySchema and re-pinning these digests.
 func TestDigestGolden(t *testing.T) {
 	plan, err := fault.Parse(goldenPlanJSON)

@@ -40,9 +40,6 @@ type Engine struct {
 	// after every successful simulation. Held atomically for the same
 	// mid-process attach reason as tel.
 	disk atomic.Pointer[storeRef]
-	// shards is the shard count grid runs fan out over (<= 1 = the plain
-	// worker pool). See SetShards and sharded.go.
-	shards atomic.Int64
 
 	// diskHits/diskMisses count second-tier traffic; simulations counts
 	// cells that actually ran the simulator (a memory miss promoted from
@@ -51,11 +48,6 @@ type Engine struct {
 	diskHits    atomic.Int64
 	diskMisses  atomic.Int64
 	simulations atomic.Int64
-	// runSpan is the open top-level span of the current grid run, the
-	// parent cell spans attach to (0 = none). Concurrent Run calls on
-	// one engine share whichever run span opened last; the hierarchy
-	// stays valid, only the attribution blurs.
-	runSpan atomic.Uint64
 
 	mu sync.Mutex
 	// cache memoizes settled cells. Its length is NOT the miss count:
@@ -146,16 +138,13 @@ func (e *Engine) Store() Store {
 // Metric names the engine registers. Exported so CLIs and tests share
 // one schema.
 const (
-	MetricCacheTotal      = "sweep_cache_total"            // counter, result=hit|miss (memory tier)
-	MetricDiskCacheTotal  = "sweep_disk_cache_total"       // counter, result=hit|miss (persistent tier, consulted on memory misses)
-	MetricCellSeconds     = "sweep_cell_seconds"           // histogram, wall time per simulated cell
-	MetricFailures        = "sweep_cell_failures_total"    // counter, kind=error|panic|timeout|canceled (per failed attempt)
-	MetricRetries         = "sweep_retries_total"          // counter
-	MetricWorkersBusy     = "sweep_workers_busy"           // gauge, live busy workers
-	MetricWorkersPeak     = "sweep_workers_busy_peak"      // gauge, high-water occupancy
-	MetricShardCells      = "sweep_shard_cells_total"      // counter, cells completed per shard (shard=<index>)
-	MetricShardSteals     = "sweep_shard_steals_total"     // counter, work-stealing transfers between shards
-	MetricShardRedispatch = "sweep_shard_redispatch_total" // counter, straggler re-dispatches
+	MetricCacheTotal     = "sweep_cache_total"         // counter, result=hit|miss (memory tier)
+	MetricDiskCacheTotal = "sweep_disk_cache_total"    // counter, result=hit|miss (persistent tier, consulted on memory misses)
+	MetricCellSeconds    = "sweep_cell_seconds"        // histogram, wall time per simulated cell
+	MetricFailures       = "sweep_cell_failures_total" // counter, kind=error|panic|timeout|canceled (per failed attempt)
+	MetricRetries        = "sweep_retries_total"       // counter
+	MetricWorkersBusy    = "sweep_workers_busy"        // gauge, live busy workers
+	MetricWorkersPeak    = "sweep_workers_busy_peak"   // gauge, high-water occupancy
 )
 
 // WorkerCount reports the effective concurrency bound.
@@ -167,54 +156,32 @@ func (e *Engine) WorkerCount() int {
 }
 
 // Run executes the grid's cells across the worker pool, returning records
-// in the same deterministic order as RunSequential. With a shard count
-// set (SetShards > 1) the cells are instead partitioned across shard
-// queues by content digest and run through the sharded coordinator —
-// same records, same order, same first-failure error.
+// in the same deterministic order as RunSequential.
 func (e *Engine) Run(g Grid) ([]Record, error) {
-	if s := e.ShardCount(); s > 1 {
-		recs, _, err := e.RunSharded(context.Background(), g, ShardOptions{Shards: s})
-		return recs, err
-	}
 	keys, err := expand(g)
 	if err != nil {
 		return nil, err
 	}
-	finish := e.startRunSpan(context.Background(), len(keys))
+	run, finish := e.startRunSpan(context.Background(), len(keys))
 	defer finish()
 	return Map(e.WorkerCount(), len(keys), func(i int) (Record, error) {
-		return e.cell(keys[i], 0)
+		return e.cell(keys[i], run)
 	})
 }
 
-// SetShards sets the shard count grid runs fan out over (<= 1 restores
-// the plain worker pool). It applies to subsequent Run calls.
-func (e *Engine) SetShards(n int) { e.shards.Store(int64(n)) }
-
-// ShardCount reports the configured shard count (minimum 1).
-func (e *Engine) ShardCount() int {
-	if s := int(e.shards.Load()); s > 1 {
-		return s
-	}
-	return 1
-}
-
-// startRunSpan opens the top-level grid span cell spans parent to and
-// returns its closer. With no registry attached both are no-ops. The
-// run span parents under whatever span the context carries (the serving
-// tier's request span), keeping engine-local runs at the root.
-func (e *Engine) startRunSpan(ctx context.Context, cells int) func() {
+// startRunSpan opens the top-level grid span and returns its ID, which
+// the run's cells pass down as their span parent, and its closer. With
+// no registry attached the ID is 0 and the closer a no-op. The run span
+// parents under whatever span the context carries (the serving tier's
+// request span), keeping engine-local runs at the root.
+func (e *Engine) startRunSpan(ctx context.Context, cells int) (telemetry.SpanID, func()) {
 	reg := e.tel.Load()
 	if reg == nil {
-		return func() {}
+		return 0, func() {}
 	}
 	id := reg.Tracer().Start(telemetry.KindRun, "sweep", telemetry.SpanFromContext(ctx),
 		"cells="+strconv.Itoa(cells))
-	e.runSpan.Store(uint64(id))
-	return func() {
-		e.runSpan.CompareAndSwap(uint64(id), 0)
-		reg.Tracer().End(id)
-	}
+	return id, func() { reg.Tracer().End(id) }
 }
 
 // trackBusy bumps the worker-occupancy gauges around one cell
@@ -250,8 +217,8 @@ func (e *Engine) Cells(keys []CellKey) ([]Record, error) {
 // cell is the memoized core; k must already be normalized. The
 // simulation runs panic-guarded: a panicking cell settles its entry
 // with a *PanicError instead of unwinding through the worker pool.
-// parent is the span the cell span attaches under (0 = the current run
-// span; sharded runs pass their shard span instead).
+// parent is the span the cell span attaches under: the run span of the
+// grid run the cell belongs to, 0 for a standalone cell.
 func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 	reg := e.tel.Load()
 	e.mu.Lock()
@@ -288,11 +255,7 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		var span telemetry.SpanID
 		start := reg.Now()
 		if reg != nil {
-			p := parent
-			if p == 0 {
-				p = telemetry.SpanID(e.runSpan.Load())
-			}
-			span = reg.Tracer().Start(telemetry.KindSweepCell, cellName(k), p)
+			span = reg.Tracer().Start(telemetry.KindSweepCell, cellName(k), parent)
 		}
 		e.simulations.Add(1)
 		en.rec, en.err = safeCell(e.simulate, k)
@@ -407,35 +370,16 @@ func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	out := make([]T, n)
 	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
+	if poolSize(workers, n) == 1 {
+		// Inline, so a single-worker run does not allocate the closure
+		// the pool needs.
+		for i := range out {
 			out[i], errs[i] = fn(i)
 		}
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					out[i], errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
+		forEach(workers, n, func(i int) { out[i], errs[i] = fn(i) })
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -443,4 +387,43 @@ func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// forEach is the engine's one worker pool: it calls fn(0..n-1), each
+// index exactly once, on up to workers goroutines (<= 0 = GOMAXPROCS)
+// that pull indices from a shared counter, and returns when every call
+// has. A single worker runs inline on the caller's goroutine.
+func forEach(workers, n int, fn func(int)) {
+	workers = poolSize(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// poolSize resolves a worker bound for n tasks: <= 0 means GOMAXPROCS,
+// and there are never more workers than tasks.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
 }

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"mlperf/internal/shard"
 	"mlperf/internal/telemetry"
 )
 
@@ -107,9 +105,8 @@ type Options struct {
 	// it settles (success or failure) — the completion stream a serving
 	// layer forwards to clients while the grid is still running. Calls
 	// arrive from worker goroutines concurrently and in completion
-	// order, not index order (CellDone.Index identifies the cell); a
-	// sharded run's straggler re-dispatch never produces a duplicate
-	// call. Cells never attempted (run canceled first) get no call —
+	// order, not index order (CellDone.Index identifies the cell).
+	// Cells never attempted (run canceled first) get no call —
 	// they appear only in the final Report. OnCell must not block for
 	// long: it runs on the worker that finished the cell.
 	OnCell func(CellDone)
@@ -141,9 +138,6 @@ type Report struct {
 	Canceled bool
 	// Failures holds one CellError per failed cell, in grid order.
 	Failures []*CellError
-	// Sharding describes how the shard coordinator distributed the run
-	// (nil for unsharded runs).
-	Sharding *shard.Stats
 }
 
 // Failed reports whether any cell failed.
@@ -191,15 +185,7 @@ func (e *Engine) RunWithOptions(ctx context.Context, g Grid, opts Options) ([]Re
 	if err != nil {
 		return nil, nil, err
 	}
-	finish := e.startRunSpan(ctx, len(keys))
-	defer finish()
-	recs, report := e.runHardened(ctx, keys, opts)
-	if !opts.Partial {
-		if err := firstFailure(report); err != nil {
-			return nil, report, err
-		}
-	}
-	return recs, report, nil
+	return e.runKeys(ctx, keys, opts)
 }
 
 // RunCellsWithOptions is RunWithOptions over an explicit cell list
@@ -213,9 +199,16 @@ func (e *Engine) RunCellsWithOptions(ctx context.Context, keys []CellKey, opts O
 		}
 		norm[i] = nk
 	}
-	finish := e.startRunSpan(ctx, len(norm))
+	return e.runKeys(ctx, norm, opts)
+}
+
+// runKeys is the shared body of RunWithOptions and RunCellsWithOptions:
+// one run span around the hardened pool, then the Partial/first-failure
+// decision. keys must be normalized.
+func (e *Engine) runKeys(ctx context.Context, keys []CellKey, opts Options) ([]Record, *Report, error) {
+	run, finish := e.startRunSpan(ctx, len(keys))
 	defer finish()
-	recs, report := e.runHardened(ctx, norm, opts)
+	recs, report := e.runHardened(ctx, keys, opts, run)
 	if !opts.Partial {
 		if err := firstFailure(report); err != nil {
 			return nil, report, err
@@ -233,11 +226,11 @@ func firstFailure(r *Report) error {
 	return r.Failures[0]
 }
 
-// runHardened is the hardened pool: bounded workers pull cell indices
-// from an atomic counter, each cell runs attempt loops with timeout and
-// backoff, and cancellation drains the pool, marking unreached cells
-// canceled.
-func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options) ([]Record, *Report) {
+// runHardened is the hardened pool: the engine's worker pool runs each
+// cell through its attempt loop with timeout and backoff, and
+// cancellation drains the pool, marking unreached cells canceled. run
+// is the span every cell span parents under.
+func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, run telemetry.SpanID) ([]Record, *Report) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -246,37 +239,21 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options) 
 	if workers <= 0 {
 		workers = e.WorkerCount()
 	}
-	if workers > n {
-		workers = n
-	}
 	recs := make([]Record, n)
 	cellErrs := make([]*CellError, n)
 	attempted := make([]bool, n)
 	var retries atomic.Int64
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				attempted[i] = true
-				recs[i], cellErrs[i] = e.runHardenedCell(ctx, keys[i], i, opts, &retries, 0)
-				if opts.OnCell != nil {
-					opts.OnCell(CellDone{Index: i, Key: keys[i], Record: recs[i], Err: cellErrs[i]})
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(workers, n, func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		attempted[i] = true
+		recs[i], cellErrs[i] = e.runHardenedCell(ctx, keys[i], i, opts, &retries, run)
+		if opts.OnCell != nil {
+			opts.OnCell(CellDone{Index: i, Key: keys[i], Record: recs[i], Err: cellErrs[i]})
+		}
+	})
 
 	report := &Report{Cells: n, RetriesUsed: retries.Load(), Canceled: ctx.Err() != nil}
 	for i := range keys {
@@ -295,9 +272,9 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options) 
 	return recs, report
 }
 
-// runHardenedCell drives one cell through its attempt loop. parent is
-// the telemetry span the cell span attaches under (0 = the run span).
-func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, opts Options, retries *atomic.Int64, parent telemetry.SpanID) (Record, *CellError) {
+// runHardenedCell drives one cell through its attempt loop. run is the
+// span the cell span attaches under.
+func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, opts Options, retries *atomic.Int64, run telemetry.SpanID) (Record, *CellError) {
 	retryIf := opts.RetryIf
 	if retryIf == nil {
 		retryIf = defaultRetryIf
@@ -310,7 +287,7 @@ func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, opts Opt
 	var lastErr error
 	attempt := 0
 	for ; ; attempt++ {
-		rec, err := e.attemptCell(ctx, k, opts.CellTimeout, parent)
+		rec, err := e.attemptCell(ctx, k, opts.CellTimeout, run)
 		if err == nil {
 			return rec, nil
 		}
@@ -362,9 +339,9 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // run's context. On timeout the simulation goroutine keeps running in
 // the background — a CPU-bound cell cannot be interrupted — and its
 // eventual result stays available in the cache.
-func (e *Engine) attemptCell(ctx context.Context, k CellKey, timeout time.Duration, parent telemetry.SpanID) (Record, error) {
+func (e *Engine) attemptCell(ctx context.Context, k CellKey, timeout time.Duration, run telemetry.SpanID) (Record, error) {
 	if timeout <= 0 && ctx.Done() == nil {
-		return e.cell(k, parent)
+		return e.cell(k, run)
 	}
 	type outcome struct {
 		rec Record
@@ -372,7 +349,7 @@ func (e *Engine) attemptCell(ctx context.Context, k CellKey, timeout time.Durati
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		rec, err := e.cell(k, parent)
+		rec, err := e.cell(k, run)
 		ch <- outcome{rec, err}
 	}()
 	var deadline <-chan time.Time

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"mlperf/internal/fault"
+	"mlperf/internal/sim"
 )
 
 // fakeEngine builds an engine whose cell evaluator is replaced, so the
@@ -332,5 +334,94 @@ func TestGridFaultsValidated(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid grid fault plan accepted")
+	}
+}
+
+// mixedGrid is an 18-cell grid, large enough that 16 workers all see
+// real work.
+func mixedGrid() Grid {
+	return Grid{
+		Benchmarks: []string{"res50_tf", "ncf_py", "xfmr_py"},
+		Systems:    []string{"dss8440", "c4140k"},
+		GPUCounts:  []int{1, 2, 4},
+	}
+}
+
+// The hardened pool is the serving tier's grid executor, so it carries
+// its own byte-identity proof: at 1, 4 and 16 workers its CSV equals
+// RunSequential's.
+func TestRunWithOptionsMatchesSequential(t *testing.T) {
+	g := mixedGrid()
+	seq, err := RunSequential(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := csvBytes(t, seq)
+	for _, workers := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			recs, report, err := NewEngine(workers).RunWithOptions(context.Background(), g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csvBytes(t, recs), want) {
+				t.Error("RunWithOptions CSV differs from RunSequential")
+			}
+			if report.Completed != len(seq) || report.Failed() {
+				t.Errorf("report %+v, want %d completed and no failures", report, len(seq))
+			}
+		})
+	}
+}
+
+// On the real grid with more workers than failing cells, a non-Partial
+// run still reports the lowest-index failure, and a Partial run returns
+// every survivor.
+func TestFirstFailureDeterministicOnRealGrid(t *testing.T) {
+	keys, err := mixedGrid().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	fail := map[CellKey]bool{keys[3]: true, keys[7]: true}
+	simulate := func(k CellKey) (Record, error) {
+		if fail[k] {
+			return Record{}, boom
+		}
+		return runCell(k, sim.FastPathAuto)
+	}
+	_, report, err := fakeEngine(8, simulate).RunCellsWithOptions(context.Background(), keys, Options{})
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Index != 3 {
+		t.Errorf("error %v, want the lowest-index CellError (index 3)", err)
+	}
+	if len(report.Failures) != 2 {
+		t.Errorf("report holds %d failures, want 2", len(report.Failures))
+	}
+
+	recs, report, err := fakeEngine(8, simulate).RunCellsWithOptions(context.Background(), keys, Options{Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Completed != len(keys)-2 || len(recs) != len(keys) {
+		t.Errorf("partial run completed %d of %d", report.Completed, len(keys))
+	}
+}
+
+// A run whose context is canceled before it starts returns at once with
+// a canceled report and every cell marked canceled.
+func TestPreCanceledContextMarksEveryCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, report, err := NewEngine(2).RunWithOptions(ctx, mixedGrid(), Options{Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Canceled || report.Completed != 0 || len(report.Failures) != report.Cells {
+		t.Fatalf("report %+v, want every cell canceled", report)
+	}
+	for _, f := range report.Failures {
+		if f.Kind != FailCanceled {
+			t.Errorf("failure %v kind %s, want canceled", f, f.Kind)
+		}
 	}
 }

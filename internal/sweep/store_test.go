@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -74,6 +75,42 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(csvBytes(t, got), csvBytes(t, seq)) {
 		t.Error("disk-replayed CSV differs from RunSequential")
+	}
+}
+
+// The hardened pool replays a warm store too: a fresh engine's
+// RunWithOptions over a filled directory simulates nothing and still
+// produces the sequential reference bytes.
+func TestWarmDiskReplayZeroSimulations(t *testing.T) {
+	dir := t.TempDir()
+	g := mixedGrid()
+	seq, err := RunSequential(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*Engine, []Record) {
+		t.Helper()
+		ds, err := OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(4)
+		e.SetStore(ds)
+		recs, _, err := e.RunWithOptions(context.Background(), g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, recs
+	}
+	if cold, _ := run(); cold.Stats().Simulations != int64(len(seq)) {
+		t.Fatalf("cold run simulated %d cells, want %d", cold.Stats().Simulations, len(seq))
+	}
+	warm, recs := run()
+	if !bytes.Equal(csvBytes(t, recs), csvBytes(t, seq)) {
+		t.Error("disk-warm CSV differs from RunSequential")
+	}
+	if st := warm.Stats(); st.Simulations != 0 || st.Disk.Hits != int64(len(seq)) {
+		t.Errorf("warm run stats %+v, want 0 simulations and %d disk hits", st, len(seq))
 	}
 }
 

@@ -28,37 +28,21 @@ func (c *streamCollector) onCell(d CellDone) {
 }
 
 // OnCell must fire exactly once per cell, and reassembling the stream
-// by index must reproduce the run's record slice — on the plain
-// hardened pool and through the shard coordinator at several shard
-// counts.
+// by index must reproduce the run's record slice, at every worker count.
 func TestOnCellExactlyOncePerCellAndReassembles(t *testing.T) {
 	g := Grid{Benchmarks: []string{"res50_tf", "ncf_py"}, GPUCounts: []int{1, 2}}
 	keys, err := g.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	run := func(t *testing.T, shards int) ([]Record, *streamCollector) {
-		t.Helper()
-		e := NewEngine(4)
-		col := newStreamCollector()
-		var recs []Record
-		if shards <= 1 {
-			recs, _, err = e.RunCellsWithOptions(context.Background(), keys,
+	for _, workers := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			col := newStreamCollector()
+			recs, _, err := NewEngine(workers).RunCellsWithOptions(context.Background(), keys,
 				Options{OnCell: col.onCell})
-		} else {
-			recs, _, err = e.RunCellsSharded(context.Background(), keys,
-				ShardOptions{Options: Options{OnCell: col.onCell}, Shards: shards})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs, col
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			recs, col := run(t, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(col.done) != len(keys) {
 				t.Fatalf("OnCell fired %d times for %d cells", len(col.done), len(keys))
 			}
@@ -83,37 +67,6 @@ func TestOnCellExactlyOncePerCellAndReassembles(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// Re-dispatched duplicates must not double-deliver: a straggling cell
-// executed twice by the coordinator still streams exactly once.
-func TestOnCellNoDuplicateFromRedispatch(t *testing.T) {
-	e := NewEngine(4)
-	var slow sync.Once
-	inner := e.simulate
-	e.simulate = func(k CellKey) (Record, error) {
-		if k.GPUs == 1 {
-			// First straggler parks long enough for idle workers to
-			// re-dispatch it.
-			slow.Do(func() { time.Sleep(50 * time.Millisecond) })
-		}
-		return inner(k)
-	}
-	g := Grid{Benchmarks: []string{"res50_tf"}, GPUCounts: []int{1, 2, 4}}
-	keys, err := g.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := newStreamCollector()
-	if _, _, err := e.RunCellsSharded(context.Background(), keys,
-		ShardOptions{Options: Options{OnCell: col.onCell}, Shards: 2, MaxDuplicates: 3}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		if col.count[i] != 1 {
-			t.Fatalf("cell %d delivered %d times after re-dispatch, want exactly once", i, col.count[i])
-		}
 	}
 }
 

@@ -301,7 +301,7 @@ func expand(g Grid) ([]CellKey, error) {
 // the exact normalized list every Run variant executes. Callers that
 // need the cell count before committing to a run (the serve daemon's
 // admission controller prices requests by it) expand once here and hand
-// the keys to RunCellsWithOptions/RunCellsSharded.
+// the keys to RunCellsWithOptions.
 func (g Grid) Cells() ([]CellKey, error) { return expand(g) }
 
 // Run executes the full grid on the Default engine, returning one record

@@ -135,6 +135,84 @@ func TestEngineTelemetryRunSpanParentsCells(t *testing.T) {
 	}
 }
 
+// Two grid runs overlapping on one engine must each parent their cells
+// to their own run span. The gates force the interleaving that used to
+// misattribute: run A opens, run B opens while A's first cell is still
+// simulating, and A's second cell starts while B is still open.
+func TestConcurrentRunsParentCellsToOwnRunSpan(t *testing.T) {
+	aStarted := make(chan struct{})
+	bSimulating := make(chan struct{})
+	aSecond := make(chan struct{})
+	e := fakeEngine(1, func(k CellKey) (Record, error) {
+		switch {
+		case k.Benchmark == "MLPf_NCF_Py":
+			close(bSimulating)
+			<-aSecond
+		case k.GPUs == 1:
+			close(aStarted)
+			<-bSimulating
+		default:
+			close(aSecond)
+		}
+		return Record{}, nil
+	})
+	reg := telemetry.NewWithClock(nil)
+	e.SetTelemetry(reg)
+
+	runA := []CellKey{key(1), key(2)}
+	runB := []CellKey{{Benchmark: "ncf_py", System: "dss8440", GPUs: 1}}
+	errA := make(chan error, 1)
+	go func() {
+		_, _, err := e.RunCellsWithOptions(context.Background(), runA, Options{})
+		errA <- err
+	}()
+	<-aStarted
+	if _, _, err := e.RunCellsWithOptions(context.Background(), runB, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+
+	spans := reg.Tracer().Spans()
+	if err := telemetry.ValidateSpans(spans); err != nil {
+		t.Fatal(err)
+	}
+	// Each run span records its cell count; map it to the benchmark its
+	// cells belong to.
+	runOf := map[string]telemetry.SpanID{}
+	for _, s := range spans {
+		if s.Kind != telemetry.KindRun {
+			continue
+		}
+		switch strings.Join(s.Attrs, ",") {
+		case "cells=2":
+			runOf["MLPf_Res50_TF"] = s.ID
+		case "cells=1":
+			runOf["MLPf_NCF_Py"] = s.ID
+		}
+	}
+	if len(runOf) != 2 {
+		t.Fatalf("run spans %v, want one per run", runOf)
+	}
+	cells := 0
+	for _, s := range spans {
+		if s.Kind != telemetry.KindSweepCell {
+			continue
+		}
+		cells++
+		bench := s.Name[:strings.IndexByte(s.Name, '/')]
+		if s.Parent == 0 {
+			t.Errorf("cell span %q is a root span", s.Name)
+		} else if s.Parent != runOf[bench] {
+			t.Errorf("cell span %q parents to %d, want its own run span %d", s.Name, s.Parent, runOf[bench])
+		}
+	}
+	if cells != 3 {
+		t.Errorf("%d cell spans, want 3", cells)
+	}
+}
+
 // TestManifestSameSeedDeterministic pins the reproducibility criterion:
 // two runs of the same grid on tick-clock registries produce manifests
 // that are byte-identical once the wall-clock fields are stripped —

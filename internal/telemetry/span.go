@@ -13,12 +13,10 @@ type SpanID uint64
 
 // Span kinds of the built-in hierarchy. Kinds are free-form strings;
 // these constants name the levels the harness itself emits:
-// run → shard → sweep cell, run → experiment, cell → sim stage /
-// cluster job.
+// run → sweep cell, run → experiment, cell → sim stage / cluster job.
 const (
 	KindRun        = "run"
 	KindExperiment = "experiment"
-	KindShard      = "shard"
 	KindSweepCell  = "sweep-cell"
 	KindSimStage   = "sim-stage"
 	KindClusterJob = "cluster-job"

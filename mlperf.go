@@ -318,7 +318,7 @@ func SweepWithOptions(ctx context.Context, g SweepGrid, opts SweepOptions) ([]Sw
 	return sweep.Default.RunWithOptions(ctx, g, opts)
 }
 
-// ---- Persistent sweep cache and sharded execution ----
+// ---- Persistent sweep cache ----
 
 // SweepStore is the pluggable persistent tier behind a sweep engine's
 // in-memory memo cache: consulted on a memory miss, written through
@@ -330,8 +330,8 @@ type SweepStore = sweep.Store
 type SweepTierStats = sweep.TierStats
 
 // SweepKeySchema is the cell-key content-address schema version: the
-// namespace persistent cache entries and shard assignments are keyed
-// under. Changing key normalization or encoding bumps it.
+// namespace persistent cache entries and the front tier's routing are
+// keyed under. Changing key normalization or encoding bumps it.
 const SweepKeySchema = sweep.KeySchema
 
 // SweepCellDigest returns the cell's canonical content address: the
@@ -350,24 +350,6 @@ func OpenSweepCacheDir(dir string) (*sweep.DiskStore, error) { return sweep.Open
 // new results are written through. Results are never affected — only
 // how fast they arrive.
 func SetSweepStore(s SweepStore) { sweep.Default.SetStore(s) }
-
-// SweepShardOptions configure a sharded grid run: the hardened
-// SweepOptions plus the shard count cells are consistent-hashed into by
-// content digest.
-type SweepShardOptions = sweep.ShardOptions
-
-// SweepSharded runs the grid through the shard coordinator on the
-// shared engine: cells partition across digest-sharded queues with work
-// stealing and straggler re-dispatch, and merge back in deterministic
-// order — byte-identical to SweepSequential for any worker and shard
-// count.
-func SweepSharded(ctx context.Context, g SweepGrid, opts SweepShardOptions) ([]SweepRecord, *SweepReport, error) {
-	return sweep.Default.RunSharded(ctx, g, opts)
-}
-
-// SetSweepShards makes subsequent Sweep calls on the shared engine run
-// sharded (<= 1 restores the plain worker pool).
-func SetSweepShards(n int) { sweep.Default.SetShards(n) }
 
 // ---- Serving (DESIGN.md §"Serving architecture") ----
 
