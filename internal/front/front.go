@@ -15,6 +15,13 @@
 // each record frame from its slice-local index to the global one as it
 // arrives.
 //
+// Cell cache: the front keeps a bounded digest → record map filled only
+// from validated, complete backend answers. A held cell is answered
+// without a backend hop — no backend admission, no tenant bucket, even
+// with every backend draining or down — and a grid fans out only its
+// unheld cells. The digest is the cell's content, so entries never need
+// invalidation.
+//
 // Failover: a health loop polls each backend's /readyz; a draining or
 // dead backend drops out of the preferred-routing set, and an in-flight
 // attempt that hits a connection error or a 503 (drain) retries on the
@@ -45,13 +52,14 @@ import (
 
 // Metric names the front registers.
 const (
-	MetricRequests       = "front_requests_total"                    // counter by endpoint/code
-	MetricFailovers      = "front_failovers_total"                   // counter, attempts moved to another backend
-	MetricFanouts        = "front_fanouts_total"                     // counter, sweep sub-requests issued
-	MetricUnhealthy      = "front_backend_down"                      // gauge per backend, 1 = failing /readyz
-	MetricRequestSeconds = "front_request_seconds"                   // histogram by endpoint=, wall time per request
-	MetricTransitions    = "front_backend_transitions_total"         // counter per backend, health flips (up<->down)
-	MetricLastTransition = "front_backend_last_transition_seconds"   // gauge per backend, unix time of the last flip
+	MetricRequests       = "front_requests_total"                  // counter by endpoint/code
+	MetricFailovers      = "front_failovers_total"                 // counter, attempts moved to another backend
+	MetricFanouts        = "front_fanouts_total"                   // counter, sweep sub-requests issued
+	MetricUnhealthy      = "front_backend_down"                    // gauge per backend, 1 = failing /readyz
+	MetricRequestSeconds = "front_request_seconds"                 // histogram by endpoint=, wall time per request
+	MetricTransitions    = "front_backend_transitions_total"       // counter per backend, health flips (up<->down)
+	MetricLastTransition = "front_backend_last_transition_seconds" // gauge per backend, unix time of the last flip
+	MetricCellCache      = "front_cell_cache_total"                // counter by result=hit|miss, one per cell looked up
 )
 
 // Config shapes the front tier.
@@ -84,6 +92,9 @@ type Stats struct {
 	Requests  int64           `json:"requests"`
 	Failovers int64           `json:"failovers"`
 	Fanouts   int64           `json:"fanouts"`
+	// Cells answered from the front's cell cache vs. asked of a backend.
+	CellHits   int64 `json:"cell_hits"`
+	CellMisses int64 `json:"cell_misses"`
 }
 
 // BackendStatus is one backend's view from the front. Transitions and
@@ -121,9 +132,13 @@ type Front struct {
 	// until then the optimistic all-healthy view is in effect.
 	firstProbe chan struct{}
 
-	requests  atomic.Int64
-	failovers atomic.Int64
-	fanouts   atomic.Int64
+	cells cellCache
+
+	requests   atomic.Int64
+	failovers  atomic.Int64
+	fanouts    atomic.Int64
+	cellHits   atomic.Int64
+	cellMisses atomic.Int64
 }
 
 // New builds a front over cfg.Backends and starts its health loop.
@@ -383,9 +398,9 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSimulate proxies one cell, routed by its digest so repeated and
-// concurrent queries for the same cell hit the same backend's memory
-// tier and coalescer.
+// handleSimulate answers one cell from the cell cache or proxies it,
+// routed by its digest so repeated and concurrent misses for the same
+// cell hit the same backend's memory tier and coalescer.
 func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	f.count("simulate")
 	k, err := serve.CellKeyFromRequest(r)
@@ -398,15 +413,34 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if _, err := serve.RequestTimeout(r, 0); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if rec, ok := f.cells.get(digest); ok {
+		f.countCells(1, 0)
+		writeJSON(w, http.StatusOK, serve.SimulateResponse{Record: rec})
+		return
+	}
+	f.countCells(0, 1)
 	if !f.tryBackends(digest, func(i int) (bool, bool) {
 		resp, err := f.send(r, i, r.URL.RequestURI(), nil)
 		if err != nil {
 			return false, true
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
+		switch resp.StatusCode {
+		case http.StatusServiceUnavailable:
 			io.Copy(io.Discard, resp.Body)
 			return false, true
+		case http.StatusOK:
+			var sim serve.SimulateResponse
+			if err := json.NewDecoder(resp.Body).Decode(&sim); err != nil {
+				return false, true // a garbled answer is a broken backend
+			}
+			f.cells.put(digest, sim.Record)
+			writeJSON(w, http.StatusOK, sim)
+			return true, false
 		}
 		relay(w, resp)
 		return true, false
@@ -469,57 +503,91 @@ func (f *Front) count(endpoint string) {
 	f.reg.Counter(MetricRequests, telemetry.Label{Key: "endpoint", Value: endpoint}).Inc()
 }
 
-// ---- sweep fan-out ----
-
-// partition slices a cell list by ring owner, remembering each cell's
-// global index so sub-results merge back into the exact order a single
-// process would have returned.
-type partition struct {
-	backendHint int // ring owner; failover may land elsewhere
-	indices     []int
-	keys        []sweep.CellKey
+// countCells records one request's cell cache lookups.
+func (f *Front) countCells(hits, misses int) {
+	f.cellHits.Add(int64(hits))
+	f.cellMisses.Add(int64(misses))
+	f.reg.Counter(MetricCellCache, telemetry.L("result", "hit")).Add(int64(hits))
+	f.reg.Counter(MetricCellCache, telemetry.L("result", "miss")).Add(int64(misses))
 }
 
-func (f *Front) partition(keys []sweep.CellKey) ([]partition, error) {
-	parts := make(map[int]*partition)
+// ---- sweep fan-out ----
+
+// partition is one ring owner's slice of a grid, remembering each
+// cell's global index so sub-results merge back into the exact order a
+// single process would have returned.
+type partition struct {
+	indices []int
+	keys    []sweep.CellKey
+	digests []string
+}
+
+// gridPlan is a grid split for fan-out: records is the whole grid in
+// global order with the held cells filled in, and parts slices the rest
+// by ring owner.
+type gridPlan struct {
+	records []sweep.Record
+	held    []int // global indices answered from the cell cache
+	parts   []partition
+}
+
+// planGrid resolves a sweep request's cells, answers the held ones from
+// the cell cache and slices the rest by ring owner, hashing each cell
+// once for lookup, routing and fill. It writes the 400 itself for a
+// malformed grid or deadline — held cells or not, as a backend would.
+func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, bool) {
+	keys, err := serve.SweepKeysFromRequest(r)
+	if err == nil {
+		_, err = serve.RequestTimeout(r, 0)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	g := &gridPlan{records: make([]sweep.Record, len(keys))}
+	byOwner := make([]*partition, len(f.backends))
 	for i, k := range keys {
 		d, err := k.Digest()
 		if err != nil {
-			return nil, err
+			writeError(w, http.StatusBadRequest, err.Error())
+			return nil, false
+		}
+		if rec, ok := f.cells.get(d); ok {
+			g.records[i] = rec
+			g.held = append(g.held, i)
+			continue
 		}
 		o := f.ring.Owner(d)
-		p := parts[o]
+		p := byOwner[o]
 		if p == nil {
-			p = &partition{backendHint: o}
-			parts[o] = p
+			p = &partition{}
+			byOwner[o] = p
 		}
 		p.indices = append(p.indices, i)
 		p.keys = append(p.keys, k)
+		p.digests = append(p.digests, d)
 	}
-	out := make([]partition, 0, len(parts))
-	for o := 0; o < len(f.backends); o++ {
-		if p := parts[o]; p != nil {
-			out = append(out, *p)
+	f.countCells(len(g.held), len(keys)-len(g.held))
+	for _, p := range byOwner {
+		if p != nil {
+			g.parts = append(g.parts, *p)
 		}
 	}
-	return out, nil
+	return g, true
 }
 
 // subSweep runs one partition's unary sub-sweep with failover, keyed by
 // the partition's first cell digest (any stable key rotates from the
-// owner; the hint IS the owner so attempt 0 goes there).
+// owner; the first cell's owner IS the slice's owner, so attempt 0 goes
+// there). A complete answer fills the cell cache.
 func (f *Front) subSweep(r *http.Request, p partition) (*serve.SweepResponse, error) {
 	body, err := serve.CellsBody(p.keys)
 	if err != nil {
 		return nil, err
 	}
-	d, err := p.keys[0].Digest()
-	if err != nil {
-		return nil, err
-	}
-	var sub serve.SweepResponse
+	var got *serve.SweepResponse
 	var lastErr error
-	ok := f.tryBackends(d, func(i int) (bool, bool) {
+	f.tryBackends(p.digests[0], func(i int) (bool, bool) {
 		f.fanouts.Add(1)
 		f.reg.Counter(MetricFanouts).Inc()
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
@@ -552,19 +620,33 @@ func (f *Front) subSweep(r *http.Request, p partition) (*serve.SweepResponse, er
 			lastErr = fmt.Errorf("backend %s: %d %s", f.backends[i], resp.StatusCode, strings.TrimSpace(string(b)))
 			return false, false
 		}
+		// A body that does not decode or does not carry one record per
+		// cell is a broken backend, like a malformed stream line: nothing
+		// reached the client yet, so fail over.
+		var sub serve.SweepResponse
 		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			lastErr = err
-			return false, false
+			lastErr = fmt.Errorf("backend %s: bad body: %v", f.backends[i], err)
+			return false, true
 		}
+		if len(sub.Records) != len(p.keys) {
+			lastErr = fmt.Errorf("backend %s: %d records for %d cells", f.backends[i], len(sub.Records), len(p.keys))
+			return false, true
+		}
+		got = &sub
 		return true, false
 	})
-	if !ok {
+	if got == nil {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no backend available")
 		}
 		return nil, lastErr
 	}
-	return &sub, nil
+	if !got.Partial && got.Completed == len(p.keys) {
+		for j, d := range p.digests {
+			f.cells.put(d, got.Records[j])
+		}
+	}
+	return got, nil
 }
 
 // timeoutQuery propagates an explicit ?timeout= to sub-requests (the
@@ -576,33 +658,27 @@ func timeoutQuery(r *http.Request) string {
 	return ""
 }
 
-// handleSweep fans a grid out across the backends and merges the
-// sub-responses back into global cell order.
+// handleSweep fans a grid's unheld cells out across the backends and
+// merges the sub-responses around the held ones, in global cell order.
 func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep")
-	keys, err := serve.SweepKeysFromRequest(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	g, ok := f.planGrid(w, r)
+	if !ok {
 		return
 	}
-	parts, err := f.partition(keys)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
 	merged := serve.SweepResponse{
-		Records: make([]sweep.Record, len(keys)),
-		Cells:   len(keys),
+		Records:   g.records,
+		Cells:     len(g.records),
+		Completed: len(g.held),
 	}
 	type subResult struct {
 		part partition
 		resp *serve.SweepResponse
 		err  error
 	}
-	results := make([]subResult, len(parts))
+	results := make([]subResult, len(g.parts))
 	var wg sync.WaitGroup
-	for pi, p := range parts {
+	for pi, p := range g.parts {
 		wg.Add(1)
 		go func(pi int, p partition) {
 			defer wg.Done()
@@ -634,21 +710,15 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // ---- streaming fan-out ----
 
-// handleSweepStream fans a grid out as backend streams and interleaves
-// their frames onto one client stream, re-indexing each record frame
-// from its slice-local index to the global one. The terminal summary
-// aggregates the backends' summaries; per-backend cache detail
-// stays on the backends' own /v1/stats.
+// handleSweepStream streams a grid: held cells' frames first, then the
+// unheld cells' backend streams interleaved onto one client stream,
+// each record frame re-indexed from its slice-local index to the global
+// one. The terminal summary counts both; per-backend cache detail stays
+// on the backends' own /v1/stats.
 func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep_stream")
-	keys, err := serve.SweepKeysFromRequest(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	parts, err := f.partition(keys)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	g, ok := f.planGrid(w, r)
+	if !ok {
 		return
 	}
 
@@ -664,16 +734,19 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 
 	// Frames funnel through one channel (buffered to the grid plus one
 	// summary per partition) so backend readers never block on the
-	// client writer.
-	frames := make(chan serve.StreamFrame, len(keys)+len(parts))
+	// client writer. Held cells are queued before any reader starts.
+	frames := make(chan serve.StreamFrame, len(g.records)+len(g.parts))
+	for _, gi := range g.held {
+		frames <- serve.StreamFrame{Type: "record", Index: gi, Record: &g.records[gi]}
+	}
 	type subSummary struct {
 		frame serve.StreamFrame
 		err   error
 		cells int
 	}
-	summaries := make([]subSummary, len(parts))
+	summaries := make([]subSummary, len(g.parts))
 	var wg sync.WaitGroup
-	for pi, p := range parts {
+	for pi, p := range g.parts {
 		wg.Add(1)
 		go func(pi int, p partition) {
 			defer wg.Done()
@@ -715,7 +788,7 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sum := serve.StreamFrame{Type: "summary", Cells: len(keys)}
+	sum := serve.StreamFrame{Type: "summary", Cells: len(g.records), Completed: len(g.held)}
 	for _, s := range summaries {
 		if s.err != nil {
 			sum.Partial = true
@@ -735,8 +808,10 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // subStream runs one partition's backend stream, forwarding re-indexed
-// record frames and returning the backend's summary frame. Failover
-// only applies before the first frame arrives: once frames flowed, a
+// record frames (each also filling the cell cache) and returning the
+// backend's summary frame. A frame that does not parse, or whose index
+// is out of the slice or repeated, breaks the slice. Failover only
+// applies before the first frame is forwarded: once frames flowed, a
 // broken backend stream is a partial slice, not a retry (the cells
 // already forwarded must not stream twice).
 func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.StreamFrame) (serve.StreamFrame, error) {
@@ -744,13 +819,9 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 	if err != nil {
 		return serve.StreamFrame{}, err
 	}
-	d, err := p.keys[0].Digest()
-	if err != nil {
-		return serve.StreamFrame{}, err
-	}
-	var summary serve.StreamFrame
+	var summary *serve.StreamFrame
 	var lastErr error
-	ok := f.tryBackends(d, func(i int) (bool, bool) {
+	f.tryBackends(p.digests[0], func(i int) (bool, bool) {
 		f.fanouts.Add(1)
 		f.reg.Counter(MetricFanouts).Inc()
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
@@ -787,9 +858,14 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 			return false, false
 		}
 		forwarded := false
+		seen := make([]bool, len(p.keys))
+		broken := func(format string, args ...any) (bool, bool) {
+			lastErr = fmt.Errorf("backend %s: "+format, append([]any{f.backends[i]}, args...)...)
+			return forwarded, !forwarded
+		}
+		var sum *serve.StreamFrame
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 64*1024), 1<<20)
-		sawSummary := false
 		for sc.Scan() {
 			line := sc.Bytes()
 			if len(bytes.TrimSpace(line)) == 0 {
@@ -797,36 +873,38 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 			}
 			var fr serve.StreamFrame
 			if err := json.Unmarshal(line, &fr); err != nil {
-				lastErr = fmt.Errorf("backend %s: bad frame: %v", f.backends[i], err)
-				return forwarded, !forwarded
+				return broken("bad frame: %v", err)
 			}
 			switch fr.Type {
 			case "record":
+				if fr.Index < 0 || fr.Index >= len(seen) || seen[fr.Index] || fr.Record == nil {
+					return broken("bad record frame: index %d of %d cells", fr.Index, len(seen))
+				}
+				seen[fr.Index] = true
+				f.cells.put(p.digests[fr.Index], *fr.Record)
 				fr.Index = p.indices[fr.Index] // slice-local -> global
 				frames <- fr
 				forwarded = true
 			case "summary":
-				summary = fr
-				sawSummary = true
+				sum = &fr
 			}
 		}
 		if err := sc.Err(); err != nil {
-			lastErr = fmt.Errorf("backend %s: stream broke: %v", f.backends[i], err)
-			return forwarded, !forwarded
+			return broken("stream broke: %v", err)
 		}
-		if !sawSummary {
-			lastErr = fmt.Errorf("backend %s: stream ended without summary", f.backends[i])
-			return forwarded, !forwarded
+		if sum == nil {
+			return broken("stream ended without summary")
 		}
+		summary = sum
 		return true, false
 	})
-	if !ok {
+	if summary == nil {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no backend available")
 		}
 		return serve.StreamFrame{}, lastErr
 	}
-	return summary, nil
+	return *summary, nil
 }
 
 // ---- observability ----
@@ -844,9 +922,11 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // Snapshot returns the operational stats.
 func (f *Front) Snapshot() Stats {
 	st := Stats{
-		Requests:  f.requests.Load(),
-		Failovers: f.failovers.Load(),
-		Fanouts:   f.fanouts.Load(),
+		Requests:   f.requests.Load(),
+		Failovers:  f.failovers.Load(),
+		Fanouts:    f.fanouts.Load(),
+		CellHits:   f.cellHits.Load(),
+		CellMisses: f.cellMisses.Load(),
 	}
 	for i, b := range f.backends {
 		bs := BackendStatus{
@@ -869,6 +949,8 @@ func (f *Front) FillManifest(m *telemetry.Manifest) {
 	m.Config["requests"] = strconv.FormatInt(st.Requests, 10)
 	m.Config["failovers"] = strconv.FormatInt(st.Failovers, 10)
 	m.Config["fanouts"] = strconv.FormatInt(st.Fanouts, 10)
+	m.Config["cell_hits"] = strconv.FormatInt(st.CellHits, 10)
+	m.Config["cell_misses"] = strconv.FormatInt(st.CellMisses, 10)
 	for i, b := range st.Backends {
 		pfx := "backend" + strconv.Itoa(i) + "_"
 		m.Config[pfx+"transitions"] = strconv.FormatInt(b.Transitions, 10)

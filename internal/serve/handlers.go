@@ -118,21 +118,32 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// deadlineFor resolves the request's execution deadline: the
-// Request-Timeout header or ?timeout= query (seconds), capped by
-// MaxTimeout, defaulting to DefaultTimeout.
-func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
+// RequestTimeout parses the client's deadline: the ?timeout= query or,
+// without one, the Request-Timeout header, in positive seconds; def
+// when the request names none. Exported so the front tier refuses a
+// malformed deadline exactly as a backend would, even for a request it
+// answers itself.
+func RequestTimeout(r *http.Request, def time.Duration) (time.Duration, error) {
 	raw := r.Header.Get("Request-Timeout")
 	if q := r.URL.Query().Get("timeout"); q != "" {
 		raw = q
 	}
-	d := s.cfg.DefaultTimeout
-	if raw != "" {
-		secs, err := strconv.ParseFloat(raw, 64)
-		if err != nil || secs <= 0 {
-			return 0, fmt.Errorf("bad timeout %q: want positive seconds", raw)
-		}
-		d = time.Duration(secs * float64(time.Second))
+	if raw == "" {
+		return def, nil
+	}
+	secs, err := strconv.ParseFloat(raw, 64)
+	if err != nil || secs <= 0 {
+		return 0, fmt.Errorf("bad timeout %q: want positive seconds", raw)
+	}
+	return time.Duration(secs * float64(time.Second)), nil
+}
+
+// deadlineFor resolves the request's execution deadline: RequestTimeout
+// defaulting to DefaultTimeout, capped by MaxTimeout.
+func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
+	d, err := RequestTimeout(r, s.cfg.DefaultTimeout)
+	if err != nil {
+		return 0, err
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
@@ -245,8 +256,9 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint strin
 
 // ---- /v1/simulate ----
 
-// simulateResponse is one cell's result.
-type simulateResponse struct {
+// SimulateResponse is one cell's result. Exported so the front tier
+// encodes a cell it answers itself from the same type as one it relays.
+type SimulateResponse struct {
 	Record sweep.Record `json:"record"`
 }
 
@@ -300,7 +312,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil, 0, err
 		}
-		return simulateResponse{Record: recs[0]}, http.StatusOK, nil
+		return SimulateResponse{Record: recs[0]}, http.StatusOK, nil
 	})
 }
 
