@@ -39,6 +39,7 @@ import (
 
 	"mlperf/internal/serve"
 	"mlperf/internal/telecli"
+	"mlperf/internal/telemetry"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func main() {
 		BreakerCooldown:  *brkCooldown,
 		Telemetry:        reg,
 		Logger:           sink.Log(),
-		FlightSize:       *flightSize,
+		Flight:           telemetry.NewFlightRecorder(*flightSize),
 		FlightDumpPath:   *flightDump,
 		EnablePprof:      *pprof,
 	})

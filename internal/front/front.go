@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mlperf/internal/httpkit"
 	"mlperf/internal/serve"
 	"mlperf/internal/shard"
 	"mlperf/internal/sweep"
@@ -204,41 +205,25 @@ func (f *Front) Close() {
 	<-f.healthDone
 }
 
-// Handler returns the front's HTTP surface, observability middleware
-// outermost.
-func (f *Front) Handler() http.Handler { return f.observe(f.mux) }
+// Handler returns the front's HTTP surface, the kernel's request
+// middleware outermost. The front is the fleet's ingress, so this is
+// where a trace is usually born; propagate carries it to the backends.
+func (f *Front) Handler() http.Handler {
+	return httpkit.Observe(f.reg, f.log, f.flight, MetricRequestSeconds, f.mux)
+}
 
 func (f *Front) routes() {
-	f.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	httpkit.Mount(f.mux, f.reg, f.flight, "mlperf-front", false)
 	f.mux.HandleFunc("/readyz", f.handleReadyz)
-	f.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = f.reg.WritePrometheus(w)
-	})
 	f.mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Snapshot())
+		httpkit.WriteJSON(w, http.StatusOK, f.Snapshot())
 	})
 	f.mux.HandleFunc("/v1/sweep", f.handleSweep)
 	f.mux.HandleFunc("/v1/sweep/stream", f.handleSweepStream)
 	f.mux.HandleFunc("/v1/simulate", f.handleSimulate)
-	f.debugRoutes()
 	// Everything else (whatif, schedule, ...) proxies whole to one
 	// backend, routed by its request line for cache affinity.
 	f.mux.HandleFunc("/", f.handleProxy)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // ---- health ----
@@ -377,7 +362,7 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 	f.count("proxy")
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := r.Method + " " + r.URL.RequestURI()
@@ -405,21 +390,21 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	f.count("simulate")
 	k, err := serve.CellKeyFromRequest(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	digest, err := k.Digest()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if _, err := serve.RequestTimeout(r, 0); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if rec, ok := f.cells.get(digest); ok {
 		f.countCells(1, 0)
-		writeJSON(w, http.StatusOK, serve.SimulateResponse{Record: rec})
+		httpkit.WriteJSON(w, http.StatusOK, serve.SimulateResponse{Record: rec})
 		return
 	}
 	f.countCells(0, 1)
@@ -439,7 +424,7 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				return false, true // a garbled answer is a broken backend
 			}
 			f.cells.put(digest, sim.Record)
-			writeJSON(w, http.StatusOK, sim)
+			httpkit.WriteJSON(w, http.StatusOK, sim)
 			return true, false
 		}
 		relay(w, resp)
@@ -485,17 +470,16 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
+// shedNoBackend refuses a request no backend can take: 503 with
+// Retry-After and the typed reason no_backend, which the request's
+// flight summary and log line carry like a backend's sheds.
 func (f *Front) shedNoBackend(w http.ResponseWriter, r *http.Request) {
 	tc, _ := telemetry.TraceFromContext(r.Context())
 	f.log.Warn("shed",
 		telemetry.F("trace_id", tc.TraceID),
 		telemetry.F("reason", "no_backend"),
 		telemetry.F("path", r.URL.Path))
-	f.flight.Record(telemetry.FlightEntry{
-		Kind: "event", Msg: "shed: no backend available", TraceID: tc.TraceID,
-	})
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "no backend available")
+	httpkit.Shed(w, http.StatusServiceUnavailable, "no_backend", time.Second, "no backend available")
 }
 
 func (f *Front) count(endpoint string) {
@@ -541,7 +525,7 @@ func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, boo
 		_, err = serve.RequestTimeout(r, 0)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return nil, false
 	}
 	g := &gridPlan{records: make([]sweep.Record, len(keys))}
@@ -549,7 +533,7 @@ func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, boo
 	for i, k := range keys {
 		d, err := k.Digest()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 			return nil, false
 		}
 		if rec, ok := f.cells.get(d); ok {
@@ -705,7 +689,7 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 		merged.Canceled = merged.Canceled || res.resp.Canceled
 		merged.Failures = append(merged.Failures, res.resp.Failures...)
 	}
-	writeJSON(w, http.StatusOK, merged)
+	httpkit.WriteJSON(w, http.StatusOK, merged)
 }
 
 // ---- streaming fan-out ----
@@ -912,11 +896,11 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	for i := range f.healthy {
 		if f.healthy[i].Load() {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy backends"})
+	httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy backends"})
 }
 
 // Snapshot returns the operational stats.

@@ -4,115 +4,16 @@ import (
 	"context"
 	"net/http"
 	"strconv"
-	"time"
 
 	"mlperf/internal/telemetry"
 )
 
-// Front-tier observability: the front is the fleet's ingress, so this
-// is where a trace is usually born. The middleware mints (or adopts)
-// the trace context, echoes X-Request-Id on every response — including
-// the no-backend 503 path — and opens the KindRequest span; every
-// outbound backend attempt then gets a child KindRPC span and a
+// Front-tier trace propagation. The kernel's middleware (httpkit.Observe)
+// mints or adopts the trace context and opens the KindRequest span;
+// every outbound backend attempt then gets a child KindRPC span and a
 // traceparent header carrying that span's wire ID, which is the link
 // the backend's request span records as its remote parent and the
 // stitcher later resolves.
-
-// frontEndpointOf maps a path to its bounded histogram label.
-func frontEndpointOf(path string) string {
-	switch path {
-	case "/healthz", "/readyz", "/metrics":
-		return "probe"
-	case "/v1/stats":
-		return "stats"
-	case "/v1/simulate":
-		return "simulate"
-	case "/v1/sweep":
-		return "sweep"
-	case "/v1/sweep/stream":
-		return "sweep_stream"
-	}
-	if len(path) >= len("/debug/") && path[:len("/debug/")] == "/debug/" {
-		return "debug"
-	}
-	return "proxy"
-}
-
-// statusWriter captures the response status and forwards Flush for the
-// streaming fan-out.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.code = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Flush() {
-	if fl, ok := sw.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// observe is the front's outermost middleware — same contract as the
-// backend's: identity headers on every response, one span, one flight
-// entry, one log line per request.
-func (f *Front) observe(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tc, remoteParent := telemetry.TraceFromRequest(r.Header)
-		w.Header().Set(telemetry.RequestIDHeader, tc.TraceID)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-
-		span := f.reg.Tracer().StartSpan(telemetry.SpanStart{
-			Kind:         telemetry.KindRequest,
-			Name:         r.Method + " " + r.URL.Path,
-			Trace:        tc.TraceID,
-			Wire:         tc.SpanID,
-			RemoteParent: remoteParent,
-		})
-		ctx := telemetry.ContextWithTrace(r.Context(), tc)
-		ctx = telemetry.ContextWithSpan(ctx, span)
-
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		f.reg.Tracer().End(span)
-		dur := time.Since(start)
-
-		ep := frontEndpointOf(r.URL.Path)
-		f.reg.Histogram(MetricRequestSeconds, telemetry.LatencyBuckets,
-			telemetry.L("endpoint", ep)).Observe(dur.Seconds())
-		tenant := r.Header.Get("X-Tenant")
-		f.flight.Record(telemetry.FlightEntry{
-			Kind:       "request",
-			TraceID:    tc.TraceID,
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			Status:     sw.code,
-			Tenant:     tenant,
-			DurationMS: float64(dur) / float64(time.Millisecond),
-		})
-		lv := telemetry.LevelInfo
-		if sw.code >= 400 {
-			lv = telemetry.LevelWarn
-		}
-		if f.log.Enabled(lv) {
-			fields := []telemetry.Field{
-				telemetry.F("trace_id", tc.TraceID),
-				telemetry.F("method", r.Method),
-				telemetry.F("path", r.URL.Path),
-				telemetry.F("endpoint", ep),
-				telemetry.F("status", sw.code),
-				telemetry.F("duration_ms", float64(dur)/float64(time.Millisecond)),
-			}
-			if tenant != "" {
-				fields = append(fields, telemetry.F("tenant", tenant))
-			}
-			f.log.Log(lv, "request", fields...)
-		}
-	})
-}
 
 // propagate stamps an outbound backend request with a child trace
 // context and opens the matching KindRPC span; the returned closer ends
@@ -134,16 +35,6 @@ func (f *Front) propagate(ctx context.Context, req *http.Request, backend int) f
 		Attrs:  []string{"backend=" + strconv.Itoa(backend)},
 	})
 	return func() { f.reg.Tracer().End(span) }
-}
-
-// debugRoutes exposes the front's flight recorder.
-func (f *Front) debugRoutes() {
-	f.mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.flight.Requests())
-	})
-	f.mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.flight.Dump("mlperf-front", "debug"))
-	})
 }
 
 // Flight returns the front's flight recorder (for the daemon's

@@ -266,6 +266,26 @@ func TestFrontShedNoBackendHasIdentityAndRetryAfter(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("no-backend shed missing Retry-After")
 	}
+	// The request summary carries the typed shed reason, as a backend's
+	// sheds do.
+	_, body, _ := get(t, c.frontTS.URL+"/debug/requests")
+	var entries []telemetry.FlightEntry
+	if err := json.Unmarshal([]byte(body), &entries); err != nil {
+		t.Fatalf("/debug/requests: %v\n%s", err, body)
+	}
+	id := hdr.Get(telemetry.RequestIDHeader)
+	found := false
+	for _, e := range entries {
+		if e.TraceID == id {
+			found = true
+			if e.Status != http.StatusServiceUnavailable || e.Reason != "no_backend" {
+				t.Errorf("no-backend flight entry: %+v", e)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no-backend shed %s not in /debug/requests:\n%s", id, body)
+	}
 }
 
 func TestFrontDebugFlightEndpoint(t *testing.T) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,15 +11,16 @@ import (
 
 	"mlperf/internal/cluster"
 	"mlperf/internal/experiments"
+	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
 
-// routes wires the HTTP surface.
+// routes wires the HTTP surface: the kernel's shared routes, then the
+// daemon's own.
 func (s *Server) routes() {
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	httpkit.Mount(s.mux, s.reg, s.flight, "mlperf-serve", s.cfg.EnablePprof)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
@@ -29,37 +29,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/schedule", s.handleSchedule)
 }
 
-// errorBody is the uniform error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg})
-}
-
 // shedWith refuses a request with 429 (or 503 during drain) and a
-// Retry-After hint, counting the shed under its reason. Load shedding
-// is deliberate and visible: overload produces clean, typed refusals —
-// never 5xx — which is what the loadgen harness asserts. Every shed
-// response still carries the identity headers the middleware set
-// (X-Request-Id) plus Retry-After, and the typed reason lands in the
-// shed log line and the request's flight-recorder summary.
+// Retry-After hint, counting the shed under its reason. Overload
+// produces clean, typed refusals — never 5xx — which is what the
+// loadgen harness asserts. The typed reason lands in the shed log line
+// and, through httpkit.Shed, in the request's flight summary.
 func (s *Server) shedWith(w http.ResponseWriter, r *http.Request, reason shedReason, retryAfter time.Duration) {
 	s.shed.Add(1)
 	s.reg.Counter(MetricShed, telemetry.Label{Key: "reason", Value: string(reason)}).Inc()
-	if rs, ok := w.(reasonSetter); ok {
-		rs.setReason(string(reason))
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfter)))
 	status := http.StatusTooManyRequests
 	if reason == shedDrain {
 		status = http.StatusServiceUnavailable
@@ -70,52 +47,23 @@ func (s *Server) shedWith(w http.ResponseWriter, r *http.Request, reason shedRea
 		telemetry.F("reason", string(reason)),
 		telemetry.F("path", r.URL.Path),
 		telemetry.F("tenant", r.Header.Get("X-Tenant")),
-		telemetry.F("retry_after_s", retryAfterSeconds(retryAfter)))
-	writeError(w, status, fmt.Sprintf("overloaded: %s", reason))
-}
-
-// retryAfterSeconds renders a retry hint as whole seconds, rounding UP
-// and never below 1. Retry-After is integral on the wire, so a
-// sub-second hint (a token due in 500ms) must become 1, not
-// integer-divide to 0 — "Retry-After: 0" tells every shed client to
-// hammer the server again immediately, which is the opposite of load
-// shedding.
-func retryAfterSeconds(d time.Duration) int {
-	if d <= 0 {
-		return 1
-	}
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// handleHealthz: liveness — the process is up and serving HTTP.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		telemetry.F("retry_after_s", httpkit.RetryAfterSeconds(retryAfter)))
+	httpkit.Shed(w, status, string(reason), retryAfter, fmt.Sprintf("overloaded: %s", reason))
 }
 
 // handleReadyz: readiness — flips not-ready the moment drain begins so
 // a load balancer stops routing here while in-flight requests finish.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// handleMetrics: Prometheus text exposition from the telemetry
-// registry.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.reg.WritePrometheus(w)
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleStats: the JSON operational snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
+	httpkit.WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
 // RequestTimeout parses the client's deadline: the ?timeout= query or,
@@ -183,7 +131,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint strin
 		return
 	}
 	if s.adm.tooLarge(cost) {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		httpkit.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request costs %d cells, server admits at most %d", cost, s.cfg.MaxCellsInFlight))
 		code(http.StatusRequestEntityTooLarge)
 		return
@@ -191,7 +139,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint strin
 
 	dl, err := s.deadlineFor(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		code(http.StatusBadRequest)
 		return
 	}
@@ -234,23 +182,23 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint strin
 			// of a hang.
 			s.panics.Add(1)
 			s.reg.Counter(MetricPanics).Inc()
-			writeError(w, http.StatusInternalServerError, pe.Error())
+			httpkit.WriteError(w, http.StatusInternalServerError, pe.Error())
 			code(http.StatusInternalServerError)
 		case errors.Is(err, context.DeadlineExceeded):
 			// The client's own deadline expired before the (shared) flight
 			// produced anything this caller could use.
-			writeError(w, http.StatusRequestTimeout, "deadline exceeded")
+			httpkit.WriteError(w, http.StatusRequestTimeout, "deadline exceeded")
 			code(http.StatusRequestTimeout)
 		case errors.Is(err, context.Canceled):
 			// Client went away; the status is for the log, not the wire.
 			code(499)
 		default:
-			writeError(w, http.StatusBadRequest, err.Error())
+			httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 			code(http.StatusBadRequest)
 		}
 		return
 	}
-	writeJSON(w, status, val)
+	httpkit.WriteJSON(w, status, val)
 	code(status)
 }
 
@@ -296,12 +244,12 @@ func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	k, err := cellKeyFrom(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	digest, err := k.Digest()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.runQuery(w, r, "simulate", 1, "cell:"+digest, func(ctx context.Context) (any, int, error) {
@@ -383,12 +331,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// content-addressed coalesce key: the digest of the cell digests.
 	keys, err := sweepKeysFrom(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, err := gridKey(keys)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -457,25 +405,25 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	pol, err := cluster.PolicyByName(policy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	n, seed, gap := 12, int64(1), 1800.0
 	if v := q.Get("n"); v != "" {
 		if n, err = strconv.Atoi(v); err != nil || n < 1 || n > 10000 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad n %q: want 1..10000", v))
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad n %q: want 1..10000", v))
 			return
 		}
 	}
 	if v := q.Get("seed"); v != "" {
 		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad seed %q", v))
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad seed %q", v))
 			return
 		}
 	}
 	if v := q.Get("gap"); v != "" {
 		if gap, err = strconv.ParseFloat(v, 64); err != nil || gap < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad gap %q", v))
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad gap %q", v))
 			return
 		}
 	}

@@ -4,34 +4,7 @@ import (
 	"net/http"
 	"strconv"
 	"testing"
-	"time"
 )
-
-// Retry-After is integral seconds on the wire; the hint must round UP
-// and can never be 0 — a sub-second hint used to pass the <= 0 clamp
-// and integer-divide to "retry immediately", defeating the shed.
-func TestRetryAfterSecondsRoundsUpNeverZero(t *testing.T) {
-	cases := []struct {
-		in   time.Duration
-		want int
-	}{
-		{-time.Second, 1},
-		{0, 1},
-		{time.Millisecond, 1},
-		{500 * time.Millisecond, 1}, // the pinned regression: 500ms is 1s, not 0
-		{999 * time.Millisecond, 1},
-		{time.Second, 1},
-		{time.Second + time.Millisecond, 2},
-		{1500 * time.Millisecond, 2},
-		{2 * time.Second, 2},
-		{90 * time.Second, 90},
-	}
-	for _, c := range cases {
-		if got := retryAfterSeconds(c.in); got != c.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
 
 // The quota shed path hands shedWith the token-bucket wait, which is
 // routinely sub-second; on the wire it must still arrive as >= 1.

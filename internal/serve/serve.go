@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -120,11 +121,8 @@ type Config struct {
 	// logging; nil is the valid no-op logger).
 	Logger *telemetry.Logger
 	// Flight is the flight recorder behind /debug/requests and
-	// /debug/flight (nil = a private ring of FlightSize entries).
+	// /debug/flight (nil = a private default-size ring).
 	Flight *telemetry.FlightRecorder
-	// FlightSize sizes the private flight ring when Flight is nil
-	// (0 = telemetry.DefaultFlightSize).
-	FlightSize int
 	// EnablePprof exposes net/http/pprof under /debug/pprof/ — opt-in
 	// because profiling endpoints reveal process internals.
 	EnablePprof bool
@@ -218,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 	eng.SetTelemetry(reg)
 	flight := cfg.Flight
 	if flight == nil {
-		flight = telemetry.NewFlightRecorder(cfg.FlightSize)
+		flight = telemetry.NewFlightRecorder(0)
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -256,7 +254,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
-	s.debugRoutes()
 	return s, nil
 }
 
@@ -267,11 +264,17 @@ func (s *Server) Engine() *sweep.Engine { return s.eng }
 // Registry returns the telemetry registry /metrics serves from.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Handler returns the full HTTP surface: the observability middleware
-// (trace identity, X-Request-Id, flight recording) outermost, panic
-// containment inside it, then the routes — so even a panicking request
-// leaves a summary with its status recorded as 500.
-func (s *Server) Handler() http.Handler { return s.observe(s.recoverWrap(s.mux)) }
+// Flight returns the server's flight recorder (for the daemon's
+// SIGQUIT/drain dump hooks).
+func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
+
+// Handler returns the full HTTP surface: the kernel's request
+// middleware (trace identity, X-Request-Id, flight recording)
+// outermost, panic containment inside it, then the routes — so even a
+// panicking request leaves a summary with its status recorded as 500.
+func (s *Server) Handler() http.Handler {
+	return httpkit.Observe(s.reg, s.log, s.flight, MetricEndpointSeconds, s.recoverWrap(s.mux))
+}
 
 // recoverWrap contains a per-request panic to a 500 for that request —
 // one poisoned query must not take the daemon down with it. The sweep
@@ -293,7 +296,7 @@ func (s *Server) recoverWrap(next http.Handler) http.Handler {
 					telemetry.F("path", r.URL.Path),
 					telemetry.F("panic", fmt.Sprint(v)))
 				s.DumpFlight("panic")
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
+				httpkit.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
 			}
 		}()
 		next.ServeHTTP(w, r)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -247,7 +248,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 
 	keys, err := sweepKeysFrom(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		code(http.StatusBadRequest)
 		return
 	}
@@ -264,14 +265,14 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.adm.tooLarge(cost) {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		httpkit.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request costs %d cells, server admits at most %d", cost, s.cfg.MaxCellsInFlight))
 		code(http.StatusRequestEntityTooLarge)
 		return
 	}
 	dl, err := s.deadlineFor(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		code(http.StatusBadRequest)
 		return
 	}

@@ -200,7 +200,7 @@ func TestFastPathObserverAggregates(t *testing.T) {
 // the canonical (step-major) event order of the collapsed window.
 type bulkCapture struct{ evs []Event }
 
-func (c *bulkCapture) OnEvent(ev Event)            { c.evs = append(c.evs, ev) }
+func (c *bulkCapture) OnEvent(ev Event)             { c.evs = append(c.evs, ev) }
 func (c *bulkCapture) OnSteadySteps(b *SteadySteps) { b.Events(c.OnEvent) }
 
 // The fast path publishes the steady window step-major: all of a step's
@@ -245,7 +245,7 @@ func randomPlan(r *rand.Rand, steps int) *fault.Plan {
 	case 1: // straggler fully inside the warm-up prefix
 		to := 1 + r.Intn(steps)
 		return &fault.Plan{Stragglers: []fault.Straggler{{
-			Lane: []string{"gpu", "compute", "cpu-input", "h2d"}[r.Intn(4)],
+			Lane:   []string{"gpu", "compute", "cpu-input", "h2d"}[r.Intn(4)],
 			Factor: 1 + r.Float64()*3, FromStep: r.Intn(to), ToStep: to,
 		}}}
 	case 2: // open-ended straggler: perturbs the final step, forces fallback

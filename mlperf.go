@@ -38,7 +38,6 @@ import (
 	"mlperf/internal/minigo"
 	"mlperf/internal/roofline"
 	"mlperf/internal/sched"
-	"mlperf/internal/serve"
 	"mlperf/internal/sim"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
@@ -350,63 +349,6 @@ func OpenSweepCacheDir(dir string) (*sweep.DiskStore, error) { return sweep.Open
 // new results are written through. Results are never affected — only
 // how fast they arrive.
 func SetSweepStore(s SweepStore) { sweep.Default.SetStore(s) }
-
-// ---- Serving (DESIGN.md §"Serving architecture") ----
-
-// ServeConfig configures the benchmark-as-a-service daemon: engine
-// sizing, admission limits (in-flight slots, queue depth, summed cell
-// budget), per-tenant token-bucket rates, deadline defaults/caps and
-// the circuit breaker over the persistent cache tier.
-type ServeConfig = serve.Config
-
-// ServeServer is the hardened HTTP/JSON daemon: admission control
-// with 429 shedding, per-tenant quotas, request coalescing by content
-// digest, deadline propagation into per-cell contexts (expired clients
-// get partial sweeps back), per-request panic containment and graceful
-// drain.
-type ServeServer = serve.Server
-
-// ServeStats is a point-in-time snapshot of the daemon's request,
-// shed, coalescing, cache and breaker counters (the /v1/stats body).
-type ServeStats = serve.Stats
-
-// ServeBreaker is a circuit breaker over a fallible store tier:
-// consecutive environmental errors open it (traffic bypasses to the
-// inner tiers), a cooldown later a half-open probe heals or re-opens.
-type ServeBreaker = serve.Breaker
-
-// ServeBreakerConfig sets the breaker's trip threshold, open-state
-// cooldown and metrics registry.
-type ServeBreakerConfig = serve.BreakerConfig
-
-// NewServer builds a serving daemon from the config; start it with
-// ListenAndServe/Serve and stop it with Shutdown (graceful drain).
-func NewServer(cfg ServeConfig) (*ServeServer, error) { return serve.New(cfg) }
-
-// NewServeBreaker wraps a fallible store (e.g. the disk cache tier)
-// in a circuit breaker that implements SweepStore.
-func NewServeBreaker(inner serve.FallibleStore, cfg ServeBreakerConfig) *ServeBreaker {
-	return serve.NewBreaker(inner, cfg)
-}
-
-// LoadOptions configures the open-loop load harness: target URL,
-// Poisson arrival rate, duration, tenant mix and hot/cold query mix.
-type LoadOptions = serve.LoadOptions
-
-// LoadReport aggregates one load run: outcome counts by class,
-// latency quantiles and the server-side stats delta.
-type LoadReport = serve.LoadReport
-
-// LoadSLO is the pass/fail gate over a LoadReport: p99 latency bound,
-// shed-rate bounds, 5xx budget and the coalescing check.
-type LoadSLO = serve.SLO
-
-// RunLoad drives open-loop synthetic traffic (arrivals do not wait
-// for completions, so overload is real) against a serving daemon and
-// reports what came back.
-func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
-	return serve.RunLoad(ctx, opts)
-}
 
 // ---- Telemetry (DESIGN.md §"Telemetry") ----
 
