@@ -54,14 +54,6 @@ func (e *Engine) Schedule(at float64, fn func()) {
 	heap.Push(&e.pq, event{at: at, seq: e.seq, fn: fn})
 }
 
-// After enqueues fn to run delay seconds from now.
-func (e *Engine) After(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.Schedule(e.now+delay, fn)
-}
-
 // Run processes events until the queue is empty.
 func (e *Engine) Run() {
 	for e.pq.Len() > 0 {
@@ -71,63 +63,41 @@ func (e *Engine) Run() {
 	}
 }
 
-// Interval is one labeled busy span of a resource.
+// Interval is one labeled busy span of a station.
 type Interval struct {
 	Start, End float64
 	Label      string
 }
 
 // Resource is a single-server FIFO resource (a CPU worker pool, a PCIe
-// link, a GPU): requests serialize, and the busy intervals are recorded
-// for utilization accounting and timeline export.
+// link, a GPU): requests serialize. It keeps only its next-free time;
+// the pipeline's events carry the busy spans to the observers that
+// account utilization and build timelines.
 type Resource struct {
 	Name string
 	// freeAt is when the resource next becomes idle.
 	freeAt float64
-	// Busy accumulates total busy seconds.
-	Busy float64
-	// Intervals holds the busy spans in order.
-	Intervals []Interval
 }
 
-// Acquire reserves the resource for dur seconds starting no earlier than
-// at, returning the completion time.
-func (r *Resource) Acquire(at, dur float64) float64 {
-	return r.AcquireLabeled(at, dur, "")
-}
-
-// AcquireLabeled is Acquire with a span label for timeline export.
-func (r *Resource) AcquireLabeled(at, dur float64, label string) float64 {
-	start := at
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	end := start + dur
-	r.freeAt = end
-	if dur > 0 {
-		r.Busy += dur
-		r.Intervals = append(r.Intervals, Interval{Start: start, End: end, Label: label})
-	}
-	return end
-}
-
-// AcquireSpan reserves the resource like Acquire but returns both
-// endpoints of the busy span — the stage pipeline uses it to publish
-// events whose boundaries partition the exact occupancy.
+// AcquireSpan reserves the resource for dur seconds starting no earlier
+// than at and returns both endpoints of the busy span — the stage
+// pipeline publishes events whose boundaries partition the exact
+// occupancy.
 func (r *Resource) AcquireSpan(at, dur float64) (start, end float64) {
 	start = at
 	if r.freeAt > start {
 		start = r.freeAt
 	}
-	end = r.AcquireLabeled(at, dur, "")
+	end = start + dur
+	r.freeAt = end
 	return start, end
 }
 
 // Stall pushes the resource's next-free time dur seconds past at (or
-// past its current backlog) without recording a busy span — downtime,
-// not work. Fault injection uses it for preemption restarts: every
-// queued acquisition lands after the stall, but utilization accounting
-// does not see the gap as busy.
+// past its current backlog) without a busy span — downtime, not work.
+// Fault injection uses it for preemption restarts: every queued
+// acquisition lands after the stall, but no event reports the gap as
+// busy.
 func (r *Resource) Stall(at, dur float64) {
 	if r.freeAt < at {
 		r.freeAt = at
@@ -135,25 +105,4 @@ func (r *Resource) Stall(at, dur float64) {
 	if dur > 0 {
 		r.freeAt += dur
 	}
-}
-
-// UtilizationOver returns the busy fraction during [from, to].
-func (r *Resource) UtilizationOver(from, to float64) float64 {
-	if to <= from {
-		return 0
-	}
-	var busy float64
-	for _, iv := range r.Intervals {
-		lo, hi := iv.Start, iv.End
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		if hi > lo {
-			busy += hi - lo
-		}
-	}
-	return busy / (to - from)
 }

@@ -47,16 +47,6 @@ func TestEngineScheduleInPastClamps(t *testing.T) {
 	}
 }
 
-func TestEngineAfterNegativeDelay(t *testing.T) {
-	e := NewEngine()
-	var fired bool
-	e.After(-3, func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Error("negative-delay event never fired")
-	}
-}
-
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -64,10 +54,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 100 {
-			e.After(1, chain)
+			e.Schedule(e.Now()+1, chain)
 		}
 	}
-	e.After(0, chain)
+	e.Schedule(e.Now(), chain)
 	e.Run()
 	if count != 100 {
 		t.Errorf("chain ran %d times, want 100", count)
@@ -103,35 +93,15 @@ func TestEngineOrderProperty(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	r := &Resource{Name: "gpu"}
-	end1 := r.Acquire(0, 10)
-	end2 := r.Acquire(5, 10) // requested while busy: queues behind
-	if end1 != 10 || end2 != 20 {
-		t.Errorf("ends = %v, %v; want 10, 20", end1, end2)
+	start1, end1 := r.AcquireSpan(0, 10)
+	start2, end2 := r.AcquireSpan(5, 10) // requested while busy: queues behind
+	if start1 != 0 || end1 != 10 {
+		t.Errorf("first span = [%v, %v]; want [0, 10]", start1, end1)
 	}
-	if r.Busy != 20 {
-		t.Errorf("busy = %v, want 20", r.Busy)
+	if start2 != 10 || end2 != 20 {
+		t.Errorf("second span = [%v, %v]; want [10, 20]", start2, end2)
 	}
-}
-
-func TestResourceIdleGap(t *testing.T) {
-	r := &Resource{}
-	r.Acquire(0, 2)
-	r.Acquire(10, 2)
-	if got := r.UtilizationOver(0, 12); got != 4.0/12 {
-		t.Errorf("utilization = %v, want 1/3", got)
-	}
-	if got := r.UtilizationOver(10, 12); got != 1 {
-		t.Errorf("utilization over busy window = %v, want 1", got)
-	}
-	if got := r.UtilizationOver(5, 5); got != 0 {
-		t.Errorf("degenerate window = %v, want 0", got)
-	}
-}
-
-func TestResourceZeroDurationNotRecorded(t *testing.T) {
-	r := &Resource{}
-	r.Acquire(0, 0)
-	if len(r.Intervals) != 0 || r.Busy != 0 {
-		t.Error("zero-duration acquire should not record an interval")
+	if start3, end3 := r.AcquireSpan(30, 2); start3 != 30 || end3 != 32 {
+		t.Errorf("span after an idle gap = [%v, %v]; want [30, 32]", start3, end3)
 	}
 }

@@ -138,34 +138,6 @@ func (b *SteadySteps) Events(fn func(Event)) {
 	}
 }
 
-// fastLane is one station's precompiled per-step arithmetic: the summed
-// acquisition total (accumulated in stage order, exactly as the pipeline
-// sums it) and the positive-service stages for event partitioning.
-type fastLane struct {
-	name   string
-	total  float64
-	stages []SteadyStage
-}
-
-// compileLanes precomputes each lane's invariant per-step schedule.
-func compileLanes(lanes []laneExec) []fastLane {
-	fl := make([]fastLane, len(lanes))
-	for i, lane := range lanes {
-		f := fastLane{name: lane.name}
-		for _, st := range lane.stages {
-			svc := st.Service()
-			f.total += svc
-			if svc > 0 {
-				f.stages = append(f.stages, SteadyStage{
-					Kind: st.Kind(), Service: svc, Bytes: st.Bytes(), FLOPs: st.FLOPs(),
-				})
-			}
-		}
-		fl[i] = f
-	}
-	return fl
-}
-
 // eventBuffer holds events back until the fast path commits, so an
 // abandoned attempt leaks nothing to the observers.
 type eventBuffer struct{ evs []Event }
@@ -211,11 +183,10 @@ func tryFastPipeline(lanes []laneExec, fr *faultRun, steps int, pub publisher) (
 			return nil, false, "fault schedule perturbs the final step"
 		}
 	}
-	fl := compileLanes(lanes)
 	stepEnd = make([]float64, steps)
 	var prefix eventBuffer
 	if warm > 0 {
-		fr.run(lanes, stepEnd[:warm], publisher{&prefix})
+		runPipeline(lanes, stepEnd[:warm], fr, publisher{&prefix})
 		dirty = true
 		if fr.report.Checkpoints > 0 {
 			return nil, dirty, "checkpoint fired during the warm-up prefix"
@@ -227,11 +198,11 @@ func tryFastPipeline(lanes []laneExec, fr *faultRun, steps int, pub publisher) (
 
 	// Collapse the steady-state window with the per-lane recurrence,
 	// seeded from the warm-up's resource backlogs.
-	free := make([]float64, len(fl))
+	free := make([]float64, len(lanes))
 	for l := range lanes {
 		free[l] = lanes[l].res.freeAt
 	}
-	spans := make([][]Interval, len(fl))
+	spans := make([][]Interval, len(lanes))
 	for l := range spans {
 		spans[l] = make([]Interval, steps-warm)
 	}
@@ -240,12 +211,12 @@ func tryFastPipeline(lanes []laneExec, fr *faultRun, steps int, pub publisher) (
 		if s >= prefetchDepth {
 			at = stepEnd[s-prefetchDepth]
 		}
-		for l := range fl {
+		for l := range lanes {
 			start := at
 			if f := free[l]; f > start {
 				start = f
 			}
-			end := start + fl[l].total
+			end := start + lanes[l].total
 			free[l] = end
 			spans[l][s-warm] = Interval{Start: start, End: end}
 			at = end
@@ -258,8 +229,8 @@ func tryFastPipeline(lanes []laneExec, fr *faultRun, steps int, pub publisher) (
 	if fr != nil {
 		if fr.ckptInterval > 0 && fr.ckptCost > 0 {
 			gpuIdx := -1
-			for l := range fl {
-				if fl[l].name == LaneGPU {
+			for l := range lanes {
+				if lanes[l].name == LaneGPU {
 					gpuIdx = l
 				}
 			}
@@ -290,11 +261,11 @@ func tryFastPipeline(lanes []laneExec, fr *faultRun, steps int, pub publisher) (
 	}
 	blk := &SteadySteps{
 		From: warm, To: steps,
-		Lanes:   make([]SteadyLane, len(fl)),
+		Lanes:   make([]SteadyLane, len(lanes)),
 		StepEnd: stepEnd[warm:],
 	}
-	for l := range fl {
-		blk.Lanes[l] = SteadyLane{Name: fl[l].name, Stages: fl[l].stages, Spans: spans[l]}
+	for l := range lanes {
+		blk.Lanes[l] = SteadyLane{Name: lanes[l].name, Stages: lanes[l].steady, Spans: spans[l]}
 	}
 	for _, o := range pub {
 		o.(BulkObserver).OnSteadySteps(blk)

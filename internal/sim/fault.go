@@ -31,12 +31,13 @@ type FaultReport struct {
 	RestartSeconds float64
 }
 
-// faultRun carries the compiled schedule plus the mutable time-based
-// fault state of one pipeline execution (checkpoint clock, pending
-// preemptions) and the accounting the result assembly reads back.
+// faultRun is runPipeline's optional fault input: the compiled schedule
+// plus the mutable time-based fault state of one pipeline execution
+// (checkpoint clock, pending preemptions) and the accounting the result
+// assembly reads back. runPipeline consults it only when it is non-nil,
+// so the fault-free pipeline never touches it.
 type faultRun struct {
-	sched   *fault.Schedule
-	offsets []int // target-index base per lane, aligned with lanes order
+	sched *fault.Schedule
 
 	ckptInterval float64
 	ckptCost     float64
@@ -51,23 +52,18 @@ type faultRun struct {
 	// steady-state step-time estimate subtracts their overlap so their
 	// cost is charged exactly once (via the analytic TTT surcharges).
 	excluded []Interval
-
-	// evBuf is the reused per-callback event staging buffer. Callbacks
-	// run to completion one at a time and publish by value, so a single
-	// buffer serves the whole run without allocation past the first lane.
-	evBuf []Event
 }
 
 // newFaultRun compiles the plan against the pipeline's stations.
 // modelBytes sizes the default checkpoint snapshot (parameters +
 // optimizer state).
 func newFaultRun(plan *fault.Plan, lanes []laneExec, steps int, modelBytes units.Bytes) (*faultRun, error) {
+	// Targets are numbered like laneStage.target: lanes in order, then
+	// stages in order within a lane.
 	var targets []fault.Target
-	offsets := make([]int, len(lanes))
-	for i, lane := range lanes {
-		offsets[i] = len(targets)
-		for _, st := range lane.stages {
-			targets = append(targets, fault.Target{Lane: lane.name, Kind: st.Kind().String()})
+	for i := range lanes {
+		for _, st := range lanes[i].stages {
+			targets = append(targets, fault.Target{Lane: lanes[i].name, Kind: st.Kind.String()})
 		}
 	}
 	sched, err := plan.Compile(targets, steps)
@@ -76,7 +72,6 @@ func newFaultRun(plan *fault.Plan, lanes []laneExec, steps int, modelBytes units
 	}
 	fr := &faultRun{
 		sched:        sched,
-		offsets:      offsets,
 		ckptInterval: plan.Checkpoint.Interval,
 		ckptCost:     plan.CheckpointCost(modelBytes),
 		nextCkpt:     plan.Checkpoint.Interval,
@@ -95,140 +90,60 @@ func newFaultRun(plan *fault.Plan, lanes []laneExec, steps int, modelBytes units
 	return fr, nil
 }
 
-// runPipeline is the fault-injecting twin of runPipeline: the same
-// stations, prefetch bound and event partitioning, with the schedule's
-// per-stage multipliers and retries applied, checkpoint writes on the
-// gpu lane, and preemption stalls across every station. The fault-free
-// path never comes through here, so the original pipeline stays
-// byte-identical.
-func (fr *faultRun) runPipeline(lanes []laneExec, steps int, pub publisher) []float64 {
-	stepEnd := make([]float64, steps)
-	fr.run(lanes, stepEnd, pub)
-	return stepEnd
+// stageEffect returns the stage's fault-scaled service at step, the
+// retries it drew, and their re-execution time (each retry pays the fixed
+// retry cost plus the scaled service again).
+func (fr *faultRun) stageEffect(st *laneStage, step int) (svc float64, n int, retry float64) {
+	svc = st.Service * fr.sched.Mult(st.target, step)
+	n, cost := fr.sched.Retries(st.target, step)
+	return svc, n, float64(n) * (cost + svc)
 }
 
-// run executes len(stepEnd) steps, filling the completion times in
-// place. The fast path uses it directly to simulate only the faulty
-// warm-up prefix before collapsing the remaining window analytically.
-func (fr *faultRun) run(lanes []laneExec, stepEnd []float64, pub publisher) {
-	e := NewEngine()
-	steps := len(stepEnd)
-	last := len(lanes) - 1
-
-	inflight := 0
-	next := 0
-	var tryLaunch func()
-	var process func(step, l int)
-	process = func(step, l int) {
-		lane := lanes[l]
-		base := fr.offsets[l]
-
-		// Per-stage scaled service plus retry re-execution time. The
-		// per-stage values are recomputed in the completion callback
-		// (identical arithmetic) instead of staged in a slice, keeping
-		// the hot path allocation-free.
-		var total float64
-		for si, st := range lane.stages {
-			t := base + si
-			svc := st.Service() * fr.sched.Mult(t, step)
-			n, cost := fr.sched.Retries(t, step)
-			total += svc + float64(n)*(cost+svc)
-		}
-
-		// Checkpoint snapshot: taken on the gpu lane once the checkpoint
-		// clock expires, occupying the lane like the write it models.
-		ckpt := 0.0
-		if lane.name == LaneGPU && fr.ckptInterval > 0 && fr.ckptCost > 0 && e.Now() >= fr.nextCkpt {
-			ckpt = fr.ckptCost
-			total += ckpt
-		}
-
-		start, end := lane.res.AcquireSpan(e.Now(), total)
-		e.Schedule(end, func() {
-			// Fault onset markers land at the span start on the synthetic
-			// faults track.
-			for si := range lane.stages {
-				for _, a := range fr.sched.ActivationsAt(base+si, step) {
-					fr.report.Activations++
-					pub.publish(Event{
-						Kind: EvFaultInjected, Lane: LaneFaults, Step: step,
-						Start: start, End: start, Note: a.Note,
-					})
-				}
-			}
-			// Partition [start, end] in stage order, each stage followed
-			// by its retry span, the checkpoint write last; the final
-			// boundary is pinned to the span end.
-			evs := fr.evBuf[:0]
-			b := start
-			for si, st := range lane.stages {
-				t := base + si
-				svc := st.Service() * fr.sched.Mult(t, step)
-				n, cost := fr.sched.Retries(t, step)
-				retry := float64(n) * (cost + svc)
-				if svc > 0 {
-					evs = append(evs, Event{
-						Kind:  st.Kind(),
-						Lane:  lane.name,
-						Step:  step,
-						Start: b,
-						End:   b + svc,
-						Bytes: st.Bytes(),
-						FLOPs: st.FLOPs(),
-					})
-					b += svc
-				}
-				if retry > 0 {
-					fr.report.Retries += n
-					evs = append(evs, Event{
-						Kind: EvStageRetried, Lane: lane.name, Step: step,
-						Start: b, End: b + retry,
-						Note: fmt.Sprintf("%s retried x%d", st.Kind(), n),
-					})
-					b += retry
-				}
-			}
-			if ckpt > 0 {
-				fr.report.Checkpoints++
-				fr.excluded = append(fr.excluded, Interval{Start: b, End: b + ckpt})
-				evs = append(evs, Event{
-					Kind: EvCheckpointSaved, Lane: lane.name, Step: step,
-					Start: b, End: b + ckpt,
-					Note: fmt.Sprintf("snapshot %.3fs", fr.ckptCost),
-				})
-				for fr.nextCkpt <= end {
-					fr.nextCkpt += fr.ckptInterval
-				}
-				fr.lastCkpt = end
-			}
-			if n := len(evs); n > 0 {
-				evs[n-1].End = end
-			}
-			for i := range evs {
-				pub.publish(evs[i])
-			}
-			fr.evBuf = evs[:0]
-			if l < last {
-				process(step, l+1)
-				return
-			}
-			stepEnd[step] = e.Now()
-			pub.publish(Event{Kind: EvStepDone, Step: step, Start: e.Now(), End: e.Now()})
-			fr.preemptAt(e, lanes, step, pub)
-			inflight--
-			tryLaunch()
-		})
+// laneTotal returns the lane's faulted busy time for step, requested at
+// now: every stage's scaled service plus its retries, and the checkpoint
+// write (also returned on its own) when the gpu lane finds the checkpoint
+// clock expired. The snapshot occupies the lane like the write it models.
+func (fr *faultRun) laneTotal(lane *laneExec, step int, now float64) (total, ckpt float64) {
+	for si := range lane.stages {
+		svc, _, retry := fr.stageEffect(&lane.stages[si], step)
+		total += svc + retry
 	}
-	tryLaunch = func() {
-		for next < steps && inflight < prefetchDepth {
-			i := next
-			next++
-			inflight++
-			process(i, 0)
+	if lane.name == LaneGPU && fr.ckptInterval > 0 && fr.ckptCost > 0 && now >= fr.nextCkpt {
+		ckpt = fr.ckptCost
+		total += ckpt
+	}
+	return total, ckpt
+}
+
+// activate publishes the lane's fault onsets at step as markers at the
+// span start on the synthetic faults track.
+func (fr *faultRun) activate(lane *laneExec, step int, at float64, pub publisher) {
+	for si := range lane.stages {
+		for _, a := range fr.sched.ActivationsAt(lane.stages[si].target, step) {
+			fr.report.Activations++
+			pub.publish(Event{
+				Kind: EvFaultInjected, Lane: LaneFaults, Step: step,
+				Start: at, End: at, Note: a.Note,
+			})
 		}
 	}
-	tryLaunch()
-	e.Run()
+}
+
+// checkpoint books the snapshot write that starts at `at` inside a span
+// ending at end, advances the checkpoint clock past end, and returns the
+// write's event.
+func (fr *faultRun) checkpoint(lane string, step int, at, end float64) Event {
+	fr.report.Checkpoints++
+	fr.excluded = append(fr.excluded, Interval{Start: at, End: at + fr.ckptCost})
+	for fr.nextCkpt <= end {
+		fr.nextCkpt += fr.ckptInterval
+	}
+	fr.lastCkpt = end
+	return Event{
+		Kind: EvCheckpointSaved, Lane: lane, Step: step,
+		Start: at, End: at + fr.ckptCost,
+		Note: fmt.Sprintf("snapshot %.3fs", fr.ckptCost),
+	}
 }
 
 // preemptAt fires every preemption whose time has passed: the node goes
@@ -294,10 +209,14 @@ func (fr *faultRun) excludedOverlap(from, to float64) float64 {
 
 // RunWithFaults simulates the job under a fault plan, streaming events
 // (including the fault kinds) to obs. A nil or empty plan is exactly
-// RunObserved — the fault layer costs nothing unless faults are asked
-// for. The returned Result carries a FaultReport, and its TimeToTrain
-// includes the straggler/link/retry-inflated step time, the steady-state
-// checkpoint overhead, and each preemption's restart + replay cost.
+// RunObserved and leaves Result.Faults nil. Any other plan runs the same
+// pipeline loop as RunObserved with the compiled schedule as its fault
+// input, so a plan with no effect inside the window reproduces the
+// fault-free events and results; only the FaultReport and the timeline's
+// empty faults lane tell them apart. The returned Result carries a
+// FaultReport, and its TimeToTrain includes the straggler/link/retry-
+// inflated step time, the steady-state checkpoint overhead, and each
+// preemption's restart + replay cost.
 func RunWithFaults(cfg Config, plan *fault.Plan, obs ...Observer) (*Result, error) {
 	if plan.Empty() {
 		return RunObserved(cfg, obs...)

@@ -39,6 +39,59 @@ func TestEmptyPlanBitIdentical(t *testing.T) {
 	}
 }
 
+// A plan that is not empty but has no effect inside the window (a
+// straggler that starts after the last step) takes the faulted branch of
+// the pipeline loop, not the Empty() shortcut. It must still reproduce
+// the fault-free run exactly: the same event stream, event for event, and
+// every Result field except the FaultReport and the timeline's empty
+// faults lane.
+func TestNeutralPlanMatchesFaultFree(t *testing.T) {
+	plan := &fault.Plan{Stragglers: []fault.Straggler{{Lane: "gpu", Factor: 2, FromStep: 1000}}}
+	for _, mode := range []FastPathMode{FastPathOff, FastPathAuto} {
+		for _, logged := range []bool{true, false} {
+			cfg := faultCfg()
+			cfg.FastPath = mode
+			var baseLog, planLog EventLog
+			var baseObs, planObs []Observer
+			if logged {
+				baseObs, planObs = []Observer{&baseLog}, []Observer{&planLog}
+			}
+			base, err := RunObserved(cfg, baseObs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunWithFaults(cfg, plan, planObs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(baseLog.Events, planLog.Events) {
+				t.Fatalf("%v logged=%v: event logs differ (%d vs %d events)",
+					mode, logged, len(baseLog.Events), len(planLog.Events))
+			}
+			if f := res.Faults; f == nil || f.Activations != 0 || f.Retries != 0 ||
+				f.Checkpoints != 0 || f.Preemptions != 0 {
+				t.Fatalf("%v logged=%v: neutral plan report %+v", mode, logged, f)
+			}
+			if ivs, ok := res.Timeline.Lanes[LaneFaults]; !ok || len(ivs) != 0 {
+				t.Fatalf("%v logged=%v: faults lane = %v (present %v), want empty", mode, logged, ivs, ok)
+			}
+			got := *res
+			got.Faults = nil
+			lanes := map[string][]Interval{}
+			for name, ivs := range res.Timeline.Lanes {
+				if name != LaneFaults {
+					lanes[name] = ivs
+				}
+			}
+			got.Timeline = &Timeline{Lanes: lanes}
+			if !reflect.DeepEqual(*base, got) {
+				t.Errorf("%v logged=%v: neutral plan result differs from the fault-free run:\n%+v\n%+v",
+					mode, logged, *base, got)
+			}
+		}
+	}
+}
+
 // The same plan must replay byte-identically: equal event logs and
 // equal results across repeated runs.
 func TestFaultDeterministicReplay(t *testing.T) {

@@ -209,26 +209,60 @@ func (s *OptimizerStage) Bytes() units.Bytes { return s.StepBytes }
 func (s *OptimizerStage) FLOPs() units.FLOPs { return 0 }
 
 // laneExec is one pipeline station at execution time: a serializing
-// resource plus the stages that run back-to-back on it each step.
+// resource plus its stages, compiled once per run. Per-stage service
+// times are step-invariant, so the fault-free loop reads the lane's
+// precomputed total instead of re-walking the Stage interfaces every
+// step.
 type laneExec struct {
-	name   string
-	res    *Resource
-	stages []Stage
+	name string
+	res  Resource
+	// total is the summed per-step service, accumulated in stage order.
+	total float64
+	// stages are all the lane's stages in order. A zero-service stage is
+	// kept: a fault plan can still make it draw retries.
+	stages []laneStage
+	// steady are the positive-service stages, the fault-free partition of
+	// each busy span.
+	steady []SteadyStage
+}
+
+// laneStage is one compiled stage: its step-invariant service and
+// payload plus its fault-target index (stages numbered in lane order,
+// then stage order within a lane).
+type laneStage struct {
+	SteadyStage
+	target int
 }
 
 // groupLanes orders stages into stations, preserving stage order within a
-// lane and first-appearance order across lanes.
+// lane and first-appearance order across lanes, and compiles each
+// station's per-step schedule.
 func groupLanes(stages []Stage) []laneExec {
 	var lanes []laneExec
-	index := map[string]int{}
 	for _, st := range stages {
-		i, ok := index[st.Lane()]
-		if !ok {
-			i = len(lanes)
-			index[st.Lane()] = i
-			lanes = append(lanes, laneExec{name: st.Lane(), res: &Resource{Name: st.Lane()}})
+		i := 0
+		for i < len(lanes) && lanes[i].name != st.Lane() {
+			i++
 		}
-		lanes[i].stages = append(lanes[i].stages, st)
+		if i == len(lanes) {
+			lanes = append(lanes, laneExec{name: st.Lane(), res: Resource{Name: st.Lane()}})
+		}
+		lanes[i].stages = append(lanes[i].stages, laneStage{SteadyStage: SteadyStage{
+			Kind: st.Kind(), Service: st.Service(), Bytes: st.Bytes(), FLOPs: st.FLOPs(),
+		}})
+	}
+	target := 0
+	for i := range lanes {
+		lane := &lanes[i]
+		for si := range lane.stages {
+			st := &lane.stages[si]
+			st.target = target
+			target++
+			lane.total += st.Service
+			if st.Service > 0 {
+				lane.steady = append(lane.steady, st.SteadyStage)
+			}
+		}
 	}
 	return lanes
 }
@@ -239,54 +273,82 @@ func groupLanes(stages []Stage) []laneExec {
 // read as zero in steady state.
 const prefetchDepth = 3
 
-// runPipeline pushes `steps` training iterations through the stations
-// with the discrete-event engine. A lane acquires its resource once per
-// step for the summed service of its stages (stages on one station run
-// back-to-back with no scheduling gap); when the span completes, one
-// event per non-empty stage is published, partitioning the span in stage
-// order, followed by an EvStepDone marker after the last lane. Returns
-// each step's completion time.
-func runPipeline(lanes []laneExec, steps int, pub publisher) []float64 {
+// runPipeline pushes len(stepEnd) training iterations through the
+// stations with the discrete-event engine, filling in each step's
+// completion time. A lane acquires its resource once per step for the
+// summed service of its stages (stages on one station run back-to-back
+// with no scheduling gap); when the span completes, one event per
+// non-empty stage is published, partitioning the span in stage order,
+// followed by an EvStepDone marker after the last lane.
+//
+// A nil fr runs the fault-free pipeline on the compiled lane totals. A
+// non-nil fr applies its schedule: per-stage multipliers and retries
+// (each retry run published as its own span after its stage), checkpoint
+// writes at the end of gpu spans, and preemption stalls across every
+// station. The fast path runs its faulty warm-up prefix through here too.
+func runPipeline(lanes []laneExec, stepEnd []float64, fr *faultRun, pub publisher) {
 	e := NewEngine()
-	stepEnd := make([]float64, steps)
+	steps := len(stepEnd)
 	last := len(lanes) - 1
-	// Per-stage service times are step-invariant on the fault-free path:
-	// compile each lane's summed total and positive-service stages once
-	// instead of re-walking the Stage interfaces every step.
-	fl := compileLanes(lanes)
 
 	inflight := 0
 	next := 0
 	var tryLaunch func()
 	var process func(step, l int)
 	process = func(step, l int) {
-		lane := lanes[l]
-		start, end := lane.res.AcquireSpan(e.Now(), fl[l].total)
+		lane := &lanes[l]
+		total, ckpt := lane.total, 0.0
+		if fr != nil {
+			total, ckpt = fr.laneTotal(lane, step, e.Now())
+		}
+		start, end := lane.res.AcquireSpan(e.Now(), total)
 		e.Schedule(end, func() {
-			// Publish the lane's stage events, partitioning [start, end]
-			// in stage order; the final boundary is pinned to the span end
-			// so observers reconstruct the exact occupancy.
-			var evs [4]Event
-			n := 0
-			b := start
-			for si := range fl[l].stages {
-				st := &fl[l].stages[si]
-				evs[n] = Event{
-					Kind:  st.Kind,
-					Lane:  lane.name,
-					Step:  step,
-					Start: b,
-					End:   b + st.Service,
-					Bytes: st.Bytes,
-					FLOPs: st.FLOPs,
-				}
-				b = evs[n].End
-				n++
+			if fr != nil {
+				fr.activate(lane, step, start, pub)
 			}
-			if n > 0 {
+			// Partition [start, end] in stage order, each stage followed
+			// by its retry span, the checkpoint write last; the final
+			// boundary is pinned to the span end so observers reconstruct
+			// the exact occupancy. The buffer holds a three-stage lane's
+			// worst case (stage + retry each, then a checkpoint).
+			var buf [8]Event
+			evs := buf[:0]
+			b := start
+			for si := range lane.stages {
+				st := &lane.stages[si]
+				svc, n, retry := st.Service, 0, 0.0
+				if fr != nil {
+					svc, n, retry = fr.stageEffect(st, step)
+				}
+				if svc > 0 {
+					evs = append(evs, Event{
+						Kind:  st.Kind,
+						Lane:  lane.name,
+						Step:  step,
+						Start: b,
+						End:   b + svc,
+						Bytes: st.Bytes,
+						FLOPs: st.FLOPs,
+					})
+					b += svc
+				}
+				if retry > 0 {
+					fr.report.Retries += n
+					evs = append(evs, Event{
+						Kind: EvStageRetried, Lane: lane.name, Step: step,
+						Start: b, End: b + retry,
+						Note: fmt.Sprintf("%s retried x%d", st.Kind, n),
+					})
+					b += retry
+				}
+			}
+			if ckpt > 0 {
+				evs = append(evs, fr.checkpoint(lane.name, step, b, end))
+			}
+			if n := len(evs); n > 0 {
 				evs[n-1].End = end
 			}
-			for i := 0; i < n; i++ {
+			for i := range evs {
 				pub.publish(evs[i])
 			}
 			if l < last {
@@ -295,6 +357,9 @@ func runPipeline(lanes []laneExec, steps int, pub publisher) []float64 {
 			}
 			stepEnd[step] = e.Now()
 			pub.publish(Event{Kind: EvStepDone, Step: step, Start: e.Now(), End: e.Now()})
+			if fr != nil {
+				fr.preemptAt(e, lanes, step, pub)
+			}
 			inflight--
 			tryLaunch()
 		})
@@ -312,7 +377,6 @@ func runPipeline(lanes []laneExec, steps int, pub publisher) []float64 {
 	}
 	tryLaunch()
 	e.Run()
-	return stepEnd
 }
 
 // h2dTime computes the host-to-device copy time for one local batch,

@@ -215,10 +215,9 @@ func RunObserved(cfg Config, obs ...Observer) (*Result, error) {
 }
 
 // runObserved is the shared core behind RunObserved (plan == nil, the
-// unmodified fault-free pipeline) and RunWithFaults (a compiled fault
-// schedule rides along). The fault-free path executes exactly the same
-// instructions as before the fault layer existed — every fault hook is
-// behind a nil check.
+// fault-free pipeline) and RunWithFaults (a compiled fault schedule rides
+// along as runPipeline's fault input). Every fault hook is behind a nil
+// check, so a fault-free run reads only the compiled lane totals.
 func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("sim: nil system")
@@ -302,11 +301,8 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 		stepEnd = fastEnd
 	}
 	if stepEnd == nil {
-		if fr == nil {
-			stepEnd = runPipeline(lanes, steps, pub)
-		} else {
-			stepEnd = fr.runPipeline(lanes, steps, pub)
-		}
+		stepEnd = make([]float64, steps)
+		runPipeline(lanes, stepEnd, fr, pub)
 	}
 
 	// Steady-state step time over the back half of the run. Checkpoint

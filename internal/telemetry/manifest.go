@@ -55,8 +55,11 @@ type Manifest struct {
 	// SimulatedSeconds totals simulated time covered by the run's
 	// results (0 when not applicable).
 	SimulatedSeconds float64 `json:"simulated_seconds"`
-	// Spans counts closed telemetry spans.
-	Spans int `json:"spans,omitempty"`
+	// Spans counts closed telemetry spans; SpansDropped counts those the
+	// tracer's retention bound discarded, so a trace export holds
+	// Spans - SpansDropped of them.
+	Spans        int `json:"spans,omitempty"`
+	SpansDropped int `json:"spans_dropped,omitempty"`
 	// Metrics is the registry snapshot in deterministic order.
 	Metrics []MetricValue `json:"metrics,omitempty"`
 
@@ -90,7 +93,7 @@ func (m *Manifest) Finish(reg *Registry, wall time.Duration) {
 	m.WallSeconds = wall.Seconds()
 	if reg.Enabled() {
 		m.Metrics = reg.Snapshot()
-		m.Spans = len(reg.Tracer().Spans())
+		m.Spans, m.SpansDropped = reg.Tracer().SpanCounts()
 	}
 }
 
@@ -156,7 +159,7 @@ func (m *Manifest) Validate() error {
 	if m.Version == "" {
 		return fmt.Errorf("telemetry: manifest missing version")
 	}
-	if m.CacheHits < 0 || m.CacheMisses < 0 || m.Cells < 0 || m.Spans < 0 ||
+	if m.CacheHits < 0 || m.CacheMisses < 0 || m.Cells < 0 || m.Spans < 0 || m.SpansDropped < 0 ||
 		m.CacheSchema < 0 || m.DiskCacheHits < 0 || m.DiskCacheMisses < 0 ||
 		m.DiskCacheEvictions < 0 || m.DiskCacheQuarantined < 0 || m.Simulations < 0 {
 		return fmt.Errorf("telemetry: manifest has negative counters")

@@ -216,6 +216,66 @@ func TestNilTracerNoOp(t *testing.T) {
 	}
 }
 
+// Past the retention bound the tracer keeps only the most recently
+// closed spans and counts the rest as dropped.
+func TestTracerRetainsMostRecentClosed(t *testing.T) {
+	const k = 5
+	tr := NewTracer(nil)
+	for i := 0; i < maxClosedSpans+k; i++ {
+		tr.End(tr.Start(KindSweepCell, "cell", 0))
+	}
+	spans := tr.Spans()
+	if len(spans) != maxClosedSpans {
+		t.Fatalf("%d spans retained, want %d", len(spans), maxClosedSpans)
+	}
+	// The tick clock orders spans by ID, so the first k are exactly the
+	// ones missing.
+	for i, s := range spans {
+		if want := SpanID(k + 1 + i); s.ID != want {
+			t.Fatalf("spans[%d].ID = %d, want %d", i, s.ID, want)
+		}
+	}
+	if closed, dropped := tr.SpanCounts(); closed != maxClosedSpans+k || dropped != k {
+		t.Fatalf("SpanCounts = %d, %d; want %d, %d", closed, dropped, maxClosedSpans+k, k)
+	}
+}
+
+// A run closes after its cells, so a cut through the middle of a run
+// drops some of its cells but keeps the run: the retained spans still
+// form a valid forest.
+func TestTracerRetentionKeepsForest(t *testing.T) {
+	tr := NewTracer(nil)
+	const runs = maxClosedSpans/4 + 2
+	for r := 0; r < runs; r++ {
+		run := tr.Start(KindRun, "sweep", 0)
+		for c := 0; c < 3; c++ {
+			tr.End(tr.Start(KindSweepCell, "cell", run))
+		}
+		tr.End(run)
+	}
+	// Two more spans push the cut two cells into the third run.
+	tr.End(tr.Start(KindRun, "tail", 0))
+	tr.End(tr.Start(KindRun, "tail", 0))
+
+	spans := tr.Spans()
+	if err := ValidateSpans(spans); err != nil {
+		t.Fatal(err)
+	}
+	first := spans[0]
+	if first.Kind != KindRun {
+		t.Fatalf("oldest retained span is %+v, want the cut run", first)
+	}
+	kids := 0
+	for _, s := range spans {
+		if s.Parent == first.ID {
+			kids++
+		}
+	}
+	if kids != 1 {
+		t.Fatalf("cut run kept %d cells, want 1 (the cut must cross it)", kids)
+	}
+}
+
 func TestValidateSpansRejectsBadForest(t *testing.T) {
 	bad := []Span{{ID: 1, Parent: 99, Kind: KindRun, Name: "x", Start: 0, End: 1}}
 	if err := ValidateSpans(bad); err == nil {

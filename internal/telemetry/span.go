@@ -55,6 +55,13 @@ type Span struct {
 // Duration returns the span length in clock seconds.
 func (s Span) Duration() float64 { return s.End - s.Start }
 
+// maxClosedSpans bounds how many closed spans a Tracer retains. A
+// long-lived server traces every request, so an unbounded record would
+// grow with uptime; past the bound the oldest-closed span is dropped.
+// Children close before their parents, so a retained child's parent is
+// retained too and the kept spans still form a forest.
+const maxClosedSpans = 1 << 16
+
 // Tracer records hierarchical spans against an injected clock. A nil
 // *Tracer is valid and no-op (Start returns 0, which is also a valid
 // parent for a real tracer). Tracers are safe for concurrent use.
@@ -64,7 +71,11 @@ type Tracer struct {
 	mu     sync.Mutex
 	nextID SpanID
 	open   map[SpanID]*Span
-	done   []Span
+	// done is a ring of the most recently closed spans: once full, the
+	// span closed at count c overwrites slot c % maxClosedSpans.
+	done []Span
+	// closed counts every span ever closed, retained or dropped.
+	closed int
 }
 
 // NewTracer builds a tracer on the given clock; a nil clock counts
@@ -186,11 +197,17 @@ func (t *Tracer) EndAt(id SpanID, at float64) {
 	if sp.End < sp.Start {
 		sp.End = sp.Start
 	}
-	t.done = append(t.done, *sp)
+	if len(t.done) < maxClosedSpans {
+		t.done = append(t.done, *sp)
+	} else {
+		t.done[t.closed%maxClosedSpans] = *sp
+	}
+	t.closed++
 }
 
-// Spans returns the closed spans sorted by (Start, ID) — a
-// deterministic order regardless of goroutine interleaving.
+// Spans returns the retained closed spans (the most recent
+// maxClosedSpans) sorted by (Start, ID) — a deterministic order
+// regardless of goroutine interleaving.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
@@ -205,6 +222,17 @@ func (t *Tracer) Spans() []Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// SpanCounts reports how many spans have closed and how many of those
+// the retention bound has since dropped; Spans returns the difference.
+func (t *Tracer) SpanCounts() (closed, dropped int) {
+	if t == nil {
+		return 0, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closed, t.closed - len(t.done)
 }
 
 // OpenCount reports spans started but not yet ended — nonzero at export
