@@ -7,7 +7,8 @@
 //
 // Cells route to backends by consistent hash of their content digest,
 // so repeated and concurrent queries for the same cell always hit the
-// same backend's hot memory tier and request coalescer. Grid sweeps
+// same backend's hot memory tier, where concurrent misses share one
+// simulation. Grid sweeps
 // (unary /v1/sweep and streaming /v1/sweep/stream) are digest-
 // partitioned across all healthy backends and merged back into global
 // cell order — byte-identical to a single process running the grid.

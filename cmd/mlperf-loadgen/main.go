@@ -27,7 +27,7 @@ func main() {
 	duration := flag.Duration("duration", 5*time.Second, "how long to generate load")
 	rate := flag.Float64("rate", 20, "open-loop arrival rate, requests/second")
 	tenants := flag.Int("tenants", 0, "distinct X-Tenant identities to rotate (0 = anonymous)")
-	hot := flag.Float64("hot", 0.8, "fraction of requests from the hot (cacheable, coalesceable) query set")
+	hot := flag.Float64("hot", 0.8, "fraction of requests from the hot (cacheable) query set")
 	stream := flag.Float64("stream", 0, "fraction of sweep requests issued as streaming /v1/sweep/stream clients")
 	reqTimeout := flag.Duration("timeout", 10*time.Second, "per-request propagated deadline")
 	seed := flag.Int64("seed", 1, "arrival and query-mix seed")
@@ -35,7 +35,7 @@ func main() {
 	maxShed := flag.Float64("max-shed", 0, "SLO: max shed fraction of sent requests (0 = unchecked)")
 	minShed := flag.Float64("min-shed", 0, "SLO: min shed fraction — asserts overload was actually reached (0 = unchecked)")
 	max5xx := flag.Int("max-5xx", 0, "SLO: max tolerated 5xx responses")
-	assertCoalesced := flag.Bool("assert-coalesced", false, "SLO: require simulations < admitted requests (coalescing happened)")
+	assertCoalesced := flag.Bool("assert-coalesced", false, "SLO: require the server ran fewer simulations than it admitted requests (simulations < admitted)")
 	assertRequestIDs := flag.Bool("assert-request-ids", false, "SLO: require X-Request-Id on every response, sheds included")
 	sink := telecli.Register("mlperf-loadgen", nil)
 	flag.Parse()

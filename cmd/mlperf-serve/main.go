@@ -1,6 +1,7 @@
 // Command mlperf-serve runs the benchmark-as-a-service daemon: the
 // simulator, sweep engine and cluster scheduler behind an HTTP/JSON
-// API with admission control, per-tenant quotas, request coalescing, a
+// API with admission control, per-tenant quotas, a bounded cell memo
+// that shares each simulation among identical concurrent requests, a
 // circuit breaker over the persistent cache tier and graceful drain.
 //
 //	mlperf-serve                              serve on :8080

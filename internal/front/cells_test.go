@@ -2,7 +2,6 @@ package front
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -469,39 +468,5 @@ func TestFrontMalformedTimeoutIs400HeldOrNot(t *testing.T) {
 		if code, body, _ := get(t, c.frontTS.URL+p+sep+"timeout=0"); code != http.StatusBadRequest {
 			t.Errorf("%s?timeout=0: %d (%s)", p, code, strings.TrimSpace(body))
 		}
-	}
-}
-
-// The cache never holds more than two generations, and a cell touched
-// in the current generation survives the next rotation.
-func TestCellCacheBoundedKeepsTouched(t *testing.T) {
-	var c cellCache
-	digest := func(i int) string { return fmt.Sprintf("d%06d", i) }
-	size := func() int { return len(c.cur) + len(c.old) }
-	for i := 0; i < cellCacheCap; i++ {
-		c.put(digest(i), sweep.Record{GPUs: i})
-	}
-	c.put(digest(cellCacheCap), sweep.Record{}) // rotates: generation 1 is now old
-	if r, ok := c.get(digest(7)); !ok || r.GPUs != 7 {
-		t.Fatalf("cell 7 lost after one rotation: %+v %v", r, ok)
-	}
-	for i := cellCacheCap + 1; i < 3*cellCacheCap; i++ {
-		c.put(digest(i), sweep.Record{GPUs: i})
-		if size() > 2*cellCacheCap {
-			t.Fatalf("cache holds %d entries, bound %d", size(), 2*cellCacheCap)
-		}
-		if i == 2*cellCacheCap-1 {
-			// cell 7 was touched in the generation now filling; it must
-			// survive into the next old generation.
-			if _, ok := c.get(digest(7)); !ok {
-				t.Fatal("touched cell 7 evicted")
-			}
-		}
-	}
-	if _, ok := c.get(digest(8)); ok {
-		t.Fatal("untouched cell 8 from generation 1 still held after two rotations")
-	}
-	if _, ok := c.get(digest(7)); !ok {
-		t.Fatal("touched cell 7 evicted")
 	}
 }

@@ -2,9 +2,10 @@
 // fanning requests across N mlperf-serve backends that share a single
 // content-addressed cache directory. Routing is by cell digest over a
 // consistent-hash ring, so the same cell always lands on the same
-// backend — its memory tier stays hot and concurrent identical queries
-// coalesce inside one process instead of simulating twice — while the
-// shared disk CAS makes every backend's results visible to all of them.
+// backend — its memory tier stays hot and concurrent identical cells
+// share one simulation inside one process instead of simulating twice —
+// while the shared disk CAS makes every backend's results visible to
+// all of them.
 //
 // Grid sweeps are digest-partitioned: the front expands the request to
 // its cell list (the exact expansion the backends use), slices it by
@@ -15,8 +16,9 @@
 // each record frame from its slice-local index to the global one as it
 // arrives.
 //
-// Cell cache: the front keeps a bounded digest → record map filled only
-// from validated, complete backend answers. A held cell is answered
+// Cell cache: the front keeps a bounded digest → record map (a
+// memo.Map, like the backends' cell memo) filled only from validated,
+// complete backend answers. A held cell is answered
 // without a backend hop — no backend admission, no tenant bucket, even
 // with every backend draining or down — and a grid fans out only its
 // unheld cells. The digest is the cell's content, so entries never need
@@ -45,6 +47,7 @@ import (
 	"time"
 
 	"mlperf/internal/httpkit"
+	"mlperf/internal/memo"
 	"mlperf/internal/serve"
 	"mlperf/internal/shard"
 	"mlperf/internal/sweep"
@@ -142,6 +145,33 @@ type Front struct {
 	cellMisses atomic.Int64
 }
 
+// cellCacheCap bounds the cell cache: at most 8192 records, about 5 MB
+// with their digests. A constant, not a knob.
+const cellCacheCap = 8192
+
+// cellCache holds records the fleet already computed, keyed by cell
+// digest. A digest addresses the cell's content under the KeySchema, so
+// an entry never goes stale and is never invalidated; only the bound
+// drops entries.
+type cellCache struct {
+	mu sync.Mutex
+	m  *memo.Map[string, sweep.Record]
+}
+
+func (c *cellCache) get(digest string) (sweep.Record, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.Get(digest)
+}
+
+// put stores a record. Callers pass only validated, complete backend
+// answers: whatever is put here is served without a backend hop.
+func (c *cellCache) put(digest string, r sweep.Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m.Put(digest, r)
+}
+
 // New builds a front over cfg.Backends and starts its health loop.
 func New(cfg Config) (*Front, error) {
 	if len(cfg.Backends) == 0 {
@@ -182,6 +212,7 @@ func New(cfg Config) (*Front, error) {
 		lastTransition: make([]atomic.Int64, len(backends)),
 		log:            cfg.Logger,
 		flight:         flight,
+		cells:          cellCache{m: memo.New[string, sweep.Record](cellCacheCap)},
 	}
 	// Optimistic start: every backend is presumed healthy until a probe
 	// says otherwise, so the front serves immediately and per-request
@@ -385,7 +416,7 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 // handleSimulate answers one cell from the cell cache or proxies it,
 // routed by its digest so repeated and concurrent misses for the same
-// cell hit the same backend's memory tier and coalescer.
+// cell hit the same backend's memory tier.
 func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	f.count("simulate")
 	k, err := serve.CellKeyFromRequest(r)

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mlperf/internal/memo"
 	"mlperf/internal/telemetry"
 )
 
@@ -155,7 +155,7 @@ type tenantLimiter struct {
 	burst float64
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
+	buckets *memo.Map[string, *bucket]
 	now     func() time.Time // test seam
 }
 
@@ -164,9 +164,9 @@ type bucket struct {
 	last   time.Time
 }
 
-// maxTenants bounds the bucket map: beyond it, the oldest-touched
-// buckets are pruned (a full-burst bucket behaves identically to a
-// fresh one, so pruning is semantically free for idle tenants). This
+// maxTenants bounds the bucket map: past it, buckets untouched for a
+// generation are dropped (a full-burst bucket behaves identically to a
+// fresh one, so dropping is semantically free for idle tenants). This
 // keeps an adversarial stream of unique X-Tenant values from growing
 // memory without bound.
 const maxTenants = 4096
@@ -175,7 +175,7 @@ func newTenantLimiter(rate, burst float64) *tenantLimiter {
 	return &tenantLimiter{
 		rate:    rate,
 		burst:   burst,
-		buckets: make(map[string]*bucket),
+		buckets: memo.New[string, *bucket](maxTenants),
 		now:     time.Now,
 	}
 }
@@ -189,13 +189,10 @@ func (t *tenantLimiter) allow(tenant string) (bool, time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
-	b := t.buckets[tenant]
-	if b == nil {
-		if len(t.buckets) >= maxTenants {
-			t.pruneLocked()
-		}
+	b, ok := t.buckets.Get(tenant)
+	if !ok {
 		b = &bucket{tokens: t.burst, last: now}
-		t.buckets[tenant] = b
+		t.buckets.Put(tenant, b)
 	} else {
 		b.tokens = min(t.burst, b.tokens+now.Sub(b.last).Seconds()*t.rate)
 		b.last = now
@@ -206,21 +203,4 @@ func (t *tenantLimiter) allow(tenant string) (bool, time.Duration) {
 	}
 	need := (1 - b.tokens) / t.rate
 	return false, time.Duration(need * float64(time.Second))
-}
-
-// pruneLocked drops the least-recently-touched half of the buckets.
-// Callers hold t.mu.
-func (t *tenantLimiter) pruneLocked() {
-	type aged struct {
-		key  string
-		last time.Time
-	}
-	all := make([]aged, 0, len(t.buckets))
-	for k, b := range t.buckets {
-		all = append(all, aged{k, b.last})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].last.Before(all[j].last) })
-	for _, a := range all[:len(all)/2] {
-		delete(t.buckets, a.key)
-	}
 }

@@ -165,7 +165,7 @@ func TestTenantLimiterBoundsMemory(t *testing.T) {
 	for i := 0; i < 3*maxTenants; i++ {
 		lim.allow("tenant-" + strconv.Itoa(i))
 	}
-	if n := len(lim.buckets); n > maxTenants {
+	if n := lim.buckets.Len(); n > maxTenants {
 		t.Fatalf("bucket map grew to %d, bound is %d", n, maxTenants)
 	}
 }

@@ -99,107 +99,95 @@ func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// runQuery is the shared request pipeline every compute endpoint flows
-// through, in the order the design doc names: admission (drain check,
-// tenant quota, bounded queue + cost budget) → coalesce (identical
-// in-flight queries share one computation) → simulate (fn, under the
-// propagated deadline) → shed (every refusal path above exits as a
-// typed 429/503 with Retry-After, never an unbounded queue).
-//
-// cost prices the request in cells; key is its content-digest coalesce
-// key; fn computes the response payload and status under the flight's
-// context.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint string, cost int64, key string, fn func(ctx context.Context) (any, int, error)) {
-	start := time.Now()
-	s.requests.Add(1)
+// countCode counts one response of endpoint under its status code.
+func (s *Server) countCode(endpoint string, status int) {
+	s.reg.Counter(MetricRequests,
+		telemetry.Label{Key: "endpoint", Value: endpoint},
+		telemetry.Label{Key: "code", Value: strconv.Itoa(status)}).Inc()
+}
 
-	code := func(status int) {
-		s.reg.Counter(MetricRequests,
-			telemetry.Label{Key: "endpoint", Value: endpoint},
-			telemetry.Label{Key: "code", Value: strconv.Itoa(status)}).Inc()
-	}
-
+// admit is the one admission prologue every compute endpoint runs, in
+// order: drain check, tenant quota, size, deadline, drain watch, then
+// the bounded queue and cost budget. A refusal is answered here — a
+// typed 429/503 with Retry-After, a 413 or a 400 — and counted under
+// endpoint, and ok is false. Otherwise ctx carries the request's
+// deadline and is also cancelled by a drain's hard stop, and finish
+// releases the slot and the context.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, cost int64) (ctx context.Context, finish func(), ok bool) {
 	if s.draining.Load() {
 		s.shedWith(w, r, shedDrain, time.Second)
-		code(http.StatusServiceUnavailable)
-		return
+		s.countCode(endpoint, http.StatusServiceUnavailable)
+		return nil, nil, false
 	}
-	tenant := r.Header.Get("X-Tenant")
-	if ok, wait := s.tenants.allow(tenant); !ok {
+	if ok, wait := s.tenants.allow(r.Header.Get("X-Tenant")); !ok {
 		s.shedWith(w, r, shedQuota, wait)
-		code(http.StatusTooManyRequests)
-		return
+		s.countCode(endpoint, http.StatusTooManyRequests)
+		return nil, nil, false
 	}
 	if s.adm.tooLarge(cost) {
 		httpkit.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request costs %d cells, server admits at most %d", cost, s.cfg.MaxCellsInFlight))
-		code(http.StatusRequestEntityTooLarge)
-		return
+		s.countCode(endpoint, http.StatusRequestEntityTooLarge)
+		return nil, nil, false
 	}
-
 	dl, err := s.deadlineFor(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		code(http.StatusBadRequest)
-		return
+		s.countCode(endpoint, http.StatusBadRequest)
+		return nil, nil, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), dl)
-	defer cancel()
-
+	// Drain's hard stop cancels admitted work: the engine's Partial path
+	// then answers with whatever completed.
+	stopDrainWatch := context.AfterFunc(s.hardCtx, cancel)
 	release, reason, ok := s.adm.acquire(ctx, cost)
 	if !ok {
+		stopDrainWatch()
+		cancel()
 		s.shedWith(w, r, reason, time.Second)
-		code(http.StatusTooManyRequests)
+		s.countCode(endpoint, http.StatusTooManyRequests)
+		return nil, nil, false
+	}
+	return ctx, func() {
+		release()
+		stopDrainWatch()
+		cancel()
+	}, true
+}
+
+// runQuery is the request pipeline of the unary compute endpoints, in
+// the order the design doc names: admission (admit) → simulate (fn,
+// under the request's deadline; identical concurrent cells share one
+// simulation in the engine's memo) → respond. cost prices the request
+// in cells; fn computes the response payload and status. A panic in fn
+// unwinds to recoverWrap, which answers this request with a 500.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint string, cost int64, fn func(ctx context.Context) (any, int, error)) {
+	start := time.Now()
+	s.requests.Add(1)
+	ctx, finish, ok := s.admit(w, r, endpoint, cost)
+	if !ok {
 		return
 	}
-	defer release()
+	defer finish()
 
-	// The flight context descends from the server lifecycle, not the
-	// request (drain cancels it, a departing caller must not); re-attach
-	// the request's trace identity so the engine's run span still nests
-	// under this request.
-	rctx := r.Context()
-	val, status, err, joined := s.coal.do(s.hardCtx, ctx, key, func(ctx context.Context) (any, int, error) {
-		return fn(telemetry.WithObsContext(ctx, rctx))
-	})
-	if joined {
-		s.coalesced.Add(1)
-		s.reg.Counter(MetricCoalesced).Inc()
-		tc, _ := telemetry.TraceFromContext(rctx)
-		s.log.Debug("coalesced join",
-			telemetry.F("trace_id", tc.TraceID),
-			telemetry.F("endpoint", endpoint),
-			telemetry.F("key", key))
-	}
+	val, status, err := fn(ctx)
 	s.reg.Histogram(MetricRequestSeconds, telemetry.LatencyBuckets).Observe(time.Since(start).Seconds())
-
 	if err != nil {
-		var pe panicError
 		switch {
-		case errors.As(err, &pe):
-			// A contained computation panic: this request's 500. The flight
-			// goroutine recovered it so joined waiters get an answer instead
-			// of a hang.
-			s.panics.Add(1)
-			s.reg.Counter(MetricPanics).Inc()
-			httpkit.WriteError(w, http.StatusInternalServerError, pe.Error())
-			code(http.StatusInternalServerError)
 		case errors.Is(err, context.DeadlineExceeded):
-			// The client's own deadline expired before the (shared) flight
-			// produced anything this caller could use.
 			httpkit.WriteError(w, http.StatusRequestTimeout, "deadline exceeded")
-			code(http.StatusRequestTimeout)
+			s.countCode(endpoint, http.StatusRequestTimeout)
 		case errors.Is(err, context.Canceled):
 			// Client went away; the status is for the log, not the wire.
-			code(499)
+			s.countCode(endpoint, 499)
 		default:
 			httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-			code(http.StatusBadRequest)
+			s.countCode(endpoint, http.StatusBadRequest)
 		}
 		return
 	}
 	httpkit.WriteJSON(w, status, val)
-	code(status)
+	s.countCode(endpoint, status)
 }
 
 // ---- /v1/simulate ----
@@ -247,12 +235,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	digest, err := k.Digest()
-	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.runQuery(w, r, "simulate", 1, "cell:"+digest, func(ctx context.Context) (any, int, error) {
+	s.runQuery(w, r, "simulate", 1, func(ctx context.Context) (any, int, error) {
 		recs, rep, err := s.eng.RunCellsWithOptions(ctx, []sweep.CellKey{k}, sweep.Options{})
 		if err != nil {
 			if rep != nil && rep.Canceled {
@@ -327,20 +310,14 @@ func intList(s string) ([]int, error) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// A GET carries grid parameters; a POST carries an explicit cell
 	// list (the front tier's digest-partitioned sub-grids). Expanding up
-	// front prices the request for admission and yields the
-	// content-addressed coalesce key: the digest of the cell digests.
+	// front prices the request for admission.
 	keys, err := sweepKeysFrom(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key, err := gridKey(keys)
-	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 
-	s.runQuery(w, r, "sweep", int64(len(keys)), key, func(ctx context.Context) (any, int, error) {
+	s.runQuery(w, r, "sweep", int64(len(keys)), func(ctx context.Context) (any, int, error) {
 		// Partial on: a deadline mid-grid returns the completed cells with
 		// the partial flag set instead of an error — the server-side form
 		// of mlperf-sweep's -partial.
@@ -377,7 +354,7 @@ type whatIfResponse struct {
 var whatIfCost = int64(len(experiments.Table4Benches) * 4)
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	s.runQuery(w, r, "whatif", whatIfCost, "whatif:nvlink8", func(ctx context.Context) (any, int, error) {
+	s.runQuery(w, r, "whatif", whatIfCost, func(ctx context.Context) (any, int, error) {
 		rows, err := experiments.WhatIfNVLinkAt8On(ctx, s.eng)
 		if err != nil {
 			if cerr := context.Cause(ctx); cerr != nil {
@@ -432,11 +409,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		machines = []string{"dss8440"}
 	}
 
-	// The coalesce key is the canonical parameter tuple; cost is the job
-	// count (each job prices a handful of duration cells, all memoized
-	// after the first trace).
-	key := fmt.Sprintf("sched:%s:%d:%d:%g:%s", pol.Name(), n, seed, gap, strings.Join(machines, ","))
-	s.runQuery(w, r, "schedule", int64(n), key, func(ctx context.Context) (any, int, error) {
+	// Cost is the job count (each job prices a handful of duration cells,
+	// all memoized after the first trace).
+	s.runQuery(w, r, "schedule", int64(n), func(ctx context.Context) (any, int, error) {
 		// cluster.Run has no context plumbing — scheduler runs are
 		// milliseconds once the duration cells are memoized, so the
 		// deadline gates admission and queueing, not the run itself.

@@ -33,7 +33,7 @@ type LoadOptions struct {
 	// the stream (0 = anonymous only).
 	Tenants int
 	// HotFraction is the share of requests drawn from a small fixed set
-	// of queries (cache hits and coalesce targets); the rest are
+	// of queries (memo hits, or joins while in flight); the rest are
 	// cache-cold unique cells. Default 0.8.
 	HotFraction float64
 	// StreamFraction is the share of sweep requests issued against
@@ -106,9 +106,9 @@ type SLO struct {
 	// MaxServerErrors bounds 5xx count (usually 0: overload must shed,
 	// never break).
 	MaxServerErrors int
-	// RequireCoalescing asserts the server answered more requests than
-	// it ran simulations during the run — identical concurrent queries
-	// were collapsed.
+	// RequireCoalescing asserts the server ran fewer simulations than it
+	// admitted requests during the run (simulations < admitted): memo
+	// hits and joins on in-flight cells answered the rest.
 	RequireCoalescing bool
 	// RequireRequestIDs asserts every response carried X-Request-Id.
 	RequireRequestIDs bool
@@ -246,7 +246,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 }
 
 // nextQuery picks the next request: hot queries repeat a small fixed
-// set (exercising the cache and the coalescer), cold ones explore
+// set (exercising the memo and its in-flight joins), cold ones explore
 // unique batch sizes (forcing fresh simulations).
 func nextQuery(rng *rand.Rand, opts LoadOptions) (url, tenant string) {
 	if opts.Tenants > 0 {

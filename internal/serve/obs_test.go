@@ -161,7 +161,7 @@ func TestTraceparentAdoptedIntoSpans(t *testing.T) {
 		t.Error("request span has no wire id")
 	}
 	// The engine's run span nests under the request span via the
-	// request context (through the coalescer's context splice).
+	// request context, which the handler's deadline context carries.
 	if runParent != reqSpan.ID {
 		t.Errorf("run span parent %d want request span %d", runParent, reqSpan.ID)
 	}

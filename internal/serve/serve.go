@@ -18,9 +18,9 @@
 //   - Dependency protection. A circuit breaker guards the persistent
 //     disk cache tier: repeated cas errors trip the server to
 //     memory-only operation with a half-open probe after a cooldown.
-//     Identical concurrent queries are coalesced onto one computation by
-//     content digest, on top of the engine's per-cell singleflight.
-//     Per-request panics are contained to a 500 for that request.
+//     Identical concurrent cells share one simulation through the
+//     engine's per-cell singleflight memo. Per-request panics are
+//     contained to a 500 for that request.
 //   - Lifecycle. Graceful drain on Shutdown (stop accepting, finish
 //     in-flight under a drain deadline, then cancel the rest), with
 //     /healthz, /readyz and /metrics (Prometheus text straight from the
@@ -52,7 +52,6 @@ const (
 	MetricQueueDepth     = "serve_queue_depth"             // gauge, requests waiting for a slot
 	MetricCellsInFlight  = "serve_cells_inflight"          // gauge, admitted simulation cost units
 	MetricRequestSeconds = "serve_request_seconds"         // histogram, wall time per admitted request
-	MetricCoalesced      = "serve_coalesced_total"         // counter, requests answered by joining an identical in-flight query
 	MetricPanics         = "serve_panics_total"            // counter, contained per-request panics
 	MetricBreakerState   = "serve_breaker_state"           // gauge, 0=closed 1=half-open 2=open
 	MetricBreakerTrips   = "serve_breaker_trips_total"     // counter
@@ -171,7 +170,6 @@ type Server struct {
 	reg     *telemetry.Registry
 	adm     *admission
 	tenants *tenantLimiter
-	coal    *coalescer
 	breaker *Breaker
 	log     *telemetry.Logger
 	flight  *telemetry.FlightRecorder
@@ -182,19 +180,18 @@ type Server struct {
 	// draining flips when Shutdown begins: /readyz reports 503 and new
 	// API requests are refused, while in-flight ones finish.
 	draining atomic.Bool
-	// hardCtx parents every coalesced computation; hardCancel fires when
-	// the drain deadline expires, cancelling whatever is still running
-	// (the engine returns partial results on the way out).
+	// hardCtx ends when the drain deadline expires; admit's drain watch
+	// then cancels every admitted request still running (the engine
+	// returns partial results on the way out).
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 
 	started time.Time
-	// requests/shed/coalesced/partials mirror the registry counters as
-	// plain atomics so /v1/stats and FillManifest do not depend on
-	// telemetry being enabled.
+	// requests/shed/partials mirror the registry counters as plain
+	// atomics so /v1/stats and FillManifest do not depend on telemetry
+	// being enabled.
 	requests      atomic.Int64
 	shed          atomic.Int64
-	coalesced     atomic.Int64
 	partials      atomic.Int64
 	panics        atomic.Int64
 	streams       atomic.Int64
@@ -224,7 +221,6 @@ func New(cfg Config) (*Server, error) {
 		reg:     reg,
 		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.MaxCellsInFlight, reg),
 		tenants: newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
-		coal:    newCoalescer(),
 		log:     cfg.Logger,
 		flight:  flight,
 		started: time.Now(),
@@ -387,7 +383,9 @@ func (s *Server) DumpFlight(reason string) {
 
 // Stats is the /v1/stats snapshot: the admission posture, the breaker
 // state and the engine's cache counters, for clients (and the loadgen
-// harness) that assert on server behaviour.
+// harness) that assert on server behaviour. Coalesced is Cache.Joins:
+// cell lookups that joined a simulation already in flight, the work
+// identical concurrent requests shared.
 type Stats struct {
 	Uptime        float64          `json:"uptime_seconds"`
 	Draining      bool             `json:"draining"`
@@ -409,12 +407,13 @@ type Stats struct {
 
 // Snapshot assembles the current Stats.
 func (s *Server) Snapshot() Stats {
+	cache := s.eng.Stats()
 	st := Stats{
 		Uptime:        time.Since(s.started).Seconds(),
 		Draining:      s.draining.Load(),
 		Requests:      s.requests.Load(),
 		Shed:          s.shed.Load(),
-		Coalesced:     s.coalesced.Load(),
+		Coalesced:     cache.Joins,
 		Partials:      s.partials.Load(),
 		Panics:        s.panics.Load(),
 		Streams:       s.streams.Load(),
@@ -422,9 +421,9 @@ func (s *Server) Snapshot() Stats {
 		InFlight:      s.adm.inFlight.Load(),
 		Queued:        s.adm.queued.Load(),
 		CellsInFlight: s.adm.cells.Load(),
-		Cache:         s.eng.Stats(),
+		FlightEntries: s.flight.Len(),
+		Cache:         cache,
 	}
-	st.FlightEntries = len(s.flight.Snapshot())
 	if s.breaker != nil {
 		st.Breaker = s.breaker.State().String()
 		st.BreakerTrips = s.breaker.Trips()

@@ -146,7 +146,7 @@ func TestServerShedsUnderOverloadNever5xx(t *testing.T) {
 }
 
 // Identical concurrent queries must collapse onto one computation: the
-// engine runs the cell once and every other caller joins the flight.
+// engine runs the cell once and every other caller joins it in flight.
 func TestServerCoalescesIdenticalQueries(t *testing.T) {
 	gs := newGateStore(nil)
 	srv, ts := newTestServer(t, Config{}, gs)
@@ -165,14 +165,9 @@ func TestServerCoalescesIdenticalQueries(t *testing.T) {
 			bodies[i] = body
 		}(i)
 	}
-	// The coalesce key is the cell digest; wait until every caller holds
-	// a reference on the one flight before letting it finish.
-	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 4}
-	digest, err := k.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "all callers on one flight", func() bool { return srv.coal.refs("cell:"+digest) == callers })
+	// One caller misses and parks in the store; wait until every other
+	// caller has found its entry in the memo before letting it finish.
+	waitFor(t, "all callers on one cell", func() bool { return srv.Engine().Stats().Hits == callers-1 })
 	close(gs.gate)
 	wg.Wait()
 
@@ -183,7 +178,7 @@ func TestServerCoalescesIdenticalQueries(t *testing.T) {
 	}
 	st := srv.Snapshot()
 	if st.Coalesced != callers-1 {
-		t.Fatalf("coalesced = %d, want %d (identical concurrent queries must share one flight)",
+		t.Fatalf("coalesced = %d, want %d (identical concurrent queries must share one simulation)",
 			st.Coalesced, callers-1)
 	}
 	if sims := st.Cache.Simulations; sims != 1 {
@@ -227,6 +222,88 @@ func TestServerDrainRefusesNewFinishesInFlight(t *testing.T) {
 	close(gs.gate)
 	if code := <-inflight; code != http.StatusOK {
 		t.Fatalf("in-flight request during drain finished with %d, want 200", code)
+	}
+}
+
+// One impatient caller must not kill the simulation a patient identical
+// caller is waiting on: the short deadline gets its 408, the patient
+// caller gets a 200 from the same single simulation.
+func TestServerSurvivorKeepsSimulationAlive(t *testing.T) {
+	gs := newGateStore(nil)
+	openGate := sync.OnceFunc(func() { close(gs.gate) })
+	defer openGate()
+	srv, ts := newTestServer(t, Config{}, gs)
+
+	const url = "/v1/simulate?benchmark=res50_tf&gpus=2"
+	short := make(chan int, 1)
+	go func() {
+		code, _, _ := get(t, ts.URL+url+"&timeout=0.2")
+		short <- code
+	}()
+	<-gs.entered // the short caller's simulation is in flight
+	patient := make(chan string, 1)
+	go func() {
+		code, body, _ := get(t, ts.URL+url)
+		if code != http.StatusOK {
+			t.Errorf("patient caller: status %d (%s), want 200", code, strings.TrimSpace(body))
+		}
+		patient <- body
+	}()
+	waitFor(t, "patient caller to join", func() bool { return srv.Engine().Stats().Joins == 1 })
+
+	if code := <-short; code != http.StatusRequestTimeout {
+		t.Fatalf("short-deadline caller: status %d, want 408", code)
+	}
+	openGate()
+	if body := <-patient; !strings.Contains(body, `"record"`) {
+		t.Fatalf("patient caller got no record: %s", body)
+	}
+	if sims := srv.Snapshot().Cache.Simulations; sims != 1 {
+		t.Fatalf("%d simulations, want 1 shared by both callers", sims)
+	}
+}
+
+// A drain deadline that expires mid-sweep cancels the admitted unary
+// sweep, which answers 200 with the cells that completed.
+func TestServerDrainDeadlineReturnsPartialSweep(t *testing.T) {
+	gs := newGateStore(func(k sweep.CellKey) bool { return k.Batch == 99 })
+	defer close(gs.gate)
+	srv, ts := newTestServer(t, Config{}, gs)
+
+	type answer struct {
+		code int
+		body string
+	}
+	done := make(chan answer, 1)
+	go func() {
+		code, body, _ := get(t, ts.URL+"/v1/sweep?benchmarks=res50_tf&gpus=1&batches=32,99")
+		done <- answer{code, body}
+	}()
+	<-gs.entered // the batch-99 cell is parked; no client deadline applies
+
+	shutCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	srv.Shutdown(shutCtx)
+
+	var got answer
+	select {
+	case got = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain deadline expired but the sweep is still running")
+	}
+	if got.code != http.StatusOK {
+		t.Fatalf("drain-cut sweep status %d (%s), want 200", got.code, strings.TrimSpace(got.body))
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal([]byte(got.body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Partial || !resp.Canceled || resp.Cells != 2 || resp.Completed != 1 {
+		t.Fatalf("partial=%v canceled=%v cells=%d completed=%d, want true/true/2/1",
+			resp.Partial, resp.Canceled, resp.Cells, resp.Completed)
+	}
+	if resp.Records[0].TimeToTrainMin <= 0 {
+		t.Fatalf("completed cell's record missing: %+v", resp.Records)
 	}
 }
 
@@ -302,9 +379,15 @@ func TestServerPanicContainedToOneRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/v1/simulate", nil)
-	srv.runQuery(rr, req, "test", 1, "poison", func(ctx context.Context) (any, int, error) {
+	query := func(fn func(ctx context.Context) (any, int, error)) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/v1/simulate", nil)
+		srv.recoverWrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			srv.runQuery(w, r, "test", 1, fn)
+		})).ServeHTTP(rr, req)
+		return rr
+	}
+	rr := query(func(ctx context.Context) (any, int, error) {
 		panic("boom")
 	})
 	if rr.Code != http.StatusInternalServerError {
@@ -314,8 +397,7 @@ func TestServerPanicContainedToOneRequest(t *testing.T) {
 		t.Fatalf("panics counter = %d, want 1", st.Panics)
 	}
 
-	rr = httptest.NewRecorder()
-	srv.runQuery(rr, req, "test", 1, "healthy", func(ctx context.Context) (any, int, error) {
+	rr = query(func(ctx context.Context) (any, int, error) {
 		return map[string]string{"ok": "yes"}, http.StatusOK, nil
 	})
 	if rr.Code != http.StatusOK {

@@ -2,14 +2,11 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -41,11 +38,10 @@ import (
 // Backpressure: the completion channel is buffered to the full grid,
 // so a slow client never stalls engine workers — the write loop is the
 // only place client pace matters, and the records are small. Streaming
-// requests pass the same admission control as unary ones (drain check,
-// tenant quota, queue, cell-cost budget); they are not coalesced at the
-// request layer (a stream cannot be joined mid-flight) but the engine's
-// per-cell singleflight and the shared CAS still collapse their actual
-// simulation work across concurrent streams and processes.
+// requests pass the same admission prologue as unary ones (drain check,
+// tenant quota, size, deadline, queue, cell-cost budget), and the
+// engine's per-cell singleflight and the shared CAS collapse their
+// simulation work across concurrent requests and processes.
 
 // StreamFrame is one frame of a /v1/sweep/stream response. Type is
 // "record" (one completed cell: Index + Record) or "summary" (the
@@ -176,20 +172,6 @@ func CellsBody(keys []sweep.CellKey) ([]byte, error) {
 	return json.Marshal(body)
 }
 
-// gridKey derives the content-addressed coalesce key of a cell list:
-// the digest of the cell digests.
-func gridKey(keys []sweep.CellKey) (string, error) {
-	h := sha256.New()
-	for _, k := range keys {
-		d, err := k.Digest()
-		if err != nil {
-			return "", err
-		}
-		h.Write([]byte(d))
-	}
-	return "grid:" + hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // streamWriter renders frames in the negotiated format and flushes
 // after each one, so a frame is on the wire the moment its cell lands.
 type streamWriter struct {
@@ -233,68 +215,28 @@ func (sw *streamWriter) frame(f *StreamFrame) error {
 	return nil
 }
 
-// handleSweepStream is the streaming grid endpoint. The admission path
-// mirrors runQuery (drain, quota, size, queue, cost budget — every
-// refusal a typed 429/503 with Retry-After) but the response is a frame
-// stream, not one body, so there is no response-level coalescing and
-// the status code is committed before the run finishes.
+// handleSweepStream is the streaming grid endpoint. It passes the same
+// admission prologue as runQuery (admit), but the response is a frame
+// stream, not one body, so the status code is committed before the run
+// finishes.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	code := func(status int) {
-		s.reg.Counter(MetricRequests,
-			telemetry.Label{Key: "endpoint", Value: "sweep_stream"},
-			telemetry.Label{Key: "code", Value: strconv.Itoa(status)}).Inc()
-	}
-
 	keys, err := sweepKeysFrom(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		code(http.StatusBadRequest)
+		s.countCode("sweep_stream", http.StatusBadRequest)
 		return
 	}
-	cost := int64(len(keys))
-
-	if s.draining.Load() {
-		s.shedWith(w, r, shedDrain, time.Second)
-		code(http.StatusServiceUnavailable)
-		return
-	}
-	if ok, wait := s.tenants.allow(r.Header.Get("X-Tenant")); !ok {
-		s.shedWith(w, r, shedQuota, wait)
-		code(http.StatusTooManyRequests)
-		return
-	}
-	if s.adm.tooLarge(cost) {
-		httpkit.WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request costs %d cells, server admits at most %d", cost, s.cfg.MaxCellsInFlight))
-		code(http.StatusRequestEntityTooLarge)
-		return
-	}
-	dl, err := s.deadlineFor(r)
-	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		code(http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), dl)
-	defer cancel()
-	// Drain's hard stop cancels streams too: the engine's Partial path
-	// then delivers the summary for whatever completed.
-	stopDrainWatch := context.AfterFunc(s.hardCtx, cancel)
-	defer stopDrainWatch()
-
-	release, reason, ok := s.adm.acquire(ctx, cost)
+	ctx, finish, ok := s.admit(w, r, "sweep_stream", int64(len(keys)))
 	if !ok {
-		s.shedWith(w, r, reason, time.Second)
-		code(http.StatusTooManyRequests)
 		return
 	}
-	defer release()
+	defer finish()
 
 	s.streams.Add(1)
 	s.reg.Counter(MetricStreams).Inc()
 	start := time.Now()
-	code(http.StatusOK)
+	s.countCode("sweep_stream", http.StatusOK)
 
 	// Buffered to the whole grid: OnCell (on an engine worker) can never
 	// block on a slow client. Closed after the run returns, by which

@@ -7,17 +7,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mlperf/internal/memo"
 	"mlperf/internal/sim"
 	"mlperf/internal/telemetry"
 )
 
-// Engine executes sweep cells on a bounded worker pool and memoizes every
-// result by its full cell configuration. Output order is the grid's
-// deterministic expansion order regardless of worker count, so parallel
-// and sequential runs are byte-identical. An Engine is safe for
-// concurrent use; Default is the process-wide instance the experiments
-// share, which is what deduplicates the cells Table IV, Table V, Figure 4
-// and Figure 5 have in common.
+// Engine executes sweep cells on a bounded worker pool and memoizes
+// results by their full cell configuration in a bounded memory tier.
+// Output order is the grid's deterministic expansion order regardless
+// of worker count, so parallel and sequential runs are byte-identical.
+// An Engine is safe for concurrent use; Default is the process-wide
+// instance the experiments share, which is what deduplicates the cells
+// Table IV, Table V, Figure 4 and Figure 5 have in common.
 type Engine struct {
 	workers atomic.Int64
 	// fastPath is the sim.FastPathMode cells run with (default
@@ -50,14 +51,22 @@ type Engine struct {
 	simulations atomic.Int64
 
 	mu sync.Mutex
-	// cache memoizes settled cells. Its length is NOT the miss count:
-	// hardened retries forget poisoned entries, so misses get their own
-	// monotone counter below.
-	cache     map[CellKey]*cellEntry
+	// cache memoizes cells, at most maxMemoCells of them. Its length is
+	// NOT the miss count: rotations and hardened retries drop entries, so
+	// misses get their own monotone counter below.
+	cache     *memo.Map[CellKey, *cellEntry]
 	hits      int64
 	misses    int64
-	evictions int64
+	joins     int64
+	evictions int64 // hardened-retry forgets; rotation drops are cache.Dropped()
 }
+
+// maxMemoCells bounds the memory tier. Full, it holds about 25 MB of
+// live heap (measured: the heap plateaus there under a stream of unique
+// cells). Every paper grid fits many times over; a daemon answering
+// unique cells for days stays flat instead of growing by one entry per
+// distinct cell. A constant, not a knob.
+const maxMemoCells = 1 << 16
 
 // storeRef boxes the Store interface so it can live in an
 // atomic.Pointer.
@@ -65,17 +74,20 @@ type storeRef struct{ s Store }
 
 // cellEntry memoizes one cell, singleflight-style: the first goroutine to
 // request a key simulates it inside once; everyone else blocks on the
-// same once and reads the settled result.
+// same once and reads the settled result. Evicting an entry only drops
+// the map's reference, so goroutines already holding it still get the
+// result.
 type cellEntry struct {
-	once sync.Once
-	rec  Record
-	err  error
+	once    sync.Once
+	settled atomic.Bool // once has returned; a hit before then is a join
+	rec     Record
+	err     error
 }
 
 // NewEngine returns an engine running at most workers cells concurrently
 // (<= 0 means GOMAXPROCS).
 func NewEngine(workers int) *Engine {
-	e := &Engine{cache: make(map[CellKey]*cellEntry)}
+	e := &Engine{cache: memo.New[CellKey, *cellEntry](maxMemoCells)}
 	e.simulate = func(k CellKey) (Record, error) { return runCell(k, e.FastPath()) }
 	e.workers.Store(int64(workers))
 	return e
@@ -222,13 +234,16 @@ func (e *Engine) Cells(keys []CellKey) ([]Record, error) {
 func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 	reg := e.tel.Load()
 	e.mu.Lock()
-	en, ok := e.cache[k]
+	en, ok := e.cache.Get(k)
 	if !ok {
 		en = &cellEntry{}
-		e.cache[k] = en
+		e.cache.Put(k, en)
 		e.misses++
 	} else {
 		e.hits++
+		if !en.settled.Load() {
+			e.joins++
+		}
 	}
 	e.mu.Unlock()
 	if ok {
@@ -237,6 +252,7 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		reg.Counter(MetricCacheTotal, telemetry.L("result", "miss")).Inc()
 	}
 	en.once.Do(func() {
+		defer en.settled.Store(true)
 		// Second tier: a disk hit promotes into the memory map without
 		// simulating. Only verified content comes back from the store, so
 		// this branch can change wall time but never records.
@@ -282,10 +298,9 @@ func cellName(k CellKey) string {
 // memory-tier eviction.
 func (e *Engine) forget(k CellKey) {
 	e.mu.Lock()
-	if _, ok := e.cache[k]; ok {
+	if e.cache.Delete(k) {
 		e.evictions++
 	}
-	delete(e.cache, k)
 	e.mu.Unlock()
 }
 
@@ -301,6 +316,11 @@ type CacheStats struct {
 	// Hits counts cell requests answered from the in-memory tier
 	// (including waits on a simulation already in flight).
 	Hits int64
+	// Joins counts the Hits that found their cell still in flight: the
+	// request shared another request's simulation (or disk read) instead
+	// of a settled result. This is where concurrent identical work is
+	// deduplicated.
+	Joins int64
 	// Misses counts cell requests the memory tier could not answer. This
 	// is a dedicated monotone counter, not the cache's size: hardened
 	// retries forget poisoned entries, so a retried cell is two misses
@@ -308,7 +328,8 @@ type CacheStats struct {
 	// still a memory miss.
 	Misses int64
 	// Memory is the in-memory tier's traffic (Hits/Misses restated, plus
-	// evictions from hardened-retry forgets).
+	// evictions: entries the bound rotated out and hardened-retry
+	// forgets).
 	Memory TierStats
 	// Disk is the persistent tier's traffic as driven by this engine,
 	// with Evictions and Quarantined read from the store itself.
@@ -325,10 +346,12 @@ type CacheStats struct {
 // Stats returns a snapshot of the cache counters.
 func (e *Engine) Stats() CacheStats {
 	e.mu.Lock()
-	hits, misses, evict := e.hits, e.misses, e.evictions
+	hits, misses, joins := e.hits, e.misses, e.joins
+	evict := e.evictions + e.cache.Dropped()
 	e.mu.Unlock()
 	st := CacheStats{
 		Hits:   hits,
+		Joins:  joins,
 		Misses: misses,
 		Memory: TierStats{Hits: hits, Misses: misses, Evictions: evict},
 		Disk: TierStats{
@@ -351,9 +374,10 @@ func (e *Engine) Stats() CacheStats {
 // and eviction history outlive any one engine by design.
 func (e *Engine) ResetCache() {
 	e.mu.Lock()
-	e.cache = make(map[CellKey]*cellEntry)
+	e.cache = memo.New[CellKey, *cellEntry](maxMemoCells)
 	e.hits = 0
 	e.misses = 0
+	e.joins = 0
 	e.evictions = 0
 	e.mu.Unlock()
 	e.diskHits.Store(0)

@@ -39,7 +39,7 @@ func TestStatsMissCounterSurvivesRetry(t *testing.T) {
 	stats := e.Stats()
 	if stats.Misses != 2 {
 		t.Errorf("Misses = %d, want 2 (both simulations), cache len is %d",
-			stats.Misses, len(e.cache))
+			stats.Misses, e.cache.Len())
 	}
 	if stats.Hits != 0 {
 		t.Errorf("Hits = %d, want 0", stats.Hits)

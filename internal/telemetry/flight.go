@@ -100,6 +100,16 @@ func (f *FlightRecorder) Cap() int {
 	return len(f.slots)
 }
 
+// Len reports how many entries the ring retains (0 on nil): every
+// recorded entry until the ring fills, then its capacity. Unlike
+// len(Snapshot()) it copies nothing.
+func (f *FlightRecorder) Len() int {
+	if f == nil {
+		return 0
+	}
+	return int(min(f.seq.Load(), uint64(len(f.slots))))
+}
+
 // Snapshot returns the retained entries oldest-first. Entries being
 // overwritten concurrently may be skipped; what is returned is always
 // internally consistent (whole entries, ascending Seq).

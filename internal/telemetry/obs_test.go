@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -85,9 +86,10 @@ func TestObsContextPlumbing(t *testing.T) {
 	src := ContextWithTrace(t.Context(), tc)
 	src = ContextWithSpan(src, SpanID(7))
 
-	// WithObsContext re-attaches identity onto an unrelated context —
-	// the coalesced-flight case.
-	dst := WithObsContext(t.Context(), src)
+	// Identity survives a derived context, such as a request's deadline
+	// context.
+	dst, cancel := context.WithTimeout(src, time.Minute)
+	defer cancel()
 	got, ok := TraceFromContext(dst)
 	if !ok || got != tc {
 		t.Fatalf("trace lost: %+v ok=%v", got, ok)
@@ -229,7 +231,13 @@ func TestFlightRingWraparound(t *testing.T) {
 		t.Fatalf("cap %d want 4", fr.Cap())
 	}
 	for i := 0; i < 10; i++ {
+		if fr.Len() != min(i, 4) {
+			t.Fatalf("after %d records Len %d, want %d", i, fr.Len(), min(i, 4))
+		}
 		fr.Record(FlightEntry{Kind: "request", Path: fmt.Sprintf("/r/%d", i)})
+	}
+	if fr.Len() != 4 {
+		t.Fatalf("full ring Len %d, want 4", fr.Len())
 	}
 	snap := fr.Snapshot()
 	if len(snap) != 4 {
@@ -263,8 +271,8 @@ func TestFlightNilSafe(t *testing.T) {
 	if got := fr.Snapshot(); got != nil {
 		t.Fatalf("nil snapshot: %v", got)
 	}
-	if fr.Cap() != 0 {
-		t.Fatal("nil cap")
+	if fr.Cap() != 0 || fr.Len() != 0 {
+		t.Fatal("nil cap or len")
 	}
 }
 

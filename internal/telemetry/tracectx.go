@@ -165,18 +165,3 @@ func SpanFromContext(ctx context.Context) SpanID {
 	id, _ := ctx.Value(spanCtxKey{}).(SpanID)
 	return id
 }
-
-// WithObsContext copies the observability values (trace context, parent
-// span) from src onto dst. The serving tier runs coalesced computations
-// under a lifecycle context that deliberately does NOT descend from the
-// request (a drain must cancel them, a departing client must not); this
-// re-attaches the request's identity to that detached context.
-func WithObsContext(dst, src context.Context) context.Context {
-	if tc, ok := TraceFromContext(src); ok {
-		dst = ContextWithTrace(dst, tc)
-	}
-	if id := SpanFromContext(src); id != 0 {
-		dst = ContextWithSpan(dst, id)
-	}
-	return dst
-}
