@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,35 +220,90 @@ func newFront(t *testing.T, urls ...string) (*Front, *httptest.Server) {
 	return fr, ts
 }
 
-// rewriteFirstRecord applies edit to the first record frame of an NDJSON
-// stream body; dup also repeats the (edited) frame right after it.
-func rewriteFirstRecord(t *testing.T, body []byte, dup bool, edit func(*serve.StreamFrame)) []byte {
-	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
-	var out []string
-	done := false
-	for _, line := range lines {
+// splitStream parses an NDJSON stream body into its record frames and
+// its summary.
+func splitStream(t *testing.T, body []byte) ([]serve.StreamFrame, serve.StreamFrame) {
+	var recs []serve.StreamFrame
+	var sum serve.StreamFrame
+	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
 		var fr serve.StreamFrame
 		if err := json.Unmarshal([]byte(line), &fr); err != nil {
 			t.Errorf("backend frame %q: %v", line, err)
 		}
-		if done || fr.Type != "record" {
-			out = append(out, line)
-			continue
-		}
-		done = true
-		edit(&fr)
-		b, _ := json.Marshal(fr)
-		out = append(out, string(b))
-		if dup {
-			out = append(out, string(b))
+		if fr.Type == "record" {
+			recs = append(recs, fr)
+		} else {
+			sum = fr
 		}
 	}
-	return []byte(strings.Join(out, "\n") + "\n")
+	return recs, sum
+}
+
+// joinStream renders frames as an NDJSON stream body, as serve writes it.
+func joinStream(frames ...serve.StreamFrame) []byte {
+	var b []byte
+	for _, fr := range frames {
+		line, _ := json.Marshal(fr)
+		b = append(append(b, line...), '\n')
+	}
+	return b
+}
+
+// askLog records how many cells each stream a backend answered was for
+// (its summary's Cells).
+type askLog struct {
+	mu    sync.Mutex
+	cells []int
+}
+
+func (a *askLog) record(t *testing.T, path string, body []byte) {
+	if path != "/v1/sweep/stream" {
+		return
+	}
+	_, sum := splitStream(t, body)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.cells = append(a.cells, sum.Cells)
+}
+
+// take returns the logged cell counts, sorted, and clears the log.
+func (a *askLog) take() []int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := a.cells
+	a.cells = nil
+	sort.Ints(out)
+	return out
+}
+
+// sweepBoth requests tableGrid from a front as one unary body or as an
+// NDJSON stream, and returns the records in grid order with the summary
+// counts. A stream must carry each index at most once.
+func sweepBoth(t *testing.T, url, format string, cells int) ([]sweep.Record, serve.StreamFrame) {
+	t.Helper()
+	if format == "unary" {
+		code, body, _ := get(t, url+"/v1/sweep?"+tableGrid)
+		var resp serve.SweepResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil || code != http.StatusOK {
+			t.Fatalf("sweep = %d (%s)", code, body)
+		}
+		return resp.Records, serve.StreamFrame{Cells: resp.Cells, Completed: resp.Completed,
+			Partial: resp.Partial, Canceled: resp.Canceled, Failures: resp.Failures}
+	}
+	code, body, _ := get(t, url+"/v1/sweep/stream?"+tableGrid)
+	if code != http.StatusOK {
+		t.Fatalf("stream = %d (%s)", code, body)
+	}
+	recs, sum := reassemble(t, body, false, cells)
+	if n := strings.Count(body, `"type":"record"`); n != sum.Completed {
+		t.Fatalf("%d record frames but summary completed=%d", n, sum.Completed)
+	}
+	return recs, sum
 }
 
 // A backend frame whose index is out of its slice used to index the
 // front's slice table unchecked and crash the whole front. It is now a
-// bad slice: nothing was forwarded yet, so the slice fails over and the
+// bad slice: nothing was delivered yet, so the slice fails over and the
 // client gets the complete grid.
 func TestFrontStreamOutOfRangeIndexFailsOver(t *testing.T) {
 	want, cells := referenceCSV(t)
@@ -254,7 +311,9 @@ func TestFrontStreamOutOfRangeIndexFailsOver(t *testing.T) {
 		if path != "/v1/sweep/stream" {
 			return code, body
 		}
-		return code, rewriteFirstRecord(t, body, false, func(fr *serve.StreamFrame) { fr.Index = 1 << 20 })
+		recs, sum := splitStream(t, body)
+		recs[0].Index = 1 << 20
+		return code, joinStream(append(recs, sum)...)
 	})
 	good := newCluster(t, 1, Config{})
 	fr, ts := newFront(t, bad.URL, good.backTS[0].URL)
@@ -274,17 +333,19 @@ func TestFrontStreamOutOfRangeIndexFailsOver(t *testing.T) {
 	}
 }
 
-// A repeated index after the first forwarded frame breaks the slice as
-// a partial one (forwarded cells must not stream twice); the client sees
-// each index once, and the cells that never arrived are not cached: the
-// next request fans out for them and comes back complete.
+// A repeated index breaks the slice after one delivered frame. With no
+// other backend to fail over to, the answer is partial: the client sees
+// each index once, Completed counts the one delivered frame, and only
+// that cell is held — the next request fans out for the rest and comes
+// back complete.
 func TestFrontStreamRepeatedIndexIsPartialAndNotCached(t *testing.T) {
 	want, cells := referenceCSV(t)
 	bad := tamperBackend(t, func(n int64, path string, code int, body []byte) (int, []byte) {
 		if path != "/v1/sweep/stream" || n > 1 {
 			return code, body
 		}
-		return code, rewriteFirstRecord(t, body, true, func(*serve.StreamFrame) {})
+		recs, sum := splitStream(t, body)
+		return code, joinStream(append([]serve.StreamFrame{recs[0]}, append(recs, sum)...)...)
 	})
 	fr, ts := newFront(t, bad.URL)
 	code, body, _ := get(t, ts.URL+"/v1/sweep/stream?"+tableGrid)
@@ -292,11 +353,11 @@ func TestFrontStreamRepeatedIndexIsPartialAndNotCached(t *testing.T) {
 		t.Fatalf("stream = %d", code)
 	}
 	_, sum := reassemble(t, body, false, cells)
-	if !sum.Partial || len(sum.Failures) == 0 || sum.Completed != 0 {
+	if !sum.Partial || len(sum.Failures) == 0 || sum.Completed != 1 {
 		t.Fatalf("summary %+v, want a failed slice", sum)
 	}
 	if st := fr.Snapshot(); st.Failovers != 0 {
-		t.Fatalf("failed over after forwarding a frame: %+v", st)
+		t.Fatalf("failed over with one backend: %+v", st)
 	}
 
 	before := fr.Snapshot()
@@ -320,76 +381,156 @@ func TestFrontStreamRepeatedIndexIsPartialAndNotCached(t *testing.T) {
 	}
 }
 
-// A unary sub-sweep with fewer records than cells used to index past
-// the record list; now it is a bad slice that fails over.
+// A backend stream one record frame short of its own summary is a
+// broken slice, on both endpoints: it fails over, and the next backend
+// is asked only for the missing cell. (The front used to trust the
+// summary and answer the grid complete with one zero record.)
 func TestFrontSweepShortRecordListFailsOver(t *testing.T) {
 	want, cells := referenceCSV(t)
+	var badAsks, goodAsks askLog
 	bad := tamperBackend(t, func(_ int64, path string, code int, body []byte) (int, []byte) {
-		if path != "/v1/sweep" {
+		badAsks.record(t, path, body)
+		if path != "/v1/sweep/stream" {
 			return code, body
 		}
-		var resp serve.SweepResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Errorf("backend body: %v", err)
-		}
-		resp.Records = resp.Records[:len(resp.Records)-1]
-		b, _ := json.Marshal(resp)
-		return code, b
+		recs, sum := splitStream(t, body)
+		return code, joinStream(append(recs[1:], sum)...)
 	})
-	good := newCluster(t, 1, Config{})
-	fr, ts := newFront(t, bad.URL, good.backTS[0].URL)
-	code, body, _ := get(t, ts.URL+"/v1/sweep?"+tableGrid)
-	if code != http.StatusOK {
-		t.Fatalf("sweep = %d (%s)", code, body)
-	}
-	var resp serve.SweepResponse
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Partial || resp.Completed != cells {
-		t.Fatalf("%d/%d partial=%v, want complete after failover", resp.Completed, resp.Cells, resp.Partial)
-	}
-	if got := renderCSV(t, resp.Records); got != want {
-		t.Fatal("failed-over sweep differs from RunSequential")
-	}
-	if fr.Snapshot().Failovers == 0 {
-		t.Fatal("short record list did not fail over")
+	good := tamperBackend(t, func(_ int64, path string, code int, body []byte) (int, []byte) {
+		goodAsks.record(t, path, body)
+		return code, body
+	})
+	for _, format := range []string{"unary", "stream"} {
+		fr, ts := newFront(t, bad.URL, good.URL)
+		recs, sum := sweepBoth(t, ts.URL, format, cells)
+		if sum.Partial || sum.Completed != cells || sum.Cells != cells {
+			t.Fatalf("%s: %d/%d partial=%v, want complete after failover", format, sum.Completed, sum.Cells, sum.Partial)
+		}
+		if got := renderCSV(t, recs); got != want {
+			t.Fatalf("%s: failed-over sweep differs from RunSequential", format)
+		}
+		if fr.Snapshot().Failovers == 0 {
+			t.Fatalf("%s: short stream did not fail over", format)
+		}
+		b, g := badAsks.take(), goodAsks.take()
+		if len(b) != 1 || len(g) != 2 || g[0] != 1 || b[0]+g[1] != cells {
+			t.Fatalf("%s: bad backend asked for %v cells, good for %v; want the good one asked for its slice and the one missing cell", format, b, g)
+		}
 	}
 }
 
-// Neither a deadline-cut partial sub-sweep nor a failed one enters the
-// cache: the next request fans out again and comes back complete.
+// With no backend to fail over to, the same short stream is a partial
+// answer: Completed is the frames delivered, the missing cell is not
+// held, and the next request fans out for that cell alone.
+func TestFrontShortStreamWithOneBackendIsPartial(t *testing.T) {
+	want, cells := referenceCSV(t)
+	for _, format := range []string{"unary", "stream"} {
+		var asks askLog
+		bad := tamperBackend(t, func(n int64, path string, code int, body []byte) (int, []byte) {
+			asks.record(t, path, body)
+			if path != "/v1/sweep/stream" || n > 1 {
+				return code, body
+			}
+			recs, sum := splitStream(t, body)
+			return code, joinStream(append(recs[1:], sum)...)
+		})
+		fr, ts := newFront(t, bad.URL)
+		recs, sum := sweepBoth(t, ts.URL, format, cells)
+		if !sum.Partial || sum.Completed != cells-1 || len(sum.Failures) != 1 {
+			t.Fatalf("%s: %+v, want partial with %d delivered", format, sum, cells-1)
+		}
+		zero := 0
+		for _, r := range recs {
+			if r == (sweep.Record{}) {
+				zero++
+			}
+		}
+		if zero != 1 {
+			t.Fatalf("%s: %d zero records, want the one missing cell", format, zero)
+		}
+		asks.take()
+
+		before := fr.Snapshot()
+		recs, sum = sweepBoth(t, ts.URL, format, cells)
+		if sum.Partial || sum.Completed != cells || renderCSV(t, recs) != want {
+			t.Fatalf("%s: second sweep %+v, want the complete reference grid", format, sum)
+		}
+		after := fr.Snapshot()
+		if hits := after.CellHits - before.CellHits; hits != int64(cells-1) {
+			t.Fatalf("%s: %d cells held, want every delivered one (%d)", format, hits, cells-1)
+		}
+		if got := asks.take(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s: second request asked the backend for %v cells, want [1]", format, got)
+		}
+	}
+}
+
+// A backend stream cut after some frames with no summary fails over
+// with only the undelivered cells: on both endpoints the client sees
+// each index exactly once and the complete grid.
+func TestFrontStreamCutWithoutSummaryFailsOverRemainder(t *testing.T) {
+	want, cells := referenceCSV(t)
+	bad := tamperBackend(t, func(_ int64, path string, code int, body []byte) (int, []byte) {
+		if path != "/v1/sweep/stream" {
+			return code, body
+		}
+		recs, _ := splitStream(t, body)
+		return code, joinStream(recs[:len(recs)/2]...)
+	})
+	good := newCluster(t, 1, Config{})
+	for _, format := range []string{"unary", "stream"} {
+		fr, ts := newFront(t, bad.URL, good.backTS[0].URL)
+		recs, sum := sweepBoth(t, ts.URL, format, cells)
+		if sum.Partial || sum.Completed != cells {
+			t.Fatalf("%s: %+v, want a complete grid", format, sum)
+		}
+		if got := renderCSV(t, recs); got != want {
+			t.Fatalf("%s: differs from RunSequential", format)
+		}
+		if fr.Snapshot().Failovers == 0 {
+			t.Fatalf("%s: cut stream did not fail over", format)
+		}
+	}
+}
+
+// A well-formed partial summary (a deadline cut the backend's run) is
+// the backend's answer, relayed and not retried: every delivered cell is
+// held and the missing one is not, so the next request fans out for
+// exactly that cell. A failed slice delivers nothing and holds nothing.
 func TestFrontPartialOrFailedSliceNotCached(t *testing.T) {
 	want, cells := referenceCSV(t)
-	for name, cut := range map[string]func(code int, body []byte) (int, []byte){
-		"partial": func(code int, body []byte) (int, []byte) {
-			var resp serve.SweepResponse
-			if err := json.Unmarshal(body, &resp); err != nil {
-				t.Errorf("backend body: %v", err)
-			}
-			resp.Records[len(resp.Records)-1] = sweep.Record{}
-			resp.Completed--
-			resp.Partial, resp.Canceled = true, true
-			resp.Failures = []string{"deadline exceeded"}
-			b, _ := json.Marshal(resp)
-			return code, b
-		},
-		"failed": func(int, []byte) (int, []byte) {
+	for name, tc := range map[string]struct {
+		cut  func(code int, body []byte) (int, []byte)
+		held int
+	}{
+		"partial": {func(code int, body []byte) (int, []byte) {
+			recs, sum := splitStream(t, body)
+			sum.Completed--
+			sum.Partial, sum.Canceled, sum.Reason = true, true, "deadline"
+			sum.Failures = []string{"deadline exceeded"}
+			return code, joinStream(append(recs[:len(recs)-1], sum)...)
+		}, cells - 1},
+		"failed": {func(int, []byte) (int, []byte) {
 			return http.StatusInternalServerError, []byte(`{"error":"boom"}` + "\n")
-		},
+		}, 0},
 	} {
 		t.Run(name, func(t *testing.T) {
+			var asks askLog
 			bad := tamperBackend(t, func(n int64, path string, code int, body []byte) (int, []byte) {
 				if n > 1 {
+					asks.record(t, path, body)
 					return code, body
 				}
-				return cut(code, body)
+				return tc.cut(code, body)
 			})
 			fr, ts := newFront(t, bad.URL)
 			code, body, _ := get(t, ts.URL+"/v1/sweep?"+tableGrid)
 			var resp serve.SweepResponse
 			if err := json.Unmarshal([]byte(body), &resp); err != nil || code != http.StatusOK || !resp.Partial {
 				t.Fatalf("first sweep = %d partial=%v (%s)", code, resp.Partial, body)
+			}
+			if resp.Completed != tc.held {
+				t.Fatalf("first sweep completed=%d, want the %d delivered cells", resp.Completed, tc.held)
 			}
 
 			before := fr.Snapshot()
@@ -402,9 +543,11 @@ func TestFrontPartialOrFailedSliceNotCached(t *testing.T) {
 				t.Fatalf("second sweep %d/%d partial=%v, want the complete reference grid", resp.Completed, cells, resp.Partial)
 			}
 			after := fr.Snapshot()
-			if after.CellHits != before.CellHits || after.Fanouts == before.Fanouts {
-				t.Fatalf("cut slice was cached: hits %d -> %d, fanouts %d -> %d",
-					before.CellHits, after.CellHits, before.Fanouts, after.Fanouts)
+			if hits := after.CellHits - before.CellHits; hits != int64(tc.held) {
+				t.Fatalf("%d cells held, want the %d delivered ones", hits, tc.held)
+			}
+			if got := asks.take(); len(got) != 1 || got[0] != cells-tc.held {
+				t.Fatalf("second request asked the backend for %v cells, want [%d]", got, cells-tc.held)
 			}
 		})
 	}

@@ -7,18 +7,20 @@
 // while the shared disk CAS makes every backend's results visible to
 // all of them.
 //
-// Grid sweeps are digest-partitioned: the front expands the request to
-// its cell list (the exact expansion the backends use), slices it by
-// ring owner, POSTs each slice as an explicit {"cells": [...]} sub-grid,
-// and merges the sub-results back into the global cell order — byte-
-// identical to a single process running the whole grid. Streaming
-// sweeps merge the backends' frame streams the same way, re-indexing
-// each record frame from its slice-local index to the global one as it
-// arrives.
+// Grid sweeps are digest-partitioned and take one path: the front
+// expands the request to its cell list (the exact expansion the backends
+// use), slices it by ring owner, and streams each slice from its owner's
+// /v1/sweep/stream as an explicit {"cells": [...]} sub-grid. Each record
+// frame is checked, re-indexed from its slice-local index to the global
+// one and delivered as it arrives: the stream endpoint forwards it, the
+// unary endpoint collects the frames into one SweepResponse. Either
+// answer is byte-identical to a single process running the whole grid.
+// A slice whose stream breaks fails over with only the cells it has not
+// delivered, and the summary's completed count is the frames delivered.
 //
 // Cell cache: the front keeps a bounded digest → record map (a
-// memo.Map, like the backends' cell memo) filled only from validated,
-// complete backend answers. A held cell is answered
+// memo.Map, like the backends' cell memo) filled from every record it
+// delivers, never from an undelivered cell. A held cell is answered
 // without a backend hop — no backend admission, no tenant bucket, even
 // with every backend draining or down — and a grid fans out only its
 // unheld cells. The digest is the cell's content, so entries never need
@@ -164,8 +166,8 @@ func (c *cellCache) get(digest string) (sweep.Record, bool) {
 	return c.m.Get(digest)
 }
 
-// put stores a record. Callers pass only validated, complete backend
-// answers: whatever is put here is served without a backend hop.
+// put stores a record. Callers pass only validated backend answers:
+// whatever is put here is served without a backend hop.
 func (c *cellCache) put(digest string, r sweep.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -591,81 +593,8 @@ func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, boo
 	return g, true
 }
 
-// subSweep runs one partition's unary sub-sweep with failover, keyed by
-// the partition's first cell digest (any stable key rotates from the
-// owner; the first cell's owner IS the slice's owner, so attempt 0 goes
-// there). A complete answer fills the cell cache.
-func (f *Front) subSweep(r *http.Request, p partition) (*serve.SweepResponse, error) {
-	body, err := serve.CellsBody(p.keys)
-	if err != nil {
-		return nil, err
-	}
-	var got *serve.SweepResponse
-	var lastErr error
-	f.tryBackends(p.digests[0], func(i int) (bool, bool) {
-		f.fanouts.Add(1)
-		f.reg.Counter(MetricFanouts).Inc()
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			f.backends[i]+"/v1/sweep"+timeoutQuery(r), bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			return false, false
-		}
-		req.Header.Set("Content-Type", "application/json")
-		for _, h := range forwardHeaders {
-			if v := r.Header.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
-		finish := f.propagate(r.Context(), req, i)
-		resp, err := f.client.Do(req)
-		finish()
-		if err != nil {
-			lastErr = err
-			return false, true
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			io.Copy(io.Discard, resp.Body)
-			lastErr = fmt.Errorf("backend %s draining", f.backends[i])
-			return false, true
-		}
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			lastErr = fmt.Errorf("backend %s: %d %s", f.backends[i], resp.StatusCode, strings.TrimSpace(string(b)))
-			return false, false
-		}
-		// A body that does not decode or does not carry one record per
-		// cell is a broken backend, like a malformed stream line: nothing
-		// reached the client yet, so fail over.
-		var sub serve.SweepResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			lastErr = fmt.Errorf("backend %s: bad body: %v", f.backends[i], err)
-			return false, true
-		}
-		if len(sub.Records) != len(p.keys) {
-			lastErr = fmt.Errorf("backend %s: %d records for %d cells", f.backends[i], len(sub.Records), len(p.keys))
-			return false, true
-		}
-		got = &sub
-		return true, false
-	})
-	if got == nil {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("no backend available")
-		}
-		return nil, lastErr
-	}
-	if !got.Partial && got.Completed == len(p.keys) {
-		for j, d := range p.digests {
-			f.cells.put(d, got.Records[j])
-		}
-	}
-	return got, nil
-}
-
 // timeoutQuery propagates an explicit ?timeout= to sub-requests (the
-// Request-Timeout header travels via forwardHeaders).
+// Request-Timeout header travels with them too).
 func timeoutQuery(r *http.Request) string {
 	if v := r.URL.Query().Get("timeout"); v != "" {
 		return "?timeout=" + v
@@ -673,172 +602,121 @@ func timeoutQuery(r *http.Request) string {
 	return ""
 }
 
-// handleSweep fans a grid's unheld cells out across the backends and
-// merges the sub-responses around the held ones, in global cell order.
+// handleSweep answers a grid as one body: the fan-out's record frames
+// fill the plan's records in global cell order around the held ones.
 func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep")
 	g, ok := f.planGrid(w, r)
 	if !ok {
 		return
 	}
-	merged := serve.SweepResponse{
-		Records:   g.records,
-		Cells:     len(g.records),
-		Completed: len(g.held),
-	}
-	type subResult struct {
-		part partition
-		resp *serve.SweepResponse
-		err  error
-	}
-	results := make([]subResult, len(g.parts))
-	var wg sync.WaitGroup
-	for pi, p := range g.parts {
-		wg.Add(1)
-		go func(pi int, p partition) {
-			defer wg.Done()
-			resp, err := f.subSweep(r, p)
-			results[pi] = subResult{part: p, resp: resp, err: err}
-		}(pi, p)
-	}
-	wg.Wait()
-
-	for _, res := range results {
-		if res.err != nil {
-			// The slice's cells stay zero-valued — the same shape a
-			// single-process partial run gives failed cells.
-			merged.Partial = true
-			merged.Failures = append(merged.Failures,
-				fmt.Sprintf("backend slice (%d cells): %v", len(res.part.keys), res.err))
-			continue
-		}
-		for j, gi := range res.part.indices {
-			merged.Records[gi] = res.resp.Records[j]
-		}
-		merged.Completed += res.resp.Completed
-		merged.Partial = merged.Partial || res.resp.Partial
-		merged.Canceled = merged.Canceled || res.resp.Canceled
-		merged.Failures = append(merged.Failures, res.resp.Failures...)
-	}
-	httpkit.WriteJSON(w, http.StatusOK, merged)
+	sum := f.fanOut(r, g, func(fr *serve.StreamFrame) { g.records[fr.Index] = *fr.Record })
+	httpkit.WriteJSON(w, http.StatusOK, sum.Response(g.records))
 }
 
-// ---- streaming fan-out ----
-
-// handleSweepStream streams a grid: held cells' frames first, then the
-// unheld cells' backend streams interleaved onto one client stream,
-// each record frame re-indexed from its slice-local index to the global
-// one. The terminal summary counts both; per-backend cache detail stays
-// on the backends' own /v1/stats.
+// handleSweepStream answers a grid as a frame stream: held cells'
+// frames first, then the backends' frames as they arrive, then the
+// merged summary. Per-backend cache detail stays on the backends' own
+// /v1/stats.
 func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	f.count("sweep_stream")
 	g, ok := f.planGrid(w, r)
 	if !ok {
 		return
 	}
+	sw := serve.NewStreamWriter(w, r)
+	clientGone := false
+	sum := f.fanOut(r, g, func(fr *serve.StreamFrame) {
+		// A gone client stops the writes, not the fan-out: the backend
+		// readers run to the end and every frame they validated is cached.
+		clientGone = clientGone || sw.Frame(fr) != nil
+	})
+	if !clientGone {
+		_ = sw.Frame(&sum) // last write: a client gone now needs nothing more
+	}
+}
 
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-store")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Header().Set("X-Accel-Buffering", "no")
-	flusher, _ := w.(http.Flusher)
-
-	// Frames funnel through one channel (buffered to the grid plus one
-	// summary per partition) so backend readers never block on the
-	// client writer. Held cells are queued before any reader starts.
-	frames := make(chan serve.StreamFrame, len(g.records)+len(g.parts))
-	for _, gi := range g.held {
-		frames <- serve.StreamFrame{Type: "record", Index: gi, Record: &g.records[gi]}
-	}
-	type subSummary struct {
-		frame serve.StreamFrame
-		err   error
-		cells int
-	}
-	summaries := make([]subSummary, len(g.parts))
+// fanOut is the one grid path through the fleet. It streams every
+// unheld slice from its ring owner (subStream, one goroutine each) and
+// calls deliver on the caller's goroutine once per cell that arrives,
+// held cells first, each frame carrying its global index. It returns
+// the merged summary, whose Completed is the number of frames
+// delivered.
+func (f *Front) fanOut(r *http.Request, g *gridPlan, deliver func(*serve.StreamFrame)) serve.StreamFrame {
+	// Buffered to every unheld cell: no cell is delivered twice, so the
+	// backend readers never block on deliver.
+	frames := make(chan serve.StreamFrame, len(g.records)-len(g.held))
+	sums := make([]serve.StreamFrame, len(g.parts))
+	errs := make([]error, len(g.parts))
 	var wg sync.WaitGroup
 	for pi, p := range g.parts {
 		wg.Add(1)
 		go func(pi int, p partition) {
 			defer wg.Done()
-			sum, err := f.subStream(r, p, frames)
-			summaries[pi] = subSummary{frame: sum, err: err, cells: len(p.keys)}
+			sums[pi], errs[pi] = f.subStream(r, p, frames)
 		}(pi, p)
 	}
 	go func() { wg.Wait(); close(frames) }()
 
-	emit := func(fr *serve.StreamFrame) bool {
-		data, err := json.Marshal(fr)
-		if err != nil {
-			return false
-		}
-		if sse {
-			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", fr.Type, data)
-		} else {
-			_, err = w.Write(append(data, '\n'))
-		}
-		if err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	sum := serve.StreamFrame{Type: "summary", Cells: len(g.records)}
+	for _, gi := range g.held {
+		deliver(&serve.StreamFrame{Type: "record", Index: gi, Record: &g.records[gi]})
+		sum.Completed++
 	}
-
-	clientGone := false
 	for fr := range frames {
-		if clientGone {
-			continue // keep draining so sub-readers finish
-		}
-		if !emit(&fr) {
-			clientGone = true
-		}
+		deliver(&fr)
+		sum.Completed++
 	}
-	if clientGone {
-		return
-	}
-
-	sum := serve.StreamFrame{Type: "summary", Cells: len(g.records), Completed: len(g.held)}
-	for _, s := range summaries {
-		if s.err != nil {
+	for pi, s := range sums {
+		if errs[pi] != nil {
+			// The slice's undelivered cells stay zero-valued — the shape a
+			// single-process partial run gives failed cells.
 			sum.Partial = true
-			sum.Failures = append(sum.Failures,
-				fmt.Sprintf("backend slice (%d cells): %v", s.cells, s.err))
+			sum.Failures = append(sum.Failures, errs[pi].Error())
 			continue
 		}
-		sum.Completed += s.frame.Completed
-		sum.Partial = sum.Partial || s.frame.Partial
-		sum.Canceled = sum.Canceled || s.frame.Canceled
+		sum.Partial = sum.Partial || s.Partial
+		sum.Canceled = sum.Canceled || s.Canceled
 		if sum.Reason == "" {
-			sum.Reason = s.frame.Reason
+			sum.Reason = s.Reason
 		}
-		sum.Failures = append(sum.Failures, s.frame.Failures...)
+		sum.Failures = append(sum.Failures, s.Failures...)
 	}
-	emit(&sum)
+	return sum
 }
 
-// subStream runs one partition's backend stream, forwarding re-indexed
-// record frames (each also filling the cell cache) and returning the
-// backend's summary frame. A frame that does not parse, or whose index
-// is out of the slice or repeated, breaks the slice. Failover only
-// applies before the first frame is forwarded: once frames flowed, a
-// broken backend stream is a partial slice, not a retry (the cells
-// already forwarded must not stream twice).
+// subStream streams one partition from /v1/sweep/stream on its ring
+// owner, keyed by the partition's first cell digest (the first cell's
+// owner IS the slice's owner, so attempt 0 goes there). Each record
+// frame fills the cell cache and goes to frames re-indexed from
+// slice-local to global; the backend's summary is returned.
+//
+// A backend's answer is broken when a frame does not parse, an index is
+// out of range or repeated, the stream ends without a summary, or the
+// summary disagrees with what arrived (Cells is not the cells asked
+// for, or Completed is not the record frames received). A broken answer
+// fails over to the next backend with only the cells not delivered yet,
+// so a delivered cell never travels twice. A well-formed partial
+// summary (deadline, drain) is the backend's answer and is not retried.
 func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.StreamFrame) (serve.StreamFrame, error) {
-	body, err := serve.CellsBody(p.keys)
-	if err != nil {
-		return serve.StreamFrame{}, err
+	todo := make([]int, len(p.keys)) // partition-local indices not yet delivered
+	for j := range todo {
+		todo[j] = j
 	}
 	var summary *serve.StreamFrame
 	var lastErr error
 	f.tryBackends(p.digests[0], func(i int) (bool, bool) {
 		f.fanouts.Add(1)
 		f.reg.Counter(MetricFanouts).Inc()
+		keys := make([]sweep.CellKey, len(todo))
+		for n, j := range todo {
+			keys[n] = p.keys[j]
+		}
+		body, err := serve.CellsBody(keys)
+		if err != nil {
+			lastErr = err
+			return false, false
+		}
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 			f.backends[i]+"/v1/sweep/stream"+timeoutQuery(r), bytes.NewReader(body))
 		if err != nil {
@@ -872,15 +750,26 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 			lastErr = fmt.Errorf("backend %s: %d %s", f.backends[i], resp.StatusCode, strings.TrimSpace(string(b)))
 			return false, false
 		}
-		forwarded := false
-		seen := make([]bool, len(p.keys))
+		seen := make([]bool, len(todo))
+		got := 0
 		broken := func(format string, args ...any) (bool, bool) {
 			lastErr = fmt.Errorf("backend %s: "+format, append([]any{f.backends[i]}, args...)...)
-			return forwarded, !forwarded
+			left := todo[:0:0]
+			for n, j := range todo {
+				if !seen[n] {
+					left = append(left, j)
+				}
+			}
+			todo = left
+			if len(todo) == 0 {
+				summary = &serve.StreamFrame{Type: "summary"} // every cell arrived
+				return true, false
+			}
+			return false, r.Context().Err() == nil
 		}
 		var sum *serve.StreamFrame
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64*1024), 1<<20)
+		sc.Buffer(nil, 1<<20) // frames are small: start at the default size, cap a bad line
 		for sc.Scan() {
 			line := sc.Bytes()
 			if len(bytes.TrimSpace(line)) == 0 {
@@ -896,10 +785,11 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 					return broken("bad record frame: index %d of %d cells", fr.Index, len(seen))
 				}
 				seen[fr.Index] = true
-				f.cells.put(p.digests[fr.Index], *fr.Record)
-				fr.Index = p.indices[fr.Index] // slice-local -> global
+				got++
+				j := todo[fr.Index]
+				f.cells.put(p.digests[j], *fr.Record)
+				fr.Index = p.indices[j] // slice-local -> global
 				frames <- fr
-				forwarded = true
 			case "summary":
 				sum = &fr
 			}
@@ -910,6 +800,10 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 		if sum == nil {
 			return broken("stream ended without summary")
 		}
+		if sum.Cells != len(todo) || sum.Completed != got {
+			return broken("summary counts %d/%d cells, %d/%d arrived",
+				sum.Completed, sum.Cells, got, len(todo))
+		}
 		summary = sum
 		return true, false
 	})
@@ -917,7 +811,7 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no backend available")
 		}
-		return serve.StreamFrame{}, lastErr
+		return serve.StreamFrame{}, fmt.Errorf("backend slice (%d cells undelivered): %v", len(todo), lastErr)
 	}
 	return *summary, nil
 }

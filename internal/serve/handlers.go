@@ -198,8 +198,9 @@ type SimulateResponse struct {
 	Record sweep.Record `json:"record"`
 }
 
-// cellKeyFrom parses the cell-addressing query parameters shared by
-// /v1/simulate.
+// cellKeyFrom parses /v1/simulate's cell-addressing query parameters
+// into a normalized key, so an impossible cell is a 400 before
+// admission.
 func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 	q := r.URL.Query()
 	k := sweep.CellKey{
@@ -226,7 +227,7 @@ func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 	if q.Get("ref") == "true" || q.Get("ref") == "1" {
 		k.Ref = true
 	}
-	return k, nil
+	return k.Normalize()
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -325,21 +326,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if rerr != nil {
 			return nil, 0, rerr
 		}
-		resp := SweepResponse{
-			Records:   recs,
-			Cells:     rep.Cells,
-			Completed: rep.Completed,
-			Partial:   rep.Failed(),
-			Canceled:  rep.Canceled,
-		}
-		for _, f := range rep.Failures {
-			resp.Failures = append(resp.Failures, f.Error())
-		}
-		if resp.Partial {
-			s.partials.Add(1)
-			s.reg.Counter(MetricPartials).Inc()
-		}
-		return resp, http.StatusOK, nil
+		sum := s.summarize(ctx, rep)
+		return sum.Response(recs), http.StatusOK, nil
 	})
 }
 

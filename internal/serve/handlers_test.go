@@ -27,3 +27,38 @@ func TestShedPathsNeverSendRetryAfterZero(t *testing.T) {
 		t.Fatalf("Retry-After %d on the quota shed path: clients told to retry immediately during overload", secs)
 	}
 }
+
+// A cell no simulation can honour is a 400 on every cell endpoint, and
+// is refused before admission: with a one-request tenant budget, the
+// valid request after the refusals is still admitted.
+func TestImpossibleCellsAre400(t *testing.T) {
+	srv, ts := newTestServer(t, Config{TenantRate: 0.001, TenantBurst: 1}, nil)
+	for _, p := range []string{
+		"/v1/simulate?benchmark=res50_tf&gpus=64",
+		"/v1/simulate?benchmark=res50_tf&gpus=0",
+		"/v1/simulate?benchmark=res50_tf&system=c4140k&gpus=8",
+		"/v1/sweep?benchmarks=res50_tf&gpus=0,1",
+		"/v1/sweep/stream?benchmarks=res50_tf&gpus=1,-2",
+	} {
+		if code, body, _ := get(t, ts.URL+p, "X-Tenant", "t"); code != http.StatusBadRequest {
+			t.Errorf("%s = %d (%s), want 400", p, code, body)
+		}
+	}
+	for _, body := range []string{
+		`{"cells":[{"benchmark":"res50_tf","gpus":64}]}`,
+		`{"cells":[{"benchmark":"res50_tf","gpus":-1}]}`,
+		`{"cells":[{"benchmark":"res50_tf","batch":-1}]}`,
+	} {
+		for _, p := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+			if code, _, _ := post(t, ts.URL+p, body, "X-Tenant", "t"); code != http.StatusBadRequest {
+				t.Errorf("POST %s %s = %d, want 400", p, body, code)
+			}
+		}
+	}
+	if code, body, _ := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf&gpus=8", "X-Tenant", "t"); code != http.StatusOK {
+		t.Fatalf("valid cell after the refusals = %d (%s): a refusal took the tenant's slot", code, body)
+	}
+	if st := srv.Snapshot(); st.Streams != 0 || st.Cache.Simulations != 1 {
+		t.Fatalf("refused cells reached the engine: %+v", st)
+	}
+}

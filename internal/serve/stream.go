@@ -107,7 +107,9 @@ const maxCellsBody = 1 << 26
 // explicit {"cells": [...]} list — the form the front tier uses to
 // express a digest-partitioned sub-grid, which no cartesian grid
 // parameter can — or the GET grid parameters expanded in deterministic
-// order.
+// order. Either way every key comes back normalized, so a cell no
+// simulation can honour is a 400 before admission, on both sweep
+// endpoints.
 func sweepKeysFrom(r *http.Request) ([]sweep.CellKey, error) {
 	if r.Method == http.MethodPost {
 		dec := json.NewDecoder(io.LimitReader(r.Body, maxCellsBody))
@@ -126,7 +128,11 @@ func sweepKeysFrom(r *http.Request) ([]sweep.CellKey, error) {
 			if c.Benchmark == "" {
 				return nil, fmt.Errorf("cell %d: missing benchmark", i)
 			}
-			keys[i] = c.key()
+			k, err := c.key().Normalize()
+			if err != nil {
+				return nil, fmt.Errorf("cell %d: %v", i, err)
+			}
+			keys[i] = k
 		}
 		return keys, nil
 	}
@@ -172,16 +178,22 @@ func CellsBody(keys []sweep.CellKey) ([]byte, error) {
 	return json.Marshal(body)
 }
 
-// streamWriter renders frames in the negotiated format and flushes
-// after each one, so a frame is on the wire the moment its cell lands.
-type streamWriter struct {
+// StreamWriter writes a sweep stream: it negotiates the wire format
+// from the request's Accept header (SSE for text/event-stream, NDJSON
+// otherwise), sets the response headers, and flushes after every frame,
+// so a frame is on the wire the moment its cell lands. The daemon's
+// /v1/sweep/stream and the front tier's merged stream both write
+// through it.
+type StreamWriter struct {
 	w     http.ResponseWriter
 	flush http.Flusher // nil when the ResponseWriter cannot flush
 	sse   bool
 }
 
-func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
-	sw := &streamWriter{w: w}
+// NewStreamWriter negotiates the format and sets the headers; call it
+// before the first write to w.
+func NewStreamWriter(w http.ResponseWriter, r *http.Request) *StreamWriter {
+	sw := &StreamWriter{w: w}
 	sw.flush, _ = w.(http.Flusher)
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		sw.sse = true
@@ -194,8 +206,8 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 	return sw
 }
 
-// frame writes one frame; the error reports a gone client.
-func (sw *streamWriter) frame(f *StreamFrame) error {
+// Frame writes one frame; the error reports a gone client.
+func (sw *StreamWriter) Frame(f *StreamFrame) error {
 	data, err := json.Marshal(f)
 	if err != nil {
 		return err
@@ -254,14 +266,14 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		resCh <- outcome{rep, rerr}
 	}()
 
-	sw := newStreamWriter(w, r)
+	sw := NewStreamWriter(w, r)
 	clientGone := false
 	for d := range done {
 		if d.Err != nil || clientGone {
 			continue // failures travel in the summary; a gone client just drains
 		}
 		rec := d.Record
-		if err := sw.frame(&StreamFrame{Type: "record", Index: d.Index, Record: &rec}); err != nil {
+		if err := sw.Frame(&StreamFrame{Type: "record", Index: d.Index, Record: &rec}); err != nil {
 			// Client went away mid-stream: keep draining the channel so the
 			// engine goroutine can finish, but stop writing.
 			clientGone = true
@@ -282,24 +294,46 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	if clientGone {
 		return
 	}
-	sum := &StreamFrame{
+	sum := s.summarize(ctx, res.rep)
+	cache := s.eng.Stats()
+	sum.Cache = &cache
+	_ = sw.Frame(&sum)
+}
+
+// summarize is a sweep run's wire summary, the one place a Report
+// becomes wire fields and a partial run is counted. The unary endpoint
+// answers with sum.Response(records).
+func (s *Server) summarize(ctx context.Context, rep *sweep.Report) StreamFrame {
+	sum := StreamFrame{
 		Type:      "summary",
-		Cells:     res.rep.Cells,
-		Completed: res.rep.Completed,
-		Partial:   res.rep.Failed(),
-		Canceled:  res.rep.Canceled,
+		Cells:     rep.Cells,
+		Completed: rep.Completed,
+		Partial:   rep.Failed(),
+		Canceled:  rep.Canceled,
 	}
 	if sum.Partial {
 		s.partials.Add(1)
 		s.reg.Counter(MetricPartials).Inc()
 		sum.Reason = partialReason(ctx, s.hardCtx)
 	}
-	for _, f := range res.rep.Failures {
+	for _, f := range rep.Failures {
 		sum.Failures = append(sum.Failures, f.Error())
 	}
-	cache := s.eng.Stats()
-	sum.Cache = &cache
-	_ = sw.frame(sum)
+	return sum
+}
+
+// Response is the unary /v1/sweep body for records and this summary:
+// the same counts, flags and failures (the reason and cache stats are
+// stream-only).
+func (f *StreamFrame) Response(records []sweep.Record) SweepResponse {
+	return SweepResponse{
+		Records:   records,
+		Cells:     f.Cells,
+		Completed: f.Completed,
+		Partial:   f.Partial,
+		Canceled:  f.Canceled,
+		Failures:  f.Failures,
+	}
 }
 
 // partialReason names why a run was cut short: the server draining, the

@@ -287,7 +287,7 @@ func TestStreamSSEFraming(t *testing.T) {
 // both sweep endpoints, and the streamed records reassemble to the
 // unary POST's records exactly.
 func TestSweepPostCellsOnBothEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, Config{}, nil)
+	srv, ts := newTestServer(t, Config{}, nil)
 	const cells = `{"cells":[{"benchmark":"ncf_py","gpus":2},{"benchmark":"res50_tf"},{"benchmark":"xfmr_py","gpus":4,"precision":"mixed"}]}`
 
 	code, body, _ := post(t, ts.URL+"/v1/sweep", cells)
@@ -315,10 +315,23 @@ func TestSweepPostCellsOnBothEndpoints(t *testing.T) {
 		t.Fatalf("streamed POST records differ from unary POST records:\n%s\nvs\n%s", got, want)
 	}
 
-	for _, bad := range []string{`{"cells":[]}`, `{"cells":[{"gpus":2}]}`, `{"cellz":[]}`, `not json`} {
-		if code, _, _ := post(t, ts.URL+"/v1/sweep/stream", bad); code != http.StatusBadRequest {
-			t.Fatalf("bad body %q = %d, want 400", bad, code)
+	// Malformed lists answer 400 on both endpoints before admission: an
+	// unknown benchmark or precision used to pass the list check and
+	// reach the stream handler, which answered 200 with an empty body.
+	streams := srv.Snapshot().Streams
+	for _, bad := range []string{
+		`{"cells":[]}`, `{"cells":[{"gpus":2}]}`, `{"cellz":[]}`, `not json`,
+		`{"cells":[{"benchmark":"nope"}]}`,
+		`{"cells":[{"benchmark":"res50_tf","precision":"fp8"}]}`,
+	} {
+		for _, p := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+			if code, body, _ := post(t, ts.URL+p, bad); code != http.StatusBadRequest {
+				t.Fatalf("bad body %q on %s = %d (%q), want 400", bad, p, code, body)
+			}
 		}
+	}
+	if got := srv.Snapshot().Streams; got != streams {
+		t.Fatalf("bad bodies were admitted as streams: %d -> %d", streams, got)
 	}
 }
 

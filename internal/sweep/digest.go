@@ -60,7 +60,7 @@ func digestOf(k CellKey) string {
 // digests. This is the name the on-disk cache tier and the front tier's
 // routing ring both key on.
 func (k CellKey) Digest() (string, error) {
-	nk, err := k.normalize()
+	nk, err := k.Normalize()
 	if err != nil {
 		return "", err
 	}

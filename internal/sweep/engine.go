@@ -212,7 +212,7 @@ func (e *Engine) trackBusy() func() {
 // Cell simulates (or recalls) a single cell. The key may use any accepted
 // spelling; it is normalized before the cache lookup.
 func (e *Engine) Cell(k CellKey) (Record, error) {
-	nk, err := k.normalize()
+	nk, err := k.Normalize()
 	if err != nil {
 		return Record{}, err
 	}

@@ -193,7 +193,7 @@ func (e *Engine) RunWithOptions(ctx context.Context, g Grid, opts Options) ([]Re
 func (e *Engine) RunCellsWithOptions(ctx context.Context, keys []CellKey, opts Options) ([]Record, *Report, error) {
 	norm := make([]CellKey, len(keys))
 	for i, k := range keys {
-		nk, err := k.normalize()
+		nk, err := k.Normalize()
 		if err != nil {
 			return nil, nil, err
 		}

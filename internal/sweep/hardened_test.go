@@ -23,16 +23,20 @@ func fakeEngine(workers int, fn func(CellKey) (Record, error)) *Engine {
 }
 
 // key builds a valid, normalizable cell key with a distinguishing GPU
-// count.
+// count (1..8, the DSS 8440's GPUs).
 func key(gpus int) CellKey {
 	return CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: gpus}
 }
 
+// normKeys fabricates n distinct normalized keys: GPU counts 1..8, then
+// again with an explicit batch.
 func normKeys(t *testing.T, n int) []CellKey {
 	t.Helper()
 	keys := make([]CellKey, n)
 	for i := range keys {
-		nk, err := key(i + 1).normalize()
+		k := key(i%8 + 1)
+		k.Batch = i / 8
+		nk, err := k.Normalize()
 		if err != nil {
 			t.Fatal(err)
 		}

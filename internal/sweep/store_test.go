@@ -243,7 +243,7 @@ func TestDiskStoreRejectsForeignCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := CellKey{Benchmark: "res50_tf", System: "c4140k", GPUs: 1}.normalize()
+	k, err := CellKey{Benchmark: "res50_tf", System: "c4140k", GPUs: 1}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func stressKeys(t testing.TB, n int) []CellKey {
 	var keys []CellKey
 	for _, bench := range []string{"res50_tf", "ncf_py", "gnmt_py", "xfmr_py"} {
 		for g := 1; g <= (n+3)/4; g++ {
-			nk, err := (CellKey{Benchmark: bench, System: "dss8440", GPUs: g}).normalize()
+			nk, err := (CellKey{Benchmark: bench, System: "dss8440", GPUs: g}).Normalize()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,7 +49,8 @@ type Grid struct {
 	Benchmarks []string
 	// Systems by name.
 	Systems []string
-	// GPUCounts to sweep.
+	// GPUCounts to sweep. A count above a system's GPUs skips that
+	// system's cells; a count below 1 is an error.
 	GPUCounts []int
 	// BatchPerGPU values to sweep (0 entry = calibrated default).
 	BatchPerGPU []int
@@ -91,7 +92,7 @@ type CellKey struct {
 	Ref bool
 	// System is the platform name or alias.
 	System string
-	// GPUs is the device count.
+	// GPUs is the device count, 1..the system's GPUs.
 	GPUs int
 	// Batch overrides the calibrated per-GPU batch (0 = calibrated).
 	Batch int
@@ -103,9 +104,11 @@ type CellKey struct {
 	Faults string
 }
 
-// normalize canonicalizes the key so equal cells hash equally, returning
-// the resolved benchmark alongside.
-func (k CellKey) normalize() (CellKey, error) {
+// Normalize canonicalizes the key so equal cells hash equally, and
+// rejects a key no simulation can honour: an unknown benchmark, system
+// or precision, a GPU count outside 1..the system's GPUs, or a negative
+// batch. Normalizing a normalized key returns it unchanged.
+func (k CellKey) Normalize() (CellKey, error) {
 	b, err := workload.ByName(k.Benchmark)
 	if err != nil {
 		return CellKey{}, err
@@ -116,6 +119,12 @@ func (k CellKey) normalize() (CellKey, error) {
 		return CellKey{}, err
 	}
 	k.System = sys.Name
+	if k.GPUs < 1 || k.GPUs > sys.GPUCount {
+		return CellKey{}, fmt.Errorf("sweep: %d GPUs on %s (want 1..%d)", k.GPUs, sys.Name, sys.GPUCount)
+	}
+	if k.Batch < 0 {
+		return CellKey{}, fmt.Errorf("sweep: negative batch %d", k.Batch)
+	}
 	job := b.Job
 	if k.Ref {
 		job = b.RefJob
@@ -146,7 +155,7 @@ func (k CellKey) normalize() (CellKey, error) {
 // the shared system instances, the simulator) is read-only, which is
 // what makes concurrent cells race-free. Resolution is two map probes —
 // the benchmark registry index and the shared-system memo — so a cell
-// resolved once by normalize is not rebuilt here (that used to
+// resolved once by Normalize is not rebuilt here (that used to
 // reconstruct the whole topology per cell, twice). Cells run with
 // sim.Config.NoTimeline set — Records only carry aggregates, so
 // materializing per-step timelines would be pure overhead — and with the
@@ -281,7 +290,7 @@ func expand(g Grid) ([]CellKey, error) {
 							Batch:     batch,
 							Precision: prec,
 							Faults:    g.Faults,
-						}).normalize()
+						}).Normalize()
 						if err != nil {
 							return nil, err
 						}

@@ -61,6 +61,49 @@ func TestInfeasibleCellsSkipped(t *testing.T) {
 	}
 }
 
+// A cell no simulation can honour is refused by Normalize, not run: the
+// simulator would clamp gpus=0 or gpus=64 to the whole system and the
+// record would carry (and cache under) the impossible count.
+func TestNormalizeRejectsImpossibleCells(t *testing.T) {
+	for _, k := range []CellKey{
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: 0},
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: -2},
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: 9},
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: 64},
+		{Benchmark: "res50_tf", System: "c4140k", GPUs: 8},
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: 1, Batch: -1},
+	} {
+		if nk, err := k.Normalize(); err == nil {
+			t.Errorf("%+v normalized to %+v, want an error", k, nk)
+		}
+		if _, err := k.Digest(); err == nil {
+			t.Errorf("%+v has a digest, want an error", k)
+		}
+		if _, err := NewEngine(1).Cell(k); err == nil {
+			t.Errorf("%+v ran, want an error", k)
+		}
+	}
+	for _, k := range []CellKey{
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: 1},
+		{Benchmark: "res50_tf", System: "dss8440", GPUs: 8, Batch: 32},
+		{Benchmark: "res50_tf", System: "c4140k", GPUs: 4},
+	} {
+		if _, err := k.Normalize(); err != nil {
+			t.Errorf("%+v: %v", k, err)
+		}
+	}
+	// In a grid, a count above a system's size skips that system's cells
+	// (TestInfeasibleCellsSkipped); a count below 1 is an error.
+	for _, gpus := range []int{0, -1} {
+		if _, err := (Grid{Benchmarks: []string{"res50_tf"}, GPUCounts: []int{1, gpus}}).Cells(); err == nil {
+			t.Errorf("grid with gpus %d accepted", gpus)
+		}
+	}
+	if _, err := (Grid{Benchmarks: []string{"res50_tf"}, BatchPerGPU: []int{-8}}).Cells(); err == nil {
+		t.Error("grid with a negative batch accepted")
+	}
+}
+
 func TestPrecisionSweep(t *testing.T) {
 	recs, err := Run(Grid{
 		Benchmarks: []string{"res50_tf"},
