@@ -14,12 +14,13 @@
 // run over the same cells replays from disk without simulating. Output
 // order and values are identical in every configuration.
 //
-// The hardened path engages when any of -faults, -cell-timeout, -retries
-// or -partial is set: each cell runs with panic containment, the given
-// per-attempt timeout and bounded exponential-backoff retry. With
-// -partial the sweep degrades gracefully — completed cells are written,
-// failed cells are reported to stderr as typed errors, and the exit
-// status reflects whether everything completed.
+// Every engine run takes the hardened path (RunWithOptions): each cell
+// runs with panic containment, -cell-timeout bounds each attempt,
+// -retries adds bounded exponential-backoff retry, and -faults applies a
+// fault plan to every cell. With -partial the sweep degrades gracefully
+// — completed cells are written, failed cells are reported to stderr as
+// typed errors, and the exit status reflects whether everything
+// completed.
 package main
 
 import (
@@ -179,7 +180,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 		if report.Failed() && !cfg.partial && !report.Canceled {
 			// Without -partial a failed cell aborts with the lowest-index
-			// error, exactly as the unhardened path always has.
+			// error, exactly as Engine.Run does.
 			return report.Failures[0]
 		}
 	}

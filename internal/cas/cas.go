@@ -51,7 +51,7 @@ const quarantineDir = "quarantine"
 // keeps. Quarantine preserves evidence, but evidence must not become a
 // disk leak: an attacker (or a flaky disk) feeding the store corrupt
 // entries forever would otherwise grow quarantine/ without limit. Beyond
-// the cap the oldest entries are dropped.
+// the cap the oldest entries are dropped. A constant, not a knob.
 const DefaultQuarantineLimit = 64
 
 // ErrCorrupt marks an entry that failed envelope verification; callers
@@ -99,9 +99,6 @@ type Store struct {
 	// qmu serializes quarantine moves and the prune that follows, so two
 	// goroutines quarantining at once cannot both skip pruning.
 	qmu sync.Mutex
-	// quarantineLimit caps quarantine/ entries (0 = DefaultQuarantineLimit,
-	// negative = unlimited).
-	quarantineLimit atomic.Int64
 
 	// maxBytes caps the summed size of intact entries (<= 0 = unbounded).
 	maxBytes atomic.Int64
@@ -126,23 +123,6 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("cas: %w", err)
 	}
 	return &Store{dir: dir}, nil
-}
-
-// SetQuarantineLimit caps how many quarantined entries are retained
-// (oldest dropped beyond the cap). 0 restores DefaultQuarantineLimit;
-// a negative limit disables pruning (unbounded, test use only).
-func (s *Store) SetQuarantineLimit(n int) { s.quarantineLimit.Store(int64(n)) }
-
-// QuarantineLimit reports the effective cap (-1 = unbounded).
-func (s *Store) QuarantineLimit() int {
-	n := int(s.quarantineLimit.Load())
-	if n == 0 {
-		return DefaultQuarantineLimit
-	}
-	if n < 0 {
-		return -1
-	}
-	return n
 }
 
 // SetMaxBytes caps the summed size of intact entries (envelope bytes on
@@ -346,10 +326,7 @@ func (s *Store) Quarantine(digest string) {
 // without a parseable suffix sort first and go before dated ones.
 // Callers hold qmu.
 func (s *Store) pruneQuarantineLocked(qdir string) {
-	limit := s.QuarantineLimit()
-	if limit < 0 {
-		return
-	}
+	const limit = DefaultQuarantineLimit
 	entries, err := os.ReadDir(qdir)
 	if err != nil || len(entries) <= limit {
 		return

@@ -207,7 +207,7 @@ func TestCrossStoreSharing(t *testing.T) {
 }
 
 // TestQuarantineBounded proves repeated corruption cannot grow disk
-// without limit: quarantine/ holds at most the configured cap, the
+// without limit: quarantine/ holds at most DefaultQuarantineLimit, the
 // oldest entries are dropped first, and the drops are counted.
 func TestQuarantineBounded(t *testing.T) {
 	dir := t.TempDir()
@@ -215,8 +215,7 @@ func TestQuarantineBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 5
-	s.SetQuarantineLimit(limit)
+	const limit = DefaultQuarantineLimit
 
 	const rounds = 3 * limit
 	var digests []string
@@ -261,26 +260,6 @@ func TestQuarantineBounded(t *testing.T) {
 		if m, _ := filepath.Glob(filepath.Join(dir, quarantineDir, d+".*")); len(m) != 1 {
 			t.Errorf("new quarantined entry %s was dropped", d)
 		}
-	}
-}
-
-// TestQuarantineLimitKnob pins the knob's contract: 0 is the default
-// cap, negatives disable pruning.
-func TestQuarantineLimitKnob(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.QuarantineLimit(); got != DefaultQuarantineLimit {
-		t.Errorf("default limit %d, want %d", got, DefaultQuarantineLimit)
-	}
-	s.SetQuarantineLimit(-1)
-	if got := s.QuarantineLimit(); got != -1 {
-		t.Errorf("unbounded limit %d, want -1", got)
-	}
-	s.SetQuarantineLimit(7)
-	if got := s.QuarantineLimit(); got != 7 {
-		t.Errorf("limit %d, want 7", got)
 	}
 }
 

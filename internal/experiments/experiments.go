@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mlperf/internal/hw"
@@ -14,12 +15,13 @@ import (
 )
 
 // runCells evaluates simulation cells on the shared sweep engine: they
-// fan out across its worker pool and land in its memo cache, so cells
+// fan out across its hardened pool and land in its memo cache, so cells
 // that recur across experiments (Table IV and Figure 4 share the DSS 8440
 // ladder; Table V and Figure 5 share the C4140 (K) column) are simulated
 // once per process.
 func runCells(keys []sweep.CellKey) ([]sweep.Record, error) {
-	return sweep.Default.Cells(keys)
+	recs, _, err := sweep.Default.RunCellsWithOptions(context.Background(), keys, sweep.Options{})
+	return recs, err
 }
 
 // Table2 renders the benchmark inventory (paper Table II).

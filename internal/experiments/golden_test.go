@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -161,7 +162,7 @@ func TestCacheDedupAcrossExperiments(t *testing.T) {
 	for _, r := range first {
 		keys = append(keys, sweep.CellKey{Benchmark: r.Bench, System: "C4140 (K)", GPUs: r.GPUs})
 	}
-	recs, err := fresh.Cells(keys)
+	recs, _, err := fresh.RunCellsWithOptions(context.Background(), keys, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,6 @@ func PolicyComparisonWith(c PolicySweepConfig) ([]PolicyRow, error) {
 	return rows, nil
 }
 
-// PolicyComparison is PolicyComparisonWith at the defaults: the MLPerf
-// mix arriving on one DSS 8440.
-func PolicyComparison(seed int64, n int) ([]PolicyRow, error) {
-	return PolicyComparisonWith(PolicySweepConfig{Seed: seed, Jobs: n})
-}
-
 // RenderPolicyComparison renders the table.
 func RenderPolicyComparison(rows []PolicyRow) string {
 	var b strings.Builder

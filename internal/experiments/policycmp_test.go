@@ -10,7 +10,7 @@ import (
 // LPT-with-backfill) beat strict FIFO on mean job completion time.
 // Every run inside PolicyComparisonWith is already Validate-checked.
 func TestPolicyComparisonDefaults(t *testing.T) {
-	rows, err := PolicyComparison(1, 12)
+	rows, err := PolicyComparisonWith(PolicySweepConfig{Seed: 1, Jobs: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPolicyComparisonDefaults(t *testing.T) {
 
 // TestRenderPolicyComparison checks the table layout the CLI prints.
 func TestRenderPolicyComparison(t *testing.T) {
-	rows, err := PolicyComparison(1, 6)
+	rows, err := PolicyComparisonWith(PolicySweepConfig{Seed: 1, Jobs: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -598,7 +598,7 @@ func TestFrontMalformedTimeoutIs400HeldOrNot(t *testing.T) {
 		"/v1/sweep?" + subGrid,                   // held
 		"/v1/sweep/stream?" + tableGrid,          // partly held
 	} {
-		for _, bad := range [][]string{{"Request-Timeout", "soon"}, {"Request-Timeout", "-1"}} {
+		for _, bad := range [][]string{{"Request-Timeout", "soon"}, {"Request-Timeout", "-1"}, {"Request-Timeout", "NaN"}, {"Request-Timeout", "inf"}} {
 			code, body, _ := get(t, c.frontTS.URL+p, bad...)
 			if code != http.StatusBadRequest || !strings.Contains(body, "bad timeout") {
 				t.Errorf("%s with %s: %d (%s)", p, bad[1], code, strings.TrimSpace(body))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -67,10 +68,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // RequestTimeout parses the client's deadline: the ?timeout= query or,
-// without one, the Request-Timeout header, in positive seconds; def
-// when the request names none. Exported so the front tier refuses a
-// malformed deadline exactly as a backend would, even for a request it
-// answers itself.
+// without one, the Request-Timeout header, in positive finite seconds;
+// def when the request names none. A deadline too long for a
+// time.Duration saturates at the longest one, which deadlineFor then
+// caps. Exported so the front tier refuses a malformed deadline exactly
+// as a backend would, even for a request it answers itself.
 func RequestTimeout(r *http.Request, def time.Duration) (time.Duration, error) {
 	raw := r.Header.Get("Request-Timeout")
 	if q := r.URL.Query().Get("timeout"); q != "" {
@@ -80,8 +82,12 @@ func RequestTimeout(r *http.Request, def time.Duration) (time.Duration, error) {
 		return def, nil
 	}
 	secs, err := strconv.ParseFloat(raw, 64)
-	if err != nil || secs <= 0 {
-		return 0, fmt.Errorf("bad timeout %q: want positive seconds", raw)
+	// !(secs > 0) also catches NaN, which compares false to everything.
+	if err != nil || !(secs > 0) || math.IsInf(secs, 1) {
+		return 0, fmt.Errorf("bad timeout %q: want positive finite seconds", raw)
+	}
+	if secs >= float64(math.MaxInt64)/float64(time.Second) {
+		return math.MaxInt64, nil
 	}
 	return time.Duration(secs * float64(time.Second)), nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -60,5 +61,39 @@ func TestImpossibleCellsAre400(t *testing.T) {
 	}
 	if st := srv.Snapshot(); st.Streams != 0 || st.Cache.Simulations != 1 {
 		t.Fatalf("refused cells reached the engine: %+v", st)
+	}
+}
+
+// A deadline that is not a positive finite number of seconds is a 400
+// on every compute endpoint, never a shed: NaN and inf once parsed into
+// negative durations whose contexts were already expired at admission.
+// A finite deadline too long for a time.Duration is capped, not refused.
+func TestNonFiniteTimeoutIs400(t *testing.T) {
+	srv, ts := newTestServer(t, Config{}, nil)
+	paths := []string{
+		"/v1/simulate?benchmark=res50_tf&gpus=2",
+		"/v1/sweep?benchmarks=res50_tf&gpus=1,2",
+		"/v1/sweep/stream?benchmarks=res50_tf&gpus=1,2",
+	}
+	for _, p := range paths {
+		for _, bad := range []string{"NaN", "inf"} {
+			code, body, _ := get(t, ts.URL+p+"&timeout="+bad)
+			if code != http.StatusBadRequest || !strings.Contains(body, "bad timeout") {
+				t.Errorf("%s timeout=%s: %d (%s), want 400", p, bad, code, strings.TrimSpace(body))
+			}
+			if code, _, _ := get(t, ts.URL+p, "Request-Timeout", bad); code != http.StatusBadRequest {
+				t.Errorf("%s Request-Timeout: %s: %d, want 400", p, bad, code)
+			}
+		}
+	}
+	if st := srv.Snapshot(); st.Shed != 0 || st.Cache.Simulations != 0 {
+		t.Fatalf("malformed deadlines were admitted or shed: %+v", st)
+	}
+	for _, p := range paths {
+		code, body, _ := get(t, ts.URL+p+"&timeout=1e10")
+		compact := strings.Join(strings.Fields(body), "")
+		if code != http.StatusOK || strings.Contains(compact, `"partial":true`) || strings.Contains(compact, `"deadline"`) {
+			t.Errorf("%s timeout=1e10: %d (%s), want a complete 200", p, code, strings.TrimSpace(body))
+		}
 	}
 }

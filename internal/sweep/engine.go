@@ -93,12 +93,13 @@ func NewEngine(workers int) *Engine {
 	return e
 }
 
-// Default is the shared process-wide engine behind Run and the
-// experiments package.
+// Default is the shared process-wide engine behind the experiments
+// package.
 var Default = NewEngine(0)
 
 // SetWorkers changes the concurrency bound (<= 0 restores the GOMAXPROCS
-// default). It applies to subsequent Run calls.
+// default), the one worker setting every grid run uses. It applies to
+// subsequent runs.
 func (e *Engine) SetWorkers(n int) { e.workers.Store(int64(n)) }
 
 // SetFastPath pins the sim.FastPathMode subsequent cell simulations use.
@@ -167,18 +168,13 @@ func (e *Engine) WorkerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes the grid's cells across the worker pool, returning records
-// in the same deterministic order as RunSequential.
+// Run executes the grid's cells on the hardened pool with zero Options,
+// returning records in the same deterministic order as RunSequential.
+// A failing grid returns the lowest-index *CellError, which wraps the
+// cell's own error for errors.Is/As.
 func (e *Engine) Run(g Grid) ([]Record, error) {
-	keys, err := expand(g)
-	if err != nil {
-		return nil, err
-	}
-	run, finish := e.startRunSpan(context.Background(), len(keys))
-	defer finish()
-	return Map(e.WorkerCount(), len(keys), func(i int) (Record, error) {
-		return e.cell(keys[i], run)
-	})
+	recs, _, err := e.RunWithOptions(context.Background(), g, Options{})
+	return recs, err
 }
 
 // startRunSpan opens the top-level grid span and returns its ID, which
@@ -217,13 +213,6 @@ func (e *Engine) Cell(k CellKey) (Record, error) {
 		return Record{}, err
 	}
 	return e.cell(nk, 0)
-}
-
-// Cells runs the given cells across the worker pool, preserving order.
-func (e *Engine) Cells(keys []CellKey) ([]Record, error) {
-	return Map(e.WorkerCount(), len(keys), func(i int) (Record, error) {
-		return e.Cell(keys[i])
-	})
 }
 
 // cell is the memoized core; k must already be normalized. The
@@ -388,8 +377,9 @@ func (e *Engine) ResetCache() {
 // Map runs fn(0..n-1) on up to workers goroutines and returns the results
 // in index order. Every index is attempted; on failure the error returned
 // is the lowest-index one — exactly what a sequential loop that stops at
-// the first failing cell would report, which keeps parallel and
-// sequential error behaviour interchangeable.
+// the first failing point would report. It is the fan-out helper for
+// work that is not a sweep cell (the ablations); grids run on the
+// hardened pool (runKeys).
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil

@@ -197,7 +197,7 @@ func TestConcurrentCellStress(t *testing.T) {
 }
 
 // TestMapOrderAndErrors covers the ordered-parallel-map primitive the
-// engine and the experiments fan out with.
+// ablations fan out with.
 func TestMapOrderAndErrors(t *testing.T) {
 	for _, workers := range []int{1, 3, 32} {
 		got, err := Map(workers, 100, func(i int) (int, error) { return i * i, nil })

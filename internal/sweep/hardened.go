@@ -75,12 +75,10 @@ func safeCell(fn func(CellKey) (Record, error), k CellKey) (rec Record, err erro
 	return fn(k)
 }
 
-// Options harden a grid run. The zero value means: engine worker count,
-// no per-cell timeout, no retries, fail the run on the first
-// (lowest-index) error — Engine.Run's exact semantics.
+// Options harden a grid run on the engine's worker pool. The zero value
+// means: no per-cell timeout, no retries, fail the run on the first
+// (lowest-index) error — what Engine.Run uses.
 type Options struct {
-	// Workers bounds the pool for this run (0 = the engine's bound).
-	Workers int
 	// CellTimeout bounds one attempt of one cell (0 = unbounded). A cell
 	// that exceeds it fails with ErrCellTimeout; its simulation
 	// goroutine is left to finish in the background and its result, if
@@ -235,16 +233,12 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, 
 		ctx = context.Background()
 	}
 	n := len(keys)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = e.WorkerCount()
-	}
 	recs := make([]Record, n)
 	cellErrs := make([]*CellError, n)
 	attempted := make([]bool, n)
 	var retries atomic.Int64
 
-	forEach(workers, n, func(i int) {
+	forEach(e.WorkerCount(), n, func(i int) {
 		if ctx.Err() != nil {
 			return
 		}

@@ -12,6 +12,7 @@ import (
 
 	"mlperf/internal/fault"
 	"mlperf/internal/sim"
+	"mlperf/internal/telemetry"
 )
 
 // fakeEngine builds an engine whose cell evaluator is replaced, so the
@@ -137,25 +138,48 @@ func TestPartialGridWithPanicAndTimeout(t *testing.T) {
 }
 
 // Without Partial, the run fails with the lowest-index cell error —
-// the same deterministic error a sequential loop would stop at.
+// the same deterministic error a sequential loop would stop at. Engine.Run
+// takes the same pool: over the same grid it returns the same
+// *CellError, wrapping the cell's own error, and counts both failures.
 func TestNonPartialReturnsFirstFailure(t *testing.T) {
-	keys := normKeys(t, 5)
-	e := fakeEngine(4, func(k CellKey) (Record, error) {
+	g := Grid{Benchmarks: []string{"res50_tf"}, Systems: []string{"dss8440"}, GPUCounts: []int{1, 2, 3, 4, 5}}
+	keys, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom1 := errors.New("boom-1")
+	simulate := func(k CellKey) (Record, error) {
 		if k == keys[3] {
 			return Record{}, fmt.Errorf("boom-3")
 		}
 		if k == keys[1] {
-			return Record{}, fmt.Errorf("boom-1")
+			return Record{}, boom1
 		}
 		return Record{TimeToTrainMin: 1}, nil
-	})
-	_, _, err := e.RunCellsWithOptions(context.Background(), keys, Options{})
+	}
+	_, _, err = fakeEngine(4, simulate).RunCellsWithOptions(context.Background(), keys, Options{})
 	var ce *CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CellError", err)
 	}
 	if ce.Index != 1 || ce.Kind != FailError {
 		t.Errorf("got cell %d kind %s, want the lowest-index failure (1, error)", ce.Index, ce.Kind)
+	}
+
+	reg := telemetry.New()
+	e := fakeEngine(4, simulate)
+	e.SetTelemetry(reg)
+	recs, err := e.Run(g)
+	ce = nil
+	if recs != nil || !errors.As(err, &ce) || !errors.Is(err, boom1) {
+		t.Fatalf("Run = %v, %v; want no records and a *CellError wrapping boom-1", recs, err)
+	}
+	if ce.Index != 1 || ce.Kind != FailError || ce.Attempts != 1 {
+		t.Errorf("Run: got cell %d kind %s after %d attempts, want the lowest-index failure (1, error, 1)",
+			ce.Index, ce.Kind, ce.Attempts)
+	}
+	if got := reg.Counter(MetricFailures, telemetry.L("kind", "error")).Value(); got != 2 {
+		t.Errorf("Run counted %d failures, want 2", got)
 	}
 }
 
@@ -318,7 +342,7 @@ func TestFaultedSweepDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		// The hardened path must agree too.
-		hard, report, err := e.RunWithOptions(context.Background(), g, Options{Workers: workers, Retries: 1})
+		hard, report, err := e.RunWithOptions(context.Background(), g, Options{Retries: 1})
 		if err != nil || report.Failed() {
 			t.Fatalf("%d workers hardened: %v %+v", workers, err, report)
 		}
@@ -400,6 +424,10 @@ func TestFirstFailureDeterministicOnRealGrid(t *testing.T) {
 	}
 	if len(report.Failures) != 2 {
 		t.Errorf("report holds %d failures, want 2", len(report.Failures))
+	}
+	ce = nil
+	if _, err := fakeEngine(8, simulate).Run(mixedGrid()); !errors.As(err, &ce) || ce.Index != 3 || !errors.Is(err, boom) {
+		t.Errorf("Run error %v, want the lowest-index CellError (index 3) wrapping boom", err)
 	}
 
 	recs, report, err := fakeEngine(8, simulate).RunCellsWithOptions(context.Background(), keys, Options{Partial: true})

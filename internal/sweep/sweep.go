@@ -313,10 +313,6 @@ func expand(g Grid) ([]CellKey, error) {
 // the keys to RunCellsWithOptions.
 func (g Grid) Cells() ([]CellKey, error) { return expand(g) }
 
-// Run executes the full grid on the Default engine, returning one record
-// per cell in deterministic order.
-func Run(g Grid) ([]Record, error) { return Default.Run(g) }
-
 // RunSequential executes the grid one cell at a time on the calling
 // goroutine, with no caching and with the analytic fast path disabled —
 // the step-by-step reference every engine configuration (parallel,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDefaultGridIsMLPerfOn1GPU(t *testing.T) {
-	recs, err := Run(Grid{})
+	recs, err := Default.Run(Grid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestDefaultGridIsMLPerfOn1GPU(t *testing.T) {
 }
 
 func TestGridCartesianProduct(t *testing.T) {
-	recs, err := Run(Grid{
+	recs, err := Default.Run(Grid{
 		Benchmarks: []string{"res50_tf", "ncf_py"},
 		Systems:    []string{"c4140k", "dss8440"},
 		GPUCounts:  []int{1, 4},
@@ -40,7 +40,7 @@ func TestGridCartesianProduct(t *testing.T) {
 
 func TestInfeasibleCellsSkipped(t *testing.T) {
 	// 8 GPUs on the 4-GPU C4140 (K) is skipped, not an error.
-	recs, err := Run(Grid{
+	recs, err := Default.Run(Grid{
 		Benchmarks: []string{"res50_tf"},
 		Systems:    []string{"c4140k"},
 		GPUCounts:  []int{4, 8},
@@ -52,7 +52,7 @@ func TestInfeasibleCellsSkipped(t *testing.T) {
 		t.Errorf("records = %+v", recs)
 	}
 	// A grid with nothing feasible errors.
-	if _, err := Run(Grid{
+	if _, err := Default.Run(Grid{
 		Benchmarks: []string{"res50_tf"},
 		Systems:    []string{"c4140k"},
 		GPUCounts:  []int{8},
@@ -105,7 +105,7 @@ func TestNormalizeRejectsImpossibleCells(t *testing.T) {
 }
 
 func TestPrecisionSweep(t *testing.T) {
-	recs, err := Run(Grid{
+	recs, err := Default.Run(Grid{
 		Benchmarks: []string{"res50_tf"},
 		GPUCounts:  []int{8},
 		Precisions: []string{"fp32", "mixed"},
@@ -130,19 +130,19 @@ func TestPrecisionSweep(t *testing.T) {
 }
 
 func TestGridErrors(t *testing.T) {
-	if _, err := Run(Grid{Benchmarks: []string{"bert"}}); err == nil {
+	if _, err := Default.Run(Grid{Benchmarks: []string{"bert"}}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Run(Grid{Systems: []string{"dgx9"}}); err == nil {
+	if _, err := Default.Run(Grid{Systems: []string{"dgx9"}}); err == nil {
 		t.Error("unknown system accepted")
 	}
-	if _, err := Run(Grid{Precisions: []string{"int4"}}); err == nil {
+	if _, err := Default.Run(Grid{Precisions: []string{"int4"}}); err == nil {
 		t.Error("unknown precision accepted")
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	recs, err := Run(Grid{Benchmarks: []string{"ncf_py"}})
+	recs, err := Default.Run(Grid{Benchmarks: []string{"ncf_py"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,10 +70,10 @@ func TestEngineTelemetryMetricsAndSpans(t *testing.T) {
 		t.Fatal("Telemetry() lost the attached registry")
 	}
 	keys := normKeys(t, 3)
-	if _, err := e.Cells(keys); err != nil {
+	if _, _, err := e.RunCellsWithOptions(context.Background(), keys, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Cells(keys); err != nil { // all hits
+	if _, _, err := e.RunCellsWithOptions(context.Background(), keys, Options{}); err != nil { // all hits
 		t.Fatal(err)
 	}
 	hit := reg.Counter(MetricCacheTotal, telemetry.L("result", "hit")).Value()
@@ -94,10 +94,17 @@ func TestEngineTelemetryMetricsAndSpans(t *testing.T) {
 	if busy := reg.Gauge(MetricWorkersBusy).Value(); busy != 0 {
 		t.Errorf("busy gauge %v after the run, want 0", busy)
 	}
-	// One span per simulated cell; hits add none.
+	// One run span per run, one cell span per simulated cell; hits add
+	// none.
 	spans := reg.Tracer().Spans()
-	if len(spans) != 3 {
-		t.Fatalf("%d spans, want 3", len(spans))
+	cells := 0
+	for _, s := range spans {
+		if s.Kind == telemetry.KindSweepCell {
+			cells++
+		}
+	}
+	if cells != 3 || len(spans) != 2+3 {
+		t.Fatalf("%d spans, %d of them cells: want 2 runs + 3 cells", len(spans), cells)
 	}
 	if err := telemetry.ValidateSpans(spans); err != nil {
 		t.Fatal(err)

@@ -10,17 +10,22 @@
 //   - Benchmarks() and BenchmarkByName() give the thirteen calibrated
 //     benchmarks of Table II.
 //   - Simulate() runs one training job on one system and reports the
-//     time-to-train, step breakdown, and the Table V utilization metrics.
-//   - Table4/Table5/Fig1..Fig5 regenerate every table and figure of the
-//     paper's evaluation (see EXPERIMENTS.md for paper-vs-simulated).
-//   - Sweep()/SweepSequential() run benchmark x system x GPU grids on a
-//     parallel, memoizing execution engine (DESIGN.md §2 "sweep").
-//   - V100Roofline/MeasureHostRoofline build roofline models (Figure 2);
-//     the host variant really micro-benchmarks the machine you run on.
+//     time-to-train, step breakdown, and the Table V utilization metrics;
+//     SimulateObserved/SimulateWithFaults add event observers and fault
+//     plans.
+//   - Table4/Table5/Fig1..Fig5 and FaultSensitivity regenerate the
+//     paper's tables and figures (see EXPERIMENTS.md for
+//     paper-vs-simulated).
+//   - SweepWithOptions/SweepSequential run benchmark x system x GPU grids
+//     on a parallel, memoizing execution engine with an optional
+//     persistent cell cache (DESIGN.md §2 "sweep").
+//   - NewTelemetry, WithTelemetry and NewRunManifest instrument runs.
+//   - V100Roofline builds the Figure 2 roofline model.
 //   - ScheduleNaive/ScheduleOptimal search training-mix schedules
 //     (Figure 4).
-//   - NewNCF/TrainNCFToTarget really train a recommender to a hit-rate@10
-//     target — MLPerf's time-to-quality metric executing for real.
+//   - NewNCF/TrainNCFToTarget, TrainClassifierToAccuracy and
+//     TrainMiniGoToWinRate really train models to a quality target —
+//     MLPerf's time-to-quality metric executing for real.
 //
 // See the examples/ directory for runnable walkthroughs.
 package mlperf
@@ -30,7 +35,6 @@ import (
 	"io"
 	"math/rand"
 
-	"mlperf/internal/cluster"
 	"mlperf/internal/dataset"
 	"mlperf/internal/experiments"
 	"mlperf/internal/fault"
@@ -49,21 +53,8 @@ import (
 // topology between them.
 type System = hw.System
 
-// Topology is an interconnect graph with path/bandwidth queries.
-type Topology = hw.Topology
-
 // Benchmark is one Table II entry bound to a calibrated simulator job.
 type Benchmark = workload.Benchmark
-
-// Suite identifies MLPerf, DAWNBench or DeepBench.
-type Suite = workload.Suite
-
-// Suites.
-const (
-	MLPerf    = workload.MLPerf
-	DAWNBench = workload.DAWNBench
-	DeepBench = workload.DeepBench
-)
 
 // SimConfig configures one simulated training run.
 type SimConfig = sim.Config
@@ -119,37 +110,16 @@ type SimEventLog = sim.EventLog
 // default) collapses steady-state step windows analytically when no
 // per-step divergence source exists and falls back to the discrete-event
 // pipeline otherwise, Off always walks the pipeline, Force demands the
-// analytic path or fails with a *SimFastPathError. Either path yields
+// analytic path or fails. Either path yields
 // bit-identical results — the mode is a performance knob, never a
 // modeling one.
 type SimFastPathMode = sim.FastPathMode
 
-// Fast-path modes for SimConfig.FastPath and SetSweepFastPath.
+// Fast-path modes for SimConfig.FastPath; the zero value is Auto.
 const (
-	SimFastPathAuto  = sim.FastPathAuto
 	SimFastPathOff   = sim.FastPathOff
 	SimFastPathForce = sim.FastPathForce
 )
-
-// SimFastPathError reports why a Force-mode run could not take the
-// analytic fast path.
-type SimFastPathError = sim.FastPathError
-
-// SimBulkObserver is the capability an observer implements to keep the
-// fast path available: it accepts a whole steady-state window as one
-// SimSteadySteps block instead of per-step events.
-type SimBulkObserver = sim.BulkObserver
-
-// SimSteadySteps is the analytically collapsed steady-state window a
-// bulk observer receives; its Events method replays the exact event
-// stream of the window in canonical step-major order.
-type SimSteadySteps = sim.SteadySteps
-
-// SetSweepFastPath pins the fast-path mode the shared sweep engine (and
-// with it every experiment/table/figure helper) simulates cells with.
-// Records are bit-identical across modes; the knob exists for perf
-// comparisons and forcing-tests.
-func SetSweepFastPath(m SimFastPathMode) { sweep.Default.SetFastPath(m) }
 
 // SimulateObserved runs one benchmark like Simulate but additionally
 // publishes the run's typed event stream to the given observers — the
@@ -167,28 +137,6 @@ func SimulateObserved(system *System, gpus int, b Benchmark, obs ...SimObserver)
 // cost model. The zero plan is fault-free and simulates bit-identically
 // to Simulate.
 type FaultPlan = fault.Plan
-
-// FaultStraggler slows one lane by a constant factor.
-type FaultStraggler = fault.Straggler
-
-// FaultLink degrades one link's bandwidth, optionally flapping.
-type FaultLink = fault.LinkFault
-
-// FaultTransient injects seeded random per-stage failures with a retry
-// cost.
-type FaultTransient = fault.Transient
-
-// FaultPreemption kills the node at a simulated time; recovery pays a
-// restart delay plus replay back to the last checkpoint.
-type FaultPreemption = fault.Preemption
-
-// FaultCheckpoint is the periodic snapshot cost model.
-type FaultCheckpoint = fault.Checkpoint
-
-// FaultReport quantifies what a fault plan did to one run: activations,
-// retries, checkpoints, preemptions and the resulting time-to-train
-// surcharges.
-type FaultReport = sim.FaultReport
 
 // ParseFaultPlan decodes a JSON fault plan (see fault.Parse for the
 // schema).
@@ -211,12 +159,6 @@ type FaultRow = experiments.FaultRow
 func FaultSensitivity() ([]FaultRow, error) { return experiments.FaultSensitivity() }
 
 // ---- Experiments (one per paper table/figure) ----
-
-// Table2 renders the benchmark inventory.
-func Table2() string { return experiments.Table2() }
-
-// Table3 renders the system inventory.
-func Table3() string { return experiments.Table3() }
 
 // ScalingRow is one simulated Table IV row.
 type ScalingRow = experiments.ScalingRow
@@ -276,13 +218,6 @@ type SweepCellKey = sweep.CellKey
 // result, so repeated cells across experiments simulate exactly once.
 type SweepEngine = sweep.Engine
 
-// SweepCacheStats reports a sweep engine's cache activity.
-type SweepCacheStats = sweep.CacheStats
-
-// Sweep runs the grid on the shared engine: cells fan out across the
-// worker pool, in deterministic output order.
-func Sweep(g SweepGrid) ([]SweepRecord, error) { return sweep.Run(g) }
-
 // SweepSequential runs the grid one cell at a time with no caching — the
 // reference path parallel execution is tested byte-identical to.
 func SweepSequential(g SweepGrid) ([]SweepRecord, error) { return sweep.RunSequential(g) }
@@ -291,25 +226,14 @@ func SweepSequential(g SweepGrid) ([]SweepRecord, error) { return sweep.RunSeque
 // bound (<= 0 means GOMAXPROCS).
 func NewSweepEngine(workers int) *SweepEngine { return sweep.NewEngine(workers) }
 
-// SetSweepWorkers bounds the shared engine's concurrency (the CLIs'
-// -workers flag lands here; <= 0 restores the GOMAXPROCS default).
-func SetSweepWorkers(n int) { sweep.Default.SetWorkers(n) }
-
-// WriteSweepCSV emits sweep records as CSV with a header.
-func WriteSweepCSV(w io.Writer, recs []SweepRecord) error { return sweep.WriteCSV(w, recs) }
-
 // SweepOptions harden a grid run: per-cell timeout, bounded
 // exponential-backoff retry, panic containment and graceful (partial)
 // degradation.
 type SweepOptions = sweep.Options
 
 // SweepReport is a hardened run's structured outcome: completed count,
-// retries used, and one typed SweepCellError per failed cell.
+// retries used, and one typed cell error per failed cell.
 type SweepReport = sweep.Report
-
-// SweepCellError is one failed cell: which cell, how it failed (error,
-// panic, timeout, canceled) and after how many attempts.
-type SweepCellError = sweep.CellError
 
 // SweepWithOptions runs the grid on the shared engine with the hardened
 // execution path; ctx cancels the run cooperatively.
@@ -324,18 +248,9 @@ func SweepWithOptions(ctx context.Context, g SweepGrid, opts SweepOptions) ([]Sw
 // after every successful simulation.
 type SweepStore = sweep.Store
 
-// SweepTierStats counts one cache tier's traffic (hits, misses,
-// evictions).
-type SweepTierStats = sweep.TierStats
-
-// SweepKeySchema is the cell-key content-address schema version: the
-// namespace persistent cache entries and the front tier's routing are
-// keyed under. Changing key normalization or encoding bumps it.
-const SweepKeySchema = sweep.KeySchema
-
 // SweepCellDigest returns the cell's canonical content address: the
-// SHA-256 of its normalized key under SweepKeySchema. Spelling variants
-// of one cell share a digest; distinct configurations never do.
+// SHA-256 of its normalized key under the current key schema. Spelling
+// variants of one cell share a digest; distinct configurations never do.
 func SweepCellDigest(k SweepCellKey) (string, error) { return k.Digest() }
 
 // OpenSweepCacheDir opens (creating if needed) a persistent
@@ -359,14 +274,6 @@ func SetSweepStore(s SweepStore) { sweep.Default.SetStore(s) }
 // zero cost, leaving all outputs byte-identical.
 type Telemetry = telemetry.Registry
 
-// TelemetrySpan is one recorded span of the run → experiment → sweep
-// cell / cluster job hierarchy.
-type TelemetrySpan = telemetry.Span
-
-// TelemetryMetric is one exported instrument value from a registry
-// snapshot.
-type TelemetryMetric = telemetry.MetricValue
-
 // RunManifest is the reproducibility record of one CLI run: tool,
 // version, configuration, seeds, fault-plan hash, cache statistics,
 // metrics snapshot and wall-clock provenance. Manifests from equal
@@ -375,10 +282,6 @@ type RunManifest = telemetry.Manifest
 
 // NewTelemetry returns an enabled registry on a monotonic wall clock.
 func NewTelemetry() *Telemetry { return telemetry.New() }
-
-// NewTelemetryWithClock returns a registry on an injected clock — a
-// simulated or tick clock makes span replay fully deterministic.
-func NewTelemetryWithClock(clock func() float64) *Telemetry { return telemetry.NewWithClock(clock) }
 
 // WithTelemetry adapts a registry into a SimObserver that publishes
 // per-stage event counts and duration histograms for any simulated run
@@ -395,24 +298,9 @@ func SetSweepTelemetry(reg *Telemetry) { sweep.Default.SetTelemetry(reg) }
 // NewRunManifest starts a manifest for the named tool.
 func NewRunManifest(tool string) *RunManifest { return telemetry.NewManifest(tool) }
 
-// ParseRunManifest decodes and schema-validates a manifest produced by
-// any of the CLIs' -manifest flags.
-func ParseRunManifest(data []byte) (*RunManifest, error) { return telemetry.ParseManifest(data) }
-
 // WriteTelemetryPrometheus exports every instrument of the registry in
 // the Prometheus text exposition format.
 func WriteTelemetryPrometheus(w io.Writer, reg *Telemetry) error { return reg.WritePrometheus(w) }
-
-// HashFaultPlan returns the SHA-256 hex digest of a fault plan's
-// canonical JSON — the provenance field run manifests carry ("" for a
-// nil or empty plan).
-func HashFaultPlan(plan *FaultPlan) (string, error) {
-	canon, err := plan.Canon()
-	if err != nil {
-		return "", err
-	}
-	return telemetry.HashPlan(canon), nil
-}
 
 // ---- Roofline ----
 
@@ -424,10 +312,6 @@ func V100Roofline() *Roofline {
 	g := hw.TeslaV100SXM2
 	return roofline.ForGPU(&g)
 }
-
-// MeasureHostRoofline micro-benchmarks the current machine (a real GEMM
-// and a real streaming triad) and returns its empirical roofline.
-func MeasureHostRoofline() *Roofline { return roofline.MeasureHost() }
 
 // ---- Scheduling ----
 
@@ -447,66 +331,6 @@ func ScheduleOptimal(jobs []SchedJob, gpus int) (Schedule, error) { return sched
 // RenderGantt draws a schedule as text.
 func RenderGantt(s Schedule, gpus, width int) string { return sched.Gantt(s, gpus, width) }
 
-// ---- Online cluster scheduling (the Figure 4 study made multi-tenant) ----
-
-// ClusterMachine is one fleet member: a named hw-catalog system with its
-// schedulable GPU count.
-type ClusterMachine = cluster.Machine
-
-// ClusterJob is one moldable job of an arrival trace.
-type ClusterJob = cluster.Job
-
-// ClusterPolicy decides placements, widths and preemptions at every
-// scheduling point (fifo, srtf, lpt-backfill, moldable, or your own).
-type ClusterPolicy = cluster.Policy
-
-// ClusterConfig is one online scheduling run: fleet, trace, policy, and
-// the fault plan that prices preemptions.
-type ClusterConfig = cluster.Config
-
-// ClusterResult is a completed online run: per-job outcomes, executed
-// segments, summary metrics and the full decision event stream.
-type ClusterResult = cluster.Result
-
-// ClusterMetrics summarizes one policy's run (makespan, mean/p95 JCT,
-// GPU utilization, preemption charges).
-type ClusterMetrics = cluster.Metrics
-
-// ClusterFleet builds machines from hw catalog names; duplicates make a
-// multi-machine fleet ("dss8440,dss8440").
-func ClusterFleet(systems ...string) ([]ClusterMachine, error) { return cluster.Fleet(systems...) }
-
-// ClusterTrace draws a deterministic synthetic arrival trace of n MLPerf
-// jobs with exponential interarrival gaps and mixed GPU demands.
-func ClusterTrace(seed int64, n int, meanGapSec float64) []ClusterJob {
-	return cluster.SyntheticTrace(seed, n, meanGapSec)
-}
-
-// ClusterPolicies returns the built-in policy set in comparison order.
-func ClusterPolicies() []ClusterPolicy { return cluster.Policies() }
-
-// ClusterPolicyByName resolves "fifo", "srtf", "lpt", "moldable".
-func ClusterPolicyByName(name string) (ClusterPolicy, error) { return cluster.PolicyByName(name) }
-
-// RunCluster executes one online scheduling run; the result validates
-// and exports to a Chrome trace via its Timeline.
-func RunCluster(cfg ClusterConfig) (*ClusterResult, error) { return cluster.Run(cfg) }
-
-// PolicyRow is one scheduling policy's line in the comparison table.
-type PolicyRow = experiments.PolicyRow
-
-// PolicyComparison runs every built-in policy over one synthetic trace
-// on a DSS 8440 and tabulates makespan, mean/p95 JCT, utilization and
-// preemption cost per policy.
-func PolicyComparison(seed int64, n int) ([]PolicyRow, error) {
-	return experiments.PolicyComparison(seed, n)
-}
-
-// RenderPolicyComparison renders the comparison table as text.
-func RenderPolicyComparison(rows []PolicyRow) string {
-	return experiments.RenderPolicyComparison(rows)
-}
-
 // ---- Real training (time-to-quality for real) ----
 
 // NCFConfig configures the runnable NCF recommender.
@@ -517,9 +341,6 @@ type NCFModel = train.NCF
 
 // NCFRunResult reports a real training run.
 type NCFRunResult = train.RunResult
-
-// Rating is one implicit-feedback interaction.
-type Rating = dataset.Rating
 
 // RatingSplit is a leave-one-out train/test split.
 type RatingSplit = dataset.Split
