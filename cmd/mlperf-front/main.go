@@ -5,10 +5,11 @@
 //	mlperf-front -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //	mlperf-front -addr :8080 -backends ... -health-interval 250ms
 //
-// Cells route to backends by consistent hash of their content digest,
-// so repeated and concurrent queries for the same cell always hit the
-// same backend's hot memory tier, where concurrent misses share one
-// simulation. Grid sweeps
+// Cells are placed on backends by their content digest (FNV-1a-64 of
+// the digest modulo the -backends list, which is fixed for the
+// process's life), so repeated and concurrent queries for the same cell
+// always hit the same backend's hot memory tier, where concurrent
+// misses share one simulation. Grid sweeps
 // (unary /v1/sweep and streaming /v1/sweep/stream) are digest-
 // partitioned across all healthy backends and merged back into global
 // cell order — byte-identical to a single process running the grid.
@@ -40,7 +41,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated mlperf-serve base URLs (required)")
 	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll cadence")
-	replicas := flag.Int("replicas", 0, "consistent-hash virtual nodes per backend (0 = default)")
 	drain := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on SIGTERM")
 	flightSize := flag.Int("flight-size", 0, "flight recorder ring capacity (0 = default)")
 	flightDump := flag.String("flight-dump", "", "write the flight ring here on SIGQUIT and drain")
@@ -61,7 +61,6 @@ func main() {
 	reg := sink.Activate()
 	f, err := front.New(front.Config{
 		Backends:       urls,
-		Replicas:       *replicas,
 		HealthInterval: *healthInterval,
 		Telemetry:      reg,
 		Logger:         sink.Log(),

@@ -1,12 +1,13 @@
 // Package cas is a minimal on-disk content-addressed store: fixed-size
-// hex digests name immutable blobs, writes are atomic (write to a temp
-// file, then rename into place), and reads verify a checksummed,
-// versioned envelope so a corrupt or truncated entry is never returned —
-// it is quarantined and reported as a miss instead. The store is the
-// persistent tier behind the sweep engine's memo cache: a digest is the
-// canonical content address of one sweep cell, and the blob is that
-// cell's serialized record, so repeated paper-scale grids across
-// processes and runs replay from disk instead of re-simulating.
+// hex digests name immutable blobs, writes are atomic and durable (write
+// and fsync a temp file, rename it into place, fsync the directory), and
+// reads verify a checksummed, versioned envelope so a corrupt or
+// truncated entry is never returned — it is quarantined and reported as
+// a miss instead. The store is the persistent tier behind the sweep
+// engine's memo cache: a digest is the canonical content address of one
+// sweep cell, and the blob is that cell's serialized record, so repeated
+// paper-scale grids across processes and runs replay from disk instead
+// of re-simulating.
 //
 // The envelope is deliberately strict. Every entry starts with a magic
 // line naming the codec version, a SHA-256 checksum of the payload, and
@@ -46,6 +47,14 @@ const magic = "mlperf-cas"
 
 // quarantineDir is the subdirectory corrupt entries are moved into.
 const quarantineDir = "quarantine"
+
+// tempPrefix starts the name of every in-flight Put's temp file.
+const tempPrefix = ".put-"
+
+// staleTempAge is how old a temp file must be before the eviction scan
+// treats it as the leftover of a writer killed mid-Put and removes it. A
+// live Put holds its temp file for well under a millisecond.
+const staleTempAge = time.Minute
 
 // DefaultQuarantineLimit bounds how many quarantined entries a store
 // keeps. Quarantine preserves evidence, but evidence must not become a
@@ -187,11 +196,12 @@ func (s *Store) Get(digest string) (payload []byte, ok bool, err error) {
 	return payload, true, nil
 }
 
-// Put stores payload under digest, atomically: the envelope is written
-// to a temp file in the store and renamed into place, so readers (and
-// concurrent writers in other processes) only ever observe absent or
-// complete entries. Re-putting an existing digest is a cheap no-op —
-// content addressing guarantees the bytes are the same.
+// Put stores payload under digest, atomically and durably: the envelope
+// is written to a temp file in the store, fsynced, renamed into place,
+// and the directory is fsynced, so readers (and concurrent writers in
+// other processes) only ever observe absent or complete entries, and a
+// returned nil survives a crash. Re-putting an existing digest is a
+// cheap no-op — content addressing guarantees the bytes are the same.
 func (s *Store) Put(digest string, payload []byte) error {
 	if err := validDigest(digest); err != nil {
 		return err
@@ -204,7 +214,7 @@ func (s *Store) Put(digest string, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".put-*")
+	tmp, err := os.CreateTemp(filepath.Dir(dst), tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
@@ -214,10 +224,17 @@ func (s *Store) Put(digest string, payload []byte) error {
 		tmp.Close()
 		return fmt.Errorf("cas: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("cas: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
+		return fmt.Errorf("cas: %w", err)
+	}
+	if err := syncDir(filepath.Dir(dst)); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
 	s.puts.Add(1)
@@ -229,11 +246,26 @@ func (s *Store) Put(digest string, payload []byte) error {
 	return nil
 }
 
+// syncDir fsyncs a directory, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // evictToCap walks the store, re-anchors the size estimate to the
 // authoritative on-disk total, and — if it exceeds the cap — removes the
 // oldest entries (modification time, name as tiebreak) until it fits.
 // The entry just written is by construction the newest, so it survives
-// any eviction the cap allows. Quarantine and in-flight temp files are
+// any eviction the cap allows. Temp files count against the cap; one
+// older than staleTempAge is a killed writer's leftover and is removed,
+// while a younger one belongs to a live Put and stays. Quarantine is
 // invisible to the scan.
 func (s *Store) evictToCap() {
 	s.emu.Lock()
@@ -262,15 +294,23 @@ func (s *Store) evictToCap() {
 			continue
 		}
 		for _, e := range entries {
-			if e.IsDir() || validDigest(e.Name()) != nil {
+			temp := strings.HasPrefix(e.Name(), tempPrefix)
+			if e.IsDir() || !temp && validDigest(e.Name()) != nil {
 				continue
 			}
 			info, err := e.Info()
 			if err != nil {
 				continue
 			}
+			path := filepath.Join(s.dir, d.Name(), e.Name())
+			if temp {
+				if time.Since(info.ModTime()) < staleTempAge || os.Remove(path) != nil {
+					total += info.Size()
+				}
+				continue
+			}
 			files = append(files, aged{
-				path: filepath.Join(s.dir, d.Name(), e.Name()),
+				path: path,
 				size: info.Size(),
 				when: info.ModTime(),
 			})

@@ -405,3 +405,56 @@ func TestQuarantineDoesNotCountAsEviction(t *testing.T) {
 		t.Fatalf("quarantine dir entries = %d (%v), want 1 — eviction must not touch quarantine", len(entries), err)
 	}
 }
+
+// The eviction scan counts in-flight temp files against the cap and
+// removes only those old enough to be a killed writer's leftovers.
+func TestEvictionScanReapsStaleTempFiles(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(i, ageS int) string {
+		p := []byte(fmt.Sprintf(`{"cell":%d,"pad":"0123456789abcdef"}`, i))
+		d := digestOf(p)
+		if err := s.Put(d, p); err != nil {
+			t.Fatal(err)
+		}
+		age(t, s, d, ageS)
+		return d
+	}
+	d0 := put(0, 100)
+	size := fileSize(t, s, d0)
+	s.SetMaxBytes(2*size + size/2)
+	d1 := put(1, 50)
+
+	shard := filepath.Dir(s.path(d0))
+	stale := filepath.Join(shard, tempPrefix+"stale")
+	fresh := filepath.Join(shard, tempPrefix+"fresh")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, bytes.Repeat([]byte{'x'}, int(size)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	d2 := put(2, 0) // over the cap: runs the eviction scan
+
+	if _, err := os.Stat(stale); err == nil {
+		t.Error("stale temp file survived the eviction scan")
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("live temp file removed: %v", err)
+	}
+	// Three entries plus the fresh temp file's bytes fit only once d0 and
+	// d1 are gone; without counting the temp file, d1 would stay.
+	if st := s.Stats(); st.Evictions != 2 {
+		t.Fatalf("evictions = %d, want 2 (the fresh temp file counts against the cap)", st.Evictions)
+	}
+	for d, want := range map[string]bool{d0: false, d1: false, d2: true} {
+		if _, ok, _ := s.Get(d); ok != want {
+			t.Errorf("entry %s present=%v, want %v", d[:8], ok, want)
+		}
+	}
+}

@@ -1,15 +1,16 @@
 // Package front is the multi-process serving tier: one HTTP front
 // fanning requests across N mlperf-serve backends that share a single
-// content-addressed cache directory. Routing is by cell digest over a
-// consistent-hash ring, so the same cell always lands on the same
-// backend — its memory tier stays hot and concurrent identical cells
-// share one simulation inside one process instead of simulating twice —
-// while the shared disk CAS makes every backend's results visible to
-// all of them.
+// content-addressed cache directory. Placement is by cell digest: a cell
+// goes to backend FNV-1a-64(digest) mod N, so the same cell always lands
+// on the same backend — its memory tier stays hot and concurrent
+// identical cells share one simulation inside one process instead of
+// simulating twice — while the shared disk CAS makes every backend's
+// results visible to all of them. The backend list is fixed for the
+// front's life, so plain modulo placement never has to re-home a cell.
 //
 // Grid sweeps are digest-partitioned and take one path: the front
 // expands the request to its cell list (the exact expansion the backends
-// use), slices it by ring owner, and streams each slice from its owner's
+// use), slices it by owner, and streams each slice from its owner's
 // /v1/sweep/stream as an explicit {"cells": [...]} sub-grid. Each record
 // frame is checked, re-indexed from its slice-local index to the global
 // one and delivered as it arrives: the stream endpoint forwards it, the
@@ -29,9 +30,10 @@
 // Failover: a health loop polls each backend's /readyz; a draining or
 // dead backend drops out of the preferred-routing set, and an in-flight
 // attempt that hits a connection error or a 503 (drain) retries on the
-// next healthy ring member. 429s do NOT fail over — a shed is a
-// backend-local admission decision, and bouncing shed traffic to the
-// next backend would defeat load shedding exactly when it matters.
+// next healthy backend in the owner's rotation. 429s do NOT fail over —
+// a shed is a backend-local admission decision, and bouncing shed
+// traffic to the next backend would defeat load shedding exactly when it
+// matters.
 package front
 
 import (
@@ -40,6 +42,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
@@ -51,7 +54,6 @@ import (
 	"mlperf/internal/httpkit"
 	"mlperf/internal/memo"
 	"mlperf/internal/serve"
-	"mlperf/internal/shard"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -74,9 +76,6 @@ type Config struct {
 	// At least one is required; all should share one -cache-dir for the
 	// cross-process cache story to hold.
 	Backends []string
-	// Replicas is the ring's virtual nodes per backend
-	// (0 = shard.DefaultReplicas).
-	Replicas int
 	// HealthInterval is the /readyz poll cadence (0 = 500ms).
 	HealthInterval time.Duration
 	// Client performs backend requests (nil = a client with no overall
@@ -118,7 +117,6 @@ type BackendStatus struct {
 type Front struct {
 	cfg      Config
 	backends []string
-	ring     *shard.Ring
 	client   *http.Client
 	reg      *telemetry.Registry
 	mux      *http.ServeMux
@@ -205,7 +203,6 @@ func New(cfg Config) (*Front, error) {
 	f := &Front{
 		cfg:            cfg,
 		backends:       backends,
-		ring:           shard.NewRing(len(backends), cfg.Replicas),
 		client:         client,
 		reg:            reg,
 		mux:            http.NewServeMux(),
@@ -336,13 +333,22 @@ func (f *Front) probe(ctx context.Context, i int) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// order returns backend indices to try for a routing key: the ring
-// owner's rotation with healthy backends first. Unhealthy ones stay at
-// the tail as a last resort — a stale health view must not turn into a
-// refusal when the backend is actually back.
+// owner places a routing key — a cell digest, or a proxied request's
+// "METHOD URI" — on backend FNV-1a-64(key) mod len(backends). The hash
+// has no seed, so every front over the same backend list agrees.
+func (f *Front) owner(key string) int {
+	h := fnv.New64a()
+	io.WriteString(h, key) // a hash.Hash write never returns an error
+	return int(h.Sum64() % uint64(len(f.backends)))
+}
+
+// order returns backend indices to try for a routing key: the owner's
+// rotation with healthy backends first. Unhealthy ones stay at the tail
+// as a last resort — a stale health view must not turn into a refusal
+// when the backend is actually back.
 func (f *Front) order(key string) []int {
 	n := len(f.backends)
-	owner := f.ring.Owner(key)
+	owner := f.owner(key)
 	rot := make([]int, 0, n)
 	var down []int
 	for s := 0; s < n; s++ {
@@ -530,7 +536,7 @@ func (f *Front) countCells(hits, misses int) {
 
 // ---- sweep fan-out ----
 
-// partition is one ring owner's slice of a grid, remembering each
+// partition is one owner's slice of a grid, remembering each
 // cell's global index so sub-results merge back into the exact order a
 // single process would have returned.
 type partition struct {
@@ -541,7 +547,7 @@ type partition struct {
 
 // gridPlan is a grid split for fan-out: records is the whole grid in
 // global order with the held cells filled in, and parts slices the rest
-// by ring owner.
+// by owner.
 type gridPlan struct {
 	records []sweep.Record
 	held    []int // global indices answered from the cell cache
@@ -549,7 +555,7 @@ type gridPlan struct {
 }
 
 // planGrid resolves a sweep request's cells, answers the held ones from
-// the cell cache and slices the rest by ring owner, hashing each cell
+// the cell cache and slices the rest by owner, hashing each cell
 // once for lookup, routing and fill. It writes the 400 itself for a
 // malformed grid or deadline — held cells or not, as a backend would.
 func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, bool) {
@@ -574,7 +580,7 @@ func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, boo
 			g.held = append(g.held, i)
 			continue
 		}
-		o := f.ring.Owner(d)
+		o := f.owner(d)
 		p := byOwner[o]
 		if p == nil {
 			p = &partition{}
@@ -637,7 +643,7 @@ func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanOut is the one grid path through the fleet. It streams every
-// unheld slice from its ring owner (subStream, one goroutine each) and
+// unheld slice from its owner (subStream, one goroutine each) and
 // calls deliver on the caller's goroutine once per cell that arrives,
 // held cells first, each frame carrying its global index. It returns
 // the merged summary, whose Completed is the number of frames
@@ -685,11 +691,11 @@ func (f *Front) fanOut(r *http.Request, g *gridPlan, deliver func(*serve.StreamF
 	return sum
 }
 
-// subStream streams one partition from /v1/sweep/stream on its ring
-// owner, keyed by the partition's first cell digest (the first cell's
-// owner IS the slice's owner, so attempt 0 goes there). Each record
-// frame fills the cell cache and goes to frames re-indexed from
-// slice-local to global; the backend's summary is returned.
+// subStream streams one partition from /v1/sweep/stream on its owner,
+// keyed by the partition's first cell digest (the first cell's owner IS
+// the slice's owner, so attempt 0 goes there). Each record frame fills
+// the cell cache and goes to frames re-indexed from slice-local to
+// global; the backend's summary is returned.
 //
 // A backend's answer is broken when a frame does not parse, an index is
 // out of range or repeated, the stream ends without a summary, or the
