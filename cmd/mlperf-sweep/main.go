@@ -5,7 +5,7 @@
 //	mlperf-sweep -bench res50_tf,ncf_py -system dss8440,dgx1 -gpus 1,2,4,8
 //	mlperf-sweep -bench res50_tf -gpus 8 -precision fp32,mixed -out amp.csv
 //	mlperf-sweep -workers 4 -bench res50_tf -gpus 1,2,4,8
-//	mlperf-sweep -bench gnmt_py -gpus 4 -faults plan.json -cell-timeout 30s -retries 2 -partial
+//	mlperf-sweep -bench gnmt_py -gpus 4 -faults plan.json -cell-timeout 30s -partial
 //	mlperf-sweep -bench res50_tf -gpus 1,2,4,8 -cache-dir ~/.cache/mlperf-cells
 //
 // Cells run concurrently on the sweep engine's worker pool (-workers,
@@ -15,9 +15,10 @@
 // order and values are identical in every configuration.
 //
 // Every engine run takes the hardened path (RunWithOptions): each cell
-// runs with panic containment, -cell-timeout bounds each attempt,
-// -retries adds bounded exponential-backoff retry, and -faults applies a
-// fault plan to every cell. With -partial the sweep degrades gracefully
+// runs once with panic containment, -cell-timeout bounds each cell, and
+// -faults applies a fault plan to every cell. The simulator is
+// deterministic, so a failed cell is not retried: it would fail the
+// same way again. With -partial the sweep degrades gracefully
 // — completed cells are written, failed cells are reported to stderr as
 // typed errors, and the exit status reflects whether everything
 // completed.
@@ -54,8 +55,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent cells (0 = GOMAXPROCS)")
 	seq := flag.Bool("seq", false, "run cells sequentially without the cache (reference path)")
 	faults := flag.String("faults", "", "JSON fault-plan file applied to every cell")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell attempt deadline (0 = unbounded)")
-	retries := flag.Int("retries", 0, "retry budget per cell for panics and timeouts")
+	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell deadline (0 = unbounded)")
 	partial := flag.Bool("partial", false, "keep going past failed cells; write completed cells and report the rest")
 	engineFlags := sweep.RegisterCLIFlags(nil)
 	sink := telecli.Register("mlperf-sweep", nil)
@@ -86,7 +86,7 @@ func main() {
 	cfg := runConfig{
 		bench: *bench, system: *system, gpus: *gpus, batch: *batch, prec: *prec,
 		out: *out, seq: *seq, faults: *faults,
-		cellTimeout: *cellTimeout, retries: *retries, partial: *partial,
+		cellTimeout: *cellTimeout, partial: *partial,
 		cacheDir: engineFlags.CacheDir,
 		sink:     sink,
 	}
@@ -116,7 +116,6 @@ type runConfig struct {
 	cacheDir                                      string
 	seq, partial                                  bool
 	cellTimeout                                   time.Duration
-	retries                                       int
 	sink                                          *telecli.Sink
 }
 
@@ -151,12 +150,12 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 
-	hardened := cfg.cellTimeout > 0 || cfg.retries > 0 || cfg.partial
+	hardened := cfg.cellTimeout > 0 || cfg.partial
 	var recs []sweep.Record
 	var report *sweep.Report
 	if cfg.seq {
 		if hardened {
-			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cell-timeout/-retries/-partial")
+			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cell-timeout/-partial")
 		}
 		if cfg.cacheDir != "" {
 			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cache-dir")
@@ -171,7 +170,6 @@ func run(ctx context.Context, cfg runConfig) error {
 		// FAILURES degrade gracefully or abort like before.
 		opts := sweep.Options{
 			CellTimeout: cfg.cellTimeout,
-			Retries:     cfg.retries,
 			Partial:     true,
 		}
 		recs, report, err = sweep.Default.RunWithOptions(ctx, g, opts)
@@ -224,9 +222,6 @@ func run(ctx context.Context, cfg runConfig) error {
 		fmt.Printf("wrote %d sweep cells to %s\n", len(recs), cfg.out)
 	}
 	if report != nil {
-		if report.RetriesUsed > 0 {
-			fmt.Fprintf(os.Stderr, "mlperf-sweep: %d retr%s used\n", report.RetriesUsed, plural(report.RetriesUsed, "y", "ies"))
-		}
 		// Print real failures individually; an interrupt marks every
 		// unreached cell canceled, which would be pure noise line by line.
 		var canceled int
@@ -246,13 +241,6 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 	return nil
-}
-
-func plural(n int64, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 func splitList(s string) []string {

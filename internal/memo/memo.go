@@ -53,18 +53,8 @@ func (m *Map[K, V]) Put(k K, v V) {
 	m.cur[k] = v
 }
 
-// Delete drops k, reporting whether it was held.
-func (m *Map[K, V]) Delete(k K) bool {
-	_, inCur := m.cur[k]
-	_, inOld := m.old[k]
-	delete(m.cur, k)
-	delete(m.old, k)
-	return inCur || inOld
-}
-
 // Len reports how many entries are held.
 func (m *Map[K, V]) Len() int { return len(m.cur) + len(m.old) }
 
-// Dropped reports how many entries rotations have dropped so far
-// (Delete is not counted).
+// Dropped reports how many entries rotations have dropped so far.
 func (m *Map[K, V]) Dropped() int64 { return m.dropped }

@@ -8,15 +8,6 @@ import (
 	"mlperf/internal/telemetry"
 )
 
-// FallibleStore is the slice of the disk tier the breaker observes: the
-// error-surfacing variants of the sweep.Store operations.
-// *sweep.DiskStore implements it.
-type FallibleStore interface {
-	GetE(k sweep.CellKey) (sweep.Record, bool, error)
-	PutE(k sweep.CellKey, rec sweep.Record) error
-	Stats() sweep.TierStats
-}
-
 // BreakerState is the circuit's position.
 type BreakerState int32
 
@@ -71,10 +62,10 @@ type BreakerConfig struct {
 // circuit open; after a cooldown a single probe is let through and its
 // outcome decides between closing and re-opening.
 //
-// Breaker implements sweep.Store, so it slots between the engine and
-// the DiskStore transparently.
+// Breaker wraps a sweep.Store and implements it, so it slots between
+// the engine and the DiskStore transparently.
 type Breaker struct {
-	inner FallibleStore
+	inner sweep.Store
 	cfg   BreakerConfig
 
 	mu       sync.Mutex
@@ -89,7 +80,7 @@ type Breaker struct {
 }
 
 // NewBreaker wraps the disk tier in a circuit breaker.
-func NewBreaker(inner FallibleStore, cfg BreakerConfig) *Breaker {
+func NewBreaker(inner sweep.Store, cfg BreakerConfig) *Breaker {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 5
 	}
@@ -226,24 +217,25 @@ func (b *Breaker) publishLocked() {
 
 // Get implements sweep.Store. While the circuit is open the disk tier
 // simply does not exist: the lookup is a miss and the engine simulates.
-func (b *Breaker) Get(k sweep.CellKey) (sweep.Record, bool) {
+// An inner error is counted here and passed on.
+func (b *Breaker) Get(k sweep.CellKey) (sweep.Record, bool, error) {
 	if !b.admit() {
-		return sweep.Record{}, false
+		return sweep.Record{}, false, nil
 	}
-	rec, ok, err := b.inner.GetE(k)
+	rec, ok, err := b.inner.Get(k)
 	b.report(err)
-	if err != nil {
-		return sweep.Record{}, false
-	}
-	return rec, ok
+	return rec, ok, err
 }
 
-// Put implements sweep.Store (best-effort, like the tier it guards).
-func (b *Breaker) Put(k sweep.CellKey, rec sweep.Record) {
+// Put implements sweep.Store. While the circuit is open the write is
+// dropped; an inner error is counted here and passed on.
+func (b *Breaker) Put(k sweep.CellKey, rec sweep.Record) error {
 	if !b.admit() {
-		return
+		return nil
 	}
-	b.report(b.inner.PutE(k, rec))
+	err := b.inner.Put(k, rec)
+	b.report(err)
+	return err
 }
 
 // Stats implements sweep.Store, passing the inner tier's counters

@@ -8,7 +8,7 @@ import (
 	"mlperf/internal/sweep"
 )
 
-// flakyStore is a FallibleStore whose error is a knob.
+// flakyStore is a sweep.Store whose error is a knob.
 type flakyStore struct {
 	err  error
 	rec  sweep.Record
@@ -17,14 +17,14 @@ type flakyStore struct {
 	puts int
 }
 
-func (f *flakyStore) GetE(sweep.CellKey) (sweep.Record, bool, error) {
+func (f *flakyStore) Get(sweep.CellKey) (sweep.Record, bool, error) {
 	f.gets++
 	return f.rec, f.ok, f.err
 }
-func (f *flakyStore) PutE(sweep.CellKey, sweep.Record) error { f.puts++; return f.err }
-func (f *flakyStore) Stats() sweep.TierStats                 { return sweep.TierStats{Hits: 42} }
+func (f *flakyStore) Put(sweep.CellKey, sweep.Record) error { f.puts++; return f.err }
+func (f *flakyStore) Stats() sweep.TierStats                { return sweep.TierStats{Hits: 42} }
 
-func testBreaker(inner FallibleStore, threshold int, cooldown time.Duration) (*Breaker, *time.Time) {
+func testBreaker(inner sweep.Store, threshold int, cooldown time.Duration) (*Breaker, *time.Time) {
 	clock := time.Unix(1000, 0)
 	b := NewBreaker(inner, BreakerConfig{
 		Threshold: threshold,
@@ -40,8 +40,8 @@ func TestBreakerTripsOpensAndBypasses(t *testing.T) {
 	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 1}
 
 	for i := 0; i < 3; i++ {
-		if _, ok := b.Get(k); ok {
-			t.Fatal("errored Get reported a hit")
+		if _, ok, err := b.Get(k); ok || err == nil {
+			t.Fatalf("errored Get: ok=%v err=%v, want a miss carrying the error", ok, err)
 		}
 	}
 	if got := b.State(); got != BreakerOpen {
@@ -54,8 +54,8 @@ func TestBreakerTripsOpensAndBypasses(t *testing.T) {
 	// Open circuit: the disk tier must not be touched at all.
 	before := inner.gets
 	for i := 0; i < 5; i++ {
-		if _, ok := b.Get(k); ok {
-			t.Fatal("open breaker reported a hit")
+		if _, ok, err := b.Get(k); ok || err != nil {
+			t.Fatalf("open breaker: ok=%v err=%v, want a clean miss", ok, err)
 		}
 		b.Put(k, sweep.Record{})
 	}
@@ -101,7 +101,7 @@ func TestBreakerHalfOpenProbeHealsOrReopens(t *testing.T) {
 	inner.err = nil
 	inner.ok = true
 	inner.rec = sweep.Record{Benchmark: "res50_tf", TimeToTrainMin: 5}
-	rec, ok := b.Get(k)
+	rec, ok, _ := b.Get(k)
 	if !ok || rec.TimeToTrainMin != 5 {
 		t.Fatalf("healing probe lost the result: ok=%v rec=%+v", ok, rec)
 	}

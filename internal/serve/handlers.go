@@ -112,14 +112,25 @@ func (s *Server) countCode(endpoint string, status int) {
 		telemetry.Label{Key: "code", Value: strconv.Itoa(status)}).Inc()
 }
 
-// admit is the one admission prologue every compute endpoint runs, in
-// order: drain check, tenant quota, size, deadline, drain watch, then
-// the bounded queue and cost budget. A refusal is answered here — a
-// typed 429/503 with Retry-After, a 413 or a 400 — and counted under
-// endpoint, and ok is false. Otherwise ctx carries the request's
-// deadline and is also cancelled by a drain's hard stop, and finish
-// releases the slot and the context.
+// refuse answers a compute request whose parameters do not parse with
+// a 400 before admission, counted like every other request: in
+// Stats.Requests and under endpoint's MetricRequests code.
+func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
+	s.requests.Add(1)
+	httpkit.WriteError(w, http.StatusBadRequest, err.Error())
+	s.countCode(endpoint, http.StatusBadRequest)
+}
+
+// admit is the one admission prologue every compute endpoint runs on a
+// request that parsed, in order: request count, drain check, tenant
+// quota, size, deadline, drain watch, then the bounded queue and cost
+// budget. A refusal is answered here — a typed 429/503 with
+// Retry-After, a 413 or a 400 — and counted under endpoint, and ok is
+// false. Otherwise ctx carries the request's deadline and is also
+// cancelled by a drain's hard stop, and finish releases the slot and
+// the context.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, cost int64) (ctx context.Context, finish func(), ok bool) {
+	s.requests.Add(1)
 	if s.draining.Load() {
 		s.shedWith(w, r, shedDrain, time.Second)
 		s.countCode(endpoint, http.StatusServiceUnavailable)
@@ -169,7 +180,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 // unwinds to recoverWrap, which answers this request with a 500.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint string, cost int64, fn func(ctx context.Context) (any, int, error)) {
 	start := time.Now()
-	s.requests.Add(1)
 	ctx, finish, ok := s.admit(w, r, endpoint, cost)
 	if !ok {
 		return
@@ -239,7 +249,7 @@ func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	k, err := cellKeyFrom(r)
 	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
+		s.refuse(w, "simulate", err)
 		return
 	}
 	s.runQuery(w, r, "simulate", 1, func(ctx context.Context) (any, int, error) {
@@ -320,7 +330,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// front prices the request for admission.
 	keys, err := sweepKeysFrom(r)
 	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
+		s.refuse(w, "sweep", err)
 		return
 	}
 
@@ -376,25 +386,25 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	pol, err := cluster.PolicyByName(policy)
 	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
+		s.refuse(w, "schedule", err)
 		return
 	}
 	n, seed, gap := 12, int64(1), 1800.0
 	if v := q.Get("n"); v != "" {
 		if n, err = strconv.Atoi(v); err != nil || n < 1 || n > 10000 {
-			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad n %q: want 1..10000", v))
+			s.refuse(w, "schedule", fmt.Errorf("bad n %q: want 1..10000", v))
 			return
 		}
 	}
 	if v := q.Get("seed"); v != "" {
 		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad seed %q", v))
+			s.refuse(w, "schedule", fmt.Errorf("bad seed %q", v))
 			return
 		}
 	}
 	if v := q.Get("gap"); v != "" {
 		if gap, err = strconv.ParseFloat(v, 64); err != nil || gap < 0 {
-			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad gap %q", v))
+			s.refuse(w, "schedule", fmt.Errorf("bad gap %q", v))
 			return
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mlperf/internal/telemetry"
 )
 
 // The quota shed path hands shedWith the token-bucket wait, which is
@@ -61,6 +63,34 @@ func TestImpossibleCellsAre400(t *testing.T) {
 	}
 	if st := srv.Snapshot(); st.Streams != 0 || st.Cache.Simulations != 1 {
 		t.Fatalf("refused cells reached the engine: %+v", st)
+	}
+}
+
+// A request whose parameters do not parse is refused with 400 on every
+// compute endpoint, and every such refusal is counted: once in
+// Stats.Requests and once under its endpoint's code="400" counter.
+func TestMalformedRequestsCounted(t *testing.T) {
+	srv, ts := newTestServer(t, Config{}, nil)
+	cases := map[string]string{
+		"simulate":     "/v1/simulate?benchmark=nope",
+		"sweep":        "/v1/sweep?benchmarks=nope",
+		"sweep_stream": "/v1/sweep/stream?benchmarks=nope",
+		"schedule":     "/v1/schedule?n=0",
+	}
+	for endpoint, p := range cases {
+		if code, body, _ := get(t, ts.URL+p); code != http.StatusBadRequest {
+			t.Errorf("%s = %d (%s), want 400", p, code, strings.TrimSpace(body))
+		}
+		got := srv.Registry().Counter(MetricRequests,
+			telemetry.Label{Key: "endpoint", Value: endpoint},
+			telemetry.Label{Key: "code", Value: "400"}).Value()
+		if got != 1 {
+			t.Errorf("%s: %s{endpoint=%q,code=\"400\"} = %d, want 1", p, MetricRequests, endpoint, got)
+		}
+	}
+	if st := srv.Snapshot(); st.Requests != int64(len(cases)) || st.Cache.Simulations != 0 {
+		t.Fatalf("stats requests = %d, simulations = %d; want %d and 0",
+			st.Requests, st.Cache.Simulations, len(cases))
 	}
 }
 

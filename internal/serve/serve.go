@@ -47,7 +47,7 @@ import (
 // CI assertions and tests share one schema.
 const (
 	MetricRequests       = "serve_requests_total"          // counter, endpoint= code=
-	MetricShed           = "serve_shed_total"              // counter, reason=quota|queue|inflight|cost|deadline
+	MetricShed           = "serve_shed_total"              // counter, reason=quota|queue|cost|drain
 	MetricInFlight       = "serve_inflight"                // gauge, admitted requests executing
 	MetricQueueDepth     = "serve_queue_depth"             // gauge, requests waiting for a slot
 	MetricCellsInFlight  = "serve_cells_inflight"          // gauge, admitted simulation cost units

@@ -33,7 +33,7 @@ func newGateStore(blockOn func(sweep.CellKey) bool) *gateStore {
 	}
 }
 
-func (g *gateStore) Get(k sweep.CellKey) (sweep.Record, bool) {
+func (g *gateStore) Get(k sweep.CellKey) (sweep.Record, bool, error) {
 	if g.blockOn == nil || g.blockOn(k) {
 		select {
 		case g.entered <- k:
@@ -41,10 +41,10 @@ func (g *gateStore) Get(k sweep.CellKey) (sweep.Record, bool) {
 		}
 		<-g.gate
 	}
-	return sweep.Record{}, false
+	return sweep.Record{}, false, nil
 }
-func (g *gateStore) Put(sweep.CellKey, sweep.Record) {}
-func (g *gateStore) Stats() sweep.TierStats          { return sweep.TierStats{} }
+func (g *gateStore) Put(sweep.CellKey, sweep.Record) error { return nil }
+func (g *gateStore) Stats() sweep.TierStats                { return sweep.TierStats{} }
 
 func newTestServer(t *testing.T, cfg Config, gs *gateStore) (*Server, *httptest.Server) {
 	t.Helper()
@@ -440,12 +440,12 @@ func TestServerObservabilitySurface(t *testing.T) {
 // stream overruns MaxInFlight=1 and the server must shed.
 type slowStore struct{ d time.Duration }
 
-func (s slowStore) Get(sweep.CellKey) (sweep.Record, bool) {
+func (s slowStore) Get(sweep.CellKey) (sweep.Record, bool, error) {
 	time.Sleep(s.d)
-	return sweep.Record{}, false
+	return sweep.Record{}, false, nil
 }
-func (s slowStore) Put(sweep.CellKey, sweep.Record) {}
-func (s slowStore) Stats() sweep.TierStats          { return sweep.TierStats{} }
+func (s slowStore) Put(sweep.CellKey, sweep.Record) error { return nil }
+func (s slowStore) Stats() sweep.TierStats                { return sweep.TierStats{} }
 
 // End-to-end acceptance: the loadgen harness drives a small server past
 // its admission limit. Overload must shed (429) and never 5xx, and the

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -232,11 +231,9 @@ func (sw *StreamWriter) Frame(f *StreamFrame) error {
 // stream, not one body, so the status code is committed before the run
 // finishes.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	keys, err := sweepKeysFrom(r)
 	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		s.countCode("sweep_stream", http.StatusBadRequest)
+		s.refuse(w, "sweep_stream", err)
 		return
 	}
 	ctx, finish, ok := s.admit(w, r, "sweep_stream", int64(len(keys)))

@@ -81,10 +81,10 @@ type gatedStore struct {
 	puts atomic.Int32
 }
 
-func (g *gatedStore) Put(k CellKey, rec Record) {
+func (g *gatedStore) Put(k CellKey, rec Record) error {
 	g.puts.Add(1)
 	<-g.gate
-	g.DiskStore.Put(k, rec)
+	return g.DiskStore.Put(k, rec)
 }
 
 // A cell that times out while its result is being persisted must never
@@ -122,7 +122,7 @@ func TestCellTimeoutMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fresh.Get(k); ok {
+	if _, ok, _ := fresh.Get(k); ok {
 		t.Fatal("timed-out cell's entry visible before its write completed")
 	}
 	if n, err := fresh.Len(); err != nil || n != 0 {
@@ -143,9 +143,9 @@ func TestCellTimeoutMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	got, ok, gerr := fresh.GetE(k)
+	got, ok, gerr := fresh.Get(k)
 	if gerr != nil || !ok {
-		t.Fatalf("GetE after release: ok=%v err=%v", ok, gerr)
+		t.Fatalf("Get after release: ok=%v err=%v", ok, gerr)
 	}
 	if got != want {
 		t.Fatalf("persisted record %+v, want %+v", got, want)

@@ -28,7 +28,7 @@ type Engine struct {
 	fastPath atomic.Int32
 
 	// simulate is the cell evaluator — runCell in production, swappable
-	// in tests to exercise the panic/timeout/retry machinery.
+	// in tests to exercise panic containment and timeouts.
 	simulate func(CellKey) (Record, error)
 
 	// tel is the attached telemetry registry (nil = disabled; every
@@ -52,13 +52,12 @@ type Engine struct {
 
 	mu sync.Mutex
 	// cache memoizes cells, at most maxMemoCells of them. Its length is
-	// NOT the miss count: rotations and hardened retries drop entries, so
-	// misses get their own monotone counter below.
-	cache     *memo.Map[CellKey, *cellEntry]
-	hits      int64
-	misses    int64
-	joins     int64
-	evictions int64 // hardened-retry forgets; rotation drops are cache.Dropped()
+	// NOT the miss count: rotations drop entries, so misses get their own
+	// monotone counter below.
+	cache  *memo.Map[CellKey, *cellEntry]
+	hits   int64
+	misses int64
+	joins  int64
 }
 
 // maxMemoCells bounds the memory tier. Full, it holds about 25 MB of
@@ -115,7 +114,7 @@ func (e *Engine) FastPath() sim.FastPathMode { return sim.FastPathMode(e.fastPat
 
 // SetTelemetry attaches (or, with nil, detaches) a metrics registry.
 // While attached, the engine publishes cache traffic, per-cell latency
-// histograms, failure/retry counters, worker-pool occupancy and one
+// histograms, failure counters, worker-pool occupancy and one
 // span per simulated cell. Detached (the default), every telemetry
 // call is a nil no-op and results are byte-identical to an engine that
 // never heard of telemetry.
@@ -154,8 +153,7 @@ const (
 	MetricCacheTotal     = "sweep_cache_total"         // counter, result=hit|miss (memory tier)
 	MetricDiskCacheTotal = "sweep_disk_cache_total"    // counter, result=hit|miss (persistent tier, consulted on memory misses)
 	MetricCellSeconds    = "sweep_cell_seconds"        // histogram, wall time per simulated cell
-	MetricFailures       = "sweep_cell_failures_total" // counter, kind=error|panic|timeout|canceled (per failed attempt)
-	MetricRetries        = "sweep_retries_total"       // counter
+	MetricFailures       = "sweep_cell_failures_total" // counter, kind=error|panic|timeout|canceled (per failed cell)
 	MetricWorkersBusy    = "sweep_workers_busy"        // gauge, live busy workers
 	MetricWorkersPeak    = "sweep_workers_busy_peak"   // gauge, high-water occupancy
 )
@@ -246,7 +244,10 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		// simulating. Only verified content comes back from the store, so
 		// this branch can change wall time but never records.
 		if ds := e.Store(); ds != nil {
-			if rec, ok := ds.Get(k); ok {
+			// A store error reads as a miss: the tier is an accelerator,
+			// and a wrapper such as serve's breaker is where its errors
+			// are counted.
+			if rec, ok, _ := ds.Get(k); ok {
 				e.diskHits.Add(1)
 				reg.Counter(MetricDiskCacheTotal, telemetry.L("result", "hit")).Inc()
 				en.rec, en.err = rec, nil
@@ -270,7 +271,7 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		}
 		if en.err == nil {
 			if ds := e.Store(); ds != nil {
-				ds.Put(k, en.rec)
+				_ = ds.Put(k, en.rec) // best-effort, for the same reason as Get
 			}
 		}
 	})
@@ -280,17 +281,6 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 // cellName renders the span label of one cell ("res50_tf/dss8440@4").
 func cellName(k CellKey) string {
 	return k.Benchmark + "/" + k.System + "@" + strconv.Itoa(k.GPUs)
-}
-
-// forget drops one memoized cell so a retry can re-simulate it; the
-// hit/miss counters keep their history and the drop is counted as a
-// memory-tier eviction.
-func (e *Engine) forget(k CellKey) {
-	e.mu.Lock()
-	if e.cache.Delete(k) {
-		e.evictions++
-	}
-	e.mu.Unlock()
 }
 
 // CacheStats reports the two-tier memo cache's activity. Hits and
@@ -311,14 +301,13 @@ type CacheStats struct {
 	// deduplicated.
 	Joins int64
 	// Misses counts cell requests the memory tier could not answer. This
-	// is a dedicated monotone counter, not the cache's size: hardened
-	// retries forget poisoned entries, so a retried cell is two misses
-	// while occupying (at most) one cache slot, and a disk promotion is
-	// still a memory miss.
+	// is a dedicated monotone counter, not the cache's size: the bound
+	// rotates entries out, so a re-requested cell is two misses while
+	// occupying (at most) one cache slot, and a disk promotion is still a
+	// memory miss.
 	Misses int64
 	// Memory is the in-memory tier's traffic (Hits/Misses restated, plus
-	// evictions: entries the bound rotated out and hardened-retry
-	// forgets).
+	// evictions: entries the bound rotated out).
 	Memory TierStats
 	// Disk is the persistent tier's traffic as driven by this engine,
 	// with Evictions and Quarantined read from the store itself.
@@ -336,7 +325,7 @@ type CacheStats struct {
 func (e *Engine) Stats() CacheStats {
 	e.mu.Lock()
 	hits, misses, joins := e.hits, e.misses, e.joins
-	evict := e.evictions + e.cache.Dropped()
+	evict := e.cache.Dropped()
 	e.mu.Unlock()
 	st := CacheStats{
 		Hits:   hits,
@@ -367,7 +356,6 @@ func (e *Engine) ResetCache() {
 	e.hits = 0
 	e.misses = 0
 	e.joins = 0
-	e.evictions = 0
 	e.mu.Unlock()
 	e.diskHits.Store(0)
 	e.diskMisses.Store(0)

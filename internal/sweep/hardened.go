@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"mlperf/internal/telemetry"
@@ -27,8 +26,8 @@ const (
 )
 
 // CellError is one failed cell of a hardened run: which cell, where in
-// the grid, how it failed, and after how many attempts. It wraps the
-// underlying error for errors.Is/As.
+// the grid and how it failed. It wraps the underlying error for
+// errors.Is/As.
 type CellError struct {
 	// Key is the normalized cell configuration.
 	Key CellKey
@@ -36,15 +35,13 @@ type CellError struct {
 	Index int
 	// Kind classifies the failure.
 	Kind FailKind
-	// Attempts is how many times the cell was tried (1 + retries).
-	Attempts int
-	// Err is the final attempt's error.
+	// Err is the cell's error.
 	Err error
 }
 
 func (c *CellError) Error() string {
-	return fmt.Sprintf("sweep: cell %d (%s on %s @%d) %s after %d attempt(s): %v",
-		c.Index, c.Key.Benchmark, c.Key.System, c.Key.GPUs, c.Kind, c.Attempts, c.Err)
+	return fmt.Sprintf("sweep: cell %d (%s on %s @%d) %s: %v",
+		c.Index, c.Key.Benchmark, c.Key.System, c.Key.GPUs, c.Kind, c.Err)
 }
 
 func (c *CellError) Unwrap() error { return c.Err }
@@ -75,25 +72,17 @@ func safeCell(fn func(CellKey) (Record, error), k CellKey) (rec Record, err erro
 	return fn(k)
 }
 
-// Options harden a grid run on the engine's worker pool. The zero value
-// means: no per-cell timeout, no retries, fail the run on the first
+// Options harden a grid run on the engine's worker pool. Every cell
+// gets exactly one attempt: the simulator is deterministic, so a second
+// attempt would redo the same work and fail the same way. The zero
+// value means: no per-cell timeout, fail the run on the first
 // (lowest-index) error — what Engine.Run uses.
 type Options struct {
-	// CellTimeout bounds one attempt of one cell (0 = unbounded). A cell
-	// that exceeds it fails with ErrCellTimeout; its simulation
-	// goroutine is left to finish in the background and its result, if
-	// any, stays in the memo cache for later requests.
+	// CellTimeout bounds each cell (0 = unbounded). A cell that exceeds
+	// it fails with ErrCellTimeout; its simulation goroutine is left to
+	// finish in the background and its result, if any, stays in the memo
+	// cache, where a later request for the same cell joins it.
 	CellTimeout time.Duration
-	// Retries is how many times a retryable failure is re-attempted
-	// (with the cell's cache slot invalidated in between).
-	Retries int
-	// Backoff is the first retry's delay, doubling per attempt
-	// (default 10ms when Retries > 0).
-	Backoff time.Duration
-	// RetryIf decides whether a failure is worth retrying. Default:
-	// panics and timeouts are retryable, validation/simulation errors
-	// are not (a deterministic simulator fails the same way twice).
-	RetryIf func(error) bool
 	// Partial selects graceful degradation: every cell is attempted,
 	// failures land in the Report, and the record slice holds the
 	// successes (zero Records at failed indices). When false the run
@@ -129,8 +118,6 @@ type Report struct {
 	Cells int
 	// Completed counts cells that produced a record.
 	Completed int
-	// RetriesUsed counts retry attempts across all cells.
-	RetriesUsed int64
 	// Canceled reports whether the run's context was canceled before
 	// every cell completed.
 	Canceled bool
@@ -150,13 +137,6 @@ func (r *Report) Err() error {
 	return fmt.Errorf("sweep: %d of %d cells failed (first: %w)", len(r.Failures), r.Cells, r.Failures[0])
 }
 
-// defaultRetryIf treats panics and timeouts as transient; deterministic
-// simulation errors are permanent.
-func defaultRetryIf(err error) bool {
-	var p *PanicError
-	return errors.As(err, &p) || errors.Is(err, ErrCellTimeout)
-}
-
 // classify maps an error to its FailKind.
 func classify(err error) FailKind {
 	var p *PanicError
@@ -173,11 +153,11 @@ func classify(err error) FailKind {
 }
 
 // RunWithOptions executes the grid on the worker pool with per-cell
-// timeout, bounded exponential-backoff retry, panic containment and
-// cooperative cancellation. Records come back in the grid's
-// deterministic order. With opts.Partial the run always returns every
-// cell it could complete plus a Report of the rest; without it the
-// first (lowest-index) failure aborts the result like Engine.Run.
+// timeout, panic containment and cooperative cancellation. Records
+// come back in the grid's deterministic order. With opts.Partial the
+// run always returns every cell it could complete plus a Report of the
+// rest; without it the first (lowest-index) failure aborts the result
+// like Engine.Run.
 func (e *Engine) RunWithOptions(ctx context.Context, g Grid, opts Options) ([]Record, *Report, error) {
 	keys, err := expand(g)
 	if err != nil {
@@ -225,9 +205,9 @@ func firstFailure(r *Report) error {
 }
 
 // runHardened is the hardened pool: the engine's worker pool runs each
-// cell through its attempt loop with timeout and backoff, and
-// cancellation drains the pool, marking unreached cells canceled. run
-// is the span every cell span parents under.
+// cell once under its timeout, and cancellation drains the pool,
+// marking unreached cells canceled. run is the span every cell span
+// parents under.
 func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, run telemetry.SpanID) ([]Record, *Report) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,25 +216,23 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, 
 	recs := make([]Record, n)
 	cellErrs := make([]*CellError, n)
 	attempted := make([]bool, n)
-	var retries atomic.Int64
 
 	forEach(e.WorkerCount(), n, func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
 		attempted[i] = true
-		recs[i], cellErrs[i] = e.runHardenedCell(ctx, keys[i], i, opts, &retries, run)
+		recs[i], cellErrs[i] = e.runHardenedCell(ctx, keys[i], i, opts.CellTimeout, run)
 		if opts.OnCell != nil {
 			opts.OnCell(CellDone{Index: i, Key: keys[i], Record: recs[i], Err: cellErrs[i]})
 		}
 	})
 
-	report := &Report{Cells: n, RetriesUsed: retries.Load(), Canceled: ctx.Err() != nil}
+	report := &Report{Cells: n, Canceled: ctx.Err() != nil}
 	for i := range keys {
 		if !attempted[i] {
 			cellErrs[i] = &CellError{
-				Key: keys[i], Index: i, Kind: FailCanceled, Attempts: 0,
-				Err: context.Cause(ctx),
+				Key: keys[i], Index: i, Kind: FailCanceled, Err: context.Cause(ctx),
 			}
 		}
 		if cellErrs[i] != nil {
@@ -266,73 +244,23 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, 
 	return recs, report
 }
 
-// runHardenedCell drives one cell through its attempt loop. run is the
-// span the cell span attaches under.
-func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, opts Options, retries *atomic.Int64, run telemetry.SpanID) (Record, *CellError) {
-	retryIf := opts.RetryIf
-	if retryIf == nil {
-		retryIf = defaultRetryIf
+// runHardenedCell runs one cell and counts a failure under its kind.
+// run is the span the cell span attaches under.
+func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, timeout time.Duration, run telemetry.SpanID) (Record, *CellError) {
+	rec, err := e.attemptCell(ctx, k, timeout, run)
+	if err == nil {
+		return rec, nil
 	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	reg := e.tel.Load()
-	var lastErr error
-	attempt := 0
-	for ; ; attempt++ {
-		rec, err := e.attemptCell(ctx, k, opts.CellTimeout, run)
-		if err == nil {
-			return rec, nil
-		}
-		lastErr = err
-		reg.Counter(MetricFailures, telemetry.L("kind", string(classify(err)))).Inc()
-		if ctx.Err() != nil || attempt >= opts.Retries || !retryIf(err) {
-			break
-		}
-		retries.Add(1)
-		reg.Counter(MetricRetries).Inc()
-		// Drop the poisoned cache entry so the retry actually
-		// re-simulates instead of replaying the failure.
-		e.forget(k)
-		if !sleepCtx(ctx, expBackoff(backoff, attempt)) {
-			break
-		}
-	}
-	return Record{}, &CellError{Key: k, Index: i, Kind: classify(lastErr), Attempts: attempt + 1, Err: lastErr}
+	kind := classify(err)
+	e.tel.Load().Counter(MetricFailures, telemetry.L("kind", string(kind))).Inc()
+	return Record{}, &CellError{Key: k, Index: i, Kind: kind, Err: err}
 }
 
-// expBackoff doubles the base per attempt, capped at 30s.
-func expBackoff(base time.Duration, attempt int) time.Duration {
-	const maxBackoff = 30 * time.Second
-	if attempt > 20 {
-		return maxBackoff
-	}
-	d := base << uint(attempt)
-	if d <= 0 || d > maxBackoff {
-		return maxBackoff
-	}
-	return d
-}
-
-// sleepCtx waits d or until ctx is done; it reports whether the full
-// wait elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// attemptCell runs one attempt of one cell, racing the (memoized,
-// panic-guarded) simulation against the per-cell deadline and the
-// run's context. On timeout the simulation goroutine keeps running in
-// the background — a CPU-bound cell cannot be interrupted — and its
-// eventual result stays available in the cache.
+// attemptCell runs one cell, racing the (memoized, panic-guarded)
+// simulation against the per-cell deadline and the run's context. On
+// timeout the simulation goroutine keeps running in the background — a
+// CPU-bound cell cannot be interrupted — and its eventual result stays
+// in the cache, where the next request for the cell joins it.
 func (e *Engine) attemptCell(ctx context.Context, k CellKey, timeout time.Duration, run telemetry.SpanID) (Record, error) {
 	if timeout <= 0 && ctx.Done() == nil {
 		return e.cell(k, run)

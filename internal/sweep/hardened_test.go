@@ -174,64 +174,58 @@ func TestNonPartialReturnsFirstFailure(t *testing.T) {
 	if recs != nil || !errors.As(err, &ce) || !errors.Is(err, boom1) {
 		t.Fatalf("Run = %v, %v; want no records and a *CellError wrapping boom-1", recs, err)
 	}
-	if ce.Index != 1 || ce.Kind != FailError || ce.Attempts != 1 {
-		t.Errorf("Run: got cell %d kind %s after %d attempts, want the lowest-index failure (1, error, 1)",
-			ce.Index, ce.Kind, ce.Attempts)
+	if ce.Index != 1 || ce.Kind != FailError {
+		t.Errorf("Run: got cell %d kind %s, want the lowest-index failure (1, error)", ce.Index, ce.Kind)
 	}
 	if got := reg.Counter(MetricFailures, telemetry.L("kind", "error")).Value(); got != 2 {
 		t.Errorf("Run counted %d failures, want 2", got)
 	}
 }
 
-// Retries re-attempt retryable failures with the cache slot dropped in
-// between; a cell that recovers counts as completed.
-func TestRetryRecovers(t *testing.T) {
+// Every cell gets exactly one attempt, however it fails: a failing
+// cell, a panicking cell and a cell that times out each reach the
+// simulate seam once. The simulator is deterministic, so a second
+// attempt could only redo the same work.
+func TestPermanentErrorsNotRetried(t *testing.T) {
 	keys := normKeys(t, 3)
-	var attempts atomic.Int64
-	e := fakeEngine(2, func(k CellKey) (Record, error) {
-		if k == keys[1] && attempts.Add(1) <= 2 {
-			panic("flaky")
+	failKey, panicKey := keys[0], keys[1]
+	release := make(chan struct{})
+	var calls [3]atomic.Int64
+	e := fakeEngine(3, func(k CellKey) (Record, error) {
+		switch k {
+		case failKey:
+			calls[0].Add(1)
+			return Record{}, fmt.Errorf("deterministic failure")
+		case panicKey:
+			calls[1].Add(1)
+			panic("deterministic panic")
+		default:
+			calls[2].Add(1)
+			<-release
+			return Record{TimeToTrainMin: 1}, nil
 		}
-		return Record{TimeToTrainMin: 1}, nil
 	})
-	recs, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{
-		Retries: 3,
-		Backoff: time.Millisecond,
+	_, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{
+		CellTimeout: 20 * time.Millisecond, Partial: true,
 	})
+	close(release)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Completed != 3 || report.Failed() {
+	want := []FailKind{FailError, FailPanic, FailTimeout}
+	if len(report.Failures) != len(want) {
 		t.Fatalf("report: %+v", report)
 	}
-	if report.RetriesUsed != 2 {
-		t.Errorf("retries used = %d, want 2", report.RetriesUsed)
+	for i, ce := range report.Failures {
+		if ce.Index != i || ce.Kind != want[i] {
+			t.Errorf("failure %d = cell %d kind %s, want cell %d kind %s", i, ce.Index, ce.Kind, i, want[i])
+		}
+		if got := calls[i].Load(); got != 1 {
+			t.Errorf("%s cell reached simulate %d times, want 1", want[i], got)
+		}
 	}
-	if recs[1].TimeToTrainMin != 1 {
-		t.Errorf("recovered cell has no record: %+v", recs[1])
-	}
-}
-
-// Permanent simulation errors are not retried by default — a
-// deterministic simulator fails the same way twice.
-func TestPermanentErrorsNotRetried(t *testing.T) {
-	keys := normKeys(t, 1)
-	var attempts atomic.Int64
-	e := fakeEngine(1, func(CellKey) (Record, error) {
-		attempts.Add(1)
-		return Record{}, fmt.Errorf("deterministic failure")
-	})
-	_, report, _ := e.RunCellsWithOptions(context.Background(), keys, Options{
-		Retries: 5, Backoff: time.Millisecond, Partial: true,
-	})
-	if got := attempts.Load(); got != 1 {
-		t.Errorf("permanent error attempted %d times, want 1", got)
-	}
-	if report.RetriesUsed != 0 {
-		t.Errorf("retries used = %d, want 0", report.RetriesUsed)
-	}
-	if len(report.Failures) != 1 || report.Failures[0].Kind != FailError {
-		t.Errorf("report: %+v", report)
+	if sims := e.Stats().Simulations; sims != 3 {
+		t.Errorf("Simulations = %d, want 3 (one per cell)", sims)
 	}
 }
 
@@ -269,8 +263,8 @@ func TestCancellationMarksRemainingCells(t *testing.T) {
 	for _, ce := range report.Failures {
 		if ce.Kind == FailCanceled {
 			canceled++
-			if ce.Attempts == 0 && !errors.Is(ce.Err, cause) {
-				t.Errorf("unattempted cell lost the cancellation cause: %v", ce.Err)
+			if !errors.Is(ce.Err, cause) {
+				t.Errorf("canceled cell lost the cancellation cause: %v", ce.Err)
 			}
 		}
 	}
@@ -283,7 +277,9 @@ func TestCancellationMarksRemainingCells(t *testing.T) {
 }
 
 // A cell that times out keeps simulating in the background; its result
-// settles into the memo cache and a later request gets it instantly.
+// settles into the memo cache and a later request gets it instantly,
+// through the engine and through a second hardened run alike, without
+// simulating the cell again.
 func TestTimeoutLeavesResultInCache(t *testing.T) {
 	keys := normKeys(t, 1)
 	release := make(chan struct{})
@@ -297,10 +293,27 @@ func TestTimeoutLeavesResultInCache(t *testing.T) {
 	if len(report.Failures) != 1 || report.Failures[0].Kind != FailTimeout {
 		t.Fatalf("report: %+v", report)
 	}
+	type result struct {
+		recs   []Record
+		report *Report
+		err    error
+	}
+	again := make(chan result, 1)
+	go func() { // re-requested while the timed-out simulation still runs
+		recs, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{Partial: true})
+		again <- result{recs, report, err}
+	}()
 	close(release)
-	rec, err := e.cell(keys[0], 0) // waits on the same in-flight entry
+	r := <-again
+	if r.err != nil || r.report.Failed() || r.recs[0].TimeToTrainMin != 7 {
+		t.Errorf("re-request: %+v, %+v, %v; want the background result", r.recs, r.report, r.err)
+	}
+	rec, err := e.cell(keys[0], 0)
 	if err != nil || rec.TimeToTrainMin != 7 {
 		t.Errorf("background result lost: %+v, %v", rec, err)
+	}
+	if sims := e.Stats().Simulations; sims != 1 {
+		t.Errorf("Simulations = %d, want 1: the re-request must join the background result", sims)
 	}
 }
 
@@ -342,7 +355,7 @@ func TestFaultedSweepDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		// The hardened path must agree too.
-		hard, report, err := e.RunWithOptions(context.Background(), g, Options{Retries: 1})
+		hard, report, err := e.RunWithOptions(context.Background(), g, Options{})
 		if err != nil || report.Failed() {
 			t.Fatalf("%d workers hardened: %v %+v", workers, err, report)
 		}

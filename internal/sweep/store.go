@@ -19,14 +19,21 @@ const RecordCodec = 1
 // singleflight map: consulted on a memory miss before simulating, and
 // written through after every successful simulation. Implementations
 // must be safe for concurrent use, must only return records they can
-// verify (a doubtful entry is a miss, never an error), and must never
-// store failures — errors are process-local, results are forever.
+// verify, and must never store failures — errors are process-local,
+// results are forever.
+//
+// Get and Put report environmental errors (unreadable directory, full
+// disk) so a wrapper that protects the tier — serve's circuit breaker —
+// can tell "not cached" from "cache down". A doubtful entry is a miss
+// with a nil error, never an error. The engine itself reads any error
+// as a miss or a dropped write: the tier is an accelerator, so its
+// failures must not fail the sweep.
 type Store interface {
-	// Get returns the stored record for a normalized key, if present.
-	Get(k CellKey) (Record, bool)
-	// Put stores the record for a normalized key, best-effort: the cache
-	// is an accelerator, so persistence failures must not fail the sweep.
-	Put(k CellKey, rec Record)
+	// Get returns the stored record for a normalized key, if present;
+	// ok is false whenever err is not nil.
+	Get(k CellKey) (rec Record, ok bool, err error)
+	// Put stores the record for a normalized key.
+	Put(k CellKey, rec Record) error
 	// Stats reports the tier's traffic.
 	Stats() TierStats
 }
@@ -38,8 +45,8 @@ type TierStats struct {
 	// Misses counts lookups this tier could not answer.
 	Misses int64
 	// Evictions counts intact entries this tier deliberately dropped —
-	// forgotten poisoned cells for the memory tier, capacity evictions
-	// for a bounded disk tier. Corrupt entries are NOT evictions; they
+	// generation rotations for the memory tier, capacity evictions for
+	// a bounded disk tier. Corrupt entries are NOT evictions; they
 	// are counted under Quarantined.
 	Evictions int64
 	// Quarantined counts entries this tier removed because they failed
@@ -85,20 +92,12 @@ func (d *DiskStore) Dir() string { return d.cas.Dir() }
 // n <= 0 removes the cap.
 func (d *DiskStore) SetMaxBytes(n int64) { d.cas.SetMaxBytes(n) }
 
-// Get implements Store. Any defect — unreadable entry, codec mismatch,
-// key mismatch — reads as a miss; entries that passed the envelope
-// checksum but fail the record codec are quarantined like corrupt ones.
-func (d *DiskStore) Get(k CellKey) (Record, bool) {
-	rec, ok, _ := d.GetE(k)
-	return rec, ok
-}
-
-// GetE is Get with the environmental error surfaced: a corrupt entry is
-// still a clean miss (quarantined, err == nil), but an unreadable
-// directory or failing disk reports its error so callers that protect
-// the tier — the serve daemon's circuit breaker — can distinguish "not
-// cached" from "cache down".
-func (d *DiskStore) GetE(k CellKey) (Record, bool, error) {
+// Get implements Store. A defective entry — corrupt envelope, codec
+// mismatch, key mismatch — is a clean miss (err == nil); entries that
+// passed the envelope checksum but fail the record codec are
+// quarantined like corrupt ones. An unreadable directory or failing
+// disk reports its error.
+func (d *DiskStore) Get(k CellKey) (Record, bool, error) {
 	digest := digestOf(k)
 	payload, ok, err := d.cas.Get(digest)
 	if err != nil || !ok {
@@ -114,12 +113,9 @@ func (d *DiskStore) GetE(k CellKey) (Record, bool, error) {
 	return rec, true, nil
 }
 
-// Put implements Store (best-effort; see the interface contract).
-func (d *DiskStore) Put(k CellKey, rec Record) { _ = d.PutE(k, rec) }
-
-// PutE is Put with the write error surfaced (full disk, permissions),
-// for callers that track the tier's health.
-func (d *DiskStore) PutE(k CellKey, rec Record) error {
+// Put implements Store, reporting write errors (full disk,
+// permissions).
+func (d *DiskStore) Put(k CellKey, rec Record) error {
 	payload, err := json.Marshal(storedRecord{Codec: RecordCodec, Key: k, Record: rec})
 	if err != nil {
 		return err

@@ -229,7 +229,7 @@ func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 		t.Errorf("quarantine holds %d entries, want 1", len(q))
 	}
 	// The slot healed: the write-through re-stored the record.
-	if _, ok := ds2.Get(CellKey{Benchmark: "MLPf_Res50_TF", System: "C4140 (K)", GPUs: 1, Precision: "mixed"}); !ok {
+	if _, ok, _ := ds2.Get(CellKey{Benchmark: "MLPf_Res50_TF", System: "C4140 (K)", GPUs: 1, Precision: "mixed"}); !ok {
 		t.Error("re-simulated record was not written back to disk")
 	}
 }
@@ -254,8 +254,8 @@ func TestDiskStoreRejectsForeignCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	putRaw(t, ds, k, future)
-	if _, ok := ds.Get(k); ok {
-		t.Error("foreign-codec entry returned as a hit")
+	if _, ok, err := ds.Get(k); ok || err != nil {
+		t.Errorf("foreign-codec entry: ok=%v err=%v, want a clean miss", ok, err)
 	}
 
 	// A record filed under the wrong digest (misattribution).
@@ -266,8 +266,8 @@ func TestDiskStoreRejectsForeignCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	putRaw(t, ds, k, misfiled)
-	if _, ok := ds.Get(k); ok {
-		t.Error("misfiled entry returned as a hit")
+	if _, ok, err := ds.Get(k); ok || err != nil {
+		t.Errorf("misfiled entry: ok=%v err=%v, want a clean miss", ok, err)
 	}
 
 	if st := ds.Stats(); st.Quarantined != 2 {

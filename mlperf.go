@@ -226,13 +226,13 @@ func SweepSequential(g SweepGrid) ([]SweepRecord, error) { return sweep.RunSeque
 // bound (<= 0 means GOMAXPROCS).
 func NewSweepEngine(workers int) *SweepEngine { return sweep.NewEngine(workers) }
 
-// SweepOptions harden a grid run: per-cell timeout, bounded
-// exponential-backoff retry, panic containment and graceful (partial)
-// degradation.
+// SweepOptions harden a grid run: per-cell timeout, panic containment
+// and graceful (partial) degradation. Each cell gets one attempt; the
+// simulator is deterministic, so a retry could only repeat it.
 type SweepOptions = sweep.Options
 
-// SweepReport is a hardened run's structured outcome: completed count,
-// retries used, and one typed cell error per failed cell.
+// SweepReport is a hardened run's structured outcome: completed count
+// and one typed cell error per failed cell.
 type SweepReport = sweep.Report
 
 // SweepWithOptions runs the grid on the shared engine with the hardened
@@ -245,7 +245,9 @@ func SweepWithOptions(ctx context.Context, g SweepGrid, opts SweepOptions) ([]Sw
 
 // SweepStore is the pluggable persistent tier behind a sweep engine's
 // in-memory memo cache: consulted on a memory miss, written through
-// after every successful simulation.
+// after every successful simulation. Its Get and Put report
+// environmental errors; the engine treats them as a miss or a dropped
+// write.
 type SweepStore = sweep.Store
 
 // SweepCellDigest returns the cell's canonical content address: the

@@ -310,7 +310,7 @@ func TestFaultFacade(t *testing.T) {
 	recs, report, err := SweepWithOptions(context.Background(), SweepGrid{
 		Benchmarks: []string{"res50_tf"},
 		GPUCounts:  []int{1, 2},
-	}, SweepOptions{Retries: 1, CellTimeout: time.Minute, Partial: true})
+	}, SweepOptions{CellTimeout: time.Minute, Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
