@@ -33,8 +33,8 @@ import (
 	"time"
 
 	"mlperf/internal/front"
+	"mlperf/internal/httpkit"
 	"mlperf/internal/telecli"
-	"mlperf/internal/telemetry"
 )
 
 func main() {
@@ -42,7 +42,6 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated mlperf-serve base URLs (required)")
 	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll cadence")
 	drain := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on SIGTERM")
-	flightSize := flag.Int("flight-size", 0, "flight recorder ring capacity (0 = default)")
 	flightDump := flag.String("flight-dump", "", "write the flight ring here on SIGQUIT and drain")
 	sink := telecli.Register("mlperf-front", nil)
 	flag.Parse()
@@ -64,7 +63,6 @@ func main() {
 		HealthInterval: *healthInterval,
 		Telemetry:      reg,
 		Logger:         sink.Log(),
-		Flight:         telemetry.NewFlightRecorder(*flightSize),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlperf-front:", err)
@@ -93,7 +91,7 @@ func main() {
 	}
 	fmt.Printf("mlperf-front: listening on %s, %d backends\n", ln.Addr(), len(urls))
 
-	srv := &http.Server{Handler: f.Handler()}
+	srv := httpkit.NewServer(f.Handler())
 	ctx, stop := telecli.InterruptContext()
 	defer stop()
 	done := make(chan error, 1)

@@ -5,7 +5,7 @@
 // circuit breaker over the persistent cache tier and graceful drain.
 //
 //	mlperf-serve                              serve on :8080
-//	mlperf-serve -addr :9000 -workers 8
+//	mlperf-serve -addr :9000
 //	mlperf-serve -cache-dir /var/cache/mlperf
 //	mlperf-serve -max-inflight 16 -max-queue 64 -tenant-rate 50
 //
@@ -40,25 +40,16 @@ import (
 
 	"mlperf/internal/serve"
 	"mlperf/internal/telecli"
-	"mlperf/internal/telemetry"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "sweep engine worker pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent cell cache directory, guarded by the circuit breaker")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cap the cache directory's size in bytes, evicting oldest entries on overflow (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a slot before shedding (0 = 2*max-inflight)")
-	maxCells := flag.Int64("max-cells", 4096, "max summed simulation cost (cells) of executing requests")
 	tenantRate := flag.Float64("tenant-rate", 100, "per-tenant sustained requests/second (negative = unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant token-bucket burst (0 = 2*rate)")
-	defTimeout := flag.Duration("default-timeout", 30*time.Second, "request deadline when the client names none")
-	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
 	drain := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on SIGTERM")
-	brkThreshold := flag.Int("breaker-threshold", 5, "consecutive disk-cache errors that trip the breaker to memory-only")
-	brkCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-state dwell before a half-open probe")
-	flightSize := flag.Int("flight-size", 0, "flight recorder ring capacity (0 = default)")
 	flightDump := flag.String("flight-dump", "", "write the flight ring here on panic, SIGQUIT and drain")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	sink := telecli.Register("mlperf-serve", nil)
@@ -66,23 +57,15 @@ func main() {
 
 	reg := sink.Activate()
 	srv, err := serve.New(serve.Config{
-		Workers:          *workers,
-		CacheDir:         *cacheDir,
-		CacheMaxBytes:    *cacheMax,
-		MaxInFlight:      *maxInflight,
-		MaxQueue:         *maxQueue,
-		MaxCellsInFlight: *maxCells,
-		TenantRate:       *tenantRate,
-		TenantBurst:      *tenantBurst,
-		DefaultTimeout:   *defTimeout,
-		MaxTimeout:       *maxTimeout,
-		BreakerThreshold: *brkThreshold,
-		BreakerCooldown:  *brkCooldown,
-		Telemetry:        reg,
-		Logger:           sink.Log(),
-		Flight:           telemetry.NewFlightRecorder(*flightSize),
-		FlightDumpPath:   *flightDump,
-		EnablePprof:      *pprof,
+		CacheDir:       *cacheDir,
+		CacheMaxBytes:  *cacheMax,
+		MaxInFlight:    *maxInflight,
+		MaxQueue:       *maxQueue,
+		TenantRate:     *tenantRate,
+		Telemetry:      reg,
+		Logger:         sink.Log(),
+		FlightDumpPath: *flightDump,
+		EnablePprof:    *pprof,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlperf-serve:", err)
@@ -98,7 +81,7 @@ func main() {
 		sink.Config("cache-dir", *cacheDir)
 		sink.Config("cache-max-bytes", strconv.FormatInt(*cacheMax, 10))
 		sink.Config("max-inflight", strconv.Itoa(*maxInflight))
-		sink.Config("max-cells", strconv.FormatInt(*maxCells, 10))
+		sink.Config("max-cells", strconv.Itoa(serve.MaxRequestCells))
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -18,6 +18,8 @@
 // answer is byte-identical to a single process running the whole grid.
 // A slice whose stream breaks fails over with only the cells it has not
 // delivered, and the summary's completed count is the frames delivered.
+// A grid over the backends' cell budget (serve.MaxRequestCells) is
+// refused with a backend's own 413 before any fan-out.
 //
 // Cell cache: the front keeps a bounded digest → record map (a
 // memo.Map, like the backends' cell memo) filled from every record it
@@ -86,9 +88,6 @@ type Config struct {
 	// Logger emits structured request/failover/health events (nil = no
 	// logging).
 	Logger *telemetry.Logger
-	// Flight is the ring behind /debug/requests and /debug/flight
-	// (nil = a private default-size ring).
-	Flight *telemetry.FlightRecorder
 }
 
 // Stats is the front's operational snapshot (/v1/stats).
@@ -132,9 +131,6 @@ type Front struct {
 
 	stopHealth context.CancelFunc
 	healthDone chan struct{}
-	// firstProbe closes after the startup health round completes —
-	// until then the optimistic all-healthy view is in effect.
-	firstProbe chan struct{}
 
 	cells cellCache
 
@@ -196,10 +192,6 @@ func New(cfg Config) (*Front, error) {
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	flight := cfg.Flight
-	if flight == nil {
-		flight = telemetry.NewFlightRecorder(0)
-	}
 	f := &Front{
 		cfg:            cfg,
 		backends:       backends,
@@ -210,7 +202,7 @@ func New(cfg Config) (*Front, error) {
 		transitions:    make([]atomic.Int64, len(backends)),
 		lastTransition: make([]atomic.Int64, len(backends)),
 		log:            cfg.Logger,
-		flight:         flight,
+		flight:         telemetry.NewFlightRecorder(telemetry.DefaultFlightSize),
 		cells:          cellCache{m: memo.New[string, sweep.Record](cellCacheCap)},
 	}
 	// Optimistic start: every backend is presumed healthy until a probe
@@ -223,7 +215,6 @@ func New(cfg Config) (*Front, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f.stopHealth = cancel
 	f.healthDone = make(chan struct{})
-	f.firstProbe = make(chan struct{})
 	go f.healthLoop(ctx)
 	return f, nil
 }
@@ -261,7 +252,6 @@ func (f *Front) routes() {
 func (f *Front) healthLoop(ctx context.Context) {
 	defer close(f.healthDone)
 	f.probeAll(ctx)
-	close(f.firstProbe)
 	t := time.NewTicker(f.cfg.HealthInterval)
 	defer t.Stop()
 	for {
@@ -437,7 +427,7 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := serve.RequestTimeout(r, 0); err != nil {
+	if _, err := serve.RequestTimeout(r); err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -556,14 +546,22 @@ type gridPlan struct {
 
 // planGrid resolves a sweep request's cells, answers the held ones from
 // the cell cache and slices the rest by owner, hashing each cell
-// once for lookup, routing and fill. It writes the 400 itself for a
-// malformed grid or deadline — held cells or not, as a backend would.
+// once for lookup, routing and fill. It refuses, before any fan-out and
+// held cells or not, what a backend refuses before admission, in the
+// backend's order: a malformed grid (400), a grid over the backends'
+// cell budget (413, the backend's own body) and a malformed deadline
+// (400).
 func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, bool) {
 	keys, err := serve.SweepKeysFromRequest(r)
-	if err == nil {
-		_, err = serve.RequestTimeout(r, 0)
-	}
 	if err != nil {
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	if err := serve.TooLarge(int64(len(keys))); err != nil {
+		httpkit.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return nil, false
+	}
+	if _, err := serve.RequestTimeout(r); err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return nil, false
 	}

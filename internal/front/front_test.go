@@ -53,6 +53,28 @@ func newCluster(t *testing.T, n int, cfg Config) *cluster {
 	return c
 }
 
+// awaitFirstProbe waits out f's startup health round: a probe sets its
+// backend's down gauge after storing its verdict.
+func awaitFirstProbe(t *testing.T, f *Front) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		probed := 0
+		for _, m := range f.reg.Snapshot() {
+			if m.Name == MetricUnhealthy {
+				probed++
+			}
+		}
+		if probed == len(f.backends) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("startup health round never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func get(t *testing.T, url string, hdr ...string) (int, string, http.Header) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
@@ -283,7 +305,7 @@ func TestFrontFailsOverOn503BeforeHealthPoll(t *testing.T) {
 	// Health interval long enough that the poll never fires during the
 	// test: only per-request failover can save these requests.
 	c := newCluster(t, 2, Config{HealthInterval: time.Hour})
-	<-c.front.firstProbe // startup round done; no further polls for an hour
+	awaitFirstProbe(t, c.front) // no further polls for an hour
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

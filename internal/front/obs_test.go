@@ -61,7 +61,7 @@ func newObsCluster(t *testing.T, n int) *obsCluster {
 	oc.frontTS = httptest.NewServer(fr.Handler())
 	t.Cleanup(oc.frontTS.Close)
 	// Wait out the startup probe round so its spans are a fixed prefix.
-	<-fr.firstProbe
+	awaitFirstProbe(t, fr)
 	return oc
 }
 

@@ -28,7 +28,7 @@ func placementFronts(t *testing.T, n int) (*Front, *Front) {
 			t.Fatal(err)
 		}
 		t.Cleanup(f.Close)
-		<-f.firstProbe
+		awaitFirstProbe(t, f)
 		fronts[i] = f
 	}
 	return fronts[0], fronts[1]

@@ -1,7 +1,8 @@
 // Package httpkit is the HTTP kernel the serving daemon (internal/serve)
 // and the front tier (internal/front) share: the request middleware, the
 // status-capturing response writer, the JSON and error writers, the one
-// load-shed path and the routes both processes expose. Each process
+// load-shed path, the routes both processes expose and the listener
+// both serve with. Each process
 // mounts it around its own mux, so the guarantees below hold in both by
 // construction rather than by two copies kept in step:
 //
@@ -217,4 +218,11 @@ func Mount(mux *http.ServeMux, reg *telemetry.Registry, flight *telemetry.Flight
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+}
+
+// NewServer is the http.Server both daemons listen with. Its header
+// timeout bounds how long a client that never finishes its request
+// headers can hold a connection.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }

@@ -228,3 +228,15 @@ func TestMountRoutes(t *testing.T) {
 		}
 	}
 }
+
+// Both daemons listen through NewServer, so a client that never
+// finishes its headers cannot hold a connection forever.
+func TestNewServerBoundsHeaderRead(t *testing.T) {
+	srv := NewServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want positive", srv.ReadHeaderTimeout)
+	}
+	if srv.Handler == nil {
+		t.Fatal("handler not installed")
+	}
+}

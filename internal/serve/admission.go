@@ -32,13 +32,12 @@ const (
 //   - queue: at most maxQueue requests wait for a slot — the classic
 //     bounded buffer that keeps latency from growing unboundedly under
 //     overload;
-//   - cost: the summed cost of executing requests stays under maxCells,
-//     so ten cheap simulate calls and one 4096-cell sweep are not
-//     treated alike.
+//   - cost: the summed cost of executing requests stays within
+//     MaxRequestCells, so ten cheap simulate calls and one 4096-cell
+//     sweep are not treated alike.
 type admission struct {
 	slots    chan struct{}
 	maxQueue int64
-	maxCells int64
 	reg      *telemetry.Registry
 
 	queued   atomic.Int64
@@ -52,26 +51,22 @@ type admission struct {
 	cells atomic.Int64
 }
 
-func newAdmission(maxInFlight, maxQueue int, maxCells int64, reg *telemetry.Registry) *admission {
+func newAdmission(maxInFlight, maxQueue int, reg *telemetry.Registry) *admission {
 	a := &admission{
 		slots:    make(chan struct{}, maxInFlight),
 		maxQueue: int64(maxQueue),
-		maxCells: maxCells,
 		reg:      reg,
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
 }
 
-// tooLarge reports whether a request can never be admitted.
-func (a *admission) tooLarge(cost int64) bool { return cost > a.maxCells }
-
 // acquire admits a request of the given cost, blocking in the bounded
 // queue until a slot and cost budget are available, ctx expires, or the
 // queue is full (immediate shed). The returned release function must be
 // called exactly once when the request finishes.
 func (a *admission) acquire(ctx context.Context, cost int64) (release func(), shed shedReason, ok bool) {
-	if a.tooLarge(cost) {
+	if cost > MaxRequestCells {
 		return nil, shedTooLarge, false
 	}
 	// Join the bounded queue — or shed on the spot if it is full. The
@@ -99,7 +94,7 @@ func (a *admission) acquire(ctx context.Context, cost int64) (release func(), sh
 	// sweep is hogging the cell budget; cond broadcast on release wakes
 	// them. A context cancellation while waiting must abandon cleanly.
 	a.mu.Lock()
-	for a.cells.Load()+cost > a.maxCells {
+	for a.cells.Load()+cost > MaxRequestCells {
 		if ctx.Err() != nil {
 			a.mu.Unlock()
 			<-a.slots
@@ -147,9 +142,9 @@ func (a *admission) gauge(name string, v float64) {
 }
 
 // tenantLimiter hands each tenant (the X-Tenant header; "" is the
-// anonymous tenant) a token bucket: rate tokens per second, burst
-// capacity. One chatty client drains its own bucket and gets 429s while
-// everyone else's requests still flow.
+// anonymous tenant) a token bucket: rate tokens per second, holding
+// max(2*rate, 1). One chatty client drains its own bucket and gets
+// 429s while everyone else's requests still flow.
 type tenantLimiter struct {
 	rate  float64 // tokens/sec; < 0 disables limiting
 	burst float64
@@ -171,10 +166,10 @@ type bucket struct {
 // memory without bound.
 const maxTenants = 4096
 
-func newTenantLimiter(rate, burst float64) *tenantLimiter {
+func newTenantLimiter(rate float64) *tenantLimiter {
 	return &tenantLimiter{
 		rate:    rate,
-		burst:   burst,
+		burst:   max(2*rate, 1),
 		buckets: memo.New[string, *bucket](maxTenants),
 		now:     time.Now,
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
-	a := newAdmission(1, 1, 100, nil)
+	a := newAdmission(1, 1, nil)
 
 	rel1, _, ok := a.acquire(context.Background(), 1)
 	if !ok {
@@ -52,18 +52,18 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestAdmissionCostBudget(t *testing.T) {
-	a := newAdmission(4, 4, 10, nil)
+	a := newAdmission(4, 4, nil)
 
-	if _, reason, ok := a.acquire(context.Background(), 11); ok || reason != shedTooLarge {
+	if _, reason, ok := a.acquire(context.Background(), MaxRequestCells+1); ok || reason != shedTooLarge {
 		t.Fatalf("impossible request: ok=%v reason=%q, want %q", ok, reason, shedTooLarge)
 	}
 
-	relBig, _, ok := a.acquire(context.Background(), 8)
+	relBig, _, ok := a.acquire(context.Background(), MaxRequestCells-2)
 	if !ok {
-		t.Fatal("8/10 cells refused on an idle controller")
+		t.Fatal("a request just under the budget refused on an idle controller")
 	}
-	// 8 + 5 > 10: the second request must wait for budget even though
-	// slots are free…
+	// (budget-2) + 5 > budget: the second request must wait for budget
+	// even though slots are free…
 	admitted := make(chan func(), 1)
 	go func() {
 		rel, _, ok := a.acquire(context.Background(), 5)
@@ -93,7 +93,7 @@ func TestAdmissionCostBudget(t *testing.T) {
 
 	// A cost waiter whose context dies mid-wait abandons with its slot
 	// returned.
-	relBig, _, _ = a.acquire(context.Background(), 10)
+	relBig, _, _ = a.acquire(context.Background(), MaxRequestCells)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if _, reason, ok := a.acquire(ctx, 5); ok || reason != shedCost {
@@ -106,7 +106,7 @@ func TestAdmissionCostBudget(t *testing.T) {
 }
 
 func TestAdmissionReleaseIdempotent(t *testing.T) {
-	a := newAdmission(2, 2, 10, nil)
+	a := newAdmission(2, 2, nil)
 	rel, _, ok := a.acquire(context.Background(), 3)
 	if !ok {
 		t.Fatal("acquire refused")
@@ -122,7 +122,7 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 }
 
 func TestTenantLimiterBucketsPerTenant(t *testing.T) {
-	lim := newTenantLimiter(1, 2)
+	lim := newTenantLimiter(1) // a burst of 2
 	clock := time.Unix(5000, 0)
 	lim.now = func() time.Time { return clock }
 
@@ -152,7 +152,7 @@ func TestTenantLimiterBucketsPerTenant(t *testing.T) {
 	}
 
 	// Negative rate disables limiting.
-	open := newTenantLimiter(-1, 0)
+	open := newTenantLimiter(-1)
 	for i := 0; i < 100; i++ {
 		if ok, _ := open.allow("any"); !ok {
 			t.Fatal("unlimited limiter refused")
@@ -161,7 +161,7 @@ func TestTenantLimiterBucketsPerTenant(t *testing.T) {
 }
 
 func TestTenantLimiterBoundsMemory(t *testing.T) {
-	lim := newTenantLimiter(100, 200)
+	lim := newTenantLimiter(100)
 	for i := 0; i < 3*maxTenants; i++ {
 		lim.allow("tenant-" + strconv.Itoa(i))
 	}

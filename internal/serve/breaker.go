@@ -34,14 +34,15 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+// breakerTripErrors consecutive environmental errors trip the circuit,
+// and it stays open for breakerOpenFor before a half-open probe.
+const (
+	breakerTripErrors = 5
+	breakerOpenFor    = 5 * time.Second
+)
+
 // BreakerConfig shapes a Breaker.
 type BreakerConfig struct {
-	// Threshold is how many consecutive environmental errors trip the
-	// circuit (default 5).
-	Threshold int
-	// Cooldown is how long the circuit stays open before allowing a
-	// half-open probe (default 5s).
-	Cooldown time.Duration
 	// Registry, when non-nil, receives state-gauge and trip-counter
 	// updates.
 	Registry *telemetry.Registry
@@ -81,12 +82,6 @@ type Breaker struct {
 
 // NewBreaker wraps the disk tier in a circuit breaker.
 func NewBreaker(inner sweep.Store, cfg BreakerConfig) *Breaker {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 5
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -121,7 +116,7 @@ func (b *Breaker) Dropped() int64 {
 // maybeHalfOpenLocked advances open → half-open once the cooldown has
 // elapsed. Callers hold b.mu.
 func (b *Breaker) maybeHalfOpenLocked() {
-	if b.state == BreakerOpen && b.cfg.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == BreakerOpen && b.cfg.now().Sub(b.openedAt) >= breakerOpenFor {
 		b.setStateLocked(BreakerHalfOpen)
 		b.probing = false
 	}
@@ -183,7 +178,7 @@ func (b *Breaker) report(err error) {
 		b.openLocked()
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= b.cfg.Threshold {
+		if b.failures >= breakerTripErrors {
 			b.openLocked()
 		}
 	}

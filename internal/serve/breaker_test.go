@@ -24,28 +24,26 @@ func (f *flakyStore) Get(sweep.CellKey) (sweep.Record, bool, error) {
 func (f *flakyStore) Put(sweep.CellKey, sweep.Record) error { f.puts++; return f.err }
 func (f *flakyStore) Stats() sweep.TierStats                { return sweep.TierStats{Hits: 42} }
 
-func testBreaker(inner sweep.Store, threshold int, cooldown time.Duration) (*Breaker, *time.Time) {
+func testBreaker(inner sweep.Store) (*Breaker, *time.Time) {
 	clock := time.Unix(1000, 0)
 	b := NewBreaker(inner, BreakerConfig{
-		Threshold: threshold,
-		Cooldown:  cooldown,
-		now:       func() time.Time { return clock },
+		now: func() time.Time { return clock },
 	})
 	return b, &clock
 }
 
 func TestBreakerTripsOpensAndBypasses(t *testing.T) {
 	inner := &flakyStore{err: errors.New("disk yanked")}
-	b, _ := testBreaker(inner, 3, time.Minute)
+	b, _ := testBreaker(inner)
 	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 1}
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerTripErrors; i++ {
 		if _, ok, err := b.Get(k); ok || err == nil {
 			t.Fatalf("errored Get: ok=%v err=%v, want a miss carrying the error", ok, err)
 		}
 	}
 	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("state after %d consecutive errors = %s, want open", 3, got)
+		t.Fatalf("state after %d consecutive errors = %s, want open", breakerTripErrors, got)
 	}
 	if b.Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", b.Trips())
@@ -70,17 +68,22 @@ func TestBreakerTripsOpensAndBypasses(t *testing.T) {
 
 func TestBreakerHalfOpenProbeHealsOrReopens(t *testing.T) {
 	inner := &flakyStore{err: errors.New("enospc")}
-	b, clock := testBreaker(inner, 2, time.Minute)
+	b, clock := testBreaker(inner)
 	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 1}
 
-	b.Get(k)
-	b.Get(k)
+	for i := 0; i < breakerTripErrors; i++ {
+		b.Get(k)
+	}
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker did not trip")
 	}
 
 	// Cooldown elapses → half-open; a still-failing probe reopens.
-	*clock = clock.Add(time.Minute)
+	*clock = clock.Add(breakerOpenFor - time.Nanosecond)
+	if b.State() != BreakerOpen {
+		t.Fatalf("state before the cooldown ends = %s, want open", b.State())
+	}
+	*clock = clock.Add(time.Nanosecond)
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %s, want half-open", b.State())
 	}
@@ -97,7 +100,7 @@ func TestBreakerHalfOpenProbeHealsOrReopens(t *testing.T) {
 	}
 
 	// Disk recovers; the next probe closes the circuit and traffic flows.
-	*clock = clock.Add(time.Minute)
+	*clock = clock.Add(breakerOpenFor)
 	inner.err = nil
 	inner.ok = true
 	inner.rec = sweep.Record{Benchmark: "res50_tf", TimeToTrainMin: 5}
@@ -118,7 +121,7 @@ func TestBreakerHalfOpenProbeHealsOrReopens(t *testing.T) {
 func TestBreakerMissesAndSuccessesDoNotTrip(t *testing.T) {
 	// Misses (err == nil, ok == false) are normal operation, not failures.
 	inner := &flakyStore{}
-	b, _ := testBreaker(inner, 2, time.Minute)
+	b, _ := testBreaker(inner)
 	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 1}
 	for i := 0; i < 20; i++ {
 		b.Get(k)
@@ -130,18 +133,22 @@ func TestBreakerMissesAndSuccessesDoNotTrip(t *testing.T) {
 	// A success between errors resets the consecutive-failure streak.
 	boom := errors.New("eio")
 	inner.err = boom
-	b.Get(k)
+	for i := 1; i < breakerTripErrors; i++ {
+		b.Get(k)
+	}
 	inner.err = nil
 	b.Get(k)
 	inner.err = boom
-	b.Get(k)
+	for i := 1; i < breakerTripErrors; i++ {
+		b.Get(k)
+	}
 	if b.State() != BreakerClosed {
 		t.Fatal("non-consecutive errors tripped the breaker")
 	}
 }
 
 func TestBreakerStatsPassThrough(t *testing.T) {
-	b, _ := testBreaker(&flakyStore{}, 2, time.Minute)
+	b, _ := testBreaker(&flakyStore{})
 	if got := b.Stats().Hits; got != 42 {
 		t.Fatalf("Stats not passed through: hits %d, want 42", got)
 	}

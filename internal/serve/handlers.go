@@ -67,42 +67,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	httpkit.WriteJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// RequestTimeout parses the client's deadline: the ?timeout= query or,
-// without one, the Request-Timeout header, in positive finite seconds;
-// def when the request names none. A deadline too long for a
-// time.Duration saturates at the longest one, which deadlineFor then
-// caps. Exported so the front tier refuses a malformed deadline exactly
-// as a backend would, even for a request it answers itself.
-func RequestTimeout(r *http.Request, def time.Duration) (time.Duration, error) {
+// RequestTimeout resolves the request's execution deadline: the
+// ?timeout= query or, without one, the Request-Timeout header, in
+// positive finite seconds, capped at deadlineCap; defaultDeadline when
+// the request names none. Exported so the front tier refuses a
+// malformed deadline exactly as a backend would, even for a request it
+// answers itself.
+func RequestTimeout(r *http.Request) (time.Duration, error) {
 	raw := r.Header.Get("Request-Timeout")
 	if q := r.URL.Query().Get("timeout"); q != "" {
 		raw = q
 	}
 	if raw == "" {
-		return def, nil
+		return defaultDeadline, nil
 	}
 	secs, err := strconv.ParseFloat(raw, 64)
 	// !(secs > 0) also catches NaN, which compares false to everything.
 	if err != nil || !(secs > 0) || math.IsInf(secs, 1) {
 		return 0, fmt.Errorf("bad timeout %q: want positive finite seconds", raw)
 	}
-	if secs >= float64(math.MaxInt64)/float64(time.Second) {
-		return math.MaxInt64, nil
+	if secs >= deadlineCap.Seconds() {
+		return deadlineCap, nil
 	}
 	return time.Duration(secs * float64(time.Second)), nil
-}
-
-// deadlineFor resolves the request's execution deadline: RequestTimeout
-// defaulting to DefaultTimeout, capped by MaxTimeout.
-func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
-	d, err := RequestTimeout(r, s.cfg.DefaultTimeout)
-	if err != nil {
-		return 0, err
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d, nil
 }
 
 // countCode counts one response of endpoint under its status code.
@@ -141,13 +128,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 		s.countCode(endpoint, http.StatusTooManyRequests)
 		return nil, nil, false
 	}
-	if s.adm.tooLarge(cost) {
-		httpkit.WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request costs %d cells, server admits at most %d", cost, s.cfg.MaxCellsInFlight))
+	if err := TooLarge(cost); err != nil {
+		httpkit.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
 		s.countCode(endpoint, http.StatusRequestEntityTooLarge)
 		return nil, nil, false
 	}
-	dl, err := s.deadlineFor(r)
+	dl, err := RequestTimeout(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		s.countCode(endpoint, http.StatusBadRequest)
@@ -231,13 +217,18 @@ func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 		k.System = "dss8440"
 	}
 	k.GPUs = 1
-	for name, dst := range map[string]*int{"gpus": &k.GPUs, "batch": &k.Batch} {
-		if v := q.Get(name); v != "" {
+	// A fixed order, so a request with two bad parameters always names
+	// the same one.
+	for _, p := range []struct {
+		name string
+		dst  *int
+	}{{"gpus", &k.GPUs}, {"batch", &k.Batch}} {
+		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
-				return sweep.CellKey{}, fmt.Errorf("bad %s %q", name, v)
+				return sweep.CellKey{}, fmt.Errorf("bad %s %q", p.name, v)
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	if q.Get("ref") == "true" || q.Get("ref") == "1" {

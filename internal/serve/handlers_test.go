@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"mlperf/internal/telemetry"
 )
@@ -12,14 +15,16 @@ import (
 // The quota shed path hands shedWith the token-bucket wait, which is
 // routinely sub-second; on the wire it must still arrive as >= 1.
 func TestShedPathsNeverSendRetryAfterZero(t *testing.T) {
-	// Rate 10/s, burst 1: the second request sheds with a ~100ms hint.
-	_, ts := newTestServer(t, Config{TenantRate: 10, TenantBurst: 1}, nil)
-	if code, _, _ := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf", "X-Tenant", "fast"); code != http.StatusOK {
-		t.Fatalf("first request = %d, want 200", code)
+	// Rate 2/s, burst 4: the fifth request sheds with a ~500ms hint.
+	_, ts := newTestServer(t, Config{TenantRate: 2}, nil)
+	for i := 0; i < 4; i++ {
+		if code, _, _ := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf", "X-Tenant", "fast"); code != http.StatusOK {
+			t.Fatalf("burst request %d = %d, want 200", i, code)
+		}
 	}
 	code, _, hdr := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf", "X-Tenant", "fast")
 	if code != http.StatusTooManyRequests {
-		t.Fatalf("second request = %d, want 429", code)
+		t.Fatalf("fifth request = %d, want 429", code)
 	}
 	ra := hdr.Get("Retry-After")
 	secs, err := strconv.Atoi(ra)
@@ -35,7 +40,7 @@ func TestShedPathsNeverSendRetryAfterZero(t *testing.T) {
 // is refused before admission: with a one-request tenant budget, the
 // valid request after the refusals is still admitted.
 func TestImpossibleCellsAre400(t *testing.T) {
-	srv, ts := newTestServer(t, Config{TenantRate: 0.001, TenantBurst: 1}, nil)
+	srv, ts := newTestServer(t, Config{TenantRate: 0.001}, nil) // a burst of 1
 	for _, p := range []string{
 		"/v1/simulate?benchmark=res50_tf&gpus=64",
 		"/v1/simulate?benchmark=res50_tf&gpus=0",
@@ -124,6 +129,79 @@ func TestNonFiniteTimeoutIs400(t *testing.T) {
 		compact := strings.Join(strings.Fields(body), "")
 		if code != http.StatusOK || strings.Contains(compact, `"partial":true`) || strings.Contains(compact, `"deadline"`) {
 			t.Errorf("%s timeout=1e10: %d (%s), want a complete 200", p, code, strings.TrimSpace(body))
+		}
+	}
+}
+
+// A grid over the cell budget is a 413 on both sweep endpoints before
+// admission: counted in Stats.Requests and under code="413", never as a
+// shed, and never simulated — whatever its deadline says.
+func TestOversizedGridIs413(t *testing.T) {
+	srv, ts := newTestServer(t, Config{}, nil)
+	body := `{"cells":[` + strings.Repeat(`{"benchmark":"res50_tf"},`, MaxRequestCells) + `{"benchmark":"res50_tf"}]}`
+	want := fmt.Sprintf("request costs %d cells, server admits at most %d", MaxRequestCells+1, MaxRequestCells)
+	for _, endpoint := range []string{"sweep", "sweep_stream"} {
+		p := "/v1/" + strings.ReplaceAll(endpoint, "_", "/")
+		for _, hdr := range [][]string{nil, {"Request-Timeout", "soon"}} {
+			code, got, _ := post(t, ts.URL+p, body, hdr...)
+			if code != http.StatusRequestEntityTooLarge || !strings.Contains(got, want) {
+				t.Errorf("POST %s %v: %d (%s), want 413 %q", p, hdr, code, strings.TrimSpace(got), want)
+			}
+		}
+		if got := srv.Registry().Counter(MetricRequests,
+			telemetry.Label{Key: "endpoint", Value: endpoint},
+			telemetry.Label{Key: "code", Value: "413"}).Value(); got != 2 {
+			t.Errorf("%s{endpoint=%q,code=\"413\"} = %d, want 2", MetricRequests, endpoint, got)
+		}
+	}
+	st := srv.Snapshot()
+	if st.Requests != 4 || st.Shed != 0 || st.Streams != 0 || st.Cache.Simulations != 0 {
+		t.Fatalf("oversized grids: %+v, want 4 requests, nothing shed, streamed or simulated", st)
+	}
+	for _, m := range srv.Registry().Snapshot() {
+		if m.Name == MetricShed {
+			t.Errorf("oversized grid counted as a shed: %+v", m)
+		}
+	}
+}
+
+// Two bad cell parameters always give the same 400, naming gpus.
+func TestSimulateBadParamsNameGPUsFirst(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, nil)
+	msgs := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		code, body, _ := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf&gpus=x&batch=y")
+		if code != http.StatusBadRequest {
+			t.Fatalf("request %d = %d, want 400", i, code)
+		}
+		msgs[strings.TrimSpace(body)] = true
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("%d different messages for one request: %v", len(msgs), msgs)
+	}
+	for m := range msgs {
+		if !strings.Contains(m, `bad gpus \"x\"`) {
+			t.Fatalf("message %s does not name gpus", m)
+		}
+	}
+}
+
+// A request's deadline is 30s when it names none and never more than
+// 5 minutes.
+func TestRequestTimeoutDefaultAndCap(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		want  time.Duration
+	}{
+		{"", 30 * time.Second},
+		{"?timeout=2.5", 2500 * time.Millisecond},
+		{"?timeout=300", 5 * time.Minute},
+		{"?timeout=301", 5 * time.Minute},
+		{"?timeout=1e300", 5 * time.Minute},
+	} {
+		got, err := RequestTimeout(httptest.NewRequest(http.MethodGet, "/v1/sweep"+c.query, nil))
+		if err != nil || got != c.want {
+			t.Errorf("timeout %q = %v, %v; want %v", c.query, got, err, c.want)
 		}
 	}
 }

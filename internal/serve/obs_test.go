@@ -54,9 +54,8 @@ func TestEveryResponseCarriesRequestID(t *testing.T) {
 func TestQuotaShedCarriesIdentityAndReason(t *testing.T) {
 	var logBuf bytes.Buffer
 	srv, ts := newTestServer(t, Config{
-		TenantRate:  1e-9, // one burst token, then shed
-		TenantBurst: 1,
-		Logger:      telemetry.NewLogger(&syncWriter{buf: &logBuf}, telemetry.LevelDebug),
+		TenantRate: 1e-9, // one burst token, then shed
+		Logger:     telemetry.NewLogger(&syncWriter{buf: &logBuf}, telemetry.LevelDebug),
 	}, nil)
 
 	first, _, _ := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf&gpus=2", "X-Tenant", "acme")
@@ -210,14 +209,14 @@ func TestStatsExposeBreakerAndFlight(t *testing.T) {
 func TestBreakerTransitionObserved(t *testing.T) {
 	var transitions []string
 	b := NewBreaker(&flakyStore{err: errors.New("disk gone")}, BreakerConfig{
-		Threshold: 2,
 		OnTransition: func(from, to BreakerState) {
 			transitions = append(transitions, from.String()+">"+to.String())
 		},
 	})
 	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 1}
-	b.Get(k)
-	b.Get(k)
+	for i := 0; i < breakerTripErrors; i++ {
+		b.Get(k)
+	}
 	if len(transitions) != 1 || transitions[0] != "closed>open" {
 		t.Fatalf("transitions: %v", transitions)
 	}

@@ -10,7 +10,7 @@
 //     token buckets (keyed by the X-Tenant header) keep one noisy client
 //     from starving the rest.
 //   - Deadline propagation. A request deadline (Request-Timeout header
-//     or ?timeout=, capped by MaxTimeout, defaulted by DefaultTimeout)
+//     or ?timeout=, capped at 5 minutes, 30 seconds when none is named)
 //     flows into the sweep engine's per-cell context machinery, so a
 //     client timeout cancels simulation work instead of orphaning it —
 //     and a sweep interrupted mid-grid returns the cells it completed
@@ -64,17 +64,39 @@ const (
 	MetricEndpointSeconds = "serve_endpoint_seconds" // histogram, endpoint=
 )
 
+// MaxRequestCells is the cell budget: the summed simulation cost (grid
+// cells, scheduler jobs) of admitted requests never exceeds it, and a
+// request costing more can never be admitted, so it is refused with 413
+// before admission. A constant, not a setting, so the front tier applies
+// the budget its backends do (TooLarge) before any fan-out.
+const MaxRequestCells = 4096
+
+// The request deadline: defaultDeadline when the client names none, and
+// never more than deadlineCap.
+const (
+	defaultDeadline = 30 * time.Second
+	deadlineCap     = 5 * time.Minute
+)
+
+// TooLarge is the refusal of a request costing more than
+// MaxRequestCells cells, or nil when it fits. Its message is the 413
+// body both tiers send.
+func TooLarge(cost int64) error {
+	if cost <= MaxRequestCells {
+		return nil
+	}
+	return fmt.Errorf("request costs %d cells, server admits at most %d", cost, MaxRequestCells)
+}
+
 // Config shapes the daemon. The zero value serves on a private engine
 // with the documented defaults — every limit exists and is finite, so a
 // misconfigured deployment degrades by shedding, not by growing queues.
 type Config struct {
-	// Engine executes the cells (nil = a private engine; the process-wide
-	// sweep.Default is deliberately NOT used so a daemon cannot be
-	// perturbed by library callers in the same process).
+	// Engine executes the cells (nil = a private GOMAXPROCS-worker
+	// engine; the process-wide sweep.Default is deliberately NOT used so
+	// a daemon cannot be perturbed by library callers in the same
+	// process).
 	Engine *sweep.Engine
-	// Workers bounds the engine's worker pool when Engine is nil
-	// (0 = GOMAXPROCS).
-	Workers int
 	// CacheDir, when set, attaches the persistent content-addressed cell
 	// store, wrapped in the circuit breaker.
 	CacheDir string
@@ -88,30 +110,10 @@ type Config struct {
 	// MaxQueue caps requests waiting for an execution slot; beyond it
 	// the server sheds with 429 (default 2*MaxInFlight).
 	MaxQueue int
-	// MaxCellsInFlight caps the summed simulation cost (grid cells,
-	// scheduler jobs) of admitted requests (default 4096). A single
-	// request costing more than this is rejected with 413 — it can never
-	// be admitted.
-	MaxCellsInFlight int64
 	// TenantRate is each tenant's sustained request rate in requests per
-	// second (default 100; <0 = unlimited).
+	// second (default 100; <0 = unlimited). A tenant's bucket holds
+	// max(2*TenantRate, 1) requests.
 	TenantRate float64
-	// TenantBurst is each tenant's token-bucket depth (default
-	// max(2*TenantRate, 1)).
-	TenantBurst float64
-
-	// DefaultTimeout bounds a request that names no deadline
-	// (default 30s).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps a client-requested deadline (default 5m).
-	MaxTimeout time.Duration
-
-	// BreakerThreshold is how many consecutive disk-tier errors trip the
-	// breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before a
-	// half-open probe (default 5s).
-	BreakerCooldown time.Duration
 
 	// Telemetry is the registry /metrics serves from (nil = a private
 	// registry; the daemon always measures itself).
@@ -119,9 +121,6 @@ type Config struct {
 	// Logger emits structured request/lifecycle events (nil = no
 	// logging; nil is the valid no-op logger).
 	Logger *telemetry.Logger
-	// Flight is the flight recorder behind /debug/requests and
-	// /debug/flight (nil = a private default-size ring).
-	Flight *telemetry.FlightRecorder
 	// EnablePprof exposes net/http/pprof under /debug/pprof/ — opt-in
 	// because profiling endpoints reveal process internals.
 	EnablePprof bool
@@ -138,26 +137,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 2 * c.MaxInFlight
 	}
-	if c.MaxCellsInFlight <= 0 {
-		c.MaxCellsInFlight = 4096
-	}
 	if c.TenantRate == 0 {
 		c.TenantRate = 100
-	}
-	if c.TenantBurst <= 0 {
-		c.TenantBurst = max(2*c.TenantRate, 1)
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
 }
@@ -204,25 +185,21 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng := cfg.Engine
 	if eng == nil {
-		eng = sweep.NewEngine(cfg.Workers)
+		eng = sweep.NewEngine(0)
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.New()
 	}
 	eng.SetTelemetry(reg)
-	flight := cfg.Flight
-	if flight == nil {
-		flight = telemetry.NewFlightRecorder(0)
-	}
 	s := &Server{
 		cfg:     cfg,
 		eng:     eng,
 		reg:     reg,
-		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.MaxCellsInFlight, reg),
-		tenants: newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
+		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue, reg),
+		tenants: newTenantLimiter(cfg.TenantRate),
 		log:     cfg.Logger,
-		flight:  flight,
+		flight:  telemetry.NewFlightRecorder(telemetry.DefaultFlightSize),
 		started: time.Now(),
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
@@ -233,9 +210,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		ds.SetMaxBytes(cfg.CacheMaxBytes)
 		s.breaker = NewBreaker(ds, BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-			Registry:  reg,
+			Registry: reg,
 			// Breaker transitions are the lifecycle events an operator
 			// greps for first: log them and pin them in the flight ring.
 			OnTransition: func(from, to BreakerState) {
@@ -311,10 +286,7 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve serves on an existing listener until Shutdown.
 func (s *Server) Serve(ln net.Listener) error {
-	s.httpSrv = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	s.httpSrv = httpkit.NewServer(s.Handler())
 	err := s.httpSrv.Serve(ln)
 	if err == http.ErrServerClosed {
 		return nil

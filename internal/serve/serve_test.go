@@ -351,7 +351,7 @@ func TestServerDeadlineReturnsPartialSweep(t *testing.T) {
 // Per-tenant token buckets: a noisy tenant exhausts its own budget and
 // gets 429s while other tenants' requests still flow.
 func TestServerTenantQuota(t *testing.T) {
-	srv, ts := newTestServer(t, Config{TenantRate: 1, TenantBurst: 2}, nil)
+	srv, ts := newTestServer(t, Config{TenantRate: 1}, nil) // a burst of 2
 	_ = srv
 
 	for i := 0; i < 2; i++ {

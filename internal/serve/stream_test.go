@@ -339,7 +339,7 @@ func TestSweepPostCellsOnBothEndpoints(t *testing.T) {
 // per-tenant quota refuse them before any frame is written, as typed
 // sheds with Retry-After >= 1.
 func TestStreamRespectsAdmissionGates(t *testing.T) {
-	_, ts := newTestServer(t, Config{TenantRate: 1, TenantBurst: 1}, nil)
+	_, ts := newTestServer(t, Config{TenantRate: 0.5}, nil) // a burst of 1
 	if code, _, _ := get(t, ts.URL+"/v1/sweep/stream?benchmarks=res50_tf&gpus=1", "X-Tenant", "n"); code != http.StatusOK {
 		t.Fatalf("first stream = %d", code)
 	}
