@@ -2,7 +2,8 @@
 // simulator, sweep engine and cluster scheduler behind an HTTP/JSON
 // API with admission control, per-tenant quotas, a bounded cell memo
 // that shares each simulation among identical concurrent requests, a
-// circuit breaker over the persistent cache tier and graceful drain.
+// persistent cache tier whose failures cost speed, not answers, and
+// graceful drain.
 //
 //	mlperf-serve                              serve on :8080
 //	mlperf-serve -addr :9000
@@ -44,7 +45,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheDir := flag.String("cache-dir", "", "persistent cell cache directory, guarded by the circuit breaker")
+	cacheDir := flag.String("cache-dir", "", "persistent cell cache directory (a failing disk reads as misses, counted in /v1/stats cache.DiskErrors)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cap the cache directory's size in bytes, evicting oldest entries on overflow (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a slot before shedding (0 = 2*max-inflight)")

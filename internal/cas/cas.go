@@ -147,9 +147,6 @@ func (s *Store) SetMaxBytes(n int64) {
 	}
 }
 
-// MaxBytes reports the capacity cap (<= 0 = unbounded).
-func (s *Store) MaxBytes() int64 { return s.maxBytes.Load() }
-
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 

@@ -3,9 +3,12 @@ package front
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mlperf/internal/serve"
@@ -121,4 +124,55 @@ func TestFrontRefusesGridOverCellBudget(t *testing.T) {
 		t.Fatal("grid at the budget differs from RunSequential")
 	}
 	refused("all but one cell held")
+}
+
+// A GET grid far over the budget is priced from its parameter lists,
+// not expanded: a 200,000-cell URL gets the same 413 body from both
+// sweep endpoints of a backend and of the front, and refusing it
+// allocates about 0.6 MB, not the 98 MB its keys would take.
+func TestOversizedGetGridRefusedWithoutExpanding(t *testing.T) {
+	srv, err := serve.New(serve.Config{TenantRate: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	fr, _ := newFront(t, ts.URL)
+
+	var q strings.Builder
+	q.WriteString("?benchmarks=res50_tf,ncf_py&gpus=1,2,4,8&batches=1")
+	for b := 2; b <= 25000; b++ {
+		fmt.Fprintf(&q, ",%d", b)
+	}
+	const maxAlloc = 5 << 20
+	want := fmt.Sprintf("request costs %d cells, server admits at most %d", 2*4*25000, serve.MaxRequestCells)
+	var first []byte
+	for _, tier := range []struct {
+		name string
+		h    http.Handler
+	}{{"serve", srv.Handler()}, {"front", fr.Handler()}} {
+		for _, p := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+			req := httptest.NewRequest(http.MethodGet, p+q.String(), nil)
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tier.h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			body := rec.Body.Bytes()
+			if rec.Code != http.StatusRequestEntityTooLarge || !bytes.Contains(body, []byte(want)) {
+				t.Errorf("%s %s: %d (%s), want 413 %q", tier.name, p, rec.Code, body, want)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s %s: body %s differs from %s", tier.name, p, body, first)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > maxAlloc {
+				t.Errorf("%s %s: refusing allocated %.1f MB, want under %d MB", tier.name, p, float64(n)/(1<<20), maxAlloc>>20)
+			}
+		}
+	}
+	if st := srv.Snapshot(); st.Cache.Simulations != 0 || fr.Snapshot().Fanouts != 0 {
+		t.Fatalf("oversized grid ran: %d simulations, %d fanouts", st.Cache.Simulations, fr.Snapshot().Fanouts)
+	}
 }

@@ -552,12 +552,12 @@ type gridPlan struct {
 // cell budget (413, the backend's own body) and a malformed deadline
 // (400).
 func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, bool) {
-	keys, err := serve.SweepKeysFromRequest(r)
+	keys, cost, err := serve.SweepKeysFromRequest(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return nil, false
 	}
-	if err := serve.TooLarge(int64(len(keys))); err != nil {
+	if err := serve.TooLarge(cost); err != nil {
 		httpkit.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return nil, false
 	}

@@ -28,21 +28,6 @@ func (s *System) TotalDRAM() units.Bytes {
 	return s.DIMM.Size * units.Bytes(s.DIMMCount)
 }
 
-// TotalHBM returns the aggregate GPU memory.
-func (s *System) TotalHBM() units.Bytes {
-	return s.GPU.MemCapacity * units.Bytes(s.GPUCount)
-}
-
-// DRAMBandwidthPerSocket returns the local memory bandwidth of one socket.
-func (s *System) DRAMBandwidthPerSocket() units.BytesPerSecond {
-	return DRAMLink(s.CPU.MemChannels, s.DIMM.MTps).Effective()
-}
-
-// HostPeakFLOPS returns aggregate host compute across sockets.
-func (s *System) HostPeakFLOPS() units.FLOPSRate {
-	return s.CPU.PeakFLOPS() * units.FLOPSRate(s.CPUSockets)
-}
-
 // GPUIDs returns the GPU vertex IDs (gpu0..gpuN-1).
 func (s *System) GPUIDs() []string {
 	ids := make([]string, s.GPUCount)

@@ -15,11 +15,10 @@ import (
 type shedReason string
 
 const (
-	shedQueue    shedReason = "queue"    // wait queue at capacity
-	shedCost     shedReason = "cost"     // in-flight cell budget exhausted
-	shedQuota    shedReason = "quota"    // tenant token bucket empty
-	shedDrain    shedReason = "drain"    // server is shutting down
-	shedTooLarge shedReason = "toolarge" // single request exceeds the whole budget
+	shedQueue shedReason = "queue" // wait queue at capacity
+	shedCost  shedReason = "cost"  // in-flight cell budget exhausted
+	shedQuota shedReason = "quota" // tenant token bucket empty
+	shedDrain shedReason = "drain" // server is shutting down
 )
 
 // admission is the bounded work queue at the daemon's front door. A
@@ -63,12 +62,11 @@ func newAdmission(maxInFlight, maxQueue int, reg *telemetry.Registry) *admission
 
 // acquire admits a request of the given cost, blocking in the bounded
 // queue until a slot and cost budget are available, ctx expires, or the
-// queue is full (immediate shed). The returned release function must be
-// called exactly once when the request finishes.
+// queue is full (immediate shed). The cost must be at most
+// MaxRequestCells: admit answers a larger one with 413 (TooLarge)
+// before it gets here. The returned release function must be called
+// exactly once when the request finishes.
 func (a *admission) acquire(ctx context.Context, cost int64) (release func(), shed shedReason, ok bool) {
-	if cost > MaxRequestCells {
-		return nil, shedTooLarge, false
-	}
 	// Join the bounded queue — or shed on the spot if it is full. The
 	// check-then-increment is racy in the benign direction (a burst can
 	// briefly overshoot by the number of racing requests), which is fine:

@@ -54,10 +54,6 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 func TestAdmissionCostBudget(t *testing.T) {
 	a := newAdmission(4, 4, nil)
 
-	if _, reason, ok := a.acquire(context.Background(), MaxRequestCells+1); ok || reason != shedTooLarge {
-		t.Fatalf("impossible request: ok=%v reason=%q, want %q", ok, reason, shedTooLarge)
-	}
-
 	relBig, _, ok := a.acquire(context.Background(), MaxRequestCells-2)
 	if !ok {
 		t.Fatal("a request just under the budget refused on an idle controller")

@@ -294,8 +294,9 @@ func splitList(s string) []string {
 	if s == "" {
 		return nil
 	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
+	parts := strings.Split(s, ",")
+	out := parts[:0]
+	for _, p := range parts {
 		if p = strings.TrimSpace(p); p != "" {
 			out = append(out, p)
 		}
@@ -304,8 +305,9 @@ func splitList(s string) []string {
 }
 
 func intList(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
+	parts := splitList(s)
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
 		n, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad integer %q", p)
@@ -317,15 +319,15 @@ func intList(s string) ([]int, error) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// A GET carries grid parameters; a POST carries an explicit cell
-	// list (the front tier's digest-partitioned sub-grids). Expanding up
+	// list (the front tier's digest-partitioned sub-grids). Resolving up
 	// front prices the request for admission.
-	keys, err := sweepKeysFrom(r)
+	keys, cost, err := SweepKeysFromRequest(r)
 	if err != nil {
 		s.refuse(w, "sweep", err)
 		return
 	}
 
-	s.runQuery(w, r, "sweep", int64(len(keys)), func(ctx context.Context) (any, int, error) {
+	s.runQuery(w, r, "sweep", cost, func(ctx context.Context) (any, int, error) {
 		// Partial on: a deadline mid-grid returns the completed cells with
 		// the partial flag set instead of an error — the server-side form
 		// of mlperf-sweep's -partial.

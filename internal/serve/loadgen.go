@@ -399,14 +399,6 @@ func RenderLoadReport(r *LoadReport) string {
 	admitted := r.Server.Requests - r.ServerBefore.Requests - (r.Server.Shed - r.ServerBefore.Shed)
 	sims := r.Server.Cache.Simulations - r.ServerBefore.Cache.Simulations
 	coal := r.Server.Coalesced - r.ServerBefore.Coalesced
-	fmt.Fprintf(&b, "server: %d admitted, %d simulations, %d coalesced joins, breaker %s\n",
-		admitted, sims, coal, orDash(r.Server.Breaker))
+	fmt.Fprintf(&b, "server: %d admitted, %d simulations, %d coalesced joins\n", admitted, sims, coal)
 	return b.String()
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }

@@ -3,14 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
-	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
 
@@ -186,7 +184,7 @@ func TestEndpointHistogramObservesSheds(t *testing.T) {
 	}
 }
 
-func TestStatsExposeBreakerAndFlight(t *testing.T) {
+func TestStatsExposeDiskErrorsAndFlight(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheDir: t.TempDir()}, nil)
 	get(t, ts.URL+"/v1/simulate?benchmark=res50_tf&gpus=2")
 
@@ -195,30 +193,12 @@ func TestStatsExposeBreakerAndFlight(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Breaker != "closed" {
-		t.Errorf("breaker state %q", st.Breaker)
-	}
-	if st.BreakerTrips != 0 {
-		t.Errorf("breaker trips %d", st.BreakerTrips)
+	if st.Cache.DiskErrors != 0 || st.Cache.Disk.Misses != 1 {
+		t.Errorf("healthy cache dir: disk errors %d, disk misses %d (want 0, 1)",
+			st.Cache.DiskErrors, st.Cache.Disk.Misses)
 	}
 	if st.FlightEntries == 0 {
 		t.Error("no flight entries after a request")
-	}
-}
-
-func TestBreakerTransitionObserved(t *testing.T) {
-	var transitions []string
-	b := NewBreaker(&flakyStore{err: errors.New("disk gone")}, BreakerConfig{
-		OnTransition: func(from, to BreakerState) {
-			transitions = append(transitions, from.String()+">"+to.String())
-		},
-	})
-	k := sweep.CellKey{Benchmark: "res50_tf", System: "dss8440", GPUs: 1}
-	for i := 0; i < breakerTripErrors; i++ {
-		b.Get(k)
-	}
-	if len(transitions) != 1 || transitions[0] != "closed>open" {
-		t.Fatalf("transitions: %v", transitions)
 	}
 }
 

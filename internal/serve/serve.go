@@ -15,12 +15,12 @@
 //     client timeout cancels simulation work instead of orphaning it —
 //     and a sweep interrupted mid-grid returns the cells it completed
 //     through the engine's Partial/Report path.
-//   - Dependency protection. A circuit breaker guards the persistent
-//     disk cache tier: repeated cas errors trip the server to
-//     memory-only operation with a half-open probe after a cooldown.
-//     Identical concurrent cells share one simulation through the
-//     engine's per-cell singleflight memo. Per-request panics are
-//     contained to a 500 for that request.
+//   - Dependency protection. The persistent disk cache tier is an
+//     accelerator: the engine reads a failing disk as a miss, drops the
+//     failed write and counts both (Cache.DiskErrors), so a bad disk
+//     costs speed, never an answer. Identical concurrent cells share one
+//     simulation through the engine's per-cell singleflight memo.
+//     Per-request panics are contained to a 500 for that request.
 //   - Lifecycle. Graceful drain on Shutdown (stop accepting, finish
 //     in-flight under a drain deadline, then cancel the rest), with
 //     /healthz, /readyz and /metrics (Prometheus text straight from the
@@ -53,8 +53,6 @@ const (
 	MetricCellsInFlight  = "serve_cells_inflight"          // gauge, admitted simulation cost units
 	MetricRequestSeconds = "serve_request_seconds"         // histogram, wall time per admitted request
 	MetricPanics         = "serve_panics_total"            // counter, contained per-request panics
-	MetricBreakerState   = "serve_breaker_state"           // gauge, 0=closed 1=half-open 2=open
-	MetricBreakerTrips   = "serve_breaker_trips_total"     // counter
 	MetricPartials       = "serve_partial_responses_total" // counter, sweeps answered with a partial grid
 	MetricStreams        = "serve_stream_requests_total"   // counter, admitted /v1/sweep/stream requests
 	MetricStreamRecords  = "serve_stream_records_total"    // counter, record frames delivered to clients
@@ -98,7 +96,7 @@ type Config struct {
 	// process).
 	Engine *sweep.Engine
 	// CacheDir, when set, attaches the persistent content-addressed cell
-	// store, wrapped in the circuit breaker.
+	// store.
 	CacheDir string
 	// CacheMaxBytes caps the cache directory's size; past it the oldest
 	// entries are evicted on write-through (0 = unbounded).
@@ -144,14 +142,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is one daemon instance. Create with New, expose with Handler
-// or ListenAndServe, stop with Shutdown.
+// or Serve, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	eng     *sweep.Engine
 	reg     *telemetry.Registry
 	adm     *admission
 	tenants *tenantLimiter
-	breaker *Breaker
 	log     *telemetry.Logger
 	flight  *telemetry.FlightRecorder
 
@@ -209,19 +206,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: cache dir %s: %w", cfg.CacheDir, err)
 		}
 		ds.SetMaxBytes(cfg.CacheMaxBytes)
-		s.breaker = NewBreaker(ds, BreakerConfig{
-			Registry: reg,
-			// Breaker transitions are the lifecycle events an operator
-			// greps for first: log them and pin them in the flight ring.
-			OnTransition: func(from, to BreakerState) {
-				s.log.Warn("breaker transition",
-					telemetry.F("from", from.String()), telemetry.F("to", to.String()))
-				s.flight.Record(telemetry.FlightEntry{
-					Kind: "event", Msg: "breaker " + from.String() + " -> " + to.String(),
-				})
-			},
-		})
-		eng.SetStore(s.breaker)
+		eng.SetStore(ds)
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -274,17 +259,8 @@ func (s *Server) recoverWrap(next http.Handler) http.Handler {
 	})
 }
 
-// ListenAndServe serves on addr until Shutdown. It returns nil after a
-// graceful shutdown, like net/http.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve serves on an existing listener until Shutdown.
+// Serve serves on an existing listener until Shutdown. It returns nil
+// after a graceful shutdown, like net/http.
 func (s *Server) Serve(ln net.Listener) error {
 	s.httpSrv = httpkit.NewServer(s.Handler())
 	err := s.httpSrv.Serve(ln)
@@ -353,11 +329,11 @@ func (s *Server) DumpFlight(reason string) {
 	}
 }
 
-// Stats is the /v1/stats snapshot: the admission posture, the breaker
-// state and the engine's cache counters, for clients (and the loadgen
-// harness) that assert on server behaviour. Coalesced is Cache.Joins:
-// cell lookups that joined a simulation already in flight, the work
-// identical concurrent requests shared.
+// Stats is the /v1/stats snapshot: the admission posture and the
+// engine's cache counters (disk errors included), for clients (and the
+// loadgen harness) that assert on server behaviour. Coalesced is
+// Cache.Joins: cell lookups that joined a simulation already in flight,
+// the work identical concurrent requests shared.
 type Stats struct {
 	Uptime        float64          `json:"uptime_seconds"`
 	Draining      bool             `json:"draining"`
@@ -371,8 +347,6 @@ type Stats struct {
 	InFlight      int64            `json:"inflight"`
 	Queued        int64            `json:"queued"`
 	CellsInFlight int64            `json:"cells_inflight"`
-	Breaker       string           `json:"breaker,omitempty"`
-	BreakerTrips  int64            `json:"breaker_trips"`
 	FlightEntries int              `json:"flight_entries"`
 	Cache         sweep.CacheStats `json:"cache"`
 }
@@ -380,7 +354,7 @@ type Stats struct {
 // Snapshot assembles the current Stats.
 func (s *Server) Snapshot() Stats {
 	cache := s.eng.Stats()
-	st := Stats{
+	return Stats{
 		Uptime:        time.Since(s.started).Seconds(),
 		Draining:      s.draining.Load(),
 		Requests:      s.requests.Load(),
@@ -396,11 +370,6 @@ func (s *Server) Snapshot() Stats {
 		FlightEntries: s.flight.Len(),
 		Cache:         cache,
 	}
-	if s.breaker != nil {
-		st.Breaker = s.breaker.State().String()
-		st.BreakerTrips = s.breaker.Trips()
-	}
-	return st
 }
 
 // FillManifest records the serving run into a telemetry manifest — the
@@ -413,9 +382,8 @@ func (s *Server) FillManifest(m *telemetry.Manifest) {
 	m.Config["partial_responses"] = fmt.Sprintf("%d", st.Partials)
 	m.Config["streams"] = fmt.Sprintf("%d", st.Streams)
 	m.Config["stream_records"] = fmt.Sprintf("%d", st.StreamRecords)
-	if st.Breaker != "" {
-		m.Config["breaker"] = st.Breaker
-		m.Config["breaker_trips"] = fmt.Sprintf("%d", st.BreakerTrips)
+	if s.cfg.CacheDir != "" {
+		m.Config["disk_errors"] = fmt.Sprintf("%d", st.Cache.DiskErrors)
 	}
 	st.Cache.FillManifest(m)
 }

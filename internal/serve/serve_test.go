@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -488,5 +491,114 @@ func TestLoadgenOverloadShedsCleanly(t *testing.T) {
 	slo := SLO{MaxServerErrors: 0, MinShedRate: 0.01}
 	if v := slo.Violations(rep); len(v) != 0 {
 		t.Fatalf("SLO violations: %v", v)
+	}
+}
+
+// breakCacheDir turns every shard path of a cache dir into a regular
+// file, so each disk Get and Put fails at once with ENOTDIR. heal
+// removes them.
+func breakCacheDir(t *testing.T, dir string) (heal func()) {
+	t.Helper()
+	var shards []string
+	for i := 0; i < 256; i++ {
+		p := filepath.Join(dir, fmt.Sprintf("%02x", i))
+		if err := os.WriteFile(p, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, p)
+	}
+	return func() {
+		for _, p := range shards {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// A broken cache dir costs speed, never an answer: cold and warm
+// answers on every grid endpoint equal RunSequential with no 5xx, each
+// failed disk operation is counted once, and a healed dir is written
+// on the very next cold cell.
+func TestBrokenCacheDirAnswersCountsAndHeals(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{CacheDir: dir}, nil)
+	heal := breakCacheDir(t, dir)
+
+	sequential := func(g sweep.Grid) []sweep.Record {
+		t.Helper()
+		recs, err := sweep.RunSequential(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	fetch := func(path string) string {
+		t.Helper()
+		code, body, _ := get(t, ts.URL+path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d (%s)", path, code, strings.TrimSpace(body))
+		}
+		return body
+	}
+	cells := 0
+	for pass := 0; pass < 2; pass++ { // cold, then warm
+		var sim SimulateResponse
+		if err := json.Unmarshal([]byte(fetch("/v1/simulate?benchmark=res50_tf&gpus=2")), &sim); err != nil {
+			t.Fatal(err)
+		}
+		if want := sequential(sweep.Grid{Benchmarks: []string{"res50_tf"}, GPUCounts: []int{2}}); sim.Record != want[0] {
+			t.Errorf("pass %d: simulate %+v, want %+v", pass, sim.Record, want[0])
+		}
+
+		var sw SweepResponse
+		if err := json.Unmarshal([]byte(fetch("/v1/sweep?benchmarks=res50_tf,ncf_py&gpus=1,4")), &sw); err != nil {
+			t.Fatal(err)
+		}
+		want := sequential(sweep.Grid{Benchmarks: []string{"res50_tf", "ncf_py"}, GPUCounts: []int{1, 4}})
+		if sw.Partial || !reflect.DeepEqual(sw.Records, want) {
+			t.Errorf("pass %d: sweep %+v, want %+v", pass, sw, want)
+		}
+
+		want = sequential(sweep.Grid{Benchmarks: []string{"ssd_py", "xfmr_py"}, GPUCounts: []int{1, 2}})
+		frames := decodeNDJSON(t, fetch("/v1/sweep/stream?benchmarks=ssd_py,xfmr_py&gpus=1,2"))
+		if last := frames[len(frames)-1]; last.Partial || last.Completed != len(want) {
+			t.Errorf("pass %d: stream summary %+v", pass, last)
+		}
+		if got := reassemble(t, frames, len(want)); !reflect.DeepEqual(got, want) {
+			t.Errorf("pass %d: stream %+v, want %+v", pass, got, want)
+		}
+		if pass == 0 {
+			cells = 1 + len(sw.Records) + len(want)
+		}
+	}
+
+	var st Stats
+	if err := json.Unmarshal([]byte(fetch("/v1/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	gets := srv.Registry().Counter(sweep.MetricDiskErrors, telemetry.L("op", "get")).Value()
+	puts := srv.Registry().Counter(sweep.MetricDiskErrors, telemetry.L("op", "put")).Value()
+	if gets != int64(cells) || puts != int64(cells) || st.Cache.DiskErrors != int64(2*cells) {
+		t.Errorf("disk errors get=%d put=%d stats=%d, want %d, %d, %d", gets, puts, st.Cache.DiskErrors, cells, cells, 2*cells)
+	}
+	if st.Cache.Simulations != int64(cells) || st.Cache.Simulations != st.Cache.Misses-st.Cache.Disk.Hits {
+		t.Errorf("cache %+v, want %d simulations == Misses - Disk.Hits", st.Cache, cells)
+	}
+	m := telemetry.NewManifest("test")
+	srv.FillManifest(m)
+	if got, want := m.Config["disk_errors"], fmt.Sprint(2*cells); got != want {
+		t.Errorf("manifest disk_errors = %q, want %q", got, want)
+	}
+
+	// Healed, the dir takes the next cold cell at once: no cooldown.
+	heal()
+	fetch("/v1/simulate?benchmark=ncf_py&gpus=8")
+	ds, err := sweep.OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ds.Len(); err != nil || n != 1 {
+		t.Fatalf("healed cache dir holds %d entries (%v) after one cold cell, want 1", n, err)
 	}
 }

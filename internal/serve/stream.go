@@ -102,14 +102,16 @@ func (c cellSpec) key() sweep.CellKey {
 // admission budget admits anyway).
 const maxCellsBody = 1 << 26
 
-// sweepKeysFrom resolves the requested cell list: a POST body with an
-// explicit {"cells": [...]} list — the form the front tier uses to
-// express a digest-partitioned sub-grid, which no cartesian grid
-// parameter can — or the GET grid parameters expanded in deterministic
-// order. Either way every key comes back normalized, so a cell no
-// simulation can honour is a 400 before admission, on both sweep
-// endpoints.
-func sweepKeysFrom(r *http.Request) ([]sweep.CellKey, error) {
+// SweepKeysFromRequest resolves the requested cell list and its cost in
+// cells: a POST body with an explicit {"cells": [...]} list — the form
+// the front tier uses to express a digest-partitioned sub-grid, which no
+// cartesian grid parameter can — or the GET grid parameters expanded in
+// deterministic order. Either way every key comes back normalized, so a
+// cell no simulation can honour is a 400 before admission, on both
+// sweep endpoints and the front's. A GET grid costing more than
+// MaxRequestCells is counted, not expanded: keys is nil, and the
+// caller's TooLarge check answers the cost with 413.
+func SweepKeysFromRequest(r *http.Request) (keys []sweep.CellKey, cost int64, err error) {
 	if r.Method == http.MethodPost {
 		dec := json.NewDecoder(io.LimitReader(r.Body, maxCellsBody))
 		dec.DisallowUnknownFields()
@@ -117,37 +119,34 @@ func sweepKeysFrom(r *http.Request) ([]sweep.CellKey, error) {
 			Cells []cellSpec `json:"cells"`
 		}
 		if err := dec.Decode(&body); err != nil {
-			return nil, fmt.Errorf("bad cells body: %v", err)
+			return nil, 0, fmt.Errorf("bad cells body: %v", err)
 		}
 		if len(body.Cells) == 0 {
-			return nil, fmt.Errorf("empty cells list")
+			return nil, 0, fmt.Errorf("empty cells list")
 		}
 		keys := make([]sweep.CellKey, len(body.Cells))
 		for i, c := range body.Cells {
 			if c.Benchmark == "" {
-				return nil, fmt.Errorf("cell %d: missing benchmark", i)
+				return nil, 0, fmt.Errorf("cell %d: missing benchmark", i)
 			}
 			k, err := c.key().Normalize()
 			if err != nil {
-				return nil, fmt.Errorf("cell %d: %v", i, err)
+				return nil, 0, fmt.Errorf("cell %d: %v", i, err)
 			}
 			keys[i] = k
 		}
-		return keys, nil
+		return keys, int64(len(keys)), nil
 	}
 	g, err := gridFrom(r)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return g.Cells()
-}
-
-// SweepKeysFromRequest resolves a sweep request's cell list — the GET
-// grid parameters or a POST {"cells":[...]} body — exactly as the sweep
-// endpoints do. Exported for the front tier, which must partition the
-// same list the backend will expand.
-func SweepKeysFromRequest(r *http.Request) ([]sweep.CellKey, error) {
-	return sweepKeysFrom(r)
+	n, err := g.Count()
+	if err != nil || n > MaxRequestCells {
+		return nil, int64(n), err
+	}
+	keys, err = g.Cells()
+	return keys, int64(len(keys)), err
 }
 
 // CellKeyFromRequest parses /v1/simulate's cell-addressing parameters.
@@ -231,12 +230,12 @@ func (sw *StreamWriter) Frame(f *StreamFrame) error {
 // stream, not one body, so the status code is committed before the run
 // finishes.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	keys, err := sweepKeysFrom(r)
+	keys, cost, err := SweepKeysFromRequest(r)
 	if err != nil {
 		s.refuse(w, "sweep_stream", err)
 		return
 	}
-	ctx, finish, ok := s.admit(w, r, "sweep_stream", int64(len(keys)))
+	ctx, finish, ok := s.admit(w, r, "sweep_stream", cost)
 	if !ok {
 		return
 	}

@@ -42,12 +42,14 @@ type Engine struct {
 	// mid-process attach reason as tel.
 	disk atomic.Pointer[storeRef]
 
-	// diskHits/diskMisses count second-tier traffic; simulations counts
-	// cells that actually ran the simulator (a memory miss promoted from
-	// disk is NOT a simulation — that distinction is the whole point of
-	// the persistent tier, and CI asserts it).
+	// diskHits/diskMisses count second-tier traffic and diskErrors its
+	// failed operations; simulations counts cells that actually ran the
+	// simulator (a memory miss promoted from disk is NOT a simulation —
+	// that distinction is the whole point of the persistent tier, and CI
+	// asserts it).
 	diskHits    atomic.Int64
 	diskMisses  atomic.Int64
+	diskErrors  atomic.Int64
 	simulations atomic.Int64
 
 	mu sync.Mutex
@@ -152,6 +154,7 @@ func (e *Engine) Store() Store {
 const (
 	MetricCacheTotal     = "sweep_cache_total"         // counter, result=hit|miss (memory tier)
 	MetricDiskCacheTotal = "sweep_disk_cache_total"    // counter, result=hit|miss (persistent tier, consulted on memory misses)
+	MetricDiskErrors     = "sweep_disk_errors_total"   // counter, op=get|put (failed persistent-tier operations)
 	MetricCellSeconds    = "sweep_cell_seconds"        // histogram, wall time per simulated cell
 	MetricFailures       = "sweep_cell_failures_total" // counter, kind=error|panic|timeout|canceled (per failed cell)
 	MetricWorkersBusy    = "sweep_workers_busy"        // gauge, live busy workers
@@ -244,10 +247,9 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		// simulating. Only verified content comes back from the store, so
 		// this branch can change wall time but never records.
 		if ds := e.Store(); ds != nil {
-			// A store error reads as a miss: the tier is an accelerator,
-			// and a wrapper such as serve's breaker is where its errors
-			// are counted.
-			if rec, ok, _ := ds.Get(k); ok {
+			rec, ok, err := ds.Get(k)
+			e.countDiskError(reg, "get", err)
+			if ok {
 				e.diskHits.Add(1)
 				reg.Counter(MetricDiskCacheTotal, telemetry.L("result", "hit")).Inc()
 				en.rec, en.err = rec, nil
@@ -271,11 +273,21 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		}
 		if en.err == nil {
 			if ds := e.Store(); ds != nil {
-				_ = ds.Put(k, en.rec) // best-effort, for the same reason as Get
+				e.countDiskError(reg, "put", ds.Put(k, en.rec))
 			}
 		}
 	})
 	return en.rec, en.err
+}
+
+// countDiskError counts a failed store operation, and that is all it
+// does: the tier is an accelerator, so a failed Get reads as a disk
+// miss and a failed Put drops the write, and neither fails the cell.
+func (e *Engine) countDiskError(reg *telemetry.Registry, op string, err error) {
+	if err != nil {
+		e.diskErrors.Add(1)
+		reg.Counter(MetricDiskErrors, telemetry.L("op", op)).Inc()
+	}
 }
 
 // cellName renders the span label of one cell ("res50_tf/dss8440@4").
@@ -313,6 +325,10 @@ type CacheStats struct {
 	// with Evictions and Quarantined read from the store itself.
 	// Zero-valued when no store is attached.
 	Disk TierStats
+	// DiskErrors counts the store's failed Gets and Puts (unreadable
+	// directory, full disk). Each failed Get is also a Disk.Misses, so
+	// the accounting identity holds on a failing disk.
+	DiskErrors int64
 	// Simulations counts cells that ran the simulator — the work the
 	// cache exists to avoid.
 	Simulations int64
@@ -336,6 +352,7 @@ func (e *Engine) Stats() CacheStats {
 			Hits:   e.diskHits.Load(),
 			Misses: e.diskMisses.Load(),
 		},
+		DiskErrors:  e.diskErrors.Load(),
 		Simulations: e.simulations.Load(),
 		Schema:      KeySchema,
 	}
@@ -359,6 +376,7 @@ func (e *Engine) ResetCache() {
 	e.mu.Unlock()
 	e.diskHits.Store(0)
 	e.diskMisses.Store(0)
+	e.diskErrors.Store(0)
 	e.simulations.Store(0)
 }
 

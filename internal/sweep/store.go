@@ -23,11 +23,11 @@ const RecordCodec = 1
 // results are forever.
 //
 // Get and Put report environmental errors (unreadable directory, full
-// disk) so a wrapper that protects the tier — serve's circuit breaker —
-// can tell "not cached" from "cache down". A doubtful entry is a miss
-// with a nil error, never an error. The engine itself reads any error
-// as a miss or a dropped write: the tier is an accelerator, so its
-// failures must not fail the sweep.
+// disk) so the engine can tell "not cached" from "cache down" and count
+// the latter (CacheStats.DiskErrors). A doubtful entry is a miss with a
+// nil error, never an error. The engine reads any error as a miss or a
+// dropped write: the tier is an accelerator, so its failures must not
+// fail the sweep.
 type Store interface {
 	// Get returns the stored record for a normalized key, if present;
 	// ok is false whenever err is not nil.

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mlperf/internal/telemetry"
 )
 
 // storeGrid is a small grid the disk-tier tests run repeatedly.
@@ -302,6 +305,63 @@ func TestEngineWithoutStoreUnchanged(t *testing.T) {
 	}
 	if st.Simulations != int64(len(recs)) || st.Misses != int64(len(recs)) {
 		t.Errorf("stats %+v, want %d simulations == misses", st, len(recs))
+	}
+}
+
+// failingStore is a persistent tier that never holds anything and
+// fails the operations given an error.
+type failingStore struct{ getErr, putErr error }
+
+func (f failingStore) Get(CellKey) (Record, bool, error) { return Record{}, false, f.getErr }
+func (f failingStore) Put(CellKey, Record) error         { return f.putErr }
+func (f failingStore) Stats() TierStats                  { return TierStats{} }
+
+// A failing store costs the engine nothing but speed: every answer is
+// the sequential one, each failed Get and Put is counted once (in
+// CacheStats.DiskErrors and under its op label), a failed Get is a disk
+// miss, and the accounting identity holds.
+func TestEngineCountsStoreErrors(t *testing.T) {
+	g := storeGrid()
+	want, err := RunSequential(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(len(want))
+	disk := errors.New("disk gone")
+	for _, tc := range []struct {
+		name             string
+		store            failingStore
+		wantGet, wantPut int64
+	}{
+		{"get fails", failingStore{getErr: disk}, cells, 0},
+		{"put fails", failingStore{putErr: disk}, 0, cells},
+		{"both fail", failingStore{getErr: disk, putErr: disk}, cells, cells},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.New()
+			e := NewEngine(4)
+			e.SetTelemetry(reg)
+			e.SetStore(tc.store)
+			for run := 0; run < 2; run++ { // the second run is all memory hits
+				got, err := e.Run(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d over a failing store differs from RunSequential", run)
+				}
+			}
+			st := e.Stats()
+			gets := reg.Counter(MetricDiskErrors, telemetry.L("op", "get")).Value()
+			puts := reg.Counter(MetricDiskErrors, telemetry.L("op", "put")).Value()
+			if gets != tc.wantGet || puts != tc.wantPut || st.DiskErrors != tc.wantGet+tc.wantPut {
+				t.Errorf("disk errors get=%d put=%d total=%d, want %d, %d, %d",
+					gets, puts, st.DiskErrors, tc.wantGet, tc.wantPut, tc.wantGet+tc.wantPut)
+			}
+			if st.Disk.Misses != cells || st.Simulations != st.Misses-st.Disk.Hits {
+				t.Errorf("stats %+v: want %d disk misses and Simulations == Misses - Disk.Hits", st, cells)
+			}
+		})
 	}
 }
 

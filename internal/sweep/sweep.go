@@ -18,6 +18,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 
@@ -227,69 +228,134 @@ func runCell(k CellKey, mode sim.FastPathMode) (Record, error) {
 	}, nil
 }
 
-// expand enumerates the grid's feasible cells in deterministic order,
-// validating every dimension up front. Both the engine and the
-// sequential reference path run exactly this list, which is what makes
-// their outputs comparable cell for cell.
-func expand(g Grid) ([]CellKey, error) {
+// space is a grid with its empty dimensions defaulted and its
+// benchmarks and systems resolved.
+type space struct {
+	benches []workload.Benchmark
+	systems []*hw.System
+	gpus    []int
+	batches []int
+	precs   []string
+	faults  string
+}
+
+// resolve defaults and validates the grid's dimensions, each value once,
+// and counts its feasible cells (saturating at math.MaxInt). The errors
+// are the ones expanding cell by cell would meet first: an unknown
+// benchmark, system or precision, then the first feasible (system, GPU
+// count) pair's GPU count below 1, negative batch or bad fault plan.
+// Both expand and Count run it, so they agree on every grid.
+func resolve(g Grid) (space, int, error) {
 	if len(g.Benchmarks) == 0 {
 		for _, b := range workload.MLPerfSuite() {
 			g.Benchmarks = append(g.Benchmarks, b.Abbrev)
 		}
 	}
-	if len(g.Systems) == 0 {
-		g.Systems = []string{"dss8440"}
+	systems := orDefault(g.Systems, "dss8440")
+	sp := space{
+		benches: make([]workload.Benchmark, len(g.Benchmarks)),
+		systems: make([]*hw.System, len(systems)),
+		gpus:    orDefault(g.GPUCounts, 1),
+		batches: orDefault(g.BatchPerGPU, 0),
+		precs:   orDefault(g.Precisions, ""),
+		faults:  g.Faults,
 	}
-	if len(g.GPUCounts) == 0 {
-		g.GPUCounts = []int{1}
-	}
-	if len(g.BatchPerGPU) == 0 {
-		g.BatchPerGPU = []int{0}
-	}
-	if len(g.Precisions) == 0 {
-		g.Precisions = []string{""}
-	}
-
-	benches := make([]workload.Benchmark, len(g.Benchmarks))
 	for i, name := range g.Benchmarks {
 		b, err := workload.ByName(name)
 		if err != nil {
-			return nil, err
+			return space{}, 0, err
 		}
-		benches[i] = b
+		sp.benches[i] = b
 	}
-	systems := make([]*hw.System, len(g.Systems))
-	for i, name := range g.Systems {
+	for i, name := range systems {
 		sys, err := hw.SharedSystemByName(name)
 		if err != nil {
-			return nil, err
+			return space{}, 0, err
 		}
-		systems[i] = sys
+		sp.systems[i] = sys
 	}
-	for _, prec := range g.Precisions {
+	for _, prec := range sp.precs {
 		switch prec {
 		case "", "fp32", "mixed":
 		default:
-			return nil, fmt.Errorf("sweep: unknown precision %q", prec)
+			return space{}, 0, fmt.Errorf("sweep: unknown precision %q", prec)
 		}
 	}
 
-	var keys []CellKey
-	for _, b := range benches {
-		for _, sys := range systems {
-			for _, gpus := range g.GPUCounts {
-				if gpus > sys.GPUCount {
-					continue // silently infeasible cells are skipped
+	pairs := 0
+	for _, sys := range sp.systems {
+		for _, gpus := range sp.gpus {
+			if gpus > sys.GPUCount {
+				continue // silently infeasible cells are skipped
+			}
+			if gpus < 1 {
+				return space{}, 0, fmt.Errorf("sweep: %d GPUs on %s (want 1..%d)", gpus, sys.Name, sys.GPUCount)
+			}
+			if pairs == 0 {
+				// The first feasible pair is where expansion meets a bad
+				// fault plan (at its first batch, unless that batch is
+				// negative) and a negative batch.
+				if sp.batches[0] >= 0 {
+					k := CellKey{Benchmark: sp.benches[0].Abbrev, System: sys.Name, GPUs: gpus, Faults: g.Faults}
+					if _, err := k.Normalize(); err != nil {
+						return space{}, 0, err
+					}
 				}
-				for _, batch := range g.BatchPerGPU {
-					for _, prec := range g.Precisions {
+				for _, batch := range sp.batches {
+					if batch < 0 {
+						return space{}, 0, fmt.Errorf("sweep: negative batch %d", batch)
+					}
+				}
+			}
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		return space{}, 0, fmt.Errorf("sweep: empty grid (no feasible cells)")
+	}
+	n := len(sp.benches)
+	for _, d := range []int{pairs, len(sp.batches), len(sp.precs)} {
+		if n > math.MaxInt/d {
+			return sp, math.MaxInt, nil
+		}
+		n *= d
+	}
+	return sp, n, nil
+}
+
+// orDefault is xs, or the one-value list d when xs is empty.
+func orDefault[T any](xs []T, d T) []T {
+	if len(xs) == 0 {
+		return []T{d}
+	}
+	return xs
+}
+
+// expand enumerates the grid's feasible cells in deterministic order,
+// validating every dimension up front. Both the engine and the
+// sequential reference path run exactly this list, which is what makes
+// their outputs comparable cell for cell.
+func expand(g Grid) ([]CellKey, error) {
+	sp, n, err := resolve(g)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]CellKey, 0, n)
+	for _, b := range sp.benches {
+		for _, sys := range sp.systems {
+			for _, gpus := range sp.gpus {
+				if gpus > sys.GPUCount {
+					continue
+				}
+				for _, batch := range sp.batches {
+					for _, prec := range sp.precs {
 						k, err := (CellKey{
 							Benchmark: b.Abbrev,
 							System:    sys.Name,
 							GPUs:      gpus,
 							Batch:     batch,
 							Precision: prec,
-							Faults:    g.Faults,
+							Faults:    sp.faults,
 						}).Normalize()
 						if err != nil {
 							return nil, err
@@ -300,18 +366,22 @@ func expand(g Grid) ([]CellKey, error) {
 			}
 		}
 	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("sweep: empty grid (no feasible cells)")
-	}
 	return keys, nil
 }
 
 // Cells enumerates the grid's feasible cells in deterministic order —
 // the exact normalized list every Run variant executes. Callers that
-// need the cell count before committing to a run (the serve daemon's
-// admission controller prices requests by it) expand once here and hand
-// the keys to RunCellsWithOptions.
+// run the keys themselves (the serve daemon, once Count has priced the
+// grid) expand once here and hand them to RunCellsWithOptions.
 func (g Grid) Cells() ([]CellKey, error) { return expand(g) }
+
+// Count reports len(Cells()), with Cells' errors, without building the
+// keys: a grid too large to run is priced and refused for the cost of
+// its parameter lists, not of its cells.
+func (g Grid) Count() (int, error) {
+	_, n, err := resolve(g)
+	return n, err
+}
 
 // RunSequential executes the grid one cell at a time on the calling
 // goroutine, with no caching and with the analytic fast path disabled —

@@ -2,8 +2,14 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mlperf/internal/hw"
+	"mlperf/internal/workload"
 )
 
 func TestDefaultGridIsMLPerfOn1GPU(t *testing.T) {
@@ -138,6 +144,113 @@ func TestGridErrors(t *testing.T) {
 	}
 	if _, err := Default.Run(Grid{Precisions: []string{"int4"}}); err == nil {
 		t.Error("unknown precision accepted")
+	}
+}
+
+// naiveCells is the cell-by-cell expansion: every combination in grid
+// order, each key normalized on its own. Count and Cells must agree
+// with it on every grid, errors included.
+func naiveCells(g Grid) ([]CellKey, error) {
+	benches := g.Benchmarks
+	if len(benches) == 0 {
+		for _, b := range workload.MLPerfSuite() {
+			benches = append(benches, b.Abbrev)
+		}
+	}
+	for _, name := range benches {
+		if _, err := workload.ByName(name); err != nil {
+			return nil, err
+		}
+	}
+	systems := orDefault(g.Systems, "dss8440")
+	for _, name := range systems {
+		if _, err := hw.SharedSystemByName(name); err != nil {
+			return nil, err
+		}
+	}
+	precs := orDefault(g.Precisions, "")
+	for _, p := range precs {
+		if p != "" && p != "fp32" && p != "mixed" {
+			return nil, fmt.Errorf("sweep: unknown precision %q", p)
+		}
+	}
+	var keys []CellKey
+	for _, b := range benches {
+		for _, name := range systems {
+			sys, _ := hw.SharedSystemByName(name)
+			for _, gpus := range orDefault(g.GPUCounts, 1) {
+				if gpus > sys.GPUCount {
+					continue
+				}
+				for _, batch := range orDefault(g.BatchPerGPU, 0) {
+					for _, p := range precs {
+						k, err := (CellKey{Benchmark: b, System: name, GPUs: gpus,
+							Batch: batch, Precision: p, Faults: g.Faults}).Normalize()
+						if err != nil {
+							return nil, err
+						}
+						keys = append(keys, k)
+					}
+				}
+			}
+		}
+	}
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("sweep: empty grid (no feasible cells)")
+	}
+	return keys, nil
+}
+
+// Count prices a grid without building it, so it must say exactly what
+// expanding it cell by cell says: the same number of cells, or the same
+// first error.
+func TestCountMatchesCells(t *testing.T) {
+	const badPlan = `{"Stragglers":[{"Lane":"gpu","Factor":-2}]}`
+	const goodPlan = `{"Stragglers":[{"Lane":"gpu","Factor":2}]}`
+	one := []string{"res50_tf"}
+	for name, g := range map[string]Grid{
+		"default":              {},
+		"over-size gpus":       {Benchmarks: one, Systems: []string{"t640", "dss8440"}, GPUCounts: []int{1, 2, 4, 8, 16}},
+		"duplicates":           {Benchmarks: []string{"res50_tf", "ncf_py", "res50_tf"}, GPUCounts: []int{2, 2}, BatchPerGPU: []int{0, 0}, Precisions: []string{"fp32", "fp32", ""}},
+		"all infeasible":       {Benchmarks: one, Systems: []string{"t640"}, GPUCounts: []int{8}},
+		"good plan":            {Benchmarks: one, GPUCounts: []int{1, 2}, Faults: goodPlan},
+		"unknown benchmark":    {Benchmarks: []string{"res50_tf", "bert"}},
+		"unknown system":       {Benchmarks: one, Systems: []string{"dss8440", "dgx9"}},
+		"unknown precision":    {Benchmarks: one, Precisions: []string{"fp32", "int4"}},
+		"gpus 0 first":         {Benchmarks: one, GPUCounts: []int{0, 1}},
+		"gpus 0 later":         {Benchmarks: one, GPUCounts: []int{1, -1, 0}},
+		"gpus 0 on 2nd system": {Benchmarks: one, Systems: []string{"t640", "dss8440"}, GPUCounts: []int{8, 0}},
+		"gpus 0 and bad plan":  {Benchmarks: one, GPUCounts: []int{0}, Faults: badPlan},
+		"negative batch first": {Benchmarks: one, BatchPerGPU: []int{-8, -4}},
+		"negative batch later": {Benchmarks: one, BatchPerGPU: []int{0, 16, -4}},
+		"bad plan":             {Benchmarks: one, GPUCounts: []int{1, 0}, Faults: badPlan},
+		"bad plan, batch -1":   {Benchmarks: one, BatchPerGPU: []int{-1, 0}, Faults: badPlan},
+		"bad plan, batch 0,-1": {Benchmarks: one, BatchPerGPU: []int{0, -1}, Faults: badPlan},
+		"infeasible bad plan":  {Benchmarks: one, Systems: []string{"t640"}, GPUCounts: []int{8}, BatchPerGPU: []int{-1}, Faults: badPlan},
+	} {
+		want, wantErr := naiveCells(g)
+		got, err := g.Cells()
+		n, cerr := g.Count()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(cerr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: Cells error %v, Count error %v, want %v", name, err, cerr, wantErr)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) || n != len(want) {
+			t.Errorf("%s: Count %d, Cells %d keys, want %d keys:\n%+v\n%+v", name, n, len(got), len(want), got, want)
+		}
+	}
+
+	// Long lists multiply past math.MaxInt (a 1 MB GET URL can carry
+	// five lists of 30,000 values); the count saturates instead of
+	// wrapping into a small or negative cost.
+	huge := func(v string) []string { return strings.Split(strings.Repeat(v+",", 99999)+v, ",") }
+	ints := make([]int, 100000)
+	for i := range ints {
+		ints[i] = i + 1
+	}
+	g := Grid{Benchmarks: huge("res50_tf"), Systems: huge("dss8440")[:10000], GPUCounts: ints[:8], BatchPerGPU: ints, Precisions: huge("fp32")}
+	if n, err := g.Count(); err != nil || n != math.MaxInt {
+		t.Errorf("10^5 x 10^4 x 8 x 10^5 x 10^5 grid: Count %d, %v, want math.MaxInt", n, err)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // strictly no-op, like the rest of the telemetry instruments.
 
 // FlightEntry is one ring slot: a request summary (Kind "request") or a
-// lifecycle event (Kind "event": breaker transitions, drain phases,
-// contained panics, backend health flips).
+// lifecycle event (Kind "event": drain phases, contained panics,
+// backend health flips).
 type FlightEntry struct {
 	Seq        int64   `json:"seq"`
 	TS         string  `json:"ts"`

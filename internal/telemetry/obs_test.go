@@ -279,7 +279,7 @@ func TestFlightNilSafe(t *testing.T) {
 func TestFlightRequestsFiltersEvents(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	fr.Record(FlightEntry{Kind: "request", Path: "/a"})
-	fr.Event("breaker closed -> open", "")
+	fr.Event("drain begin", "")
 	fr.Record(FlightEntry{Kind: "request", Path: "/b"})
 	reqs := fr.Requests()
 	if len(reqs) != 2 || reqs[0].Path != "/a" || reqs[1].Path != "/b" {
