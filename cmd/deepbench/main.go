@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"strconv"
 	"time"
 
@@ -32,15 +33,16 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per configuration")
 	sink := telecli.Register("deepbench", nil)
 	flag.Parse()
-	reg = sink.Activate()
-	sink.Config("reps", strconv.Itoa(*reps))
-
-	fmt.Println("deepbench (host-CPU substrate) — see DESIGN.md for the substitution rationale")
-	gemmBench(*reps)
-	convBench(*reps)
-	rnnBench(*reps)
-	allReduceBench(*reps)
-	sink.MustFlush()
+	os.Exit(sink.Run(nil, func() error {
+		reg = sink.Reg
+		sink.Config("reps", strconv.Itoa(*reps))
+		fmt.Println("deepbench (host-CPU substrate) — see DESIGN.md for the substitution rationale")
+		gemmBench(*reps)
+		convBench(*reps)
+		rnnBench(*reps)
+		allReduceBench(*reps)
+		return nil
+	}))
 }
 
 func gemmBench(reps int) {

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"mlperf/internal/experiments"
 	"mlperf/internal/sweep"
@@ -21,58 +20,22 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	engineFlags := sweep.RegisterCLIFlags(nil)
 	sink := telecli.Register("mlperf-ablate", nil)
 	flag.Parse()
-	w, err := sweep.ValidateWorkers(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-ablate:", err)
-		os.Exit(2)
-	}
-	sweep.Default.SetWorkers(w)
-	if err := engineFlags.Apply(sweep.Default); err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-ablate:", err)
-		os.Exit(2)
-	}
-	defer sweep.Default.SetStore(nil)
 	which := "all"
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
-	if reg := sink.Activate(); reg != nil {
-		sweep.Default.SetTelemetry(reg)
-		defer sweep.Default.SetTelemetry(nil)
-		sink.Config("ablation", which)
-		sink.Config("workers", strconv.Itoa(w))
-		engineFlags.Record(sink.Config)
-	}
-	// Ctrl-C/SIGTERM: stop after the current ablation, flush whatever
-	// cache traffic accumulated, exit 130.
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- run(which) }()
-	var runErr error
-	select {
-	case runErr = <-errCh:
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "mlperf-ablate: interrupted")
-		if sink.Enabled() {
-			sweep.Default.Stats().FillManifest(sink.Manifest)
+	// Ctrl-C/SIGTERM exits 130 at once with the cache traffic so far.
+	os.Exit(sink.Run(sweep.Default, func() error {
+		if err := engineFlags.Apply(sweep.Default); err != nil {
+			return telecli.Usage(err)
 		}
-		sink.MustFlush()
-		os.Exit(130)
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-ablate:", runErr)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	if sink.Enabled() {
-		sweep.Default.Stats().FillManifest(sink.Manifest)
-	}
-	sink.MustFlush()
+		sink.Config("ablation", which)
+		engineFlags.Record(sink.Config)
+		return run(which)
+	}))
 }
 
 func run(which string) error {

@@ -38,23 +38,28 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	var err error
 	switch os.Args[1] {
 	case "run":
-		err = runOne(os.Args[2:])
+		os.Exit(runOne(os.Args[2:]))
 	case "sensitivity":
-		err = sensitivity(os.Args[2:])
-	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
+		os.Exit(sensitivity(os.Args[2:]))
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-faults:", err)
-		os.Exit(1)
-	}
+	usage()
+	fmt.Fprintf(os.Stderr, "mlperf-faults: unknown subcommand %q\n", os.Args[1])
+	os.Exit(1)
 }
 
-func runOne(args []string) error {
+// parse parses a subcommand's flags, reporting a bad one the way the
+// run's own errors are.
+func parse(fs *flag.FlagSet, args []string) bool {
+	if err := fs.Parse(args); err != nil {
+		fmt.Fprintln(os.Stderr, "mlperf-faults:", err)
+		return false
+	}
+	return true
+}
+
+func runOne(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	bench := fs.String("bench", "gnmt_py", "benchmark abbreviation")
 	system := fs.String("system", "c4140k", "system name")
@@ -69,172 +74,148 @@ func runOne(args []string) error {
 	trace := fs.String("trace", "", "write a Chrome trace of the faulted run to this path")
 	events := fs.String("events", "", "write the typed event log to this path (- = stdout)")
 	sink := telecli.Register("mlperf-faults", fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if !parse(fs, args) {
+		return 1
 	}
-	sink.Activate()
-
-	var plan *fault.Plan
-	if *planPath != "" {
-		raw, err := os.ReadFile(*planPath)
-		if err != nil {
-			return err
-		}
-		if plan, err = fault.Parse(string(raw)); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if plan, err = planFromFlags(*seed, *straggler, *degrade, *transient, *preempt, *ckpt); err != nil {
-			return err
-		}
-	}
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-
-	b, err := workload.ByName(*bench)
-	if err != nil {
-		return err
-	}
-	sys, err := hw.SystemByName(*system)
-	if err != nil {
-		return err
-	}
-	cfg := sim.Config{System: sys, GPUCount: *gpus, Job: b.Job}
-	if sink.Enabled() {
-		sink.Config("bench", b.Abbrev)
-		sink.Config("system", sys.Name)
-		sink.Config("gpus", strconv.Itoa(*gpus))
-		sink.Manifest.Seed = plan.Seed
-		if canon, err := plan.Canon(); err == nil {
-			sink.Manifest.FaultPlanHash = telemetry.HashPlan(canon)
-		}
-	}
-
-	base, err := sim.Run(cfg)
-	if err != nil {
-		return err
-	}
-	var log sim.EventLog
-	// Only the faulted run is instrumented, so the metrics describe the
-	// run the report is about — not the fault-free baseline.
-	res, err := sim.RunWithFaults(cfg, plan, &log, sim.NewTelemetryObserver(sink.Reg))
-	if err != nil {
-		return err
-	}
-	if sink.Enabled() {
-		sink.Manifest.SimulatedSeconds = res.TimeToTrain.Seconds()
-	}
-	defer sink.MustFlush()
-
-	fmt.Printf("%s on %s with %d GPU(s), fault plan seed %d\n", b.Abbrev, sys.Name, *gpus, plan.Seed)
-	fmt.Printf("  step time          : %.4fs (fault-free %.4fs, x%.2f)\n",
-		res.StepTime, base.StepTime, ratio(res.StepTime, base.StepTime))
-	fmt.Printf("  time to train      : %.1f min (fault-free %.1f min, x%.2f)\n",
-		res.TimeToTrain.Minutes(), base.TimeToTrain.Minutes(),
-		ratio(res.TimeToTrain.Minutes(), base.TimeToTrain.Minutes()))
-	if fr := res.Faults; fr != nil {
-		fmt.Printf("  fault activations  : %d (retries %d)\n", fr.Activations, fr.Retries)
-		fmt.Printf("  checkpoints        : %d in-window, %.3fs each, +%.2f%% steady-state overhead\n",
-			fr.Checkpoints, fr.CheckpointCost, fr.CheckpointOverheadFrac*100)
-		fmt.Printf("  preemptions        : %d, %.1fs restart+replay charged\n",
-			fr.Preemptions, fr.RestartSeconds)
-	} else {
-		fmt.Println("  fault plan empty — identical to the fault-free run")
-	}
-
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return err
-		}
-		if err := res.Timeline.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote Chrome trace : %s (%d events)\n", *trace, len(log.Events))
-	}
-	if *events != "" {
-		out := os.Stdout
-		if *events != "-" {
-			f, err := os.Create(*events)
+	return sink.Run(nil, func() error {
+		var plan *fault.Plan
+		if *planPath != "" {
+			raw, err := os.ReadFile(*planPath)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
-			out = f
+			if plan, err = fault.Parse(string(raw)); err != nil {
+				return err
+			}
+		} else {
+			var err error
+			if plan, err = planFromFlags(*seed, *straggler, *degrade, *transient, *preempt, *ckpt); err != nil {
+				return err
+			}
 		}
-		for _, ev := range log.Events {
-			fmt.Fprintf(out, "%.6f %.6f %-10s %s\n", ev.Start, ev.End, ev.Lane, ev.Label())
+		if err := plan.Validate(); err != nil {
+			return err
 		}
-	}
-	return nil
+
+		b, err := workload.ByName(*bench)
+		if err != nil {
+			return err
+		}
+		sys, err := hw.SystemByName(*system)
+		if err != nil {
+			return err
+		}
+		cfg := sim.Config{System: sys, GPUCount: *gpus, Job: b.Job}
+		if sink.Enabled() {
+			sink.Config("bench", b.Abbrev)
+			sink.Config("system", sys.Name)
+			sink.Config("gpus", strconv.Itoa(*gpus))
+			sink.Manifest.Seed = plan.Seed
+			if canon, err := plan.Canon(); err == nil {
+				sink.Manifest.FaultPlanHash = telemetry.HashPlan(canon)
+			}
+		}
+
+		base, err := sim.Run(cfg)
+		if err != nil {
+			return err
+		}
+		var log sim.EventLog
+		// Only the faulted run is instrumented, so the metrics describe the
+		// run the report is about — not the fault-free baseline.
+		res, err := sim.RunWithFaults(cfg, plan, &log, sim.NewTelemetryObserver(sink.Reg))
+		if err != nil {
+			return err
+		}
+		if sink.Enabled() {
+			sink.Manifest.SimulatedSeconds = res.TimeToTrain.Seconds()
+		}
+		fmt.Printf("%s on %s with %d GPU(s), fault plan seed %d\n", b.Abbrev, sys.Name, *gpus, plan.Seed)
+		fmt.Printf("  step time          : %.4fs (fault-free %.4fs, x%.2f)\n",
+			res.StepTime, base.StepTime, ratio(res.StepTime, base.StepTime))
+		fmt.Printf("  time to train      : %.1f min (fault-free %.1f min, x%.2f)\n",
+			res.TimeToTrain.Minutes(), base.TimeToTrain.Minutes(),
+			ratio(res.TimeToTrain.Minutes(), base.TimeToTrain.Minutes()))
+		if fr := res.Faults; fr != nil {
+			fmt.Printf("  fault activations  : %d (retries %d)\n", fr.Activations, fr.Retries)
+			fmt.Printf("  checkpoints        : %d in-window, %.3fs each, +%.2f%% steady-state overhead\n",
+				fr.Checkpoints, fr.CheckpointCost, fr.CheckpointOverheadFrac*100)
+			fmt.Printf("  preemptions        : %d, %.1fs restart+replay charged\n",
+				fr.Preemptions, fr.RestartSeconds)
+		} else {
+			fmt.Println("  fault plan empty — identical to the fault-free run")
+		}
+
+		if *trace != "" {
+			f, err := os.Create(*trace)
+			if err != nil {
+				return err
+			}
+			if err := res.Timeline.WriteChromeTrace(f); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			fmt.Printf("  wrote Chrome trace : %s (%d events)\n", *trace, len(log.Events))
+		}
+		if *events != "" {
+			out := os.Stdout
+			if *events != "-" {
+				f, err := os.Create(*events)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				out = f
+			}
+			for _, ev := range log.Events {
+				fmt.Fprintf(out, "%.6f %.6f %-10s %s\n", ev.Start, ev.End, ev.Lane, ev.Label())
+			}
+		}
+		return nil
+	})
 }
 
-func sensitivity(args []string) error {
+func sensitivity(args []string) int {
 	fs := flag.NewFlagSet("sensitivity", flag.ContinueOnError)
 	out := fs.String("out", "", "CSV output path (default: render a table to stdout)")
 	workers := fs.Int("workers", 0, "max concurrent cells (0 = GOMAXPROCS)")
 	sink := telecli.Register("mlperf-faults", fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if !parse(fs, args) {
+		return 1
 	}
-	w, err := sweep.ValidateWorkers(*workers)
-	if err != nil {
-		return err
-	}
-	sweep.Default.SetWorkers(w)
-	if reg := sink.Activate(); reg != nil {
-		sweep.Default.SetTelemetry(reg)
-		defer sweep.Default.SetTelemetry(nil)
+	// Ctrl-C/SIGTERM abandons the sweep and exits 130 at once, with the
+	// cache traffic so far in the manifest.
+	return sink.Run(sweep.Default, func() error {
+		w, err := sweep.ValidateWorkers(*workers)
+		if err != nil {
+			return err
+		}
+		sweep.Default.SetWorkers(w)
 		sink.Config("subcommand", "sensitivity")
 		sink.Config("workers", strconv.Itoa(w))
-		defer sink.MustFlush()
-	}
-	// Ctrl-C/SIGTERM: abandon the sweep but still flush the manifest
-	// (the deferred MustFlush above) before exiting 130.
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-	type outcome struct {
-		rows []experiments.FaultRow
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
 		rows, err := experiments.FaultSensitivity()
-		ch <- outcome{rows, err}
-	}()
-	var rows []experiments.FaultRow
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return o.err
+		if err != nil {
+			return err
 		}
-		rows = o.rows
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "mlperf-faults: interrupted")
-		sink.MustFlush()
-		os.Exit(130)
-	}
-	if *out == "" {
-		fmt.Print(experiments.RenderFaultSensitivity(rows))
+		if *out == "" {
+			fmt.Print(experiments.RenderFaultSensitivity(rows))
+			return nil
+		}
+		f, err := os.Create(*out)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := experiments.WriteFaultSensitivityCSV(f, rows); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d severity levels x %d systems to %s\n",
+			len(rows), len(experiments.TopologySystems()), *out)
 		return nil
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteFaultSensitivityCSV(f, rows); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d severity levels x %d systems to %s\n",
-		len(rows), len(experiments.TopologySystems()), *out)
-	return nil
+	})
 }
 
 // planFromFlags assembles a Plan from the run subcommand's flag
@@ -242,7 +223,7 @@ func sensitivity(args []string) error {
 // colon-separated.
 func planFromFlags(seed int64, straggler, degrade, transient, preempt, ckpt string) (*fault.Plan, error) {
 	plan := &fault.Plan{Seed: seed}
-	for _, s := range splitList(straggler) {
+	for _, s := range sweep.SplitList(straggler) {
 		p, err := floats(s, 2, 4)
 		if err != nil {
 			return nil, fmt.Errorf("bad -straggler %q: %w", s, err)
@@ -256,7 +237,7 @@ func planFromFlags(seed int64, straggler, degrade, transient, preempt, ckpt stri
 		}
 		plan.Stragglers = append(plan.Stragglers, st)
 	}
-	for _, s := range splitList(degrade) {
+	for _, s := range sweep.SplitList(degrade) {
 		p, err := floats(s, 2, 4)
 		if err != nil {
 			return nil, fmt.Errorf("bad -degrade %q: %w", s, err)
@@ -267,7 +248,7 @@ func planFromFlags(seed int64, straggler, degrade, transient, preempt, ckpt stri
 		}
 		plan.Links = append(plan.Links, lf)
 	}
-	for _, s := range splitList(transient) {
+	for _, s := range sweep.SplitList(transient) {
 		p, err := floats(s, 3, 4)
 		if err != nil {
 			return nil, fmt.Errorf("bad -transient %q: %w", s, err)
@@ -278,7 +259,7 @@ func planFromFlags(seed int64, straggler, degrade, transient, preempt, ckpt stri
 		}
 		plan.Transients = append(plan.Transients, tr)
 	}
-	for _, s := range splitList(preempt) {
+	for _, s := range sweep.SplitList(preempt) {
 		parts := strings.Split(s, ":")
 		at, err := strconv.ParseFloat(parts[0], 64)
 		if err != nil {
@@ -336,19 +317,6 @@ func floats(s string, minParts, maxParts int) (parsed, error) {
 		p.f = append(p.f, v)
 	}
 	return p, nil
-}
-
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func ratio(a, b float64) float64 {

@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -34,7 +35,9 @@ import (
 
 	"mlperf/internal/front"
 	"mlperf/internal/httpkit"
+	"mlperf/internal/sweep"
 	"mlperf/internal/telecli"
+	"mlperf/internal/telemetry"
 )
 
 func main() {
@@ -46,80 +49,46 @@ func main() {
 	sink := telecli.Register("mlperf-front", nil)
 	flag.Parse()
 
-	var urls []string
-	for _, b := range strings.Split(*backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			urls = append(urls, b)
+	os.Exit(sink.Serve(*addr, *drain, func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
+		urls := sweep.SplitList(*backends)
+		if len(urls) == 0 {
+			return nil, telecli.Usage(errors.New("-backends is required (comma-separated URLs)"))
 		}
-	}
-	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "mlperf-front: -backends is required (comma-separated URLs)")
-		os.Exit(2)
-	}
-
-	reg := sink.Activate()
-	f, err := front.New(front.Config{
-		Backends:       urls,
-		HealthInterval: *healthInterval,
-		Telemetry:      reg,
-		Logger:         sink.Log(),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-front:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	dump := func(reason string) {
-		if *flightDump == "" {
-			return
+		f, err := front.New(front.Config{
+			Backends:       urls,
+			HealthInterval: *healthInterval,
+			Telemetry:      reg,
+			Logger:         sink.Logger,
+		})
+		if err != nil {
+			return nil, err
 		}
-		if derr := f.Flight().DumpFile(*flightDump, "mlperf-front", reason); derr != nil {
-			fmt.Fprintln(os.Stderr, "mlperf-front: flight dump:", derr)
-		}
-	}
-	stopQuit := telecli.OnSIGQUIT(func() { dump("sigquit") })
-	defer stopQuit()
-	if sink.Enabled() {
 		sink.Config("addr", *addr)
 		sink.Config("backends", strings.Join(urls, ","))
-	}
+		fmt.Printf("mlperf-front: listening on %s, %d backends\n", ln.Addr(), len(urls))
+		return daemon{httpkit.NewServer(f.Handler()), f, *flightDump}, nil
+	}))
+}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-front:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("mlperf-front: listening on %s, %d backends\n", ln.Addr(), len(urls))
+// daemon is the front behind its HTTP server; a drain also dumps the
+// flight ring.
+type daemon struct {
+	*http.Server
+	*front.Front
+	dump string
+}
 
-	srv := httpkit.NewServer(f.Handler())
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+func (d daemon) Shutdown(ctx context.Context) error {
+	err := d.Server.Shutdown(ctx)
+	d.DumpFlight("drain")
+	return err
+}
 
-	select {
-	case err = <-done:
-	case <-ctx.Done():
-		fmt.Fprintf(os.Stderr, "mlperf-front: signal received, draining (up to %v)\n", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if serr := srv.Shutdown(dctx); serr != nil {
-			fmt.Fprintf(os.Stderr, "mlperf-front: drain deadline expired: %v\n", serr)
-		}
-		cancel()
-		err = <-done
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		dump("drain")
+func (d daemon) DumpFlight(reason string) {
+	if d.dump == "" {
+		return
 	}
-
-	if sink.Enabled() {
-		f.FillManifest(sink.Manifest)
+	if err := d.Flight().DumpFile(d.dump, "mlperf-front", reason); err != nil {
+		fmt.Fprintln(os.Stderr, "mlperf-front: flight dump:", err)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-front:", err)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	sink.MustFlush()
 }

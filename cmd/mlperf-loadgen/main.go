@@ -13,6 +13,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,53 +42,47 @@ func main() {
 	sink := telecli.Register("mlperf-loadgen", nil)
 	flag.Parse()
 
-	reg := sink.Activate()
-	if sink.Enabled() {
+	os.Exit(sink.RunContext(nil, func(ctx context.Context) error {
 		sink.Config("url", *url)
 		sink.Config("rate", fmt.Sprintf("%g", *rate))
 		sink.Config("duration", duration.String())
-		sink.Manifest.Seed = *seed
-	}
-
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-
-	rep, err := serve.RunLoad(ctx, serve.LoadOptions{
-		BaseURL:        *url,
-		Duration:       *duration,
-		Rate:           *rate,
-		Tenants:        *tenants,
-		HotFraction:    *hot,
-		StreamFraction: *stream,
-		RequestTimeout: *reqTimeout,
-		Seed:           *seed,
-		Telemetry:      reg,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-loadgen:", err)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	fmt.Print(serve.RenderLoadReport(rep))
-	if sink.Enabled() {
-		sink.Manifest.Cells = rep.Sent
-	}
-
-	slo := serve.SLO{
-		MaxP99:            *sloP99,
-		MaxShedRate:       *maxShed,
-		MinShedRate:       *minShed,
-		MaxServerErrors:   *max5xx,
-		RequireCoalescing: *assertCoalesced,
-		RequireRequestIDs: *assertRequestIDs,
-	}
-	violations := slo.Violations(rep)
-	for _, v := range violations {
-		fmt.Fprintln(os.Stderr, "mlperf-loadgen: SLO violation:", v)
-	}
-	sink.MustFlush()
-	if len(violations) > 0 {
-		os.Exit(1)
-	}
-	fmt.Println("SLO: pass")
+		if sink.Enabled() {
+			sink.Manifest.Seed = *seed
+		}
+		rep, err := serve.RunLoad(ctx, serve.LoadOptions{
+			BaseURL:        *url,
+			Duration:       *duration,
+			Rate:           *rate,
+			Tenants:        *tenants,
+			HotFraction:    *hot,
+			StreamFraction: *stream,
+			RequestTimeout: *reqTimeout,
+			Seed:           *seed,
+			Telemetry:      sink.Reg,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Print(serve.RenderLoadReport(rep))
+		if sink.Enabled() {
+			sink.Manifest.Cells = rep.Sent
+		}
+		slo := serve.SLO{
+			MaxP99:            *sloP99,
+			MaxShedRate:       *maxShed,
+			MinShedRate:       *minShed,
+			MaxServerErrors:   *max5xx,
+			RequireCoalescing: *assertCoalesced,
+			RequireRequestIDs: *assertRequestIDs,
+		}
+		violations := slo.Violations(rep)
+		for _, v := range violations {
+			fmt.Fprintln(os.Stderr, "mlperf-loadgen: SLO violation:", v)
+		}
+		if len(violations) > 0 {
+			return errors.New("SLO: fail")
+		}
+		fmt.Println("SLO: pass")
+		return nil
+	}))
 }

@@ -43,13 +43,9 @@ func main() {
 	sink := telecli.Register("mlperf-profile", nil)
 	flag.Parse()
 
-	sink.Activate()
-	if err := run(*bench, *system, *gpus, *duration, *out, *faults, sink); err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-profile:", err)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	sink.MustFlush()
+	os.Exit(sink.Run(nil, func() error {
+		return run(*bench, *system, *gpus, *duration, *out, *faults, sink)
+	}))
 }
 
 func run(benchName, systemName string, gpus int, duration float64, outDir, faultsPath string, sink *telecli.Sink) error {

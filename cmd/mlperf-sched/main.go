@@ -48,39 +48,26 @@ func main() {
 	sink := telecli.Register("mlperf-sched", nil)
 	flag.Parse()
 
-	if reg := sink.Activate(); reg != nil {
-		// Durations for Figure 4 and the online policies come from the
-		// shared memoized sweep engine; watch it for the run.
-		sweep.Default.SetTelemetry(reg)
-		defer sweep.Default.SetTelemetry(nil)
-	}
-	sink.Log().Info("sched start",
-		telemetry.F("online", *online), telemetry.F("policy", *policy))
-	if sink.Enabled() {
+	// Durations for Figure 4 and the online policies come from the
+	// shared memoized sweep engine; the manifest records its traffic.
+	os.Exit(sink.Run(sweep.Default, func() error {
+		sink.Logger.Info("sched start",
+			telemetry.F("online", *online), telemetry.F("policy", *policy))
 		if *online {
 			sink.Config("mode", "online")
 			sink.Config("policy", *policy)
 			sink.Config("machines", *machines)
 			sink.Config("jobs", strconv.Itoa(*n))
-			sink.Manifest.Seed = *seed
-		} else {
-			sink.Config("mode", "offline")
-			sink.Config("gpus", strconv.Itoa(*gpus))
-			sink.Config("jobs", *jobsFlag)
+			if sink.Enabled() {
+				sink.Manifest.Seed = *seed
+			}
+			return runOnline(*policy, *machines, *seed, *n, *gap, *traceOut, sink)
 		}
-	}
-	var err error
-	if *online {
-		err = runOnline(*policy, *machines, *seed, *n, *gap, *traceOut, sink)
-	} else {
-		err = run(*gpus, *jobsFlag, sink)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-sched:", err)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	sink.MustFlush()
+		sink.Config("mode", "offline")
+		sink.Config("gpus", strconv.Itoa(*gpus))
+		sink.Config("jobs", *jobsFlag)
+		return run(*gpus, *jobsFlag, sink)
+	}))
 }
 
 func run(gpus int, jobsFlag string, sink *telecli.Sink) error {
@@ -145,14 +132,8 @@ func run(gpus int, jobsFlag string, sink *telecli.Sink) error {
 }
 
 func runOnline(policy, machines string, seed int64, n int, gap float64, traceOut string, sink *telecli.Sink) error {
-	var systems []string
-	for _, s := range strings.Split(machines, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			systems = append(systems, s)
-		}
-	}
 	cfg := experiments.PolicySweepConfig{
-		Systems: systems, Seed: seed, Jobs: n, MeanGapSec: gap,
+		Systems: sweep.SplitList(machines), Seed: seed, Jobs: n, MeanGapSec: gap,
 		Telemetry: sink.Reg,
 	}
 

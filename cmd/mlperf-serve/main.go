@@ -31,7 +31,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -41,6 +40,7 @@ import (
 
 	"mlperf/internal/serve"
 	"mlperf/internal/telecli"
+	"mlperf/internal/telemetry"
 )
 
 func main() {
@@ -56,67 +56,27 @@ func main() {
 	sink := telecli.Register("mlperf-serve", nil)
 	flag.Parse()
 
-	reg := sink.Activate()
-	srv, err := serve.New(serve.Config{
-		CacheDir:       *cacheDir,
-		CacheMaxBytes:  *cacheMax,
-		MaxInFlight:    *maxInflight,
-		MaxQueue:       *maxQueue,
-		TenantRate:     *tenantRate,
-		Telemetry:      reg,
-		Logger:         sink.Log(),
-		FlightDumpPath: *flightDump,
-		EnablePprof:    *pprof,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-serve:", err)
-		os.Exit(1)
-	}
-	// SIGQUIT dumps the flight ring and keeps serving — the live-incident
-	// snapshot, as opposed to the drain/panic dumps the server does
-	// itself.
-	stopQuit := telecli.OnSIGQUIT(func() { srv.DumpFlight("sigquit") })
-	defer stopQuit()
-	if sink.Enabled() {
+	os.Exit(sink.Serve(*addr, *drain, func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
+		srv, err := serve.New(serve.Config{
+			CacheDir:       *cacheDir,
+			CacheMaxBytes:  *cacheMax,
+			MaxInFlight:    *maxInflight,
+			MaxQueue:       *maxQueue,
+			TenantRate:     *tenantRate,
+			Telemetry:      reg,
+			Logger:         sink.Logger,
+			FlightDumpPath: *flightDump,
+			EnablePprof:    *pprof,
+		})
+		if err != nil {
+			return nil, err
+		}
 		sink.Config("addr", *addr)
 		sink.Config("cache-dir", *cacheDir)
 		sink.Config("cache-max-bytes", strconv.FormatInt(*cacheMax, 10))
 		sink.Config("max-inflight", strconv.Itoa(*maxInflight))
 		sink.Config("max-cells", strconv.Itoa(serve.MaxRequestCells))
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-serve:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("mlperf-serve: listening on %s\n", ln.Addr())
-
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-
-	select {
-	case err = <-done:
-		// Listener failed outright — nothing to drain.
-	case <-ctx.Done():
-		fmt.Fprintf(os.Stderr, "mlperf-serve: signal received, draining (up to %v)\n", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if serr := srv.Shutdown(dctx); serr != nil {
-			fmt.Fprintf(os.Stderr, "mlperf-serve: drain deadline expired, in-flight work cancelled: %v\n", serr)
-		}
-		cancel()
-		err = <-done
-	}
-
-	if sink.Enabled() {
-		srv.FillManifest(sink.Manifest)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-serve:", err)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	sink.MustFlush()
+		fmt.Printf("mlperf-serve: listening on %s\n", ln.Addr())
+		return srv, nil
+	}))
 }

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"mlperf/internal/experiments"
 	"mlperf/internal/hw"
@@ -29,62 +28,23 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "max concurrent simulation cells (0 = GOMAXPROCS)")
 	engineFlags := sweep.RegisterCLIFlags(nil)
 	sink := telecli.Register("mlperf-sim", nil)
 	flag.Usage = func() { usage() }
 	flag.Parse()
-	w, err := sweep.ValidateWorkers(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-sim:", err)
-		os.Exit(2)
-	}
-	sweep.Default.SetWorkers(w)
-	if err := engineFlags.Apply(sweep.Default); err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-sim:", err)
-		os.Exit(2)
-	}
-	defer sweep.Default.SetStore(nil)
-	if reg := sink.Activate(); reg != nil {
-		sweep.Default.SetTelemetry(reg)
-		defer sweep.Default.SetTelemetry(nil)
-		if len(flag.Args()) > 0 {
-			sink.Config("subcommand", flag.Arg(0))
+	// Ctrl-C/SIGTERM exits 130 at once: no experiment observes the
+	// interrupt, so the manifest records the cache traffic so far.
+	os.Exit(sink.Run(sweep.Default, func() error {
+		if err := engineFlags.Apply(sweep.Default); err != nil {
+			return telecli.Usage(err)
 		}
-		sink.Config("workers", strconv.Itoa(w))
+		sink.Config("subcommand", flag.Arg(0))
 		engineFlags.Record(sink.Config)
-	}
-	// Ctrl-C/SIGTERM: cancel whatever experiment is running (grid
-	// experiments observe the context; the rest finish their current
-	// table), flush the manifest with the cache traffic so far, and exit
-	// with the interrupt status.
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- run(ctx, flag.Args()) }()
-	var err2 error
-	select {
-	case err2 = <-errCh:
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "mlperf-sim: interrupted")
-		if sink.Enabled() {
-			sweep.Default.Stats().FillManifest(sink.Manifest)
-		}
-		sink.MustFlush()
-		os.Exit(130)
-	}
-	if err2 != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-sim:", err2)
-		sink.MustFlush()
-		os.Exit(1)
-	}
-	if sink.Enabled() {
-		sweep.Default.Stats().FillManifest(sink.Manifest)
-	}
-	sink.MustFlush()
+		return run(flag.Args())
+	}))
 }
 
-func run(ctx context.Context, args []string) error {
+func run(args []string) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing subcommand")
@@ -142,7 +102,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		fmt.Print(experiments.RenderFig5(rows))
 	case "whatif":
-		rows, err := experiments.WhatIfNVLinkAt8On(ctx, sweep.Default)
+		rows, err := experiments.WhatIfNVLinkAt8On(context.Background(), sweep.Default)
 		if err != nil {
 			return err
 		}
@@ -162,7 +122,7 @@ func run(ctx context.Context, args []string) error {
 	case "all":
 		for _, sub := range []string{"table2", "table3", "table4", "table5", "fig1", "fig2", "fig3", "fig4", "fig5"} {
 			fmt.Printf("==== %s ====\n", sub)
-			if err := run(ctx, []string{sub}); err != nil {
+			if err := run([]string{sub}); err != nil {
 				return err
 			}
 			fmt.Println()

@@ -26,12 +26,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"mlperf/internal/fault"
@@ -40,96 +37,61 @@ import (
 	"mlperf/internal/telemetry"
 )
 
-// errInterrupted marks a run cut short by SIGINT/SIGTERM: completed
-// cells were written, the manifest is flushed, and the exit status is
-// 130 (the shell convention for death-by-SIGINT).
-var errInterrupted = errors.New("interrupted")
-
 func main() {
-	bench := flag.String("bench", "", "comma-separated benchmarks (default: all MLPerf)")
-	system := flag.String("system", "dss8440", "comma-separated systems")
-	gpus := flag.String("gpus", "1", "comma-separated GPU counts")
-	batch := flag.String("batch", "", "comma-separated per-GPU batches (default: calibrated)")
-	prec := flag.String("precision", "", "comma-separated precisions: fp32,mixed")
-	out := flag.String("out", "", "CSV output path (default: stdout)")
-	workers := flag.Int("workers", 0, "max concurrent cells (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run cells sequentially without the cache (reference path)")
-	faults := flag.String("faults", "", "JSON fault-plan file applied to every cell")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell deadline (0 = unbounded)")
-	partial := flag.Bool("partial", false, "keep going past failed cells; write completed cells and report the rest")
+	var cfg runConfig
+	flag.StringVar(&cfg.Benchmarks, "bench", "", "comma-separated benchmarks (default: all MLPerf)")
+	flag.StringVar(&cfg.Systems, "system", "dss8440", "comma-separated systems")
+	flag.StringVar(&cfg.GPUs, "gpus", "1", "comma-separated GPU counts")
+	flag.StringVar(&cfg.Batches, "batch", "", "comma-separated per-GPU batches (default: calibrated)")
+	flag.StringVar(&cfg.Precisions, "precision", "", "comma-separated precisions: fp32,mixed")
+	flag.StringVar(&cfg.out, "out", "", "CSV output path (default: stdout)")
+	flag.BoolVar(&cfg.seq, "seq", false, "run cells sequentially without the cache (reference path)")
+	flag.StringVar(&cfg.faults, "faults", "", "JSON fault-plan file applied to every cell")
+	flag.DurationVar(&cfg.cellTimeout, "cell-timeout", 0, "per-cell deadline (0 = unbounded)")
+	flag.BoolVar(&cfg.partial, "partial", false, "keep going past failed cells; write completed cells and report the rest")
 	engineFlags := sweep.RegisterCLIFlags(nil)
-	sink := telecli.Register("mlperf-sweep", nil)
+	cfg.sink = telecli.Register("mlperf-sweep", nil)
 	flag.Parse()
 
-	w, err := sweep.ValidateWorkers(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-sweep:", err)
-		os.Exit(2)
-	}
-	sweep.Default.SetWorkers(w)
-	if err := engineFlags.Apply(sweep.Default); err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-sweep:", err)
-		os.Exit(2)
-	}
-	defer sweep.Default.SetStore(nil)
-	if reg := sink.Activate(); reg != nil {
-		sweep.Default.SetTelemetry(reg)
-		defer sweep.Default.SetTelemetry(nil)
+	// SIGINT/SIGTERM cancels the run context: in-flight cells stop, the
+	// completed prefix is written as a partial CSV, and the manifest
+	// still flushes — Ctrl-C loses patience, not provenance.
+	sink := cfg.sink
+	os.Exit(sink.RunContext(sweep.Default, func(ctx context.Context) error {
+		if err := engineFlags.Apply(sweep.Default); err != nil {
+			return telecli.Usage(err)
+		}
+		cfg.cacheDir = engineFlags.CacheDir
 		for k, v := range map[string]string{
-			"bench": *bench, "system": *system, "gpus": *gpus, "batch": *batch,
-			"precision": *prec, "workers": strconv.Itoa(w),
+			"bench": cfg.Benchmarks, "system": cfg.Systems, "gpus": cfg.GPUs,
+			"batch": cfg.Batches, "precision": cfg.Precisions,
 		} {
 			sink.Config(k, v)
 		}
 		engineFlags.Record(sink.Config)
-	}
-	cfg := runConfig{
-		bench: *bench, system: *system, gpus: *gpus, batch: *batch, prec: *prec,
-		out: *out, seq: *seq, faults: *faults,
-		cellTimeout: *cellTimeout, partial: *partial,
-		cacheDir: engineFlags.CacheDir,
-		sink:     sink,
-	}
-	sink.Log().Info("sweep start",
-		telemetry.F("bench", *bench), telemetry.F("system", *system),
-		telemetry.F("gpus", *gpus), telemetry.F("workers", w))
-	// SIGINT/SIGTERM cancels the run context: in-flight cells stop, the
-	// completed prefix is written as a partial CSV, and the manifest
-	// still flushes — Ctrl-C loses patience, not provenance.
-	ctx, stop := telecli.InterruptContext()
-	defer stop()
-	if err := run(ctx, cfg); err != nil {
-		sink.Log().Error("sweep failed", telemetry.F("err", err.Error()))
-		fmt.Fprintln(os.Stderr, "mlperf-sweep:", err)
-		sink.MustFlush()
-		if errors.Is(err, errInterrupted) {
-			os.Exit(130)
+		sink.Logger.Info("sweep start",
+			telemetry.F("bench", cfg.Benchmarks), telemetry.F("system", cfg.Systems),
+			telemetry.F("gpus", cfg.GPUs), telemetry.F("workers", engineFlags.Workers))
+		if err := run(ctx, cfg); err != nil {
+			sink.Logger.Error("sweep failed", telemetry.F("err", err.Error()))
+			return err
 		}
-		os.Exit(1)
-	}
-	sink.Log().Info("sweep complete")
-	sink.MustFlush()
+		sink.Logger.Info("sweep complete")
+		return nil
+	}))
 }
 
 type runConfig struct {
-	bench, system, gpus, batch, prec, out, faults string
-	cacheDir                                      string
-	seq, partial                                  bool
-	cellTimeout                                   time.Duration
-	sink                                          *telecli.Sink
+	sweep.GridLists
+	out, faults, cacheDir string
+	seq, partial          bool
+	cellTimeout           time.Duration
+	sink                  *telecli.Sink
 }
 
 func run(ctx context.Context, cfg runConfig) error {
-	g := sweep.Grid{
-		Benchmarks: splitList(cfg.bench),
-		Systems:    splitList(cfg.system),
-		Precisions: splitList(cfg.prec),
-	}
-	var err error
-	if g.GPUCounts, err = splitInts(cfg.gpus); err != nil {
-		return err
-	}
-	if g.BatchPerGPU, err = splitInts(cfg.batch); err != nil {
+	g, err := cfg.Grid()
+	if err != nil {
 		return err
 	}
 	if cfg.faults != "" {
@@ -144,7 +106,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		if g.Faults, err = plan.Canon(); err != nil {
 			return fmt.Errorf("-faults %s: %w", cfg.faults, err)
 		}
-		if cfg.sink != nil && cfg.sink.Enabled() {
+		if cfg.sink.Enabled() {
 			cfg.sink.Manifest.FaultPlanHash = telemetry.HashPlan(g.Faults)
 			cfg.sink.Manifest.Seed = plan.Seed
 		}
@@ -207,10 +169,9 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 		recs = kept
 	}
-	if cfg.sink != nil && cfg.sink.Enabled() {
+	if cfg.sink.Enabled() {
 		m := cfg.sink.Manifest
 		m.Cells = len(recs)
-		sweep.Default.Stats().FillManifest(m)
 		for _, r := range recs {
 			m.SimulatedSeconds += r.TimeToTrainMin * 60
 		}
@@ -234,36 +195,11 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 		if report.Canceled {
 			return fmt.Errorf("%w: wrote %d of %d cells (%d canceled)",
-				errInterrupted, report.Completed, report.Cells, canceled)
+				telecli.ErrInterrupted, report.Completed, report.Cells, canceled)
 		}
 		if report.Failed() {
 			return fmt.Errorf("%d of %d cells failed", len(report.Failures), report.Cells)
 		}
 	}
 	return nil
-}
-
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var outs []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			outs = append(outs, p)
-		}
-	}
-	return outs
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

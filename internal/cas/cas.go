@@ -63,9 +63,8 @@ const staleTempAge = time.Minute
 // the cap the oldest entries are dropped. A constant, not a knob.
 const DefaultQuarantineLimit = 64
 
-// ErrCorrupt marks an entry that failed envelope verification; callers
-// normally never see it (Get turns it into a miss after quarantining)
-// but Verify returns it for inspection tools.
+// ErrCorrupt marks an entry that failed envelope verification. Get
+// never returns it: it quarantines such an entry and reports a miss.
 var ErrCorrupt = errors.New("cas: corrupt entry")
 
 // Stats counts a store's traffic since Open. All counters are monotone.

@@ -176,3 +176,65 @@ func TestOversizedGetGridRefusedWithoutExpanding(t *testing.T) {
 		t.Fatalf("oversized grid ran: %d simulations, %d fanouts", st.Cache.Simulations, fr.Snapshot().Fanouts)
 	}
 }
+
+// A POST cell list far over the budget is streamed, not decoded whole:
+// a 500,000-cell body (12.5 MB) gets the same 413 body from both sweep
+// endpoints of a backend and of the front, and refusing it allocates
+// a few MB, not the 357 MB a decoded copy of the list took. A list of
+// 500,000 bad cells is the same 400 everywhere, as cheaply.
+func TestOversizedPostListRefusedWithoutDecoding(t *testing.T) {
+	srv, err := serve.New(serve.Config{TenantRate: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	fr, _ := newFront(t, ts.URL)
+
+	const cells = 500000
+	const maxAlloc = 20 << 20
+	for _, tc := range []struct {
+		cell string
+		code int
+		want string
+	}{
+		{`{"benchmark":"res50_tf"},`, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request costs %d cells, server admits at most %d", cells, serve.MaxRequestCells)},
+		// Every cell bad: the first one answers, the rest are only parsed.
+		{`{"benchmark":"nope"},`, http.StatusBadRequest, "cell 0: "},
+	} {
+		list := append([]byte(`{"cells":[`), bytes.Repeat([]byte(tc.cell), cells)...)
+		list = append(list[:len(list)-1], "]}"...)
+		var first []byte
+		for _, tier := range []struct {
+			name string
+			h    http.Handler
+		}{{"serve", srv.Handler()}, {"front", fr.Handler()}} {
+			for _, p := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+				req := httptest.NewRequest(http.MethodPost, p, bytes.NewReader(list))
+				req.Header.Set("Content-Type", "application/json")
+				rec := httptest.NewRecorder()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				tier.h.ServeHTTP(rec, req)
+				runtime.ReadMemStats(&after)
+				body := rec.Body.Bytes()
+				if rec.Code != tc.code || !bytes.Contains(body, []byte(tc.want)) {
+					t.Errorf("%s %s %s: %d (%s), want %d %q", tc.cell, tier.name, p, rec.Code, body, tc.code, tc.want)
+				}
+				if first == nil {
+					first = body
+				} else if !bytes.Equal(body, first) {
+					t.Errorf("%s %s %s: body %s differs from %s", tc.cell, tier.name, p, body, first)
+				}
+				if n := after.TotalAlloc - before.TotalAlloc; n > maxAlloc {
+					t.Errorf("%s %s %s: refusing allocated %.1f MB, want under %d MB",
+						tc.cell, tier.name, p, float64(n)/(1<<20), maxAlloc>>20)
+				}
+			}
+		}
+	}
+	if st := srv.Snapshot(); st.Cache.Simulations != 0 || fr.Snapshot().Fanouts != 0 {
+		t.Fatalf("oversized list ran: %d simulations, %d fanouts", st.Cache.Simulations, fr.Snapshot().Fanouts)
+	}
+}

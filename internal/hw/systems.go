@@ -321,10 +321,13 @@ var (
 // sweep worker. Callers that intend to mutate a System must use
 // SystemByName and own their copy.
 func SharedSystemByName(name string) (*System, error) {
-	key := normalize(name)
+	// A hit normalizes into a stack buffer and looks the bytes up
+	// without allocating: every cell of every request comes here.
+	var buf [32]byte
+	key := appendNormalized(buf[:0], name)
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
-	if s, ok := sharedSystems[key]; ok {
+	if s, ok := sharedSystems[string(key)]; ok {
 		return s, nil
 	}
 	s, err := SystemByName(name)
@@ -337,19 +340,22 @@ func SharedSystemByName(name string) (*System, error) {
 	} else {
 		sharedSystems[canon] = s
 	}
-	sharedSystems[key] = s
+	sharedSystems[string(key)] = s
 	return s, nil
 }
 
-func normalize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+'a'-'A')
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
+func normalize(s string) string { return string(appendNormalized(nil, s)) }
+
+// appendNormalized appends s lowercased with everything but ASCII
+// letters and digits dropped.
+func appendNormalized(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 'A' && c <= 'Z':
+			dst = append(dst, c+'a'-'A')
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
+			dst = append(dst, c)
 		}
 	}
-	return string(out)
+	return dst
 }

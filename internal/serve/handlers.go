@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"mlperf/internal/cluster"
@@ -271,50 +270,22 @@ type SweepResponse struct {
 }
 
 // gridFrom parses the grid query parameters: comma-separated
-// benchmarks=, systems=, gpus=, batches=, precisions=.
+// benchmarks=, systems=, gpus=, batches=, precisions=, and a faults=
+// plan applied to every cell.
 func gridFrom(r *http.Request) (sweep.Grid, error) {
 	q := r.URL.Query()
-	g := sweep.Grid{
-		Benchmarks: splitList(q.Get("benchmarks")),
-		Systems:    splitList(q.Get("systems")),
-		Precisions: splitList(q.Get("precisions")),
-		Faults:     q.Get("faults"),
-	}
-	var err error
-	if g.GPUCounts, err = intList(q.Get("gpus")); err != nil {
+	g, err := sweep.GridLists{
+		Benchmarks: q.Get("benchmarks"),
+		Systems:    q.Get("systems"),
+		GPUs:       q.Get("gpus"),
+		Batches:    q.Get("batches"),
+		Precisions: q.Get("precisions"),
+	}.Grid()
+	if err != nil {
 		return sweep.Grid{}, err
 	}
-	if g.BatchPerGPU, err = intList(q.Get("batches")); err != nil {
-		return sweep.Grid{}, err
-	}
+	g.Faults = q.Get("faults")
 	return g, nil
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func intList(s string) ([]int, error) {
-	parts := splitList(s)
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -401,7 +372,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	machines := splitList(q.Get("machines"))
+	machines := sweep.SplitList(q.Get("machines"))
 	if len(machines) == 0 {
 		machines = []string{"dss8440"}
 	}

@@ -113,29 +113,7 @@ const maxCellsBody = 1 << 26
 // caller's TooLarge check answers the cost with 413.
 func SweepKeysFromRequest(r *http.Request) (keys []sweep.CellKey, cost int64, err error) {
 	if r.Method == http.MethodPost {
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxCellsBody))
-		dec.DisallowUnknownFields()
-		var body struct {
-			Cells []cellSpec `json:"cells"`
-		}
-		if err := dec.Decode(&body); err != nil {
-			return nil, 0, fmt.Errorf("bad cells body: %v", err)
-		}
-		if len(body.Cells) == 0 {
-			return nil, 0, fmt.Errorf("empty cells list")
-		}
-		keys := make([]sweep.CellKey, len(body.Cells))
-		for i, c := range body.Cells {
-			if c.Benchmark == "" {
-				return nil, 0, fmt.Errorf("cell %d: missing benchmark", i)
-			}
-			k, err := c.key().Normalize()
-			if err != nil {
-				return nil, 0, fmt.Errorf("cell %d: %v", i, err)
-			}
-			keys[i] = k
-		}
-		return keys, int64(len(keys)), nil
+		return cellsFromBody(r.Body)
 	}
 	g, err := gridFrom(r)
 	if err != nil {
@@ -147,6 +125,89 @@ func SweepKeysFromRequest(r *http.Request) (keys []sweep.CellKey, cost int64, er
 	}
 	keys, err = g.Cells()
 	return keys, int64(len(keys)), err
+}
+
+// cellsFromBody stream-decodes a POST {"cells": [...]} body one cell
+// at a time into one reused cellSpec, so a long list costs its keys,
+// not a decoded copy of itself. Every cell is validated and normalized
+// up to the first bad one, and a malformed body anywhere is reported
+// ahead of a bad cell, as a whole-body decode would. Keys are kept only up to MaxRequestCells: a
+// longer list returns nil keys and its full count as the cost, for the
+// caller's 413.
+func cellsFromBody(body io.Reader) ([]sweep.CellKey, int64, error) {
+	dec := json.NewDecoder(io.LimitReader(body, maxCellsBody))
+	dec.DisallowUnknownFields()
+	var (
+		keys   []sweep.CellKey
+		n      int64
+		badErr error // the first bad cell, reported once the body parses
+	)
+	malformed := func(err error) ([]sweep.CellKey, int64, error) {
+		return nil, 0, fmt.Errorf("bad cells body: %v", err)
+	}
+	if tok, err := dec.Token(); err != nil {
+		return malformed(err)
+	} else if tok != json.Delim('{') {
+		return malformed(fmt.Errorf("body is %v, not an object", tok))
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return malformed(err)
+		}
+		if name, _ := tok.(string); !strings.EqualFold(name, "cells") {
+			return malformed(fmt.Errorf("json: unknown field %q", name))
+		}
+		// A repeated "cells" key replaces the list, as it would decoding
+		// into a slice.
+		keys, n, badErr = nil, 0, nil
+		if tok, err = dec.Token(); err != nil {
+			return malformed(err)
+		}
+		if tok == nil {
+			continue // "cells": null
+		}
+		if tok != json.Delim('[') {
+			return malformed(fmt.Errorf("cells is %v, not a list", tok))
+		}
+		var c cellSpec
+		for ; dec.More(); n++ {
+			c = cellSpec{}
+			if err := dec.Decode(&c); err != nil {
+				return malformed(err)
+			}
+			if badErr != nil {
+				continue // only a malformed body can still change the answer
+			}
+			if c.Benchmark == "" {
+				badErr = fmt.Errorf("cell %d: missing benchmark", n)
+				continue
+			}
+			k, err := c.key().Normalize()
+			if err != nil {
+				badErr = fmt.Errorf("cell %d: %v", n, err)
+				continue
+			}
+			if n < MaxRequestCells {
+				keys = append(keys, k)
+			}
+		}
+		if _, err := dec.Token(); err != nil { // the list's ']'
+			return malformed(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the body's '}'
+		return malformed(err)
+	}
+	switch {
+	case n == 0:
+		return nil, 0, fmt.Errorf("empty cells list")
+	case badErr != nil:
+		return nil, 0, badErr
+	case n > MaxRequestCells:
+		return nil, n, nil
+	}
+	return keys, n, nil
 }
 
 // CellKeyFromRequest parses /v1/simulate's cell-addressing parameters.

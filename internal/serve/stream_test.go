@@ -351,3 +351,81 @@ func TestStreamRespectsAdmissionGates(t *testing.T) {
 		t.Fatalf("over-quota stream Retry-After = %q, want >= 1", ra)
 	}
 }
+
+// wholeBodyCells is the reference cellsFromBody streams: decode the
+// whole list, then validate every cell in order.
+func wholeBodyCells(body string) ([]sweep.CellKey, int64, error) {
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	var b struct {
+		Cells []cellSpec `json:"cells"`
+	}
+	if err := dec.Decode(&b); err != nil {
+		return nil, 0, fmt.Errorf("bad cells body: %v", err)
+	}
+	if len(b.Cells) == 0 {
+		return nil, 0, fmt.Errorf("empty cells list")
+	}
+	keys := make([]sweep.CellKey, len(b.Cells))
+	for i, c := range b.Cells {
+		k, err := c.key().Normalize()
+		if c.Benchmark == "" {
+			err = fmt.Errorf("missing benchmark")
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("cell %d: %v", i, err)
+		}
+		keys[i] = k
+	}
+	if len(keys) > MaxRequestCells {
+		return nil, int64(len(keys)), nil
+	}
+	return keys, int64(len(keys)), nil
+}
+
+// The streamed POST decoder answers what decoding the whole list would:
+// the same keys and cost, a malformed body ahead of a bad cell, and a
+// bad cell past the budget still a 400 rather than a 413.
+func TestCellsFromBodyMatchesWholeBodyDecode(t *testing.T) {
+	list := func(n int, last string) string {
+		cells := strings.Repeat(`{"benchmark":"res50_tf","gpus":2},`, n)
+		return `{"cells":[` + cells + last + `]}`
+	}
+	for _, body := range []string{
+		list(2, `{"benchmark":"ncf_py"}`),
+		list(MaxRequestCells-1, `{"benchmark":"ncf_py"}`),
+		list(MaxRequestCells, `{"benchmark":"ncf_py"}`),
+		list(MaxRequestCells+10, `{"benchmark":"nope"}`),
+		list(MaxRequestCells+10, `{"gpus":2}`),
+		list(3, `{"benchmark":"res50_tf","bogus":1}`),
+		`{"cells":[{"benchmark":"nope"},{"benchmark":"res50_tf",}]}`,
+		`{"cells":[{"benchmark":"nope"}],"cells":[{"benchmark":"res50_tf"}]}`,
+		`{"Cells":[{"benchmark":"res50_tf"}]}`,
+		`{"cells":null}`, `{"cells":[]}`, `{}`, `{"cells":{}}`, `{"cells":"x"}`,
+		`{"cells":[{"benchmark":"res50_tf"}],"x":1}`, `[]`, `not json`, `{"cells":[`,
+		`{"cells":[null]}`, `{"cells":[{"benchmark":"res50_tf","gpus":"2"}]}`,
+	} {
+		keys, cost, err := cellsFromBody(strings.NewReader(body))
+		wkeys, wcost, werr := wholeBodyCells(body)
+		name := body
+		if len(name) > 60 {
+			name = fmt.Sprintf("%d-byte list ending %s", len(body), body[len(body)-40:])
+		}
+		if (err == nil) != (werr == nil) || cost != wcost || len(keys) != len(wkeys) {
+			t.Errorf("%s: got %d keys, cost %d, %v; whole-body decode %d keys, cost %d, %v",
+				name, len(keys), cost, err, len(wkeys), wcost, werr)
+			continue
+		}
+		if err != nil && strings.HasPrefix(err.Error(), "bad cells body") != strings.HasPrefix(werr.Error(), "bad cells body") {
+			t.Errorf("%s: error %q, whole-body decode %q", name, err, werr)
+		}
+		if err != nil && strings.HasPrefix(werr.Error(), "cell ") && err.Error() != werr.Error() {
+			t.Errorf("%s: error %q, whole-body decode %q", name, err, werr)
+		}
+		for i := range keys {
+			if keys[i] != wkeys[i] {
+				t.Fatalf("%s: key %d = %+v, whole-body decode %+v", name, i, keys[i], wkeys[i])
+			}
+		}
+	}
+}

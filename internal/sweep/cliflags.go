@@ -9,9 +9,11 @@ import (
 )
 
 // CLIFlags binds the engine-shaping flags every sweep-driving CLI
-// shares: the persistent cache directory and its size cap. Register
-// before flag.Parse, Apply after.
+// shares: the worker pool bound, the persistent cache directory and its
+// size cap. Register before flag.Parse, Apply after.
 type CLIFlags struct {
+	// Workers is the -workers value; Apply resolves 0 to GOMAXPROCS.
+	Workers int
 	// CacheDir is the -cache-dir value ("" = memory-only).
 	CacheDir string
 	// CacheMaxBytes is the -cache-max-bytes value (0 = unbounded); past
@@ -19,13 +21,14 @@ type CLIFlags struct {
 	CacheMaxBytes int64
 }
 
-// RegisterCLIFlags declares -cache-dir and -cache-max-bytes on fs (nil = the
-// default flag set).
+// RegisterCLIFlags declares -workers, -cache-dir and -cache-max-bytes
+// on fs (nil = the default flag set).
 func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
 	f := &CLIFlags{}
+	fs.IntVar(&f.Workers, "workers", 0, "max concurrent simulation cells (0 = GOMAXPROCS)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "",
 		"persistent content-addressed cell cache directory (created if missing; sharable across runs and processes)")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", 0,
@@ -33,12 +36,16 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	return f
 }
 
-// Apply configures the engine from the parsed flags: validates the
-// size cap, then opens (creating if needed) and attaches the persistent
-// tier. Callers should detach the store at exit
-// (defer e.SetStore(nil)) so a process-shared engine does not outlive
-// the flag scope.
+// Apply configures the engine from the parsed flags: bounds its worker
+// pool, validates the size cap, then opens (creating if needed) and
+// attaches the persistent tier.
 func (f *CLIFlags) Apply(e *Engine) error {
+	w, err := ValidateWorkers(f.Workers)
+	if err != nil {
+		return err
+	}
+	f.Workers = w
+	e.SetWorkers(w)
 	if f.CacheMaxBytes < 0 {
 		return fmt.Errorf("sweep: -cache-max-bytes must be >= 0 (0 = unbounded), got %d", f.CacheMaxBytes)
 	}
@@ -56,10 +63,11 @@ func (f *CLIFlags) Apply(e *Engine) error {
 	return nil
 }
 
-// Record writes the set flags into a telemetry sink's config via set
-// (the CLI's sink.Config function); a manifest without a cache-dir key
-// ran memory-only.
+// Record writes the applied flags into a telemetry sink's config via
+// set (the CLI's sink.Config function); a manifest without a cache-dir
+// key ran memory-only.
 func (f *CLIFlags) Record(set func(key, value string)) {
+	set("workers", strconv.Itoa(f.Workers))
 	if f.CacheDir != "" {
 		set("cache-dir", f.CacheDir)
 	}
@@ -68,8 +76,7 @@ func (f *CLIFlags) Record(set func(key, value string)) {
 	}
 }
 
-// FillManifest copies the cache snapshot into a run manifest — the
-// shared tail every sweep-driving CLI runs before flushing telemetry.
+// FillManifest copies the cache snapshot into a run manifest.
 func (st CacheStats) FillManifest(m *telemetry.Manifest) {
 	m.CacheHits, m.CacheMisses = st.Hits, st.Misses
 	m.CacheSchema = st.Schema

@@ -21,6 +21,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 
 	"mlperf/internal/fault"
 	"mlperf/internal/hw"
@@ -60,6 +61,54 @@ type Grid struct {
 	// Faults, when non-empty, applies one fault plan (canonical or plain
 	// JSON; see fault.Parse) to every cell of the grid.
 	Faults string
+}
+
+// GridLists is a grid spelled as comma lists — the form both the
+// mlperf-sweep flags and the serving tier's query parameters carry.
+type GridLists struct {
+	Benchmarks, Systems, GPUs, Batches, Precisions string
+}
+
+// Grid parses the lists (blank entries dropped) into a Grid without
+// faults; a GPU count or batch that is not an integer is an error.
+func (l GridLists) Grid() (Grid, error) {
+	g := Grid{
+		Benchmarks: SplitList(l.Benchmarks),
+		Systems:    SplitList(l.Systems),
+		Precisions: SplitList(l.Precisions),
+	}
+	var err error
+	if g.GPUCounts, err = splitInts(l.GPUs); err != nil {
+		return Grid{}, err
+	}
+	if g.BatchPerGPU, err = splitInts(l.Batches); err != nil {
+		return Grid{}, err
+	}
+	return g, nil
+}
+
+// SplitList splits a comma list, trimming blanks around entries and
+// dropping empty ones (nil for none).
+func SplitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func splitInts(s string) ([]int, error) {
+	var out []int
+	for _, part := range SplitList(s) {
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("bad integer %q", part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Record is one sweep cell's outcome.

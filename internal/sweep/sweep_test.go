@@ -274,3 +274,25 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("row = %s", lines[1])
 	}
 }
+
+// GridLists is the one comma-list grid parser of the CLI flags and the
+// serving tier's query: blank entries drop, an empty list is nil (the
+// dimension's default), and a non-integer GPU count or batch is the
+// same error in both.
+func TestGridListsParse(t *testing.T) {
+	g, err := GridLists{
+		Benchmarks: " res50_tf, ,ncf_py,", GPUs: "1, 2", Batches: "", Precisions: ",",
+	}.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Grid{Benchmarks: []string{"res50_tf", "ncf_py"}, GPUCounts: []int{1, 2}}
+	if !reflect.DeepEqual(g, want) {
+		t.Errorf("Grid() = %+v, want %+v", g, want)
+	}
+	for _, l := range []GridLists{{GPUs: "1,x"}, {Batches: "x"}} {
+		if _, err := l.Grid(); err == nil || err.Error() != `bad integer "x"` {
+			t.Errorf("%+v: error %v, want bad integer \"x\"", l, err)
+		}
+	}
+}

@@ -109,18 +109,7 @@ func (t *Tracer) Now() float64 {
 
 // Start opens a span under parent (0 = root) and returns its ID.
 func (t *Tracer) Start(kind, name string, parent SpanID, attrs ...string) SpanID {
-	if t == nil {
-		return 0
-	}
-	at := t.clock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	id := t.nextID
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	t.open[id] = &Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: at, Attrs: sorted}
-	return id
+	return t.StartAt(kind, name, parent, t.Now(), attrs...)
 }
 
 // SpanStart describes a span opened with cross-process identity — the
@@ -139,36 +128,31 @@ type SpanStart struct {
 // StartSpan opens a span carrying wire identity. Like Start, it is a
 // no-op returning 0 on a nil tracer.
 func (t *Tracer) StartSpan(st SpanStart) SpanID {
-	if t == nil {
-		return 0
-	}
-	at := t.clock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	id := t.nextID
-	sorted := append([]string(nil), st.Attrs...)
-	sort.Strings(sorted)
-	t.open[id] = &Span{
-		ID: id, Parent: st.Parent, Kind: st.Kind, Name: st.Name, Start: at, Attrs: sorted,
+	return t.begin(Span{
+		Parent: st.Parent, Kind: st.Kind, Name: st.Name, Start: t.Now(), Attrs: st.Attrs,
 		Trace: st.Trace, Wire: st.Wire, RemoteParent: st.RemoteParent,
-	}
-	return id
+	})
 }
 
 // StartAt is Start with an explicit timestamp (simulated time).
 func (t *Tracer) StartAt(kind, name string, parent SpanID, at float64, attrs ...string) SpanID {
+	return t.begin(Span{Parent: parent, Kind: kind, Name: name, Start: at, Attrs: attrs})
+}
+
+// begin opens sp under the next ID, with a sorted copy of its
+// attributes (0 on a nil tracer).
+func (t *Tracer) begin(sp Span) SpanID {
 	if t == nil {
 		return 0
 	}
+	sp.Attrs = append([]string(nil), sp.Attrs...)
+	sort.Strings(sp.Attrs)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
-	id := t.nextID
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	t.open[id] = &Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: at, Attrs: sorted}
-	return id
+	sp.ID = t.nextID
+	t.open[sp.ID] = &sp
+	return sp.ID
 }
 
 // End closes the span at the current clock. Unknown or already-closed

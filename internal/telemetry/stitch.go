@@ -108,16 +108,7 @@ func WriteStitchedChromeTrace(w io.Writer, docs []NamedTrace) (*StitchReport, er
 		return nil, err
 	}
 
-	out := traceDoc{TraceEvents: []json.RawMessage{}}
-	push := func(ev spanEvent) error {
-		b, merr := json.Marshal(ev)
-		if merr != nil {
-			return merr
-		}
-		out.TraceEvents = append(out.TraceEvents, b)
-		return nil
-	}
-
+	lw := newLaneWriter()
 	// Per-document lane assignment, and a global span locator for flow
 	// endpoints: wire id -> (pid, tid, ts).
 	type anchor struct {
@@ -128,30 +119,14 @@ func WriteStitchedChromeTrace(w io.Writer, docs []NamedTrace) (*StitchReport, er
 	tids := make([]map[string]int, len(docs))
 	for di, doc := range docs {
 		pid := di + 1
-		if err := push(spanEvent{
+		if err := lw.push(spanEvent{
 			Name: "process_name", Ph: "M", PID: pid,
 			Args: map[string]any{"name": doc.Name},
 		}); err != nil {
 			return nil, err
 		}
-		kinds := map[string]bool{}
-		for _, s := range doc.Spans {
-			kinds[s.Kind] = true
-		}
-		names := make([]string, 0, len(kinds))
-		for k := range kinds {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		tids[di] = map[string]int{}
-		for tid, k := range names {
-			tids[di][k] = tid
-			if err := push(spanEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: tid,
-				Args: map[string]any{"name": k},
-			}); err != nil {
-				return nil, err
-			}
+		if tids[di], err = lw.lanes(pid, doc.Spans); err != nil {
+			return nil, err
 		}
 		for _, s := range doc.Spans {
 			if s.Wire != "" {
@@ -164,24 +139,7 @@ func WriteStitchedChromeTrace(w io.Writer, docs []NamedTrace) (*StitchReport, er
 	for di, doc := range docs {
 		pid := di + 1
 		for _, s := range doc.Spans {
-			args := map[string]any{"id": s.ID, "parent": s.Parent, "kind": s.Kind}
-			if s.Trace != "" {
-				args["trace"] = s.Trace
-			}
-			if s.Wire != "" {
-				args["wire"] = s.Wire
-			}
-			if s.RemoteParent != "" {
-				args["remote_parent"] = s.RemoteParent
-			}
-			for _, a := range s.Attrs {
-				args["attr:"+a] = true
-			}
-			if err := push(spanEvent{
-				Name: s.Name, Ph: "X",
-				Ts: s.Start * 1e6, Dur: s.Duration() * 1e6,
-				PID: pid, TID: tids[di][s.Kind], Args: args,
-			}); err != nil {
+			if err := lw.slice(pid, tids[di][s.Kind], s); err != nil {
 				return nil, err
 			}
 			if s.RemoteParent == "" {
@@ -192,13 +150,13 @@ func WriteStitchedChromeTrace(w io.Writer, docs []NamedTrace) (*StitchReport, er
 				continue // orphan, already in the report
 			}
 			flowID++
-			if err := push(spanEvent{
+			if err := lw.push(spanEvent{
 				Name: "hop", Ph: "s", Cat: "trace", ID: flowID,
 				Ts: src.ts, PID: src.pid, TID: src.tid,
 			}); err != nil {
 				return nil, err
 			}
-			if err := push(spanEvent{
+			if err := lw.push(spanEvent{
 				Name: "hop", Ph: "f", Cat: "trace", ID: flowID, BP: "e",
 				Ts: s.Start * 1e6, PID: pid, TID: tids[di][s.Kind],
 			}); err != nil {
@@ -206,7 +164,7 @@ func WriteStitchedChromeTrace(w io.Writer, docs []NamedTrace) (*StitchReport, er
 			}
 		}
 	}
-	if err := json.NewEncoder(w).Encode(out); err != nil {
+	if err := json.NewEncoder(w).Encode(lw.doc); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -39,57 +39,82 @@ type spanEvent struct {
 // args carry its ID, parent and attributes, so the hierarchy survives
 // the flattening into lanes.
 func WriteSpansChromeTrace(w io.Writer, spans []Span) error {
-	kinds := map[string]bool{}
+	lw := newLaneWriter()
+	tids, err := lw.lanes(1, spans)
+	if err != nil {
+		return err
+	}
 	for _, s := range spans {
-		kinds[s.Kind] = true
-	}
-	names := make([]string, 0, len(kinds))
-	for k := range kinds {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	tidOf := map[string]int{}
-	doc := traceDoc{TraceEvents: []json.RawMessage{}}
-	push := func(ev spanEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
+		if err := lw.slice(1, tids[s.Kind], s); err != nil {
 			return err
 		}
-		doc.TraceEvents = append(doc.TraceEvents, b)
-		return nil
 	}
-	for tid, k := range names {
-		tidOf[k] = tid
-		if err := push(spanEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: tid,
+	return json.NewEncoder(w).Encode(lw.doc)
+}
+
+// laneWriter accumulates a Chrome trace document of span lanes — the
+// one renderer behind the per-process and the stitched export.
+type laneWriter struct{ doc traceDoc }
+
+func newLaneWriter() *laneWriter {
+	return &laneWriter{doc: traceDoc{TraceEvents: []json.RawMessage{}}}
+}
+
+func (lw *laneWriter) push(ev spanEvent) error {
+	b, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	lw.doc.TraceEvents = append(lw.doc.TraceEvents, b)
+	return nil
+}
+
+// lanes gives each span kind a thread lane of process pid, numbered in
+// sorted kind order and named by a metadata event, and returns the
+// kind → tid map.
+func (lw *laneWriter) lanes(pid int, spans []Span) (map[string]int, error) {
+	tids := map[string]int{}
+	for _, s := range spans {
+		tids[s.Kind] = 0
+	}
+	kinds := make([]string, 0, len(tids))
+	for k := range tids {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for tid, k := range kinds {
+		tids[k] = tid
+		if err := lw.push(spanEvent{
+			Name: "thread_name", Ph: "M", PID: pid, TID: tid,
 			Args: map[string]any{"name": k},
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for _, s := range spans {
-		args := map[string]any{"id": s.ID, "parent": s.Parent, "kind": s.Kind}
-		if s.Trace != "" {
-			args["trace"] = s.Trace
-		}
-		if s.Wire != "" {
-			args["wire"] = s.Wire
-		}
-		if s.RemoteParent != "" {
-			args["remote_parent"] = s.RemoteParent
-		}
-		for _, a := range s.Attrs {
-			args["attr:"+a] = true
-		}
-		if err := push(spanEvent{
-			Name: s.Name, Ph: "X",
-			Ts: s.Start * 1e6, Dur: s.Duration() * 1e6,
-			PID: 1, TID: tidOf[s.Kind], Args: args,
-		}); err != nil {
-			return err
-		}
+	return tids, nil
+}
+
+// slice renders s as a complete event on lane tid of process pid; its
+// args carry the span's ID, parent, kind, wire identity and attributes.
+func (lw *laneWriter) slice(pid, tid int, s Span) error {
+	args := map[string]any{"id": s.ID, "parent": s.Parent, "kind": s.Kind}
+	if s.Trace != "" {
+		args["trace"] = s.Trace
 	}
-	return json.NewEncoder(w).Encode(doc)
+	if s.Wire != "" {
+		args["wire"] = s.Wire
+	}
+	if s.RemoteParent != "" {
+		args["remote_parent"] = s.RemoteParent
+	}
+	for _, a := range s.Attrs {
+		args["attr:"+a] = true
+	}
+	return lw.push(spanEvent{
+		Name: s.Name, Ph: "X",
+		Ts: s.Start * 1e6, Dur: s.Duration() * 1e6,
+		PID: pid, TID: tid, Args: args,
+	})
 }
 
 // MergeChromeTraces folds several Chrome trace documents into one: the
