@@ -13,9 +13,9 @@
 // (unary /v1/sweep and streaming /v1/sweep/stream) are digest-
 // partitioned across all healthy backends and merged back into global
 // cell order — byte-identical to a single process running the grid.
-// Every other endpoint proxies whole to one backend. Cells a backend
-// answered completely stay in the front's bounded cell cache, and a
-// repeat is answered there without a backend hop.
+// /v1/simulate goes to its cell's owner; any other path is a 404.
+// Cells a backend answered completely stay in the front's bounded cell
+// cache, and a repeat is answered there without a backend hop.
 //
 // A health loop polls each backend's /readyz; draining or dead
 // backends drop out of routing, and an attempt that hits a connection

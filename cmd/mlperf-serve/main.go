@@ -1,9 +1,8 @@
 // Command mlperf-serve runs the benchmark-as-a-service daemon: the
-// simulator, sweep engine and cluster scheduler behind an HTTP/JSON
-// API with admission control, per-tenant quotas, a bounded cell memo
-// that shares each simulation among identical concurrent requests, a
-// persistent cache tier whose failures cost speed, not answers, and
-// graceful drain.
+// simulator and sweep engine behind an HTTP/JSON API with admission
+// control, per-tenant quotas, a bounded cell memo that shares each
+// simulation among identical concurrent requests, a persistent cache
+// tier whose failures cost speed, not answers, and graceful drain.
 //
 //	mlperf-serve                              serve on :8080
 //	mlperf-serve -addr :9000
@@ -14,9 +13,8 @@
 //
 //	GET /v1/simulate?benchmark=res50_tf&system=dss8440&gpus=4   one cell
 //	GET /v1/sweep?benchmarks=res50_tf,ncf_py&gpus=1,2,4         a grid
-//	GET /v1/whatif                                            the NVLink-at-8 study
-//	GET /v1/schedule?policy=srtf&n=12&seed=1                  an online scheduling run
-//	GET /healthz /readyz /metrics /v1/stats                   operations
+//	GET /v1/sweep/stream?benchmarks=res50_tf,ncf_py&gpus=1,2    a grid as NDJSON frames
+//	GET /healthz /readyz /metrics /v1/stats                     operations
 //
 // Clients set X-Tenant for quota accounting and Request-Timeout (or
 // ?timeout=) in seconds for deadline propagation: the deadline flows

@@ -5,7 +5,7 @@
 //	mlperf-sweep -bench res50_tf,ncf_py -system dss8440,dgx1 -gpus 1,2,4,8
 //	mlperf-sweep -bench res50_tf -gpus 8 -precision fp32,mixed -out amp.csv
 //	mlperf-sweep -workers 4 -bench res50_tf -gpus 1,2,4,8
-//	mlperf-sweep -bench gnmt_py -gpus 4 -faults plan.json -cell-timeout 30s -partial
+//	mlperf-sweep -bench gnmt_py -gpus 4 -faults plan.json -partial
 //	mlperf-sweep -bench res50_tf -gpus 1,2,4,8 -cache-dir ~/.cache/mlperf-cells
 //
 // Cells run concurrently on the sweep engine's worker pool (-workers,
@@ -15,13 +15,14 @@
 // order and values are identical in every configuration.
 //
 // Every engine run takes the hardened path (RunWithOptions): each cell
-// runs once with panic containment, -cell-timeout bounds each cell, and
-// -faults applies a fault plan to every cell. The simulator is
-// deterministic, so a failed cell is not retried: it would fail the
-// same way again. With -partial the sweep degrades gracefully
-// — completed cells are written, failed cells are reported to stderr as
+// runs once with panic containment, and -faults applies a fault plan to
+// every cell. The simulator is deterministic, so a failed cell is not
+// retried and no cell is bounded by a clock: a cell's outcome depends
+// only on its inputs. With -partial the sweep degrades gracefully —
+// completed cells are written, failed cells are reported to stderr as
 // typed errors, and the exit status reflects whether everything
-// completed.
+// completed. An interrupt (SIGINT/SIGTERM) writes the completed cells
+// and exits 130.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"mlperf/internal/fault"
 	"mlperf/internal/sweep"
@@ -47,7 +47,6 @@ func main() {
 	flag.StringVar(&cfg.out, "out", "", "CSV output path (default: stdout)")
 	flag.BoolVar(&cfg.seq, "seq", false, "run cells sequentially without the cache (reference path)")
 	flag.StringVar(&cfg.faults, "faults", "", "JSON fault-plan file applied to every cell")
-	flag.DurationVar(&cfg.cellTimeout, "cell-timeout", 0, "per-cell deadline (0 = unbounded)")
 	flag.BoolVar(&cfg.partial, "partial", false, "keep going past failed cells; write completed cells and report the rest")
 	engineFlags := sweep.RegisterCLIFlags(nil)
 	cfg.sink = telecli.Register("mlperf-sweep", nil)
@@ -85,7 +84,6 @@ type runConfig struct {
 	sweep.GridLists
 	out, faults, cacheDir string
 	seq, partial          bool
-	cellTimeout           time.Duration
 	sink                  *telecli.Sink
 }
 
@@ -112,12 +110,11 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 
-	hardened := cfg.cellTimeout > 0 || cfg.partial
 	var recs []sweep.Record
 	var report *sweep.Report
 	if cfg.seq {
-		if hardened {
-			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cell-timeout/-partial")
+		if cfg.partial {
+			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -partial")
 		}
 		if cfg.cacheDir != "" {
 			return fmt.Errorf("-seq is the plain reference path; it cannot combine with -cache-dir")
@@ -130,11 +127,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		// Every engine path runs Partial internally so an interrupt can
 		// salvage the completed prefix; -partial only decides whether cell
 		// FAILURES degrade gracefully or abort like before.
-		opts := sweep.Options{
-			CellTimeout: cfg.cellTimeout,
-			Partial:     true,
-		}
-		recs, report, err = sweep.Default.RunWithOptions(ctx, g, opts)
+		recs, report, err = sweep.Default.RunWithOptions(ctx, g, sweep.Options{Partial: true})
 		if err != nil {
 			return err
 		}

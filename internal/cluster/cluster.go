@@ -84,21 +84,16 @@ var DefaultWidths = []int{1, 2, 4, 8}
 // runtime in seconds at that width on that machine.
 type DurationFn func(j Job, m Machine, width int) (float64, error)
 
-// SweepDurations prices cells on a memoized sweep engine: each lookup is
-// one Table IV-style cell (benchmark × system × GPU count), simulated at
-// most once per process and recalled from the cache afterwards. Pass
-// nil for the shared default engine.
-func SweepDurations(e *sweep.Engine) DurationFn {
-	if e == nil {
-		e = sweep.Default
+// sweepDurations prices cells on the shared memoized sweep engine: each
+// lookup is one Table IV-style cell (benchmark × system × GPU count),
+// simulated at most once per process and recalled from the cache
+// afterwards.
+func sweepDurations(j Job, m Machine, width int) (float64, error) {
+	rec, err := sweep.Default.Cell(sweep.CellKey{Benchmark: j.Benchmark, System: m.System, GPUs: width})
+	if err != nil {
+		return 0, err
 	}
-	return func(j Job, m Machine, width int) (float64, error) {
-		rec, err := e.Cell(sweep.CellKey{Benchmark: j.Benchmark, System: m.System, GPUs: width})
-		if err != nil {
-			return 0, err
-		}
-		return rec.TimeToTrainMin * 60, nil
-	}
+	return rec.TimeToTrainMin * 60, nil
 }
 
 // Config is one online scheduling run.

@@ -164,7 +164,7 @@ func newRun(cfg Config) (*run, error) {
 	}
 	dur := cfg.Durations
 	if dur == nil {
-		dur = SweepDurations(nil)
+		dur = sweepDurations
 	}
 	r := &run{
 		cfg:        cfg,

@@ -565,7 +565,7 @@ func TestFrontHeldCellsAnswerWithEveryBackendDown(t *testing.T) {
 		ts.Close()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.front.healthy[0].Load() || c.front.healthy[1].Load() {
+	for c.front.isHealthy(0) || c.front.isHealthy(1) {
 		if time.Now().After(deadline) {
 			t.Fatal("backends never went down")
 		}

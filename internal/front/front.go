@@ -120,11 +120,9 @@ type Front struct {
 	reg      *telemetry.Registry
 	mux      *http.ServeMux
 
-	healthy []atomic.Bool
-	// transitions / lastTransition record health flips per backend; the
-	// timestamp is unix nanoseconds (0 = never flipped).
-	transitions    []atomic.Int64
-	lastTransition []atomic.Int64
+	// health holds each backend's published health, replaced whole on
+	// every flip.
+	health []atomic.Pointer[health]
 
 	log    *telemetry.Logger
 	flight *telemetry.FlightRecorder
@@ -140,6 +138,18 @@ type Front struct {
 	cellHits   atomic.Int64
 	cellMisses atomic.Int64
 }
+
+// health is one backend's health as one value: the last probe's verdict
+// and the flips that led to it. A flip builds a new value and stores it
+// once, so a reader never sees a verdict without its flip counted.
+type health struct {
+	healthy     bool
+	transitions int64
+	last        time.Time // zero = never flipped
+}
+
+// isHealthy reports backend i's last verdict.
+func (f *Front) isHealthy(i int) bool { return f.health[i].Load().healthy }
 
 // cellCacheCap bounds the cell cache: at most 8192 records, about 5 MB
 // with their digests. A constant, not a knob.
@@ -193,23 +203,21 @@ func New(cfg Config) (*Front, error) {
 		reg = telemetry.New()
 	}
 	f := &Front{
-		cfg:            cfg,
-		backends:       backends,
-		client:         client,
-		reg:            reg,
-		mux:            http.NewServeMux(),
-		healthy:        make([]atomic.Bool, len(backends)),
-		transitions:    make([]atomic.Int64, len(backends)),
-		lastTransition: make([]atomic.Int64, len(backends)),
-		log:            cfg.Logger,
-		flight:         telemetry.NewFlightRecorder(telemetry.DefaultFlightSize),
-		cells:          cellCache{m: memo.New[string, sweep.Record](cellCacheCap)},
+		cfg:      cfg,
+		backends: backends,
+		client:   client,
+		reg:      reg,
+		mux:      http.NewServeMux(),
+		health:   make([]atomic.Pointer[health], len(backends)),
+		log:      cfg.Logger,
+		flight:   telemetry.NewFlightRecorder(telemetry.DefaultFlightSize),
+		cells:    cellCache{m: memo.New[string, sweep.Record](cellCacheCap)},
 	}
 	// Optimistic start: every backend is presumed healthy until a probe
 	// says otherwise, so the front serves immediately and per-request
 	// failover covers the window before the first poll completes.
-	for i := range f.healthy {
-		f.healthy[i].Store(true)
+	for i := range f.health {
+		f.health[i].Store(&health{healthy: true})
 	}
 	f.routes()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -219,7 +227,7 @@ func New(cfg Config) (*Front, error) {
 	return f, nil
 }
 
-// Close stops the health loop. In-flight proxied requests finish on
+// Close stops the health loop. In-flight backend requests finish on
 // their own; the HTTP server owning the handler drains separately.
 func (f *Front) Close() {
 	f.stopHealth()
@@ -242,9 +250,6 @@ func (f *Front) routes() {
 	f.mux.HandleFunc("/v1/sweep", f.handleSweep)
 	f.mux.HandleFunc("/v1/sweep/stream", f.handleSweepStream)
 	f.mux.HandleFunc("/v1/simulate", f.handleSimulate)
-	// Everything else (whatif, schedule, ...) proxies whole to one
-	// backend, routed by its request line for cache affinity.
-	f.mux.HandleFunc("/", f.handleProxy)
 }
 
 // ---- health ----
@@ -270,41 +275,42 @@ func (f *Front) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ok := f.probe(ctx, i)
-			prev := f.healthy[i].Load()
-			f.healthy[i].Store(ok)
-			v := 0.0
-			if !ok {
-				v = 1.0
-			}
-			f.reg.Gauge(MetricUnhealthy,
-				telemetry.Label{Key: "backend", Value: strconv.Itoa(i)}).Set(v)
-			if prev != ok {
-				// A health flip is timestamped, counted and logged — flap
-				// windows must be reconstructable after the fact.
-				now := time.Now()
-				f.transitions[i].Add(1)
-				f.lastTransition[i].Store(now.UnixNano())
-				bl := telemetry.Label{Key: "backend", Value: strconv.Itoa(i)}
-				f.reg.Counter(MetricTransitions, bl).Inc()
-				f.reg.Gauge(MetricLastTransition, bl).Set(float64(now.UnixNano()) / 1e9)
-				dir := "down -> up"
-				lv := telemetry.LevelInfo
-				if !ok {
-					dir = "up -> down"
-					lv = telemetry.LevelWarn
-				}
-				f.log.Log(lv, "backend health transition",
-					telemetry.F("backend", f.backends[i]),
-					telemetry.F("index", i),
-					telemetry.F("healthy", ok))
-				f.flight.Record(telemetry.FlightEntry{
-					Kind: "event", Msg: "backend " + dir, Backend: f.backends[i],
-				})
-			}
+			f.publish(i, f.probe(ctx, i))
 		}(i)
 	}
 	wg.Wait()
+}
+
+// publish records backend i's probe verdict. A flip is one new health
+// value, counted and timestamped before any reader can load it, then
+// metered and logged — flap windows must be reconstructable after the
+// fact. The down gauge is set last, once the verdict is readable.
+func (f *Front) publish(i int, ok bool) {
+	bl := telemetry.Label{Key: "backend", Value: strconv.Itoa(i)}
+	if prev := f.health[i].Load(); prev.healthy != ok {
+		h := &health{healthy: ok, transitions: prev.transitions + 1, last: time.Now()}
+		f.health[i].Store(h)
+		f.reg.Counter(MetricTransitions, bl).Inc()
+		f.reg.Gauge(MetricLastTransition, bl).Set(float64(h.last.UnixNano()) / 1e9)
+		dir := "down -> up"
+		lv := telemetry.LevelInfo
+		if !ok {
+			dir = "up -> down"
+			lv = telemetry.LevelWarn
+		}
+		f.log.Log(lv, "backend health transition",
+			telemetry.F("backend", f.backends[i]),
+			telemetry.F("index", i),
+			telemetry.F("healthy", ok))
+		f.flight.Record(telemetry.FlightEntry{
+			Kind: "event", Msg: "backend " + dir, Backend: f.backends[i],
+		})
+	}
+	v := 0.0
+	if !ok {
+		v = 1.0
+	}
+	f.reg.Gauge(MetricUnhealthy, bl).Set(v)
 }
 
 func (f *Front) probe(ctx context.Context, i int) bool {
@@ -323,9 +329,9 @@ func (f *Front) probe(ctx context.Context, i int) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// owner places a routing key — a cell digest, or a proxied request's
-// "METHOD URI" — on backend FNV-1a-64(key) mod len(backends). The hash
-// has no seed, so every front over the same backend list agrees.
+// owner places a routing key, a cell digest, on backend
+// FNV-1a-64(key) mod len(backends). The hash has no seed, so every
+// front over the same backend list agrees.
 func (f *Front) owner(key string) int {
 	h := fnv.New64a()
 	io.WriteString(h, key) // a hash.Hash write never returns an error
@@ -343,7 +349,7 @@ func (f *Front) order(key string) []int {
 	var down []int
 	for s := 0; s < n; s++ {
 		i := (owner + s) % n
-		if f.healthy[i].Load() {
+		if f.isHealthy(i) {
 			rot = append(rot, i)
 		} else {
 			down = append(down, i)
@@ -352,11 +358,11 @@ func (f *Front) order(key string) []int {
 	return append(rot, down...)
 }
 
-// ---- generic proxy ----
+// ---- backend requests ----
 
 // forwardHeaders are the request headers that carry semantics the
 // backends act on.
-var forwardHeaders = []string{"X-Tenant", "Request-Timeout", "Accept"}
+var forwardHeaders = []string{"X-Tenant", "Request-Timeout"}
 
 // tryBackends walks the routing order issuing attempt(i) until one
 // succeeds. attempt reports retriable=true for failures worth moving to
@@ -385,34 +391,7 @@ func (f *Front) tryBackends(key string, attempt func(i int) (done bool, retriabl
 	return false
 }
 
-// handleProxy forwards the whole request to one backend, failing over
-// on connection errors and drain 503s.
-func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
-	f.count("proxy")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26))
-	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := r.Method + " " + r.URL.RequestURI()
-	if !f.tryBackends(key, func(i int) (bool, bool) {
-		resp, err := f.send(r, i, r.URL.RequestURI(), body)
-		if err != nil {
-			return false, true
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			io.Copy(io.Discard, resp.Body)
-			return false, true
-		}
-		relay(w, resp)
-		return true, false
-	}) {
-		f.shedNoBackend(w, r)
-	}
-}
-
-// handleSimulate answers one cell from the cell cache or proxies it,
+// handleSimulate answers one cell from the cell cache or forwards it,
 // routed by its digest so repeated and concurrent misses for the same
 // cell hit the same backend's memory tier.
 func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -438,7 +417,7 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	f.countCells(0, 1)
 	if !f.tryBackends(digest, func(i int) (bool, bool) {
-		resp, err := f.send(r, i, r.URL.RequestURI(), nil)
+		resp, err := f.send(r, i)
 		if err != nil {
 			return false, true
 		}
@@ -463,14 +442,10 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// send issues a backend request mirroring the client's method, path and
-// semantic headers. body nil = no body.
-func (f *Front) send(r *http.Request, i int, uri string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, f.backends[i]+uri, rd)
+// send issues a bodiless backend request mirroring the client's method,
+// path and semantic headers.
+func (f *Front) send(r *http.Request, i int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, f.backends[i]+r.URL.RequestURI(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -478,9 +453,6 @@ func (f *Front) send(r *http.Request, i int, uri string, body []byte) (*http.Res
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
-	}
-	if body != nil && r.Header.Get("Content-Type") != "" {
-		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 	}
 	finish := f.propagate(r.Context(), req, i)
 	resp, err := f.client.Do(req)
@@ -728,7 +700,7 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 			return false, false
 		}
 		req.Header.Set("Content-Type", "application/json")
-		for _, h := range []string{"X-Tenant", "Request-Timeout"} {
+		for _, h := range forwardHeaders {
 			if v := r.Header.Get(h); v != "" {
 				req.Header.Set(h, v)
 			}
@@ -823,8 +795,8 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 // ---- observability ----
 
 func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	for i := range f.healthy {
-		if f.healthy[i].Load() {
+	for i := range f.health {
+		if f.isHealthy(i) {
 			httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
@@ -842,13 +814,10 @@ func (f *Front) Snapshot() Stats {
 		CellMisses: f.cellMisses.Load(),
 	}
 	for i, b := range f.backends {
-		bs := BackendStatus{
-			URL:         b,
-			Healthy:     f.healthy[i].Load(),
-			Transitions: f.transitions[i].Load(),
-		}
-		if ns := f.lastTransition[i].Load(); ns != 0 {
-			bs.LastTransition = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
+		h := f.health[i].Load()
+		bs := BackendStatus{URL: b, Healthy: h.healthy, Transitions: h.transitions}
+		if !h.last.IsZero() {
+			bs.LastTransition = h.last.UTC().Format(time.RFC3339Nano)
 		}
 		st.Backends = append(st.Backends, bs)
 	}

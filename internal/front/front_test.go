@@ -14,6 +14,7 @@ import (
 
 	"mlperf/internal/serve"
 	"mlperf/internal/sweep"
+	"mlperf/internal/telemetry"
 )
 
 // cluster is a front over n serve backends sharing one cache dir.
@@ -320,7 +321,7 @@ func TestFrontFailsOverOn503BeforeHealthPoll(t *testing.T) {
 	// Pin the stale view: even if the startup probe raced the drain and
 	// noticed, the front believes backend 1 is healthy and must discover
 	// the 503 inside the request.
-	c.front.healthy[1].Store(true)
+	c.front.health[1].Store(&health{healthy: true})
 
 	code, body, _ := get(t, c.frontTS.URL+"/v1/sweep?"+tableGrid)
 	if code != http.StatusOK {
@@ -362,22 +363,40 @@ func TestFrontStreamSSE(t *testing.T) {
 	}
 }
 
-// The catch-all proxy: endpoints the front does not fan out (schedule,
-// whatif) ride through to a backend untouched.
-func TestFrontProxiesOtherEndpoints(t *testing.T) {
+// The front answers the routes it serves and nothing else: the study
+// paths (schedule, whatif) are the mux's own 404 on the front and on a
+// backend alike, still carrying X-Request-Id, and the front forwards
+// nothing for them.
+func TestStudyEndpointsAre404(t *testing.T) {
 	c := newCluster(t, 2, Config{})
-	code, body, _ := get(t, c.frontTS.URL+"/v1/schedule?policy=srtf&n=4&seed=1")
-	if code != http.StatusOK {
-		t.Fatalf("proxied schedule = %d (%s)", code, strings.TrimSpace(body))
+	paths := []string{"/v1/schedule?policy=srtf&n=4&seed=1", "/v1/whatif"}
+	for _, p := range paths {
+		code, body, hdr := get(t, c.frontTS.URL+p)
+		if code != http.StatusNotFound {
+			t.Errorf("front %s = %d (%s), want 404", p, code, strings.TrimSpace(body))
+		}
+		if id := hdr.Get(telemetry.RequestIDHeader); !hexTraceID.MatchString(id) {
+			t.Errorf("front %s: X-Request-Id %q", p, id)
+		}
 	}
-	var resp struct {
-		Policy string `json:"policy"`
+	if st := c.front.Snapshot(); st.Fanouts != 0 || st.Requests != 0 {
+		t.Errorf("front counted %d requests and %d fan-outs for unknown routes, want 0", st.Requests, st.Fanouts)
 	}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
+	for i, b := range c.backends {
+		for _, e := range b.Flight().Requests() {
+			if e.Path != "/readyz" {
+				t.Errorf("backend %d saw %s %s, want only health probes", i, e.Method, e.Path)
+			}
+		}
 	}
-	if resp.Policy != "srtf" {
-		t.Fatalf("policy %q", resp.Policy)
+	for _, p := range paths {
+		code, _, hdr := get(t, c.backTS[0].URL+p)
+		if code != http.StatusNotFound {
+			t.Errorf("serve %s = %d, want 404", p, code)
+		}
+		if id := hdr.Get(telemetry.RequestIDHeader); !hexTraceID.MatchString(id) {
+			t.Errorf("serve %s: X-Request-Id %q", p, id)
+		}
 	}
 }
 

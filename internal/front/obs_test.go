@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestFrontResponsesCarryRequestID(t *testing.T) {
 		"/v1/sweep?benchmarks=res50_tf&gpus=1,2",
 		"/v1/stats",
 		"/healthz",
-		"/no/such/route", // whole-proxy path
+		"/no/such/route", // the mux's 404
 	} {
 		_, _, hdr := get(t, c.frontTS.URL+p)
 		if id := hdr.Get(telemetry.RequestIDHeader); !hexTraceID.MatchString(id) {
@@ -204,7 +205,7 @@ func TestFrontHealthTransitionsTimestamped(t *testing.T) {
 	c := newCluster(t, 2, Config{HealthInterval: 20 * time.Millisecond})
 	waitHealthy := func(i int, want bool) {
 		deadline := time.Now().Add(10 * time.Second)
-		for c.front.healthy[i].Load() != want {
+		for c.front.isHealthy(i) != want {
 			if time.Now().After(deadline) {
 				t.Fatalf("backend %d never reached healthy=%v", i, want)
 			}
@@ -246,11 +247,52 @@ func TestFrontHealthTransitionsTimestamped(t *testing.T) {
 	}
 }
 
+// A backend's health is one published value: a snapshot taken while
+// the backend flaps never shows a down backend whose flip is not yet
+// counted, and its transition count never goes back.
+func TestFrontHealthSnapshotConsistentWhileFlapping(t *testing.T) {
+	var probes atomic.Int64
+	flappy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if probes.Add(1)%2 == 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+	}))
+	defer flappy.Close()
+	f, err := New(Config{Backends: []string{flappy.URL}, HealthInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	const flips = 20
+	var last int64
+	deadline := time.Now().Add(10 * time.Second)
+	for last < flips {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend flipped %d times, want %d", last, flips)
+		}
+		b := f.Snapshot().Backends[0]
+		if !b.Healthy && b.Transitions < 1 {
+			t.Fatalf("down with no transition counted: %+v", b)
+		}
+		if b.Healthy != (b.Transitions%2 == 0) {
+			t.Fatalf("verdict disagrees with its flip count: %+v", b)
+		}
+		if (b.Transitions > 0) != (b.LastTransition != "") {
+			t.Fatalf("flip count and timestamp disagree: %+v", b)
+		}
+		if b.Transitions < last {
+			t.Fatalf("transitions went back from %d to %d", last, b.Transitions)
+		}
+		last = b.Transitions
+	}
+}
+
 func TestFrontShedNoBackendHasIdentityAndRetryAfter(t *testing.T) {
 	c := newCluster(t, 1, Config{HealthInterval: 20 * time.Millisecond})
 	c.backTS[0].Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.front.healthy[0].Load() {
+	for c.front.isHealthy(0) {
 		if time.Now().After(deadline) {
 			t.Fatal("backend never went down")
 		}

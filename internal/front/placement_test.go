@@ -77,7 +77,7 @@ func TestOrderIsOwnerRotationUnhealthyLast(t *testing.T) {
 			var up, down []int
 			for s := 0; s < n; s++ {
 				i := (o + s) % n
-				f.healthy[i].Store(mask&(1<<i) == 0)
+				f.health[i].Store(&health{healthy: mask&(1<<i) == 0})
 				if mask&(1<<i) == 0 {
 					up = append(up, i)
 				} else {

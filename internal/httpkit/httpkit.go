@@ -106,10 +106,6 @@ func Endpoint(path string) string {
 		return "sweep"
 	case "/v1/sweep/stream":
 		return "sweep_stream"
-	case "/v1/whatif":
-		return "whatif"
-	case "/v1/schedule":
-		return "schedule"
 	}
 	if strings.HasPrefix(path, "/debug/") {
 		return "debug"

@@ -24,8 +24,6 @@ func TestEndpointLabels(t *testing.T) {
 		{"/v1/simulate", "simulate"},
 		{"/v1/sweep", "sweep"},
 		{"/v1/sweep/stream", "sweep_stream"},
-		{"/v1/whatif", "whatif"},
-		{"/v1/schedule", "schedule"},
 		{"/debug/requests", "debug"},
 		{"/debug/pprof/heap", "debug"},
 		{"/debug", "other"},

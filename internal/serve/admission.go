@@ -22,10 +22,10 @@ const (
 )
 
 // admission is the bounded work queue at the daemon's front door. A
-// request is priced by its simulation cost (grid cells, scheduler
-// jobs); acquiring means the request may execute now. The controller
-// enforces three limits, shedding explicitly the moment any would be
-// exceeded rather than queuing without bound:
+// request is priced by its simulation cost, its cell count; acquiring
+// means the request may execute now. The controller enforces three
+// limits, shedding explicitly the moment any would be exceeded rather
+// than queuing without bound:
 //
 //   - slots: at most maxInFlight requests execute concurrently;
 //   - queue: at most maxQueue requests wait for a slot — the classic

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"mlperf/internal/cluster"
-	"mlperf/internal/experiments"
 	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
@@ -25,8 +23,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("/v1/sweep/stream", s.handleSweepStream)
-	s.mux.HandleFunc("/v1/whatif", s.handleWhatIf)
-	s.mux.HandleFunc("/v1/schedule", s.handleSchedule)
 }
 
 // shedWith refuses a request with 429 (or 503 during drain) and a
@@ -308,94 +304,5 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		sum := s.summarize(ctx, rep)
 		return sum.Response(recs), http.StatusOK, nil
-	})
-}
-
-// ---- /v1/whatif ----
-
-type whatIfResponse struct {
-	Rows []experiments.WhatIfRow `json:"rows"`
-}
-
-// whatIfCost is the fixed cell count of the NVLink-at-8 study: every
-// Table IV benchmark × two systems × two GPU widths.
-var whatIfCost = int64(len(experiments.Table4Benches) * 4)
-
-func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	s.runQuery(w, r, "whatif", whatIfCost, func(ctx context.Context) (any, int, error) {
-		rows, err := experiments.WhatIfNVLinkAt8On(ctx, s.eng)
-		if err != nil {
-			if cerr := context.Cause(ctx); cerr != nil {
-				return nil, 0, cerr
-			}
-			return nil, 0, err
-		}
-		return whatIfResponse{Rows: rows}, http.StatusOK, nil
-	})
-}
-
-// ---- /v1/schedule ----
-
-type scheduleResponse struct {
-	Policy  string               `json:"policy"`
-	Metrics cluster.Metrics      `json:"metrics"`
-	Jobs    []cluster.JobOutcome `json:"jobs"`
-}
-
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	policy := q.Get("policy")
-	if policy == "" {
-		policy = "srtf"
-	}
-	pol, err := cluster.PolicyByName(policy)
-	if err != nil {
-		s.refuse(w, "schedule", err)
-		return
-	}
-	n, seed, gap := 12, int64(1), 1800.0
-	if v := q.Get("n"); v != "" {
-		if n, err = strconv.Atoi(v); err != nil || n < 1 || n > 10000 {
-			s.refuse(w, "schedule", fmt.Errorf("bad n %q: want 1..10000", v))
-			return
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			s.refuse(w, "schedule", fmt.Errorf("bad seed %q", v))
-			return
-		}
-	}
-	if v := q.Get("gap"); v != "" {
-		if gap, err = strconv.ParseFloat(v, 64); err != nil || gap < 0 {
-			s.refuse(w, "schedule", fmt.Errorf("bad gap %q", v))
-			return
-		}
-	}
-	machines := sweep.SplitList(q.Get("machines"))
-	if len(machines) == 0 {
-		machines = []string{"dss8440"}
-	}
-
-	// Cost is the job count (each job prices a handful of duration cells,
-	// all memoized after the first trace).
-	s.runQuery(w, r, "schedule", int64(n), func(ctx context.Context) (any, int, error) {
-		// cluster.Run has no context plumbing — scheduler runs are
-		// milliseconds once the duration cells are memoized, so the
-		// deadline gates admission and queueing, not the run itself.
-		fleet, ferr := cluster.Fleet(machines...)
-		if ferr != nil {
-			return nil, 0, ferr
-		}
-		res, rerr := cluster.Run(cluster.Config{
-			Fleet:     fleet,
-			Jobs:      cluster.SyntheticTrace(seed, n, gap),
-			Policy:    pol,
-			Durations: cluster.SweepDurations(s.eng),
-		})
-		if rerr != nil {
-			return nil, 0, rerr
-		}
-		return scheduleResponse{Policy: res.Policy, Metrics: res.Metrics, Jobs: res.Jobs}, http.StatusOK, nil
 	})
 }

@@ -80,7 +80,6 @@ func TestMalformedRequestsCounted(t *testing.T) {
 		"simulate":     "/v1/simulate?benchmark=nope",
 		"sweep":        "/v1/sweep?benchmarks=nope",
 		"sweep_stream": "/v1/sweep/stream?benchmarks=nope",
-		"schedule":     "/v1/schedule?n=0",
 	}
 	for endpoint, p := range cases {
 		if code, body, _ := get(t, ts.URL+p); code != http.StatusBadRequest {

@@ -1,7 +1,7 @@
 // Package serve is the benchmark-as-a-service daemon: an HTTP/JSON
-// front end over the sweep engine that answers simulate / sweep /
-// what-if / schedule queries for many concurrent clients. The headline
-// is not the routing — it is the robustness envelope:
+// front end over the sweep engine that answers simulate and sweep
+// queries for many concurrent clients. The headline is not the
+// routing — it is the robustness envelope:
 //
 //   - Admission control. A bounded work queue with explicit load
 //     shedding: once queue depth, in-flight requests or in-flight
@@ -62,10 +62,9 @@ const (
 	MetricEndpointSeconds = "serve_endpoint_seconds" // histogram, endpoint=
 )
 
-// MaxRequestCells is the cell budget: the summed simulation cost (grid
-// cells, scheduler jobs) of admitted requests never exceeds it, and a
-// request costing more can never be admitted, so it is refused with 413
-// before admission. A constant, not a setting, so the front tier applies
+// MaxRequestCells is the cell budget: the summed cell count of admitted
+// requests never exceeds it, and a request costing more can never be
+// admitted, so it is refused with 413 before admission. A constant, not a setting, so the front tier applies
 // the budget its backends do (TooLarge) before any fan-out.
 const MaxRequestCells = 4096
 

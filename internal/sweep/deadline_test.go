@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,8 +74,8 @@ func TestClientDeadlineMidRunReturnsPartial(t *testing.T) {
 }
 
 // gatedStore delays the disk tier's writes until the test releases the
-// gate — a controllable stand-in for a slow disk, to catch a cell
-// timeout striking mid-write.
+// gate — a controllable stand-in for a slow disk, to catch a run's
+// deadline striking mid-write.
 type gatedStore struct {
 	*DiskStore
 	gate chan struct{}
@@ -87,11 +88,11 @@ func (g *gatedStore) Put(k CellKey, rec Record) error {
 	return g.DiskStore.Put(k, rec)
 }
 
-// A cell that times out while its result is being persisted must never
-// leave a partial CAS entry behind: before the write finishes the
-// store reads as a clean miss, and once it finishes the entry is the
-// complete, verifiable record — nothing in between.
-func TestCellTimeoutMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
+// A run whose deadline passes while a cell's result is being persisted
+// must never leave a partial CAS entry behind: before the write
+// finishes the store reads as a clean miss, and once it finishes the
+// entry is the complete, verifiable record — nothing in between.
+func TestDeadlineMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := OpenDiskStore(dir)
 	if err != nil {
@@ -105,13 +106,15 @@ func TestCellTimeoutMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
 	e := fakeEngine(1, func(CellKey) (Record, error) { return want, nil })
 	e.SetStore(gs)
 
-	_, report, err := e.RunCellsWithOptions(context.Background(), []CellKey{k},
-		Options{CellTimeout: 20 * time.Millisecond, Partial: true})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, report, err := e.RunCellsWithOptions(ctx, []CellKey{k}, Options{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Failures) != 1 || report.Failures[0].Kind != FailTimeout {
-		t.Fatalf("want one FailTimeout failure, got %+v", report.Failures)
+	if len(report.Failures) != 1 || report.Failures[0].Kind != FailCanceled ||
+		!errors.Is(report.Failures[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("want one FailCanceled failure on the deadline, got %+v", report.Failures)
 	}
 	// The simulation goroutine is now parked inside the store write. The
 	// on-disk tier must not show a partial entry.
@@ -123,7 +126,7 @@ func TestCellTimeoutMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok, _ := fresh.Get(k); ok {
-		t.Fatal("timed-out cell's entry visible before its write completed")
+		t.Fatal("canceled cell's entry visible before its write completed")
 	}
 	if n, err := fresh.Len(); err != nil || n != 0 {
 		t.Fatalf("store holds %d entries (err %v) mid-write, want 0", n, err)
@@ -150,4 +153,90 @@ func TestCellTimeoutMidDiskWriteNeverPersistsPartialEntry(t *testing.T) {
 	if got != want {
 		t.Fatalf("persisted record %+v, want %+v", got, want)
 	}
+}
+
+// A warm grid costs the same under a cancellable context as under
+// context.Background(): a settled cell returns its record without a
+// goroutine or a channel, so serve's requests (whose contexts always
+// carry a deadline) pay nothing extra per cell.
+func TestSettledCellsAllocateNothingForCancellation(t *testing.T) {
+	keys := normKeys(t, 24)
+	e := fakeEngine(1, func(k CellKey) (Record, error) {
+		return Record{GPUs: k.GPUs, TimeToTrainMin: 1}, nil
+	})
+	if _, _, err := e.RunCellsWithOptions(context.Background(), keys, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	allocs := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, _, err := e.RunCellsWithOptions(ctx, keys, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bg, cc := allocs(context.Background()), allocs(ctx)
+	if cc > bg {
+		t.Fatalf("warm grid allocates %.0f per run under a cancellable context, %.0f under Background", cc, bg)
+	}
+	st := e.Stats()
+	if st.Simulations != st.Misses-st.Disk.Hits || st.Misses != int64(len(keys)) {
+		t.Fatalf("settled lookups miscounted: %+v", st)
+	}
+}
+
+// A cell that settled before the run's context fired keeps its record:
+// cancelling once every cell has settled, while each worker is still
+// waiting on its cell, returns every record, run after run.
+func TestCancelAfterSettleReturnsEveryRecord(t *testing.T) {
+	const n = 4
+	keys := normKeys(t, n)
+	for run := 0; run < 500; run++ {
+		started := make(chan struct{}, n)
+		gate := make(chan struct{})
+		e := fakeEngine(n, func(k CellKey) (Record, error) {
+			started <- struct{}{}
+			<-gate
+			return Record{GPUs: k.GPUs, TimeToTrainMin: 1}, nil
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		type result struct {
+			recs   []Record
+			report *Report
+		}
+		out := make(chan result, 1)
+		go func() {
+			recs, report, _ := e.RunCellsWithOptions(ctx, keys, Options{Partial: true})
+			out <- result{recs, report}
+		}()
+		for range n {
+			<-started
+		}
+		close(gate)
+		for _, k := range keys {
+			for !e.settledForTest(k) {
+				runtime.Gosched()
+			}
+		}
+		cancel()
+		r := <-out
+		if r.report.Completed != n || r.report.Failed() {
+			t.Fatalf("run %d: %d of %d cells completed after they all settled: %+v",
+				run, r.report.Completed, n, r.report.Failures)
+		}
+		for i, rec := range r.recs {
+			if rec.GPUs != keys[i].GPUs || rec.TimeToTrainMin != 1 {
+				t.Fatalf("run %d: cell %d record %+v", run, i, rec)
+			}
+		}
+	}
+}
+
+// settledForTest reports whether k's memo entry exists and has settled.
+func (e *Engine) settledForTest(k CellKey) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	en, ok := e.cache.Get(k)
+	return ok && en.settled.Load()
 }

@@ -28,7 +28,7 @@ type Engine struct {
 	fastPath atomic.Int32
 
 	// simulate is the cell evaluator — runCell in production, swappable
-	// in tests to exercise panic containment and timeouts.
+	// in tests to exercise panic containment and cancellation.
 	simulate func(CellKey) (Record, error)
 
 	// tel is the attached telemetry registry (nil = disabled; every
@@ -156,7 +156,7 @@ const (
 	MetricDiskCacheTotal = "sweep_disk_cache_total"    // counter, result=hit|miss (persistent tier, consulted on memory misses)
 	MetricDiskErrors     = "sweep_disk_errors_total"   // counter, op=get|put (failed persistent-tier operations)
 	MetricCellSeconds    = "sweep_cell_seconds"        // histogram, wall time per simulated cell
-	MetricFailures       = "sweep_cell_failures_total" // counter, kind=error|panic|timeout|canceled (per failed cell)
+	MetricFailures       = "sweep_cell_failures_total" // counter, kind=error|panic|canceled (per failed cell)
 	MetricWorkersBusy    = "sweep_workers_busy"        // gauge, live busy workers
 	MetricWorkersPeak    = "sweep_workers_busy_peak"   // gauge, high-water occupancy
 )
@@ -216,13 +216,19 @@ func (e *Engine) Cell(k CellKey) (Record, error) {
 	return e.cell(nk, 0)
 }
 
-// cell is the memoized core; k must already be normalized. The
-// simulation runs panic-guarded: a panicking cell settles its entry
-// with a *PanicError instead of unwinding through the worker pool.
-// parent is the span the cell span attaches under: the run span of the
-// grid run the cell belongs to, 0 for a standalone cell.
+// cell is the memoized core; k must already be normalized. parent is
+// the span the cell span attaches under: the run span of the grid run
+// the cell belongs to, 0 for a standalone cell.
 func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
-	reg := e.tel.Load()
+	en := e.entry(k)
+	e.fill(en, k, parent)
+	return en.rec, en.err
+}
+
+// entry looks k up in the memory tier, creating its entry on a miss,
+// and counts the lookup once: a hit (a join too, when the entry has not
+// settled) or a miss.
+func (e *Engine) entry(k CellKey) *cellEntry {
 	e.mu.Lock()
 	en, ok := e.cache.Get(k)
 	if !ok {
@@ -236,11 +242,21 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 		}
 	}
 	e.mu.Unlock()
+	reg := e.tel.Load()
 	if ok {
 		reg.Counter(MetricCacheTotal, telemetry.L("result", "hit")).Inc()
 	} else {
 		reg.Counter(MetricCacheTotal, telemetry.L("result", "miss")).Inc()
 	}
+	return en
+}
+
+// fill settles en exactly once and waits for it: from the disk tier when
+// the store holds the cell, else by simulating it. The simulation runs
+// panic-guarded: a panicking cell settles its entry with a *PanicError
+// instead of unwinding through the worker pool.
+func (e *Engine) fill(en *cellEntry, k CellKey, parent telemetry.SpanID) {
+	reg := e.tel.Load()
 	en.once.Do(func() {
 		defer en.settled.Store(true)
 		// Second tier: a disk hit promotes into the memory map without
@@ -277,7 +293,6 @@ func (e *Engine) cell(k CellKey, parent telemetry.SpanID) (Record, error) {
 			}
 		}
 	})
-	return en.rec, en.err
 }
 
 // countDiskError counts a failed store operation, and that is all it

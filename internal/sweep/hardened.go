@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"mlperf/internal/telemetry"
 )
@@ -18,10 +17,8 @@ const (
 	FailError FailKind = "error"
 	// FailPanic is a panic recovered inside the cell's worker.
 	FailPanic FailKind = "panic"
-	// FailTimeout is a cell that exceeded Options.CellTimeout.
-	FailTimeout FailKind = "timeout"
 	// FailCanceled is a cell abandoned because the grid's context was
-	// canceled before or while it ran.
+	// canceled, or its deadline passed, before the cell settled.
 	FailCanceled FailKind = "canceled"
 )
 
@@ -57,10 +54,6 @@ type PanicError struct {
 
 func (p *PanicError) Error() string { return fmt.Sprintf("sweep: cell panicked: %v", p.Value) }
 
-// ErrCellTimeout marks a cell that exceeded its per-cell deadline; test
-// with errors.Is.
-var ErrCellTimeout = errors.New("sweep: cell timed out")
-
 // safeCell runs one cell evaluation with panic recovery: a panic
 // becomes a *PanicError result instead of crashing the process.
 func safeCell(fn func(CellKey) (Record, error), k CellKey) (rec Record, err error) {
@@ -74,15 +67,12 @@ func safeCell(fn func(CellKey) (Record, error), k CellKey) (rec Record, err erro
 
 // Options harden a grid run on the engine's worker pool. Every cell
 // gets exactly one attempt: the simulator is deterministic, so a second
-// attempt would redo the same work and fail the same way. The zero
-// value means: no per-cell timeout, fail the run on the first
-// (lowest-index) error — what Engine.Run uses.
+// attempt would redo the same work and fail the same way. A run is
+// bounded only through its context (a caller's deadline or interrupt),
+// never by a per-cell clock, so a cell's outcome depends on its inputs.
+// The zero value fails the run on the first (lowest-index) error — what
+// Engine.Run uses.
 type Options struct {
-	// CellTimeout bounds each cell (0 = unbounded). A cell that exceeds
-	// it fails with ErrCellTimeout; its simulation goroutine is left to
-	// finish in the background and its result, if any, stays in the memo
-	// cache, where a later request for the same cell joins it.
-	CellTimeout time.Duration
 	// Partial selects graceful degradation: every cell is attempted,
 	// failures land in the Report, and the record slice holds the
 	// successes (zero Records at failed indices). When false the run
@@ -143,8 +133,6 @@ func classify(err error) FailKind {
 	switch {
 	case errors.As(err, &p):
 		return FailPanic
-	case errors.Is(err, ErrCellTimeout):
-		return FailTimeout
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return FailCanceled
 	default:
@@ -152,12 +140,11 @@ func classify(err error) FailKind {
 	}
 }
 
-// RunWithOptions executes the grid on the worker pool with per-cell
-// timeout, panic containment and cooperative cancellation. Records
-// come back in the grid's deterministic order. With opts.Partial the
-// run always returns every cell it could complete plus a Report of the
-// rest; without it the first (lowest-index) failure aborts the result
-// like Engine.Run.
+// RunWithOptions executes the grid on the worker pool with panic
+// containment and cooperative cancellation. Records come back in the
+// grid's deterministic order. With opts.Partial the run always returns
+// every cell it could complete plus a Report of the rest; without it
+// the first (lowest-index) failure aborts the result like Engine.Run.
 func (e *Engine) RunWithOptions(ctx context.Context, g Grid, opts Options) ([]Record, *Report, error) {
 	keys, err := expand(g)
 	if err != nil {
@@ -205,7 +192,7 @@ func firstFailure(r *Report) error {
 }
 
 // runHardened is the hardened pool: the engine's worker pool runs each
-// cell once under its timeout, and cancellation drains the pool,
+// cell once under the run's context, and cancellation drains the pool,
 // marking unreached cells canceled. run is the span every cell span
 // parents under.
 func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, run telemetry.SpanID) ([]Record, *Report) {
@@ -222,7 +209,7 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, 
 			return
 		}
 		attempted[i] = true
-		recs[i], cellErrs[i] = e.runHardenedCell(ctx, keys[i], i, opts.CellTimeout, run)
+		recs[i], cellErrs[i] = e.runHardenedCell(ctx, keys[i], i, run)
 		if opts.OnCell != nil {
 			opts.OnCell(CellDone{Index: i, Key: keys[i], Record: recs[i], Err: cellErrs[i]})
 		}
@@ -246,8 +233,8 @@ func (e *Engine) runHardened(ctx context.Context, keys []CellKey, opts Options, 
 
 // runHardenedCell runs one cell and counts a failure under its kind.
 // run is the span the cell span attaches under.
-func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, timeout time.Duration, run telemetry.SpanID) (Record, *CellError) {
-	rec, err := e.attemptCell(ctx, k, timeout, run)
+func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, run telemetry.SpanID) (Record, *CellError) {
+	rec, err := e.attemptCell(ctx, k, run)
 	if err == nil {
 		return rec, nil
 	}
@@ -256,36 +243,32 @@ func (e *Engine) runHardenedCell(ctx context.Context, k CellKey, i int, timeout 
 	return Record{}, &CellError{Key: k, Index: i, Kind: kind, Err: err}
 }
 
-// attemptCell runs one cell, racing the (memoized, panic-guarded)
-// simulation against the per-cell deadline and the run's context. On
-// timeout the simulation goroutine keeps running in the background — a
-// CPU-bound cell cannot be interrupted — and its eventual result stays
-// in the cache, where the next request for the cell joins it.
-func (e *Engine) attemptCell(ctx context.Context, k CellKey, timeout time.Duration, run telemetry.SpanID) (Record, error) {
-	if timeout <= 0 && ctx.Done() == nil {
-		return e.cell(k, run)
+// attemptCell runs one cell under the run's context. A cell already
+// settled in the memo returns its record without a goroutine. An
+// unsettled cell under a cancellable context fills on its own goroutine
+// so that cancellation answers at once; a CPU-bound cell cannot be
+// interrupted, so the fill runs on and its result stays in the memo,
+// where the next request for the cell joins it. A cell that settled
+// before the cancellation was seen returns its record: the result wins.
+func (e *Engine) attemptCell(ctx context.Context, k CellKey, run telemetry.SpanID) (Record, error) {
+	en := e.entry(k)
+	switch {
+	case en.settled.Load():
+	case ctx.Done() == nil:
+		e.fill(en, k, run)
+	default:
+		done := make(chan struct{})
+		go func() {
+			e.fill(en, k, run)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			if !en.settled.Load() {
+				return Record{}, context.Cause(ctx)
+			}
+		}
 	}
-	type outcome struct {
-		rec Record
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		rec, err := e.cell(k, run)
-		ch <- outcome{rec, err}
-	}()
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case out := <-ch:
-		return out.rec, out.err
-	case <-ctx.Done():
-		return Record{}, context.Cause(ctx)
-	case <-deadline:
-		return Record{}, fmt.Errorf("%w after %v", ErrCellTimeout, timeout)
-	}
+	return en.rec, en.err
 }

@@ -78,25 +78,26 @@ func TestValidateWorkers(t *testing.T) {
 	}
 }
 
-// The acceptance scenario: a grid with one panicking cell and one
-// timing-out cell completes, returns every other cell's record, and
-// reports both failures as typed CellErrors.
+// The acceptance scenario: a grid with one panicking cell and one cell
+// still running at the run's deadline completes, returns every other
+// cell's record, and reports both failures as typed CellErrors.
 func TestPartialGridWithPanicAndTimeout(t *testing.T) {
 	keys := normKeys(t, 6)
 	panicKey, slowKey := keys[1], keys[4]
+	release := make(chan struct{})
+	defer close(release)
 	e := fakeEngine(4, func(k CellKey) (Record, error) {
 		switch k {
 		case panicKey:
 			panic("injected cell panic")
 		case slowKey:
-			time.Sleep(5 * time.Second)
+			<-release
 		}
 		return Record{Benchmark: k.Benchmark, System: k.System, GPUs: k.GPUs, TimeToTrainMin: 1}, nil
 	})
-	recs, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{
-		CellTimeout: 100 * time.Millisecond,
-		Partial:     true,
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	recs, report, err := e.RunCellsWithOptions(ctx, keys, Options{Partial: true})
 	if err != nil {
 		t.Fatalf("partial run must not fail wholesale: %v", err)
 	}
@@ -127,10 +128,10 @@ func TestPartialGridWithPanicAndTimeout(t *testing.T) {
 			t.Errorf("panic error lost its stack: %v", ce.Err)
 		}
 	}
-	if ce := byIndex[4]; ce == nil || ce.Kind != FailTimeout {
-		t.Errorf("cell 4 = %+v, want a FailTimeout CellError", ce)
-	} else if !errors.Is(ce.Err, ErrCellTimeout) {
-		t.Errorf("timeout error not errors.Is(ErrCellTimeout): %v", ce.Err)
+	if ce := byIndex[4]; ce == nil || ce.Kind != FailCanceled {
+		t.Errorf("cell 4 = %+v, want a FailCanceled CellError", ce)
+	} else if !errors.Is(ce.Err, context.DeadlineExceeded) {
+		t.Errorf("deadline error not errors.Is(context.DeadlineExceeded): %v", ce.Err)
 	}
 	if report.Err() == nil {
 		t.Error("Report.Err() must summarize the failures")
@@ -183,9 +184,9 @@ func TestNonPartialReturnsFirstFailure(t *testing.T) {
 }
 
 // Every cell gets exactly one attempt, however it fails: a failing
-// cell, a panicking cell and a cell that times out each reach the
-// simulate seam once. The simulator is deterministic, so a second
-// attempt could only redo the same work.
+// cell, a panicking cell and a cell still running at the deadline each
+// reach the simulate seam once. The simulator is deterministic, so a
+// second attempt could only redo the same work.
 func TestPermanentErrorsNotRetried(t *testing.T) {
 	keys := normKeys(t, 3)
 	failKey, panicKey := keys[0], keys[1]
@@ -205,14 +206,14 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 			return Record{TimeToTrainMin: 1}, nil
 		}
 	})
-	_, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{
-		CellTimeout: 20 * time.Millisecond, Partial: true,
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	_, report, err := e.RunCellsWithOptions(ctx, keys, Options{Partial: true})
 	close(release)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []FailKind{FailError, FailPanic, FailTimeout}
+	want := []FailKind{FailError, FailPanic, FailCanceled}
 	if len(report.Failures) != len(want) {
 		t.Fatalf("report: %+v", report)
 	}
@@ -276,10 +277,10 @@ func TestCancellationMarksRemainingCells(t *testing.T) {
 	}
 }
 
-// A cell that times out keeps simulating in the background; its result
-// settles into the memo cache and a later request gets it instantly,
-// through the engine and through a second hardened run alike, without
-// simulating the cell again.
+// A cell still running at the run's deadline keeps simulating in the
+// background; its result settles into the memo cache and a later
+// request gets it instantly, through the engine and through a second
+// hardened run alike, without simulating the cell again.
 func TestTimeoutLeavesResultInCache(t *testing.T) {
 	keys := normKeys(t, 1)
 	release := make(chan struct{})
@@ -287,10 +288,11 @@ func TestTimeoutLeavesResultInCache(t *testing.T) {
 		<-release
 		return Record{TimeToTrainMin: 7}, nil
 	})
-	_, report, _ := e.RunCellsWithOptions(context.Background(), keys, Options{
-		CellTimeout: 20 * time.Millisecond, Partial: true,
-	})
-	if len(report.Failures) != 1 || report.Failures[0].Kind != FailTimeout {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, report, _ := e.RunCellsWithOptions(ctx, keys, Options{Partial: true})
+	if len(report.Failures) != 1 || report.Failures[0].Kind != FailCanceled ||
+		!errors.Is(report.Failures[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("report: %+v", report)
 	}
 	type result struct {

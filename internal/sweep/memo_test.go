@@ -29,12 +29,40 @@ func TestMemoBoundedUnderConcurrentCells(t *testing.T) {
 		return e.cache.Len()
 	}
 
+	// The goroutines advance in rounds, so between a goroutine's cell and
+	// its re-read the others insert fewer than 2 × round cells, well under
+	// the maxMemoCells/2 a generation holds, however they are scheduled.
+	const round = 4096
+	for base := 0; base < n; base += round {
+		runMemoRound(t, e, held, workers, base, min(base+round, n))
+	}
+
+	st := e.Stats()
+	if h := held(); h > maxMemoCells {
+		t.Fatalf("memo holds %d cells, bound %d", h, maxMemoCells)
+	}
+	if st.Misses != int64(n) || st.Hits != int64(n-workers) {
+		t.Fatalf("misses %d hits %d, want %d and %d", st.Misses, st.Hits, n, n-workers)
+	}
+	if st.Memory.Evictions == 0 || st.Memory.Evictions != st.Misses-int64(held()) {
+		t.Fatalf("memory evictions %d, want every distinct cell not held: %d",
+			st.Memory.Evictions, st.Misses-int64(held()))
+	}
+	if st.Simulations != st.Misses-st.Disk.Hits || calls.Load() != st.Simulations {
+		t.Fatalf("simulations %d (calls %d), want misses %d - disk hits %d",
+			st.Simulations, calls.Load(), st.Misses, st.Disk.Hits)
+	}
+}
+
+// runMemoRound has workers goroutines request cells [lo, hi) between
+// them, each re-reading its own previous cell after every new one.
+func runMemoRound(t *testing.T, e *Engine, held func() int, workers, lo, hi int) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
+			for i := lo + w; i < hi; i += workers {
 				if rec, err := e.cell(batchKey(i), 0); err != nil || rec.Batch != i+1 {
 					t.Errorf("cell %d: %+v %v", i, rec, err)
 					return
@@ -54,22 +82,6 @@ func TestMemoBoundedUnderConcurrentCells(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-
-	st := e.Stats()
-	if h := held(); h > maxMemoCells {
-		t.Fatalf("memo holds %d cells, bound %d", h, maxMemoCells)
-	}
-	if st.Misses != int64(n) || st.Hits != int64(n-workers) {
-		t.Fatalf("misses %d hits %d, want %d and %d", st.Misses, st.Hits, n, n-workers)
-	}
-	if st.Memory.Evictions == 0 || st.Memory.Evictions != st.Misses-int64(held()) {
-		t.Fatalf("memory evictions %d, want every distinct cell not held: %d",
-			st.Memory.Evictions, st.Misses-int64(held()))
-	}
-	if st.Simulations != st.Misses-st.Disk.Hits || calls.Load() != st.Simulations {
-		t.Fatalf("simulations %d (calls %d), want misses %d - disk hits %d",
-			st.Simulations, calls.Load(), st.Misses, st.Disk.Hits)
-	}
 }
 
 // waitUntil polls cond until it holds, failing the test after 10s.

@@ -1,12 +1,13 @@
 package sweep
 
 // Race-detector stress for the hardened execution paths: many
-// goroutines driving cancellation mid-grid, timeouts racing cell
+// goroutines driving cancellation mid-grid, deadlines racing cell
 // completion, and panicking workers, all against the shared memo
 // cache. Run with `go test -race ./internal/sweep/`.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -79,13 +80,13 @@ func TestStressCancelMidGrid(t *testing.T) {
 	}
 }
 
-// Timeouts racing completion: cell durations straddle the deadline so
-// the select between result, deadline and context is contended both
+// A run's deadline racing completion: cell durations straddle the
+// deadline so the select between result and context is contended both
 // ways; late results settle into the cache concurrently with other
 // cells' lookups.
 func TestStressTimeoutRacesCompletion(t *testing.T) {
 	keys := stressKeys(t, 16)
-	const deadline = 2 * time.Millisecond
+	const deadline = 3 * time.Millisecond
 	for round := 0; round < 10; round++ {
 		rng := rand.New(rand.NewSource(int64(round)))
 		durs := make(map[CellKey]time.Duration, len(keys))
@@ -96,15 +97,18 @@ func TestStressTimeoutRacesCompletion(t *testing.T) {
 			time.Sleep(durs[k])
 			return Record{TimeToTrainMin: 1}, nil
 		})
-		recs, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{
-			CellTimeout: deadline,
-			Partial:     true,
-		})
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		recs, report, err := e.RunCellsWithOptions(ctx, keys, Options{Partial: true})
+		cancel()
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		if report.Completed+len(report.Failures) != len(keys) {
+			t.Fatalf("round %d: %d completed + %d failed != %d",
+				round, report.Completed, len(report.Failures), len(keys))
+		}
 		for _, ce := range report.Failures {
-			if ce.Kind != FailTimeout {
+			if ce.Kind != FailCanceled || !errors.Is(ce.Err, context.DeadlineExceeded) {
 				t.Fatalf("round %d: unexpected failure kind %s: %v", round, ce.Kind, ce)
 			}
 		}
@@ -174,9 +178,9 @@ func TestStressConcurrentHardenedRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs, report, err := e.RunCellsWithOptions(context.Background(), keys, Options{
-				CellTimeout: time.Second,
-			})
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			recs, report, err := e.RunCellsWithOptions(ctx, keys, Options{})
 			if err != nil {
 				errs[i] = err
 				return

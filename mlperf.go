@@ -226,9 +226,10 @@ func SweepSequential(g SweepGrid) ([]SweepRecord, error) { return sweep.RunSeque
 // bound (<= 0 means GOMAXPROCS).
 func NewSweepEngine(workers int) *SweepEngine { return sweep.NewEngine(workers) }
 
-// SweepOptions harden a grid run: per-cell timeout, panic containment
-// and graceful (partial) degradation. Each cell gets one attempt; the
-// simulator is deterministic, so a retry could only repeat it.
+// SweepOptions harden a grid run: panic containment and graceful
+// (partial) degradation. Each cell gets one attempt; the simulator is
+// deterministic, so a retry could only repeat it. A run is bounded by
+// its context's deadline, not by a per-cell clock.
 type SweepOptions = sweep.Options
 
 // SweepReport is a hardened run's structured outcome: completed count
@@ -292,8 +293,8 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 func WithTelemetry(reg *Telemetry) SimObserver { return sim.NewTelemetryObserver(reg) }
 
 // SetSweepTelemetry attaches a registry to the shared sweep engine:
-// cell latency histograms, cache hit/miss counters, retry/timeout/
-// panic counters, worker-pool occupancy gauges and per-cell spans.
+// cell latency histograms, cache hit/miss counters, failed-cell
+// counters by kind, worker-pool occupancy gauges and per-cell spans.
 // Pass nil to detach.
 func SetSweepTelemetry(reg *Telemetry) { sweep.Default.SetTelemetry(reg) }
 

@@ -307,10 +307,12 @@ func TestFaultFacade(t *testing.T) {
 		t.Error("no events observed through the facade")
 	}
 
-	recs, report, err := SweepWithOptions(context.Background(), SweepGrid{
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	recs, report, err := SweepWithOptions(ctx, SweepGrid{
 		Benchmarks: []string{"res50_tf"},
 		GPUCounts:  []int{1, 2},
-	}, SweepOptions{CellTimeout: time.Minute, Partial: true})
+	}, SweepOptions{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
