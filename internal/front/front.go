@@ -83,7 +83,9 @@ type Config struct {
 	// Client performs backend requests (nil = a client with no overall
 	// timeout — streams are long-lived — and sane connect behavior).
 	Client *http.Client
-	// Telemetry is the registry /metrics serves from (nil = private).
+	// Telemetry is the registry /metrics serves and /v1/stats reads (nil
+	// = private). It belongs to this one front: a registry shared with
+	// another daemon would add that daemon's counts to this one's stats.
 	Telemetry *telemetry.Registry
 	// Logger emits structured request/failover/health events (nil = no
 	// logging).
@@ -131,12 +133,6 @@ type Front struct {
 	healthDone chan struct{}
 
 	cells cellCache
-
-	requests   atomic.Int64
-	failovers  atomic.Int64
-	fanouts    atomic.Int64
-	cellHits   atomic.Int64
-	cellMisses atomic.Int64
 }
 
 // health is one backend's health as one value: the last probe's verdict
@@ -238,7 +234,7 @@ func (f *Front) Close() {
 // middleware outermost. The front is the fleet's ingress, so this is
 // where a trace is usually born; propagate carries it to the backends.
 func (f *Front) Handler() http.Handler {
-	return httpkit.Observe(f.reg, f.log, f.flight, MetricRequestSeconds, f.mux)
+	return httpkit.Observe(f.reg, f.log, f.flight, MetricRequestSeconds, MetricRequests, f.mux)
 }
 
 func (f *Front) routes() {
@@ -371,7 +367,6 @@ var forwardHeaders = []string{"X-Tenant", "Request-Timeout"}
 func (f *Front) tryBackends(key string, attempt func(i int) (done bool, retriable bool)) bool {
 	for n, i := range f.order(key) {
 		if n > 0 {
-			f.failovers.Add(1)
 			f.reg.Counter(MetricFailovers).Inc()
 			f.log.Warn("failover",
 				telemetry.F("backend", f.backends[i]),
@@ -395,7 +390,6 @@ func (f *Front) tryBackends(key string, attempt func(i int) (done bool, retriabl
 // routed by its digest so repeated and concurrent misses for the same
 // cell hit the same backend's memory tier.
 func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	f.count("simulate")
 	k, err := serve.CellKeyFromRequest(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
@@ -483,15 +477,8 @@ func (f *Front) shedNoBackend(w http.ResponseWriter, r *http.Request) {
 	httpkit.Shed(w, http.StatusServiceUnavailable, "no_backend", time.Second, "no backend available")
 }
 
-func (f *Front) count(endpoint string) {
-	f.requests.Add(1)
-	f.reg.Counter(MetricRequests, telemetry.Label{Key: "endpoint", Value: endpoint}).Inc()
-}
-
 // countCells records one request's cell cache lookups.
 func (f *Front) countCells(hits, misses int) {
-	f.cellHits.Add(int64(hits))
-	f.cellMisses.Add(int64(misses))
 	f.reg.Counter(MetricCellCache, telemetry.L("result", "hit")).Add(int64(hits))
 	f.reg.Counter(MetricCellCache, telemetry.L("result", "miss")).Add(int64(misses))
 }
@@ -581,7 +568,6 @@ func timeoutQuery(r *http.Request) string {
 // handleSweep answers a grid as one body: the fan-out's record frames
 // fill the plan's records in global cell order around the held ones.
 func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
-	f.count("sweep")
 	g, ok := f.planGrid(w, r)
 	if !ok {
 		return
@@ -595,7 +581,6 @@ func (f *Front) handleSweep(w http.ResponseWriter, r *http.Request) {
 // merged summary. Per-backend cache detail stays on the backends' own
 // /v1/stats.
 func (f *Front) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	f.count("sweep_stream")
 	g, ok := f.planGrid(w, r)
 	if !ok {
 		return
@@ -682,7 +667,6 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 	var summary *serve.StreamFrame
 	var lastErr error
 	f.tryBackends(p.digests[0], func(i int) (bool, bool) {
-		f.fanouts.Add(1)
 		f.reg.Counter(MetricFanouts).Inc()
 		keys := make([]sweep.CellKey, len(todo))
 		for n, j := range todo {
@@ -804,14 +788,16 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy backends"})
 }
 
-// Snapshot returns the operational stats.
+// Snapshot returns the operational stats, every count read from the
+// registry /metrics serves. Requests is the kernel's count of compute
+// requests.
 func (f *Front) Snapshot() Stats {
 	st := Stats{
-		Requests:   f.requests.Load(),
-		Failovers:  f.failovers.Load(),
-		Fanouts:    f.fanouts.Load(),
-		CellHits:   f.cellHits.Load(),
-		CellMisses: f.cellMisses.Load(),
+		Requests:   httpkit.Requests(f.reg, MetricRequestSeconds),
+		Failovers:  f.reg.Count(MetricFailovers),
+		Fanouts:    f.reg.Count(MetricFanouts),
+		CellHits:   f.reg.Count(MetricCellCache, telemetry.L("result", "hit")),
+		CellMisses: f.reg.Count(MetricCellCache, telemetry.L("result", "miss")),
 	}
 	for i, b := range f.backends {
 		h := f.health[i].Load()

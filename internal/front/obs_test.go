@@ -3,15 +3,19 @@ package front
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mlperf/internal/httpkit"
 	"mlperf/internal/serve"
+	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
 
@@ -365,5 +369,102 @@ func TestFrontLogsCarryRequestID(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("request id %s not in front logs:\n%s", id, buf.String())
+	}
+}
+
+// requestCount matches a sample name of the kernel's request counter
+// on a compute endpoint.
+var requestCount = regexp.MustCompile(`^` + MetricRequests + `\{code="(\d+)",endpoint="(simulate|sweep|sweep_stream)"\}$`)
+
+// Each front event is counted once, in the registry: after held and
+// forwarded answers, refusals, a shed, a stream and a partial sweep,
+// every /v1/stats count equals its /metrics sample, and every request's
+// flight summary carries the status its count was filed under.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	// One backend, which answers a two-cell stream one record short:
+	// with nowhere to fail over to, that grid is a partial answer.
+	bad := tamperBackend(t, func(_ int64, path string, code int, body []byte) (int, []byte) {
+		if path != "/v1/sweep/stream" {
+			return code, body
+		}
+		recs, sum := splitStream(t, body)
+		if sum.Cells != 2 {
+			return code, body
+		}
+		return code, joinStream(append(recs[1:], sum)...)
+	})
+	fr, ts := newFront(t, bad.URL)
+
+	over := make([]sweep.CellKey, serve.MaxRequestCells+1)
+	for i := range over {
+		over[i] = sweep.CellKey{Benchmark: "res50_tf"}
+	}
+	if code, body := postCells(t, ts.URL+"/v1/sweep", over); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized sweep = %d (%s), want 413", code, body)
+	}
+	for i, c := range []struct {
+		path string
+		want int
+		body string // a substring the answer must carry
+	}{
+		{"/v1/simulate?benchmark=res50_tf", http.StatusOK, "record"}, // forwarded
+		{"/v1/simulate?benchmark=res50_tf", http.StatusOK, "record"}, // held
+		{"/v1/simulate?benchmark=nope", http.StatusBadRequest, "error"},
+		{"/v1/sweep/stream?benchmarks=res50_tf,ncf_py&gpus=1,2", http.StatusOK, `"completed":4`},
+		{"/v1/sweep?benchmarks=xfmr_py&gpus=1,2", http.StatusOK, `"partial": true`},
+	} {
+		if code, body, _ := get(t, ts.URL+c.path); code != c.want || !strings.Contains(body, c.body) {
+			t.Fatalf("request %d %s = %d (%s), want %d with %s", i, c.path, code, strings.TrimSpace(body), c.want, c.body)
+		}
+	}
+	bad.Close()
+	if code, body, _ := get(t, ts.URL+"/v1/simulate?benchmark=ssd_py&gpus=4"); code != http.StatusServiceUnavailable {
+		t.Fatalf("simulate with no backend = %d (%s), want 503", code, strings.TrimSpace(body))
+	}
+
+	st := fr.Snapshot()
+	_, text, _ := get(t, ts.URL+"/metrics")
+	m := map[string]int64{}
+	for _, line := range strings.Split(text, "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			m[line[:i]] = int64(v)
+		}
+	}
+	counted := map[string]int64{} // "endpoint code" → count
+	var requests int64
+	for name, v := range m {
+		if g := requestCount.FindStringSubmatch(name); g != nil {
+			counted[g[2]+" "+g[1]] += v
+			requests += v
+		}
+	}
+	for _, c := range []struct {
+		field             string
+		got, want, sample int64
+	}{
+		{"requests", st.Requests, 7, requests},
+		{"failovers", st.Failovers, 0, m[MetricFailovers]},
+		{"fanouts", st.Fanouts, 2, m[MetricFanouts]},
+		{"cell_hits", st.CellHits, 2, m[MetricCellCache+`{result="hit"}`]},
+		{"cell_misses", st.CellMisses, 7, m[MetricCellCache+`{result="miss"}`]},
+	} {
+		if c.got != c.want || c.got != c.sample {
+			t.Errorf("%s: stats %d, metrics %d, want %d", c.field, c.got, c.sample, c.want)
+		}
+	}
+
+	filed := map[string]int64{}
+	for _, e := range fr.Flight().Requests() {
+		switch ep := httpkit.Endpoint(e.Path); ep {
+		case "simulate", "sweep", "sweep_stream":
+			filed[fmt.Sprintf("%s %d", ep, e.Status)]++
+		}
+	}
+	if fmt.Sprint(filed) != fmt.Sprint(counted) {
+		t.Errorf("flight statuses %v, counted codes %v", filed, counted)
 	}
 }

@@ -13,8 +13,11 @@
 //     ID when a traceparent header arrived); handlers nest their spans
 //     under it via the request context;
 //   - every request leaves one histogram observation under a bounded
-//     endpoint label, one flight-recorder summary and, when logging is
-//     on, one structured log line quoting the same trace ID.
+//     endpoint label, one count under that label and its final status
+//     code, one flight-recorder summary and, when logging is on, one
+//     structured log line quoting the same trace ID. This is the only
+//     place a request is counted, so the counter, the flight entry and
+//     the log line always name the same status.
 package httpkit
 
 import (
@@ -126,10 +129,22 @@ func Level(status int) telemetry.Level {
 	return telemetry.LevelInfo
 }
 
+// Requests is how many compute requests (simulate, sweep and
+// sweep_stream, whatever their status) Observe has answered, read from
+// the histogram it observes: probes, stats and unserved paths stay out.
+func Requests(reg *telemetry.Registry, histogram string) int64 {
+	var n int64
+	for _, ep := range []string{"simulate", "sweep", "sweep_stream"} {
+		n += reg.Count(histogram, telemetry.L("endpoint", ep))
+	}
+	return n
+}
+
 // Observe is the outermost middleware: trace identity in, X-Request-Id
 // out, then one span, one observation of the histogram named histogram,
-// one flight entry and one log line per request.
-func Observe(reg *telemetry.Registry, log *telemetry.Logger, flight *telemetry.FlightRecorder, histogram string, next http.Handler) http.Handler {
+// one count of the counter named requests under endpoint and code, one
+// flight entry and one log line per request.
+func Observe(reg *telemetry.Registry, log *telemetry.Logger, flight *telemetry.FlightRecorder, histogram, requests string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tc, remoteParent := telemetry.TraceFromRequest(r.Header)
 		w.Header().Set(telemetry.RequestIDHeader, tc.TraceID)
@@ -154,6 +169,8 @@ func Observe(reg *telemetry.Registry, log *telemetry.Logger, flight *telemetry.F
 		ep := Endpoint(r.URL.Path)
 		reg.Histogram(histogram, telemetry.LatencyBuckets,
 			telemetry.L("endpoint", ep)).Observe(dur.Seconds())
+		reg.Counter(requests, telemetry.L("endpoint", ep),
+			telemetry.L("code", strconv.Itoa(sw.code))).Inc()
 
 		tenant := r.Header.Get("X-Tenant")
 		flight.Record(telemetry.FlightEntry{

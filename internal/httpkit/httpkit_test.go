@@ -109,7 +109,7 @@ func TestShedCarriesIdentityRetryAfterAndReason(t *testing.T) {
 	var logBuf bytes.Buffer
 	log := telemetry.NewLogger(&logBuf, telemetry.LevelDebug)
 	var inner *statusWriter
-	h := Observe(reg, log, flight, "test_seconds", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Observe(reg, log, flight, "test_seconds", "test_requests_total", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		inner, _ = w.(*statusWriter)
 		Shed(w, http.StatusTooManyRequests, "quota", 100*time.Millisecond, "overloaded: quota")
 	}))
@@ -133,6 +133,9 @@ func TestShedCarriesIdentityRetryAfterAndReason(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].TraceID != id || reqs[0].Reason != "quota" || reqs[0].Status != http.StatusTooManyRequests {
 		t.Errorf("flight summary: %+v", reqs)
 	}
+	if n := reg.Counter("test_requests_total", telemetry.L("endpoint", "simulate"), telemetry.L("code", "429")).Value(); n != 1 {
+		t.Errorf(`test_requests_total{code="429",endpoint="simulate"} = %d, want 1`, n)
+	}
 	var line map[string]any
 	if err := json.Unmarshal(bytes.TrimSpace(logBuf.Bytes()), &line); err != nil {
 		t.Fatalf("log line: %v\n%s", err, logBuf.String())
@@ -148,7 +151,7 @@ func TestShedCarriesIdentityRetryAfterAndReason(t *testing.T) {
 // observed under the name the process passed in.
 func TestObserveAdoptsTraceAndObservesHistogram(t *testing.T) {
 	reg := telemetry.New()
-	h := Observe(reg, nil, telemetry.NewFlightRecorder(0), "test_seconds",
+	h := Observe(reg, nil, telemetry.NewFlightRecorder(0), "test_seconds", "test_requests_total",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	up := telemetry.NewTraceContext()
 	req := httptest.NewRequest("POST", "/v1/sweep", nil)
@@ -176,6 +179,17 @@ func TestObserveAdoptsTraceAndObservesHistogram(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("histogram observations %d, want 1", n)
+	}
+	if n := reg.Counter("test_requests_total", telemetry.L("endpoint", "sweep"), telemetry.L("code", "200")).Value(); n != 1 {
+		t.Errorf(`test_requests_total{code="200",endpoint="sweep"} = %d, want 1`, n)
+	}
+	// A probe and an unserved path are counted under their labels but
+	// are not compute requests.
+	for _, p := range []string{"/healthz", "/no/such/route"} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", p, nil))
+	}
+	if n := Requests(reg, "test_seconds"); n != 1 {
+		t.Errorf("Requests = %d, want 1", n)
 	}
 }
 

@@ -31,7 +31,6 @@ func (s *Server) routes() {
 // loadgen harness asserts. The typed reason lands in the shed log line
 // and, through httpkit.Shed, in the request's flight summary.
 func (s *Server) shedWith(w http.ResponseWriter, r *http.Request, reason shedReason, retryAfter time.Duration) {
-	s.shed.Add(1)
 	s.reg.Counter(MetricShed, telemetry.Label{Key: "reason", Value: string(reason)}).Inc()
 	status := http.StatusTooManyRequests
 	if reason == shedDrain {
@@ -87,51 +86,29 @@ func RequestTimeout(r *http.Request) (time.Duration, error) {
 	return time.Duration(secs * float64(time.Second)), nil
 }
 
-// countCode counts one response of endpoint under its status code.
-func (s *Server) countCode(endpoint string, status int) {
-	s.reg.Counter(MetricRequests,
-		telemetry.Label{Key: "endpoint", Value: endpoint},
-		telemetry.Label{Key: "code", Value: strconv.Itoa(status)}).Inc()
-}
-
-// refuse answers a compute request whose parameters do not parse with
-// a 400 before admission, counted like every other request: in
-// Stats.Requests and under endpoint's MetricRequests code.
-func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
-	s.requests.Add(1)
-	httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-	s.countCode(endpoint, http.StatusBadRequest)
-}
-
 // admit is the one admission prologue every compute endpoint runs on a
-// request that parsed, in order: request count, drain check, tenant
-// quota, size, deadline, drain watch, then the bounded queue and cost
-// budget. A refusal is answered here — a typed 429/503 with
-// Retry-After, a 413 or a 400 — and counted under endpoint, and ok is
-// false. Otherwise ctx carries the request's deadline and is also
-// cancelled by a drain's hard stop, and finish releases the slot and
-// the context.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, cost int64) (ctx context.Context, finish func(), ok bool) {
-	s.requests.Add(1)
+// request that parsed, in order: drain check, tenant quota, size,
+// deadline, drain watch, then the bounded queue and cost budget. A
+// refusal is answered here — a typed 429/503 with Retry-After, a 413 or
+// a 400 — and ok is false. Otherwise ctx carries the request's deadline
+// and is also cancelled by a drain's hard stop, and finish releases the
+// slot and the context.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost int64) (ctx context.Context, finish func(), ok bool) {
 	if s.draining.Load() {
 		s.shedWith(w, r, shedDrain, time.Second)
-		s.countCode(endpoint, http.StatusServiceUnavailable)
 		return nil, nil, false
 	}
 	if ok, wait := s.tenants.allow(r.Header.Get("X-Tenant")); !ok {
 		s.shedWith(w, r, shedQuota, wait)
-		s.countCode(endpoint, http.StatusTooManyRequests)
 		return nil, nil, false
 	}
 	if err := TooLarge(cost); err != nil {
 		httpkit.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
-		s.countCode(endpoint, http.StatusRequestEntityTooLarge)
 		return nil, nil, false
 	}
 	dl, err := RequestTimeout(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		s.countCode(endpoint, http.StatusBadRequest)
 		return nil, nil, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), dl)
@@ -143,7 +120,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 		stopDrainWatch()
 		cancel()
 		s.shedWith(w, r, reason, time.Second)
-		s.countCode(endpoint, http.StatusTooManyRequests)
 		return nil, nil, false
 	}
 	return ctx, func() {
@@ -159,9 +135,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 // simulation in the engine's memo) → respond. cost prices the request
 // in cells; fn computes the response payload and status. A panic in fn
 // unwinds to recoverWrap, which answers this request with a 500.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint string, cost int64, fn func(ctx context.Context) (any, int, error)) {
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, cost int64, fn func(ctx context.Context) (any, int, error)) {
 	start := time.Now()
-	ctx, finish, ok := s.admit(w, r, endpoint, cost)
+	ctx, finish, ok := s.admit(w, r, cost)
 	if !ok {
 		return
 	}
@@ -173,18 +149,16 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, endpoint strin
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			httpkit.WriteError(w, http.StatusRequestTimeout, "deadline exceeded")
-			s.countCode(endpoint, http.StatusRequestTimeout)
 		case errors.Is(err, context.Canceled):
-			// Client went away; the status is for the log, not the wire.
-			s.countCode(endpoint, 499)
+			// Client went away: 499 reaches no one, but the kernel's
+			// count, flight entry and log line record it.
+			w.WriteHeader(499)
 		default:
 			httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-			s.countCode(endpoint, http.StatusBadRequest)
 		}
 		return
 	}
 	httpkit.WriteJSON(w, status, val)
-	s.countCode(endpoint, status)
 }
 
 // ---- /v1/simulate ----
@@ -235,10 +209,10 @@ func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	k, err := cellKeyFrom(r)
 	if err != nil {
-		s.refuse(w, "simulate", err)
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.runQuery(w, r, "simulate", 1, func(ctx context.Context) (any, int, error) {
+	s.runQuery(w, r, 1, func(ctx context.Context) (any, int, error) {
 		recs, rep, err := s.eng.RunCellsWithOptions(ctx, []sweep.CellKey{k}, sweep.Options{})
 		if err != nil {
 			if rep != nil && rep.Canceled {
@@ -290,11 +264,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// front prices the request for admission.
 	keys, cost, err := SweepKeysFromRequest(r)
 	if err != nil {
-		s.refuse(w, "sweep", err)
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	s.runQuery(w, r, "sweep", cost, func(ctx context.Context) (any, int, error) {
+	s.runQuery(w, r, cost, func(ctx context.Context) (any, int, error) {
 		// Partial on: a deadline mid-grid returns the completed cells with
 		// the partial flag set instead of an error — the server-side form
 		// of mlperf-sweep's -partial.

@@ -2,13 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"mlperf/internal/httpkit"
+	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
 
@@ -270,5 +275,131 @@ func TestPanicDumpsFlightToDisk(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("panic event not in dump: %+v", d.Entries)
+	}
+}
+
+// requestCount matches a sample name of the kernel's request counter
+// on a compute endpoint.
+var requestCount = regexp.MustCompile(`^` + MetricRequests + `\{code="(\d+)",endpoint="(simulate|sweep|sweep_stream)"\}$`)
+
+// metricSamples reads /metrics into sample name (with labels) → value.
+func metricSamples(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	_, body, _ := get(t, url+"/metrics")
+	out := map[string]int64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		out[line[:i]] = int64(v)
+	}
+	return out
+}
+
+// Each serving event is counted once, in the registry: after one
+// request of every outcome a compute endpoint has, every /v1/stats
+// count equals its /metrics sample, and every request's flight summary
+// carries the status its count was filed under.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	gs := newGateStore(func(k sweep.CellKey) bool { return k.Batch == 99 })
+	srv, ts := newTestServer(t, Config{TenantRate: 1}, gs) // a burst of 2 per tenant
+	t.Cleanup(func() { close(gs.gate) })
+	srv.mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+		srv.runQuery(w, r, 1, func(context.Context) (any, int, error) { panic("boom") })
+	})
+
+	// A simulate whose client leaves while its cell is parked.
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/simulate?benchmark=res50_tf&batch=99", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-gs.entered
+	cancel()
+	<-gone
+	waitFor(t, "the abandoned simulate to finish", func() bool { return len(srv.Flight().Requests()) == 1 })
+
+	over := `{"cells":[` + strings.Repeat(`{"benchmark":"res50_tf"},`, MaxRequestCells) + `{"benchmark":"res50_tf"}]}`
+	for i, c := range []struct {
+		method, path string
+		tenant       string
+		want         int
+	}{
+		{"GET", "/v1/simulate?benchmark=res50_tf&gpus=2", "a", http.StatusOK},
+		{"GET", "/v1/simulate?benchmark=nope", "b", http.StatusBadRequest},
+		{"POST", "/v1/sweep", "c", http.StatusRequestEntityTooLarge},
+		{"GET", "/v1/simulate?benchmark=res50_tf", "noisy", http.StatusOK},
+		{"GET", "/v1/simulate?benchmark=res50_tf", "noisy", http.StatusOK},
+		{"GET", "/v1/simulate?benchmark=res50_tf", "noisy", http.StatusTooManyRequests},
+		{"GET", "/v1/sweep/stream?benchmarks=res50_tf,ncf_py&gpus=1,2", "d", http.StatusOK},
+		{"GET", "/v1/sweep?benchmarks=res50_tf&gpus=1&batches=32,99&timeout=0.3", "e", http.StatusOK},
+		{"POST", "/v1/simulate", "f", http.StatusInternalServerError},
+	} {
+		var code int
+		var body string
+		if c.method == "POST" {
+			code, body, _ = post(t, ts.URL+c.path, over, "X-Tenant", c.tenant)
+		} else {
+			code, body, _ = get(t, ts.URL+c.path, "X-Tenant", c.tenant)
+		}
+		if code != c.want {
+			t.Fatalf("request %d %s %s = %d (%s), want %d", i, c.method, c.path, code, strings.TrimSpace(body), c.want)
+		}
+	}
+
+	st := srv.Snapshot()
+	m := metricSamples(t, ts.URL)
+	counted := map[string]int64{} // "endpoint code" → count
+	var requests, shed int64
+	for name, v := range m {
+		if g := requestCount.FindStringSubmatch(name); g != nil {
+			counted[g[2]+" "+g[1]] += v
+			requests += v
+		}
+		if strings.HasPrefix(name, MetricShed+"{") {
+			shed += v
+		}
+	}
+	for _, c := range []struct {
+		field     string
+		got, want int64
+		sample    int64
+	}{
+		{"requests", st.Requests, 10, requests},
+		{"shed", st.Shed, 1, shed},
+		{"partial_responses", st.Partials, 1, m[MetricPartials]},
+		{"panics", st.Panics, 1, m[MetricPanics]},
+		{"streams", st.Streams, 1, m[MetricRequests+`{code="200",endpoint="sweep_stream"}`]},
+		{"stream_records", st.StreamRecords, 4, m[MetricStreamRecords]},
+	} {
+		if c.got != c.want || c.got != c.sample {
+			t.Errorf("%s: stats %d, metrics %d, want %d", c.field, c.got, c.sample, c.want)
+		}
+	}
+
+	filed := map[string]int64{}
+	for _, e := range srv.Flight().Requests() {
+		switch ep := httpkit.Endpoint(e.Path); ep {
+		case "simulate", "sweep", "sweep_stream":
+			filed[fmt.Sprintf("%s %d", ep, e.Status)]++
+		}
+	}
+	if fmt.Sprint(filed) != fmt.Sprint(counted) {
+		t.Errorf("flight statuses %v, counted codes %v", filed, counted)
+	}
+	if filed["simulate 499"] != 1 || filed["simulate 500"] != 1 {
+		t.Errorf("flight statuses %v, want one 499 and one 500 simulate", filed)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,7 +55,6 @@ const (
 	MetricRequestSeconds = "serve_request_seconds"         // histogram, wall time per admitted request
 	MetricPanics         = "serve_panics_total"            // counter, contained per-request panics
 	MetricPartials       = "serve_partial_responses_total" // counter, sweeps answered with a partial grid
-	MetricStreams        = "serve_stream_requests_total"   // counter, admitted /v1/sweep/stream requests
 	MetricStreamRecords  = "serve_stream_records_total"    // counter, record frames delivered to clients
 	// MetricEndpointSeconds is observed by the request middleware for
 	// EVERY response — sheds and errors included — unlike
@@ -112,8 +112,10 @@ type Config struct {
 	// max(2*TenantRate, 1) requests.
 	TenantRate float64
 
-	// Telemetry is the registry /metrics serves from (nil = a private
-	// registry; the daemon always measures itself).
+	// Telemetry is the registry /metrics serves and /v1/stats reads (nil
+	// = a private registry; the daemon always measures itself). It
+	// belongs to this one server: a registry shared with another daemon
+	// would add that daemon's counts to this one's stats.
 	Telemetry *telemetry.Registry
 	// Logger emits structured request/lifecycle events (nil = no
 	// logging; nil is the valid no-op logger).
@@ -151,9 +153,13 @@ type Server struct {
 	log     *telemetry.Logger
 	flight  *telemetry.FlightRecorder
 
-	mux     *http.ServeMux
-	httpSrv *http.Server
+	mux *http.ServeMux
 
+	// mu hands the listener's http.Server from Serve to Shutdown: under
+	// it Serve either installs httpSrv or, once draining has begun,
+	// declines to serve at all.
+	mu      sync.Mutex
+	httpSrv *http.Server
 	// draining flips when Shutdown begins: /readyz reports 503 and new
 	// API requests are refused, while in-flight ones finish.
 	draining atomic.Bool
@@ -164,15 +170,6 @@ type Server struct {
 	hardCancel context.CancelFunc
 
 	started time.Time
-	// requests/shed/partials mirror the registry counters as plain
-	// atomics so /v1/stats and FillManifest do not depend on telemetry
-	// being enabled.
-	requests      atomic.Int64
-	shed          atomic.Int64
-	partials      atomic.Int64
-	panics        atomic.Int64
-	streams       atomic.Int64
-	streamRecords atomic.Int64
 }
 
 // New builds a server. The error is reserved for an unopenable
@@ -228,7 +225,7 @@ func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 // outermost, panic containment inside it, then the routes — so even a
 // panicking request leaves a summary with its status recorded as 500.
 func (s *Server) Handler() http.Handler {
-	return httpkit.Observe(s.reg, s.log, s.flight, MetricEndpointSeconds, s.recoverWrap(s.mux))
+	return httpkit.Observe(s.reg, s.log, s.flight, MetricEndpointSeconds, MetricRequests, s.recoverWrap(s.mux))
 }
 
 // recoverWrap contains a per-request panic to a 500 for that request —
@@ -239,7 +236,6 @@ func (s *Server) recoverWrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.panics.Add(1)
 				s.reg.Counter(MetricPanics).Inc()
 				tc, _ := telemetry.TraceFromContext(r.Context())
 				s.flight.Record(telemetry.FlightEntry{
@@ -259,22 +255,23 @@ func (s *Server) recoverWrap(next http.Handler) http.Handler {
 }
 
 // Serve serves on an existing listener until Shutdown. It returns nil
-// after a graceful shutdown, like net/http.
+// after a graceful shutdown, like net/http, and at once, closing ln,
+// when Shutdown has already begun.
 func (s *Server) Serve(ln net.Listener) error {
-	s.httpSrv = httpkit.NewServer(s.Handler())
-	err := s.httpSrv.Serve(ln)
+	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
+	hs := httpkit.NewServer(s.Handler())
+	s.httpSrv = hs
+	s.mu.Unlock()
+	err := hs.Serve(ln)
 	if err == http.ErrServerClosed {
 		return nil
 	}
 	return err
-}
-
-// Addr returns the bound address once Serve is running ("" before).
-func (s *Server) Addr() string {
-	if s.httpSrv == nil {
-		return ""
-	}
-	return s.httpSrv.Addr
 }
 
 // Draining reports whether Shutdown has begun.
@@ -287,12 +284,15 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // returns whatever completed — and connections are force-closed. Safe
 // to call without a listener (tests drive Handler directly).
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock()
 	s.draining.Store(true)
+	hs := s.httpSrv
+	s.mu.Unlock()
 	s.flight.Event("drain begin", "")
 	s.log.Info("drain begin")
 	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
+	if hs != nil {
+		err = hs.Shutdown(ctx)
 		if err != nil {
 			// Drain deadline expired: cancel in-flight work and force the
 			// connections closed. The cancellation is what turns "killed
@@ -300,7 +300,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.flight.Event("drain deadline expired", "")
 			s.log.Warn("drain deadline expired", telemetry.F("err", err.Error()))
 			s.hardCancel()
-			s.httpSrv.Close()
+			hs.Close()
 		}
 	} else {
 		<-ctx.Done()
@@ -350,19 +350,27 @@ type Stats struct {
 	Cache         sweep.CacheStats `json:"cache"`
 }
 
-// Snapshot assembles the current Stats.
+// Snapshot assembles the current Stats. Every count is read from the
+// registry /metrics serves, so the two cannot disagree: Requests is the
+// kernel's count of compute requests, Streams the streams it answered
+// 200.
 func (s *Server) Snapshot() Stats {
 	cache := s.eng.Stats()
+	var shed int64
+	for _, reason := range []shedReason{shedQueue, shedCost, shedQuota, shedDrain} {
+		shed += s.reg.Count(MetricShed, telemetry.L("reason", string(reason)))
+	}
 	return Stats{
-		Uptime:        time.Since(s.started).Seconds(),
-		Draining:      s.draining.Load(),
-		Requests:      s.requests.Load(),
-		Shed:          s.shed.Load(),
-		Coalesced:     cache.Joins,
-		Partials:      s.partials.Load(),
-		Panics:        s.panics.Load(),
-		Streams:       s.streams.Load(),
-		StreamRecords: s.streamRecords.Load(),
+		Uptime:    time.Since(s.started).Seconds(),
+		Draining:  s.draining.Load(),
+		Requests:  httpkit.Requests(s.reg, MetricEndpointSeconds),
+		Shed:      shed,
+		Coalesced: cache.Joins,
+		Partials:  s.reg.Count(MetricPartials),
+		Panics:    s.reg.Count(MetricPanics),
+		Streams: s.reg.Count(MetricRequests,
+			telemetry.L("endpoint", "sweep_stream"), telemetry.L("code", "200")),
+		StreamRecords: s.reg.Count(MetricStreamRecords),
 		InFlight:      s.adm.inFlight.Load(),
 		Queued:        s.adm.queued.Load(),
 		CellsInFlight: s.adm.cells.Load(),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -228,6 +229,62 @@ func TestServerDrainRefusesNewFinishesInFlight(t *testing.T) {
 	}
 }
 
+// A drain that begins before Serve still ends the server: Serve then
+// closes its listener and returns at once instead of serving until the
+// process is killed. Shutdown racing a Serve already under way ends it
+// too, with the listener handed over under the server's lock.
+func TestShutdownBeforeServeEndsServe(t *testing.T) {
+	serveOn := func(srv *Server) (net.Listener, chan error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
+		return ln, done
+	}
+	await := func(what string, ln net.Listener, done chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: Serve = %v, want nil", what, err)
+			}
+		case <-time.After(time.Second):
+			ln.Close()
+			t.Fatalf("%s: still serving 1s after Shutdown", what)
+		}
+	}
+
+	srv, err := New(Config{Engine: sweep.NewEngine(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ln, done := serveOn(srv)
+	await("Serve after Shutdown", ln, done)
+	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		c.Close()
+		t.Error("listener still accepting after Serve returned")
+	}
+
+	srv, err = New(Config{Engine: sweep.NewEngine(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, done = serveOn(srv)
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	await("Shutdown racing Serve", ln, done)
+}
+
 // One impatient caller must not kill the simulation a patient identical
 // caller is waiting on: the short deadline gets its 408, the patient
 // caller gets a 200 from the same single simulation.
@@ -386,7 +443,7 @@ func TestServerPanicContainedToOneRequest(t *testing.T) {
 		rr := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, "/v1/simulate", nil)
 		srv.recoverWrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			srv.runQuery(w, r, "test", 1, fn)
+			srv.runQuery(w, r, 1, fn)
 		})).ServeHTTP(rr, req)
 		return rr
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -293,19 +294,16 @@ func (sw *StreamWriter) Frame(f *StreamFrame) error {
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	keys, cost, err := SweepKeysFromRequest(r)
 	if err != nil {
-		s.refuse(w, "sweep_stream", err)
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, finish, ok := s.admit(w, r, "sweep_stream", cost)
+	ctx, finish, ok := s.admit(w, r, cost)
 	if !ok {
 		return
 	}
 	defer finish()
 
-	s.streams.Add(1)
-	s.reg.Counter(MetricStreams).Inc()
 	start := time.Now()
-	s.countCode("sweep_stream", http.StatusOK)
 
 	// Buffered to the whole grid: OnCell (on an engine worker) can never
 	// block on a slow client. Closed after the run returns, by which
@@ -336,7 +334,6 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 			clientGone = true
 			continue
 		}
-		s.streamRecords.Add(1)
 		s.reg.Counter(MetricStreamRecords).Inc()
 	}
 	res := <-resCh
@@ -369,7 +366,6 @@ func (s *Server) summarize(ctx context.Context, rep *sweep.Report) StreamFrame {
 		Canceled:  rep.Canceled,
 	}
 	if sum.Partial {
-		s.partials.Add(1)
 		s.reg.Counter(MetricPartials).Inc()
 		sum.Reason = partialReason(ctx, s.hardCtx)
 	}

@@ -21,14 +21,10 @@ import (
 // Table IV, Table V, Figure 4 and Figure 5 have in common.
 type Engine struct {
 	workers atomic.Int64
-	// fastPath is the sim.FastPathMode cells run with (default
-	// sim.FastPathAuto). Any mode yields bit-identical Records; the knob
-	// exists so equivalence tests can pin a path and perf-sensitive
-	// callers can assert one.
-	fastPath atomic.Int32
 
-	// simulate is the cell evaluator — runCell in production, swappable
-	// in tests to exercise panic containment and cancellation.
+	// simulate is the cell evaluator — RunCell under sim.FastPathAuto in
+	// production, swappable in tests to pin a fast-path mode or to
+	// exercise panic containment and cancellation.
 	simulate func(CellKey) (Record, error)
 
 	// tel is the attached telemetry registry (nil = disabled; every
@@ -89,7 +85,7 @@ type cellEntry struct {
 // (<= 0 means GOMAXPROCS).
 func NewEngine(workers int) *Engine {
 	e := &Engine{cache: memo.New[CellKey, *cellEntry](maxMemoCells)}
-	e.simulate = func(k CellKey) (Record, error) { return runCell(k, e.FastPath()) }
+	e.simulate = func(k CellKey) (Record, error) { return RunCell(k, sim.FastPathAuto) }
 	e.workers.Store(int64(workers))
 	return e
 }
@@ -102,17 +98,6 @@ var Default = NewEngine(0)
 // default), the one worker setting every grid run uses. It applies to
 // subsequent runs.
 func (e *Engine) SetWorkers(n int) { e.workers.Store(int64(n)) }
-
-// SetFastPath pins the sim.FastPathMode subsequent cell simulations use.
-// The default, sim.FastPathAuto, collapses steady-state windows
-// analytically where possible and falls back to the discrete-event
-// pipeline otherwise; any mode produces bit-identical Records. Already
-// memoized cells are not re-simulated — safe precisely because the modes
-// cannot disagree.
-func (e *Engine) SetFastPath(m sim.FastPathMode) { e.fastPath.Store(int32(m)) }
-
-// FastPath reports the engine's current cell fast-path mode.
-func (e *Engine) FastPath() sim.FastPathMode { return sim.FastPathMode(e.fastPath.Load()) }
 
 // SetTelemetry attaches (or, with nil, detaches) a metrics registry.
 // While attached, the engine publishes cache traffic, per-cell latency

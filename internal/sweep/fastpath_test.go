@@ -36,6 +36,12 @@ func fastPathGrids(t *testing.T) map[string]Grid {
 	}
 }
 
+// modeEngine is an engine whose cells run under the given fast-path
+// mode instead of the production sim.FastPathAuto.
+func modeEngine(workers int, mode sim.FastPathMode) *Engine {
+	return fakeEngine(workers, func(k CellKey) (Record, error) { return RunCell(k, mode) })
+}
+
 // recordsCSV renders records to the exact bytes WriteCSV emits.
 func recordsCSV(t *testing.T, recs []Record) []byte {
 	t.Helper()
@@ -62,9 +68,7 @@ func TestEngineFastPathEquivalence(t *testing.T) {
 			want := recordsCSV(t, ref)
 			for _, workers := range []int{1, 4, 16} {
 				for _, mode := range []sim.FastPathMode{sim.FastPathOff, sim.FastPathAuto} {
-					e := NewEngine(workers)
-					e.SetFastPath(mode)
-					recs, err := e.Run(g)
+					recs, err := modeEngine(workers, mode).Run(g)
 					if err != nil {
 						t.Fatalf("workers=%d mode=%v: %v", workers, mode, err)
 					}
@@ -89,9 +93,7 @@ func TestEngineFastPathForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewEngine(4)
-		e.SetFastPath(sim.FastPathForce)
-		recs, err := e.Run(g)
+		recs, err := modeEngine(4, sim.FastPathForce).Run(g)
 		if err != nil {
 			t.Fatalf("%s: forced engine: %v", name, err)
 		}
@@ -100,25 +102,7 @@ func TestEngineFastPathForce(t *testing.T) {
 		}
 	}
 
-	e := NewEngine(2)
-	e.SetFastPath(sim.FastPathForce)
-	if _, err := e.Run(grids["fallback-faults"]); err == nil {
+	if _, err := modeEngine(2, sim.FastPathForce).Run(grids["fallback-faults"]); err == nil {
 		t.Fatal("forcing the fast path on a divergent grid should fail")
-	}
-}
-
-// The mode knob round-trips and defaults to Auto.
-func TestEngineFastPathKnob(t *testing.T) {
-	e := NewEngine(1)
-	if m := e.FastPath(); m != sim.FastPathAuto {
-		t.Fatalf("default mode %v, want auto", m)
-	}
-	e.SetFastPath(sim.FastPathForce)
-	if m := e.FastPath(); m != sim.FastPathForce {
-		t.Fatalf("mode %v after SetFastPath(force)", m)
-	}
-	e.SetFastPath(sim.FastPathAuto)
-	if m := e.FastPath(); m != sim.FastPathAuto {
-		t.Fatalf("mode %v after SetFastPath(auto)", m)
 	}
 }

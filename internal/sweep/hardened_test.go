@@ -430,7 +430,7 @@ func TestFirstFailureDeterministicOnRealGrid(t *testing.T) {
 		if fail[k] {
 			return Record{}, boom
 		}
-		return runCell(k, sim.FastPathAuto)
+		return RunCell(k, sim.FastPathAuto)
 	}
 	_, report, err := fakeEngine(8, simulate).RunCellsWithOptions(context.Background(), keys, Options{})
 	var ce *CellError

@@ -200,10 +200,11 @@ func (k CellKey) Normalize() (CellKey, error) {
 	return k, nil
 }
 
-// runCell simulates one normalized cell. It is a pure function of the
-// key and the fast-path mode: everything it touches (benchmark registry,
-// the shared system instances, the simulator) is read-only, which is
-// what makes concurrent cells race-free. Resolution is two map probes —
+// RunCell simulates one normalized cell, outside any engine's memo and
+// store. It is a pure function of the key and the fast-path mode:
+// everything it touches (benchmark registry, the shared system
+// instances, the simulator) is read-only, which is what makes
+// concurrent cells race-free. Resolution is two map probes —
 // the benchmark registry index and the shared-system memo — so a cell
 // resolved once by Normalize is not rebuilt here (that used to
 // reconstruct the whole topology per cell, twice). Cells run with
@@ -211,7 +212,7 @@ func (k CellKey) Normalize() (CellKey, error) {
 // materializing per-step timelines would be pure overhead — and with the
 // given fast-path mode, which cannot change any Record: either path is
 // bit-identical by the simulator's contract.
-func runCell(k CellKey, mode sim.FastPathMode) (Record, error) {
+func RunCell(k CellKey, mode sim.FastPathMode) (Record, error) {
 	b, err := workload.ByName(k.Benchmark)
 	if err != nil {
 		return Record{}, err
@@ -443,7 +444,7 @@ func RunSequential(g Grid) ([]Record, error) {
 	}
 	out := make([]Record, len(keys))
 	for i, k := range keys {
-		rec, err := runCell(k, sim.FastPathOff)
+		rec, err := RunCell(k, sim.FastPathOff)
 		if err != nil {
 			return nil, err
 		}

@@ -362,6 +362,25 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	return h
 }
 
+// Count reads the instrument name{labels} without registering it: a
+// counter's value or a histogram's sample count, 0 when neither exists
+// (or on a nil registry). A read never adds a sample to /metrics.
+func (r *Registry) Count(name string, labels ...Label) int64 {
+	if r == nil {
+		return 0
+	}
+	full, _ := key(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.counters[full]; ok {
+		return c.Value()
+	}
+	if h, ok := r.hists[full]; ok {
+		return h.Count()
+	}
+	return 0
+}
+
 // MetricValue is one instrument's snapshot, flattened for manifests and
 // the inspector CLI.
 type MetricValue struct {

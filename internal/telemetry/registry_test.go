@@ -286,3 +286,27 @@ func TestValidateSpansRejectsBadForest(t *testing.T) {
 		t.Fatal("duplicate id accepted")
 	}
 }
+
+// Count reads counters and histogram sample counts by exact label set
+// and never registers what it reads.
+func TestCountReadsWithoutRegistering(t *testing.T) {
+	r := New()
+	r.Counter("a_total", L("k", "x"), L("code", "200")).Add(3)
+	r.Histogram("b_seconds", LatencyBuckets, L("endpoint", "sweep")).Observe(0.1)
+	if n := r.Count("a_total", L("code", "200"), L("k", "x")); n != 3 {
+		t.Errorf("counter count %d, want 3", n)
+	}
+	if n := r.Count("b_seconds", L("endpoint", "sweep")); n != 1 {
+		t.Errorf("histogram count %d, want 1", n)
+	}
+	if n := r.Count("a_total", L("k", "y")); n != 0 {
+		t.Errorf("absent counter count %d, want 0", n)
+	}
+	if got := len(r.Snapshot()); got != 2 {
+		t.Errorf("%d instruments after reads, want 2", got)
+	}
+	var nilReg *Registry
+	if n := nilReg.Count("a_total"); n != 0 {
+		t.Errorf("nil registry count %d", n)
+	}
+}

@@ -12,13 +12,11 @@ import (
 type SpanID uint64
 
 // Span kinds of the built-in hierarchy. Kinds are free-form strings;
-// these constants name the levels the harness itself emits:
-// run → sweep cell, run → experiment, cell → sim stage / cluster job.
+// these constants name the spans the harness itself emits:
+// run → sweep cell, run → cluster job, and request → rpc / run.
 const (
 	KindRun        = "run"
-	KindExperiment = "experiment"
 	KindSweepCell  = "sweep-cell"
-	KindSimStage   = "sim-stage"
 	KindClusterJob = "cluster-job"
 	// KindRequest is a server-side span covering one HTTP request; the
 	// engine's run spans nest under it via the request context.
