@@ -20,36 +20,37 @@
 // A health loop polls each backend's /readyz; draining or dead
 // backends drop out of routing, and an attempt that hits a connection
 // error or drain 503 fails over to the next healthy backend.
+//
+// The daemon shell (internal/telecli) owns -addr, -drain-timeout and
+// -flight-dump, as for mlperf-serve: on SIGTERM/SIGINT the front stops
+// accepting and gives in-flight requests -drain-timeout to finish; a
+// handler panic is a 500 for that request alone; -flight-dump writes
+// the flight ring on such a panic, on SIGQUIT and at the end of a
+// drain.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"mlperf/internal/front"
-	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telecli"
 	"mlperf/internal/telemetry"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated mlperf-serve base URLs (required)")
 	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll cadence")
-	drain := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on SIGTERM")
-	flightDump := flag.String("flight-dump", "", "write the flight ring here on SIGQUIT and drain")
-	sink := telecli.Register("mlperf-front", nil)
+	sink := telecli.RegisterDaemon("mlperf-front", nil)
 	flag.Parse()
 
-	os.Exit(sink.Serve(*addr, *drain, func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
+	os.Exit(sink.Serve(func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
 		urls := sweep.SplitList(*backends)
 		if len(urls) == 0 {
 			return nil, telecli.Usage(errors.New("-backends is required (comma-separated URLs)"))
@@ -63,32 +64,8 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		sink.Config("addr", *addr)
 		sink.Config("backends", strings.Join(urls, ","))
 		fmt.Printf("mlperf-front: listening on %s, %d backends\n", ln.Addr(), len(urls))
-		return daemon{httpkit.NewServer(f.Handler()), f, *flightDump}, nil
+		return f, nil
 	}))
-}
-
-// daemon is the front behind its HTTP server; a drain also dumps the
-// flight ring.
-type daemon struct {
-	*http.Server
-	*front.Front
-	dump string
-}
-
-func (d daemon) Shutdown(ctx context.Context) error {
-	err := d.Server.Shutdown(ctx)
-	d.DumpFlight("drain")
-	return err
-}
-
-func (d daemon) DumpFlight(reason string) {
-	if d.dump == "" {
-		return
-	}
-	if err := d.Flight().DumpFile(d.dump, "mlperf-front", reason); err != nil {
-		fmt.Fprintln(os.Stderr, "mlperf-front: flight dump:", err)
-	}
 }

@@ -1,12 +1,18 @@
-// Command mlperf-loadgen drives a running mlperf-serve daemon with a
-// synthetic open-loop client stream and asserts service-level
-// objectives on what came back. Open-loop means arrivals follow an
-// exponential clock regardless of server backpressure — the only way
-// to genuinely overload a server and observe its shedding behaviour.
+// Command mlperf-loadgen drives a running mlperf-serve daemon (or an
+// mlperf-front over several) with a synthetic open-loop client stream
+// and asserts service-level objectives on what came back. Open-loop
+// means arrivals follow an exponential clock regardless of server
+// backpressure — the only way to genuinely overload a server and
+// observe its shedding behaviour.
 //
 //	mlperf-loadgen -url http://127.0.0.1:8080 -rate 50 -duration 10s
 //	mlperf-loadgen -url ... -rate 200 -tenants 4 -hot 0.9 \
-//	    -slo-p99 2s -min-shed 0.01 -max-5xx 0 -assert-coalesced
+//	    -slo-p99 2s -min-shed 0.01 -max-5xx 0
+//
+// The report and the gate cover only what the client saw: statuses,
+// request IDs, stream frames and latency. How much work the target
+// shared (simulations against requests) is read from the target's own
+// drained manifest (-manifest on mlperf-serve or mlperf-front).
 //
 // The exit status is the SLO verdict: 0 when every asserted bound
 // holds, 1 when any is violated — which is what makes it a CI gate.
@@ -37,7 +43,6 @@ func main() {
 	maxShed := flag.Float64("max-shed", 0, "SLO: max shed fraction of sent requests (0 = unchecked)")
 	minShed := flag.Float64("min-shed", 0, "SLO: min shed fraction — asserts overload was actually reached (0 = unchecked)")
 	max5xx := flag.Int("max-5xx", 0, "SLO: max tolerated 5xx responses")
-	assertCoalesced := flag.Bool("assert-coalesced", false, "SLO: require the server ran fewer simulations than it admitted requests (simulations < admitted)")
 	assertRequestIDs := flag.Bool("assert-request-ids", false, "SLO: require X-Request-Id on every response, sheds included")
 	sink := telecli.Register("mlperf-loadgen", nil)
 	flag.Parse()
@@ -72,7 +77,6 @@ func main() {
 			MaxShedRate:       *maxShed,
 			MinShedRate:       *minShed,
 			MaxServerErrors:   *max5xx,
-			RequireCoalescing: *assertCoalesced,
 			RequireRequestIDs: *assertRequestIDs,
 		}
 		violations := slo.Violations(rep)

@@ -22,10 +22,14 @@
 // gets back whatever completed (a partial sweep) and the rest is
 // cancelled, not orphaned.
 //
-// On SIGTERM/SIGINT the daemon drains: /readyz flips not-ready, new
-// API requests are refused with 503, in-flight requests get
-// -drain-timeout to finish (then their work is cancelled and partial
-// results returned), and the final manifest is flushed.
+// The daemon shell (internal/telecli) owns -addr, -drain-timeout and
+// -flight-dump. On SIGTERM/SIGINT the daemon drains: /readyz flips
+// not-ready, new API requests are refused with 503, in-flight requests
+// get -drain-timeout to finish (then their work is cancelled and
+// partial results returned), and the final manifest is flushed. A
+// handler panic is a 500 for that request alone; -flight-dump writes
+// the flight ring on such a panic, on SIGQUIT and at the end of a
+// drain.
 package main
 
 import (
@@ -34,7 +38,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"time"
 
 	"mlperf/internal/serve"
 	"mlperf/internal/telecli"
@@ -42,34 +45,29 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persistent cell cache directory (a failing disk reads as misses, counted in /v1/stats cache.DiskErrors)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cap the cache directory's size in bytes, evicting oldest entries on overflow (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a slot before shedding (0 = 2*max-inflight)")
 	tenantRate := flag.Float64("tenant-rate", 100, "per-tenant sustained requests/second (negative = unlimited)")
-	drain := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on SIGTERM")
-	flightDump := flag.String("flight-dump", "", "write the flight ring here on panic, SIGQUIT and drain")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	sink := telecli.Register("mlperf-serve", nil)
+	sink := telecli.RegisterDaemon("mlperf-serve", nil)
 	flag.Parse()
 
-	os.Exit(sink.Serve(*addr, *drain, func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
+	os.Exit(sink.Serve(func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
 		srv, err := serve.New(serve.Config{
-			CacheDir:       *cacheDir,
-			CacheMaxBytes:  *cacheMax,
-			MaxInFlight:    *maxInflight,
-			MaxQueue:       *maxQueue,
-			TenantRate:     *tenantRate,
-			Telemetry:      reg,
-			Logger:         sink.Logger,
-			FlightDumpPath: *flightDump,
-			EnablePprof:    *pprof,
+			CacheDir:      *cacheDir,
+			CacheMaxBytes: *cacheMax,
+			MaxInFlight:   *maxInflight,
+			MaxQueue:      *maxQueue,
+			TenantRate:    *tenantRate,
+			Telemetry:     reg,
+			Logger:        sink.Logger,
+			EnablePprof:   *pprof,
 		})
 		if err != nil {
 			return nil, err
 		}
-		sink.Config("addr", *addr)
 		sink.Config("cache-dir", *cacheDir)
 		sink.Config("cache-max-bytes", strconv.FormatInt(*cacheMax, 10))
 		sink.Config("max-inflight", strconv.Itoa(*maxInflight))

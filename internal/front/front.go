@@ -70,6 +70,7 @@ const (
 	MetricTransitions    = "front_backend_transitions_total"       // counter per backend, health flips (up<->down)
 	MetricLastTransition = "front_backend_last_transition_seconds" // gauge per backend, unix time of the last flip
 	MetricCellCache      = "front_cell_cache_total"                // counter by result=hit|miss, one per cell looked up
+	MetricPanics         = "front_panics_total"                    // counter, handler panics the kernel contained
 )
 
 // Config shapes the front tier.
@@ -80,9 +81,6 @@ type Config struct {
 	Backends []string
 	// HealthInterval is the /readyz poll cadence (0 = 500ms).
 	HealthInterval time.Duration
-	// Client performs backend requests (nil = a client with no overall
-	// timeout — streams are long-lived — and sane connect behavior).
-	Client *http.Client
 	// Telemetry is the registry /metrics serves and /v1/stats reads (nil
 	// = private). It belongs to this one front: a registry shared with
 	// another daemon would add that daemon's counts to this one's stats.
@@ -190,10 +188,6 @@ func New(cfg Config) (*Front, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{} // no Timeout: streams are long-lived
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.New()
@@ -201,7 +195,7 @@ func New(cfg Config) (*Front, error) {
 	f := &Front{
 		cfg:      cfg,
 		backends: backends,
-		client:   client,
+		client:   &http.Client{}, // no Timeout: streams are long-lived
 		reg:      reg,
 		mux:      http.NewServeMux(),
 		health:   make([]atomic.Pointer[health], len(backends)),
@@ -230,11 +224,18 @@ func (f *Front) Close() {
 	<-f.healthDone
 }
 
+// Drain does nothing: the front admits no work of its own. Each request
+// it holds is waiting on a backend (which drains its own admitted work)
+// or on its cell cache, so the HTTP server's Shutdown, which waits for
+// every request to finish, is the whole drain.
+func (f *Front) Drain(context.Context) {}
+
 // Handler returns the front's HTTP surface, the kernel's request
-// middleware outermost. The front is the fleet's ingress, so this is
-// where a trace is usually born; propagate carries it to the backends.
+// middleware (panic containment included) outermost. The front is the
+// fleet's ingress, so this is where a trace is usually born; propagate
+// carries it to the backends.
 func (f *Front) Handler() http.Handler {
-	return httpkit.Observe(f.reg, f.log, f.flight, MetricRequestSeconds, MetricRequests, f.mux)
+	return httpkit.Observe(f.reg, f.log, f.flight, MetricRequestSeconds, MetricRequests, MetricPanics, f.mux)
 }
 
 func (f *Front) routes() {

@@ -244,15 +244,11 @@ func TestFrontFailsOverWhenBackendDrains(t *testing.T) {
 		t.Fatal("warm sweep failed")
 	}
 
-	// Drain backend 1. Shutdown flips /readyz immediately and refuses
-	// new API requests with 503.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = c.backends[1].Shutdown(ctx)
-	}()
+	// Drain backend 1. Drain flips /readyz immediately and refuses new
+	// API requests with 503.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c.backends[1].Drain(ctx)
 	deadline := time.Now().Add(5 * time.Second)
 	for !c.backends[1].Draining() {
 		if time.Now().After(deadline) {
@@ -296,7 +292,6 @@ func TestFrontFailsOverWhenBackendDrains(t *testing.T) {
 			t.Fatalf("simulate during drain = %d (%s)", code, strings.TrimSpace(body))
 		}
 	}
-	<-done
 }
 
 // A mid-request drain: the backend answers 503 before the health loop
@@ -310,7 +305,7 @@ func TestFrontFailsOverOn503BeforeHealthPoll(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go func() { _ = c.backends[1].Shutdown(ctx) }()
+	c.backends[1].Drain(ctx)
 	deadline := time.Now().Add(5 * time.Second)
 	for !c.backends[1].Draining() {
 		if time.Now().After(deadline) {

@@ -37,6 +37,6 @@ func (f *Front) propagate(ctx context.Context, req *http.Request, backend int) f
 	return func() { f.reg.Tracer().End(span) }
 }
 
-// Flight returns the front's flight recorder (for the daemon's
-// SIGQUIT/drain dump hooks).
+// Flight returns the front's flight recorder: the kernel dumps it on a
+// contained panic, the daemon shell on drain and SIGQUIT.
 func (f *Front) Flight() *telemetry.FlightRecorder { return f.flight }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -344,6 +346,55 @@ func TestFrontDebugFlightEndpoint(t *testing.T) {
 	}
 	if d.Tool != "mlperf-front" || len(d.Entries) == 0 {
 		t.Fatalf("dump: %+v", d)
+	}
+}
+
+// The kernel contains a panic on the front as it does on serve: the
+// client gets a 500 with its request ID, the count, the flight summary
+// and the span all close on 500, and the ring is dumped with reason
+// "panic" to the dump target.
+func TestFrontPanicContainedToOneRequest(t *testing.T) {
+	c := newCluster(t, 1, Config{})
+	dump := filepath.Join(t.TempDir(), "front-flight.json")
+	c.front.Flight().SetDumpTarget(dump, "mlperf-front")
+	c.front.mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
+
+	code, body, hdr := get(t, c.frontTS.URL+"/boom")
+	if code != http.StatusInternalServerError || !strings.Contains(body, "kaboom") {
+		t.Fatalf("panicking route = %d (%s), want a 500 envelope", code, strings.TrimSpace(body))
+	}
+	id := hdr.Get(telemetry.RequestIDHeader)
+	if !hexTraceID.MatchString(id) {
+		t.Errorf("panic response X-Request-Id %q", id)
+	}
+	if n := c.front.reg.Count(MetricRequests, telemetry.L("endpoint", "other"), telemetry.L("code", "500")); n != 1 {
+		t.Errorf(`%s{code="500",endpoint="other"} = %d, want 1`, MetricRequests, n)
+	}
+	if n := c.front.reg.Count(MetricPanics); n != 1 {
+		t.Errorf("%s = %d, want 1", MetricPanics, n)
+	}
+	var summary *telemetry.FlightEntry
+	for _, e := range c.front.Flight().Requests() {
+		if e.Path == "/boom" {
+			summary = &e
+		}
+	}
+	if summary == nil || summary.Status != http.StatusInternalServerError || summary.TraceID != id {
+		t.Errorf("flight summary for /boom: %+v", summary)
+	}
+	if n := c.front.reg.Tracer().OpenCount(); n != 0 {
+		t.Errorf("%d request spans left open", n)
+	}
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatalf("no flight dump after a panic: %v", err)
+	}
+	d, err := telemetry.ParseFlightDump(data)
+	if err != nil || d.Reason != "panic" || d.Tool != "mlperf-front" {
+		t.Fatalf("dump %+v, %v", d, err)
+	}
+	if code, _, _ := get(t, c.frontTS.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("front not serving after a contained panic: %d", code)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package httpkit is the HTTP kernel the serving daemon (internal/serve)
 // and the front tier (internal/front) share: the request middleware, the
 // status-capturing response writer, the JSON and error writers, the one
-// load-shed path, the routes both processes expose and the listener
-// both serve with. Each process
+// load-shed path, panic containment, the routes both processes expose
+// and the listener both serve with. Each process
 // mounts it around its own mux, so the guarantees below hold in both by
 // construction rather than by two copies kept in step:
 //
@@ -17,11 +17,14 @@
 //     code, one flight-recorder summary and, when logging is on, one
 //     structured log line quoting the same trace ID. This is the only
 //     place a request is counted, so the counter, the flight entry and
-//     the log line always name the same status.
+//     the log line always name the same status;
+//   - a handler's panic is contained to a 500 for that request, counted,
+//     logged, recorded in the flight ring and dumped (Observe).
 package httpkit
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -144,7 +147,15 @@ func Requests(reg *telemetry.Registry, histogram string) int64 {
 // out, then one span, one observation of the histogram named histogram,
 // one count of the counter named requests under endpoint and code, one
 // flight entry and one log line per request.
-func Observe(reg *telemetry.Registry, log *telemetry.Logger, flight *telemetry.FlightRecorder, histogram, requests string, next http.Handler) http.Handler {
+//
+// It also contains a handler's panic to a 500 for that request alone,
+// in both processes: the 500 envelope goes through the status writer,
+// so the count, the histogram, the flight summary and the log line all
+// record 500; the span ends; the counter named panics counts it; a
+// "panic: <v>" flight event and an error log line carry the trace ID;
+// and the flight ring is dumped with reason "panic" when it has a dump
+// target.
+func Observe(reg *telemetry.Registry, log *telemetry.Logger, flight *telemetry.FlightRecorder, histogram, requests, panics string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tc, remoteParent := telemetry.TraceFromRequest(r.Header)
 		w.Header().Set(telemetry.RequestIDHeader, tc.TraceID)
@@ -161,48 +172,80 @@ func Observe(reg *telemetry.Registry, log *telemetry.Logger, flight *telemetry.F
 		ctx = telemetry.ContextWithSpan(ctx, span)
 
 		start := time.Now()
+		defer func() {
+			v := recover()
+			if v != nil {
+				reg.Counter(panics).Inc()
+				flight.Record(telemetry.FlightEntry{
+					Kind: "event", Msg: fmt.Sprintf("panic: %v", v), TraceID: tc.TraceID,
+					Method: r.Method, Path: r.URL.Path,
+				})
+				log.Error("panic contained",
+					telemetry.F("trace_id", tc.TraceID),
+					telemetry.F("path", r.URL.Path),
+					telemetry.F("panic", fmt.Sprint(v)))
+				WriteError(sw, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
+			}
+			reg.Tracer().End(span)
+			dur := time.Since(start)
+			ms := float64(dur) / float64(time.Millisecond)
+
+			ep := Endpoint(r.URL.Path)
+			reg.Histogram(histogram, telemetry.LatencyBuckets,
+				telemetry.L("endpoint", ep)).Observe(dur.Seconds())
+			reg.Counter(requests, telemetry.L("endpoint", ep),
+				telemetry.L("code", strconv.Itoa(sw.code))).Inc()
+
+			tenant := r.Header.Get("X-Tenant")
+			flight.Record(telemetry.FlightEntry{
+				Kind:       "request",
+				TraceID:    tc.TraceID,
+				Method:     r.Method,
+				Path:       r.URL.Path,
+				Status:     sw.code,
+				Tenant:     tenant,
+				Reason:     sw.reason,
+				DurationMS: ms,
+			})
+			if v != nil {
+				DumpFlight(flight, log, "panic")
+			}
+			lv := Level(sw.code)
+			if !log.Enabled(lv) {
+				return
+			}
+			fields := []telemetry.Field{
+				telemetry.F("trace_id", tc.TraceID),
+				telemetry.F("method", r.Method),
+				telemetry.F("path", r.URL.Path),
+				telemetry.F("endpoint", ep),
+				telemetry.F("status", sw.code),
+				telemetry.F("duration_ms", ms),
+			}
+			if tenant != "" {
+				fields = append(fields, telemetry.F("tenant", tenant))
+			}
+			if sw.reason != "" {
+				fields = append(fields, telemetry.F("reason", sw.reason))
+			}
+			log.Log(lv, "request", fields...)
+		}()
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		reg.Tracer().End(span)
-		dur := time.Since(start)
-		ms := float64(dur) / float64(time.Millisecond)
-
-		ep := Endpoint(r.URL.Path)
-		reg.Histogram(histogram, telemetry.LatencyBuckets,
-			telemetry.L("endpoint", ep)).Observe(dur.Seconds())
-		reg.Counter(requests, telemetry.L("endpoint", ep),
-			telemetry.L("code", strconv.Itoa(sw.code))).Inc()
-
-		tenant := r.Header.Get("X-Tenant")
-		flight.Record(telemetry.FlightEntry{
-			Kind:       "request",
-			TraceID:    tc.TraceID,
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			Status:     sw.code,
-			Tenant:     tenant,
-			Reason:     sw.reason,
-			DurationMS: ms,
-		})
-		lv := Level(sw.code)
-		if !log.Enabled(lv) {
-			return
-		}
-		fields := []telemetry.Field{
-			telemetry.F("trace_id", tc.TraceID),
-			telemetry.F("method", r.Method),
-			telemetry.F("path", r.URL.Path),
-			telemetry.F("endpoint", ep),
-			telemetry.F("status", sw.code),
-			telemetry.F("duration_ms", ms),
-		}
-		if tenant != "" {
-			fields = append(fields, telemetry.F("tenant", tenant))
-		}
-		if sw.reason != "" {
-			fields = append(fields, telemetry.F("reason", sw.reason))
-		}
-		log.Log(lv, "request", fields...)
 	})
+}
+
+// DumpFlight writes flight to its dump target under reason and logs the
+// outcome: the one dump path of the kernel (on a contained panic) and
+// the daemon shell (on drain and SIGQUIT). Best-effort: a failed dump
+// is logged, not fatal.
+func DumpFlight(flight *telemetry.FlightRecorder, log *telemetry.Logger, reason string) {
+	path, err := flight.DumpToTarget(reason)
+	switch {
+	case err != nil:
+		log.Warn("flight dump failed", telemetry.F("path", path), telemetry.F("err", err.Error()))
+	case path != "":
+		log.Info("flight dumped", telemetry.F("path", path), telemetry.F("reason", reason))
+	}
 }
 
 // Mount registers the routes both processes expose: /healthz,

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -109,7 +111,7 @@ func TestShedCarriesIdentityRetryAfterAndReason(t *testing.T) {
 	var logBuf bytes.Buffer
 	log := telemetry.NewLogger(&logBuf, telemetry.LevelDebug)
 	var inner *statusWriter
-	h := Observe(reg, log, flight, "test_seconds", "test_requests_total", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Observe(reg, log, flight, "test_seconds", "test_requests_total", "test_panics_total", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		inner, _ = w.(*statusWriter)
 		Shed(w, http.StatusTooManyRequests, "quota", 100*time.Millisecond, "overloaded: quota")
 	}))
@@ -151,7 +153,7 @@ func TestShedCarriesIdentityRetryAfterAndReason(t *testing.T) {
 // observed under the name the process passed in.
 func TestObserveAdoptsTraceAndObservesHistogram(t *testing.T) {
 	reg := telemetry.New()
-	h := Observe(reg, nil, telemetry.NewFlightRecorder(0), "test_seconds", "test_requests_total",
+	h := Observe(reg, nil, telemetry.NewFlightRecorder(0), "test_seconds", "test_requests_total", "test_panics_total",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	up := telemetry.NewTraceContext()
 	req := httptest.NewRequest("POST", "/v1/sweep", nil)
@@ -190,6 +192,68 @@ func TestObserveAdoptsTraceAndObservesHistogram(t *testing.T) {
 	}
 	if n := Requests(reg, "test_seconds"); n != 1 {
 		t.Errorf("Requests = %d, want 1", n)
+	}
+}
+
+// A handler's panic is contained to a 500 that every record of the
+// request agrees on: the count, the flight summary and the log line
+// say 500, the span is closed, the panic is counted, logged and
+// recorded, and the ring is dumped with reason "panic" to its target.
+func TestObserveContainsPanic(t *testing.T) {
+	reg := telemetry.New()
+	flight := telemetry.NewFlightRecorder(0)
+	dump := filepath.Join(t.TempDir(), "flight.json")
+	flight.SetDumpTarget(dump, "mlperf-test")
+	var logBuf bytes.Buffer
+	log := telemetry.NewLogger(&logBuf, telemetry.LevelInfo)
+	h := Observe(reg, log, flight, "test_seconds", "test_requests_total", "test_panics_total",
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { panic("kaboom") }))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/simulate", nil))
+
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "internal error: kaboom") {
+		t.Fatalf("panic answered %d %q, want a 500 envelope", rec.Code, rec.Body.String())
+	}
+	id := rec.Header().Get(telemetry.RequestIDHeader)
+	if !hexTraceID.MatchString(id) {
+		t.Errorf("X-Request-Id %q", id)
+	}
+	if n := reg.Counter("test_requests_total", telemetry.L("endpoint", "simulate"), telemetry.L("code", "500")).Value(); n != 1 {
+		t.Errorf(`test_requests_total{code="500",endpoint="simulate"} = %d, want 1`, n)
+	}
+	if n := reg.Count("test_panics_total"); n != 1 {
+		t.Errorf("test_panics_total = %d, want 1", n)
+	}
+	if n := reg.Tracer().OpenCount(); n != 0 {
+		t.Errorf("%d spans left open", n)
+	}
+	entries := flight.Snapshot()
+	if len(entries) != 2 || entries[0].Msg != "panic: kaboom" || entries[0].TraceID != id ||
+		entries[1].Kind != "request" || entries[1].Status != http.StatusInternalServerError {
+		t.Errorf("flight: %+v", entries)
+	}
+	var panicLine, requestLine bool
+	for _, l := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatalf("log line %q: %v", l, err)
+		}
+		switch m["msg"] {
+		case "panic contained":
+			panicLine = m["level"] == "error" && m["trace_id"] == id && m["path"] == "/v1/simulate" && m["panic"] == "kaboom"
+		case "request":
+			requestLine = m["level"] == "error" && m["status"] == float64(500)
+		}
+	}
+	if !panicLine || !requestLine {
+		t.Errorf("logs lack an error line for the panic or the 500:\n%s", logBuf.String())
+	}
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatalf("no flight dump after a panic: %v", err)
+	}
+	if d, err := telemetry.ParseFlightDump(data); err != nil || d.Reason != "panic" || d.Tool != "mlperf-test" || len(d.Entries) != 2 {
+		t.Errorf("dump %+v, %v", d, err)
 	}
 }
 

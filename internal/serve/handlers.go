@@ -134,9 +134,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost int64) (ctx 
 // under the request's deadline; identical concurrent cells share one
 // simulation in the engine's memo) → respond. cost prices the request
 // in cells; fn computes the response payload and status. A panic in fn
-// unwinds to recoverWrap, which answers this request with a 500.
+// unwinds to the kernel (httpkit.Observe), which answers this request
+// with a 500.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, cost int64, fn func(ctx context.Context) (any, int, error)) {
-	start := time.Now()
 	ctx, finish, ok := s.admit(w, r, cost)
 	if !ok {
 		return
@@ -144,7 +144,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, cost int64, fn
 	defer finish()
 
 	val, status, err := fn(ctx)
-	s.reg.Histogram(MetricRequestSeconds, telemetry.LatencyBuckets).Observe(time.Since(start).Seconds())
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):

@@ -34,7 +34,7 @@ type LoadOptions struct {
 	Tenants int
 	// HotFraction is the share of requests drawn from a small fixed set
 	// of queries (memo hits, or joins while in flight); the rest are
-	// cache-cold unique cells. Default 0.8.
+	// cache-cold unique cells (0 = every request a unique cell).
 	HotFraction float64
 	// StreamFraction is the share of sweep requests issued against
 	// /v1/sweep/stream as NDJSON-reading clients instead of unary
@@ -49,12 +49,11 @@ type LoadOptions struct {
 	// Telemetry, when non-nil, receives client-side latency histograms
 	// (loadgen_request_seconds) and outcome counters.
 	Telemetry *telemetry.Registry
-	// Client overrides the HTTP client (tests inject a Transport that
-	// short-circuits the network).
-	Client *http.Client
 }
 
-// LoadReport is the outcome of one load run.
+// LoadReport is the outcome of one load run: what the client saw. The
+// target's own counts (simulations, memo hits) are in its drained
+// manifest, whichever tier it is.
 type LoadReport struct {
 	// Sent is the number of requests issued.
 	Sent int `json:"sent"`
@@ -86,11 +85,6 @@ type LoadReport struct {
 	// P50/P95/P99/Max are latency quantiles in seconds over admitted
 	// (2xx) responses.
 	P50, P95, P99, Max float64
-	// SheddingStats from the server, fetched after the run (zero if the
-	// fetch failed).
-	Server Stats `json:"server"`
-	// ServerBefore is the same snapshot taken before the run.
-	ServerBefore Stats `json:"server_before"`
 }
 
 // SLO is the service-level gate the harness asserts after a run.
@@ -106,10 +100,6 @@ type SLO struct {
 	// MaxServerErrors bounds 5xx count (usually 0: overload must shed,
 	// never break).
 	MaxServerErrors int
-	// RequireCoalescing asserts the server ran fewer simulations than it
-	// admitted requests during the run (simulations < admitted): memo
-	// hits and joins on in-flight cells answered the rest.
-	RequireCoalescing bool
 	// RequireRequestIDs asserts every response carried X-Request-Id.
 	RequireRequestIDs bool
 }
@@ -136,13 +126,6 @@ func (s SLO) Violations(r *LoadReport) []string {
 	if s.RequireRequestIDs && r.MissingRequestID > 0 {
 		v = append(v, fmt.Sprintf("%d responses missing X-Request-Id", r.MissingRequestID))
 	}
-	if s.RequireCoalescing {
-		admitted := r.Server.Requests - r.ServerBefore.Requests - (r.Server.Shed - r.ServerBefore.Shed)
-		sims := r.Server.Cache.Simulations - r.ServerBefore.Cache.Simulations
-		if admitted > 0 && sims >= admitted {
-			v = append(v, fmt.Sprintf("no coalescing: %d simulations for %d admitted requests", sims, admitted))
-		}
-	}
 	return v
 }
 
@@ -160,19 +143,12 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = 5 * time.Second
 	}
-	if opts.HotFraction <= 0 {
-		opts.HotFraction = 0.8
-	}
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 10 * time.Second
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: opts.RequestTimeout + time.Second}
-	}
+	client := &http.Client{Timeout: opts.RequestTimeout + time.Second}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rep := &LoadReport{}
-	fetchStats(client, opts.BaseURL, &rep.ServerBefore)
 
 	var (
 		mu        sync.Mutex
@@ -241,7 +217,6 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if n := len(latencies); n > 0 {
 		rep.Max = latencies[n-1]
 	}
-	fetchStats(client, opts.BaseURL, &rep.Server)
 	return rep, nil
 }
 
@@ -355,20 +330,6 @@ func classOf(status int, err error) string {
 	}
 }
 
-// fetchStats best-effort reads /v1/stats into dst.
-func fetchStats(client *http.Client, base string, dst *Stats) {
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return
-	}
-	_ = json.Unmarshal(data, dst)
-}
-
 // quantile reads the q-quantile from sorted samples (0 when empty).
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
@@ -396,9 +357,5 @@ func RenderLoadReport(r *LoadReport) string {
 		fmt.Fprintf(&b, "streams: %d completed, %d record frames\n", r.Streamed, r.StreamRecords)
 	}
 	fmt.Fprintf(&b, "latency (admitted): p50 %.3fs  p95 %.3fs  p99 %.3fs  max %.3fs\n", r.P50, r.P95, r.P99, r.Max)
-	admitted := r.Server.Requests - r.ServerBefore.Requests - (r.Server.Shed - r.ServerBefore.Shed)
-	sims := r.Server.Cache.Simulations - r.ServerBefore.Cache.Simulations
-	coal := r.Server.Coalesced - r.ServerBefore.Coalesced
-	fmt.Fprintf(&b, "server: %d admitted, %d simulations, %d coalesced joins\n", admitted, sims, coal)
 	return b.String()
 }

@@ -246,7 +246,8 @@ func TestPprofGatedBehindFlag(t *testing.T) {
 func TestPanicDumpsFlightToDisk(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/flight.json"
-	srv, ts := newTestServer(t, Config{FlightDumpPath: path}, nil)
+	srv, ts := newTestServer(t, Config{}, nil)
+	srv.Flight().SetDumpTarget(path, "mlperf-serve")
 	srv.mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
 
 	code, _, hdr := get(t, ts.URL+"/boom")

@@ -20,11 +20,13 @@
 //     failed write and counts both (Cache.DiskErrors), so a bad disk
 //     costs speed, never an answer. Identical concurrent cells share one
 //     simulation through the engine's per-cell singleflight memo.
-//     Per-request panics are contained to a 500 for that request.
-//   - Lifecycle. Graceful drain on Shutdown (stop accepting, finish
-//     in-flight under a drain deadline, then cancel the rest), with
-//     /healthz, /readyz and /metrics (Prometheus text straight from the
-//     telemetry registry) for orchestration.
+//     The HTTP kernel contains a per-request panic to a 500 for that
+//     request.
+//   - Lifecycle. Drain refuses new work and cancels admitted work when
+//     the drain deadline passes, with /healthz, /readyz and /metrics
+//     (Prometheus text straight from the telemetry registry) for
+//     orchestration. The daemon shell (internal/telecli) owns the
+//     listener and drives the drain.
 //
 // The daemon binary is cmd/mlperf-serve; cmd/mlperf-loadgen is the
 // synthetic-client harness that drives it to overload and asserts SLOs.
@@ -33,9 +35,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,18 +47,16 @@ import (
 // Metric names the server registers. Exported so the loadgen harness,
 // CI assertions and tests share one schema.
 const (
-	MetricRequests       = "serve_requests_total"          // counter, endpoint= code=
-	MetricShed           = "serve_shed_total"              // counter, reason=quota|queue|cost|drain
-	MetricInFlight       = "serve_inflight"                // gauge, admitted requests executing
-	MetricQueueDepth     = "serve_queue_depth"             // gauge, requests waiting for a slot
-	MetricCellsInFlight  = "serve_cells_inflight"          // gauge, admitted simulation cost units
-	MetricRequestSeconds = "serve_request_seconds"         // histogram, wall time per admitted request
-	MetricPanics         = "serve_panics_total"            // counter, contained per-request panics
-	MetricPartials       = "serve_partial_responses_total" // counter, sweeps answered with a partial grid
-	MetricStreamRecords  = "serve_stream_records_total"    // counter, record frames delivered to clients
+	MetricRequests      = "serve_requests_total"          // counter, endpoint= code=
+	MetricShed          = "serve_shed_total"              // counter, reason=quota|queue|cost|drain
+	MetricInFlight      = "serve_inflight"                // gauge, admitted requests executing
+	MetricQueueDepth    = "serve_queue_depth"             // gauge, requests waiting for a slot
+	MetricCellsInFlight = "serve_cells_inflight"          // gauge, admitted simulation cost units
+	MetricPanics        = "serve_panics_total"            // counter, contained per-request panics
+	MetricPartials      = "serve_partial_responses_total" // counter, sweeps answered with a partial grid
+	MetricStreamRecords = "serve_stream_records_total"    // counter, record frames delivered to clients
 	// MetricEndpointSeconds is observed by the request middleware for
-	// EVERY response — sheds and errors included — unlike
-	// MetricRequestSeconds, which times only admitted compute requests.
+	// every response, sheds and errors included.
 	MetricEndpointSeconds = "serve_endpoint_seconds" // histogram, endpoint=
 )
 
@@ -123,10 +121,6 @@ type Config struct {
 	// EnablePprof exposes net/http/pprof under /debug/pprof/ — opt-in
 	// because profiling endpoints reveal process internals.
 	EnablePprof bool
-	// FlightDumpPath, when set, is where the flight ring is written on a
-	// contained panic and when a drain completes (the daemon adds
-	// SIGQUIT on top). Best-effort: a failed dump is logged, not fatal.
-	FlightDumpPath string
 }
 
 func (c Config) withDefaults() Config {
@@ -142,8 +136,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is one daemon instance. Create with New, expose with Handler
-// or Serve, stop with Shutdown.
+// Server is one daemon instance. Create with New, expose with Handler,
+// stop with Drain.
 type Server struct {
 	cfg     Config
 	eng     *sweep.Engine
@@ -155,13 +149,8 @@ type Server struct {
 
 	mux *http.ServeMux
 
-	// mu hands the listener's http.Server from Serve to Shutdown: under
-	// it Serve either installs httpSrv or, once draining has begun,
-	// declines to serve at all.
-	mu      sync.Mutex
-	httpSrv *http.Server
-	// draining flips when Shutdown begins: /readyz reports 503 and new
-	// API requests are refused, while in-flight ones finish.
+	// draining flips when Drain begins: /readyz reports 503 and new API
+	// requests are refused, while in-flight ones finish.
 	draining atomic.Bool
 	// hardCtx ends when the drain deadline expires; admit's drain watch
 	// then cancels every admitted request still running (the engine
@@ -216,116 +205,28 @@ func (s *Server) Engine() *sweep.Engine { return s.eng }
 // Registry returns the telemetry registry /metrics serves from.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Flight returns the server's flight recorder (for the daemon's
-// SIGQUIT/drain dump hooks).
+// Flight returns the server's flight recorder: the kernel dumps it on a
+// contained panic, the daemon shell on drain and SIGQUIT.
 func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 
 // Handler returns the full HTTP surface: the kernel's request
-// middleware (trace identity, X-Request-Id, flight recording)
-// outermost, panic containment inside it, then the routes — so even a
-// panicking request leaves a summary with its status recorded as 500.
+// middleware (trace identity, X-Request-Id, flight recording, panic
+// containment) around the routes, so even a panicking request leaves a
+// summary with its status recorded as 500.
 func (s *Server) Handler() http.Handler {
-	return httpkit.Observe(s.reg, s.log, s.flight, MetricEndpointSeconds, MetricRequests, s.recoverWrap(s.mux))
+	return httpkit.Observe(s.reg, s.log, s.flight, MetricEndpointSeconds, MetricRequests, MetricPanics, s.mux)
 }
 
-// recoverWrap contains a per-request panic to a 500 for that request —
-// one poisoned query must not take the daemon down with it. The sweep
-// engine already converts cell panics into typed *CellError results;
-// this is the outer hull for everything else.
-func (s *Server) recoverWrap(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				s.reg.Counter(MetricPanics).Inc()
-				tc, _ := telemetry.TraceFromContext(r.Context())
-				s.flight.Record(telemetry.FlightEntry{
-					Kind: "event", Msg: fmt.Sprintf("panic: %v", v), TraceID: tc.TraceID,
-					Method: r.Method, Path: r.URL.Path,
-				})
-				s.log.Error("panic contained",
-					telemetry.F("trace_id", tc.TraceID),
-					telemetry.F("path", r.URL.Path),
-					telemetry.F("panic", fmt.Sprint(v)))
-				s.DumpFlight("panic")
-				httpkit.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// Serve serves on an existing listener until Shutdown. It returns nil
-// after a graceful shutdown, like net/http, and at once, closing ln,
-// when Shutdown has already begun.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining.Load() {
-		s.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	hs := httpkit.NewServer(s.Handler())
-	s.httpSrv = hs
-	s.mu.Unlock()
-	err := hs.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// Draining reports whether Shutdown has begun.
+// Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Shutdown drains the server: new API requests are refused immediately
-// (503 + /readyz not-ready), listeners close, and in-flight requests
-// get until ctx's deadline to finish. When the deadline expires the
-// remaining computations are cancelled — the engine's Partial path
-// returns whatever completed — and connections are force-closed. Safe
-// to call without a listener (tests drive Handler directly).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
+// Drain begins the drain: /readyz reports 503 and new API requests are
+// refused with 503 at once, while admitted ones run on. When ctx ends
+// (the drain deadline), the work still admitted is cancelled, and the
+// engine's Partial path answers it with the cells that completed.
+func (s *Server) Drain(ctx context.Context) {
 	s.draining.Store(true)
-	hs := s.httpSrv
-	s.mu.Unlock()
-	s.flight.Event("drain begin", "")
-	s.log.Info("drain begin")
-	var err error
-	if hs != nil {
-		err = hs.Shutdown(ctx)
-		if err != nil {
-			// Drain deadline expired: cancel in-flight work and force the
-			// connections closed. The cancellation is what turns "killed
-			// mid-sweep" into "partial report".
-			s.flight.Event("drain deadline expired", "")
-			s.log.Warn("drain deadline expired", telemetry.F("err", err.Error()))
-			s.hardCancel()
-			hs.Close()
-		}
-	} else {
-		<-ctx.Done()
-	}
-	s.hardCancel()
-	s.flight.Event("drain complete", "")
-	s.log.Info("drain complete")
-	s.DumpFlight("drain")
-	return err
-}
-
-// DumpFlight writes the flight ring to Config.FlightDumpPath (no-op
-// when unset). reason lands in the dump envelope — "panic", "drain",
-// "sigquit" — so a postmortem knows what triggered the snapshot.
-func (s *Server) DumpFlight(reason string) {
-	if s.cfg.FlightDumpPath == "" {
-		return
-	}
-	if err := s.flight.DumpFile(s.cfg.FlightDumpPath, "mlperf-serve", reason); err != nil {
-		s.log.Warn("flight dump failed",
-			telemetry.F("path", s.cfg.FlightDumpPath), telemetry.F("err", err.Error()))
-	} else {
-		s.log.Info("flight dumped",
-			telemetry.F("path", s.cfg.FlightDumpPath), telemetry.F("reason", reason))
-	}
+	context.AfterFunc(ctx, s.hardCancel)
 }
 
 // Stats is the /v1/stats snapshot: the admission posture and the

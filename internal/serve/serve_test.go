@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -190,7 +189,7 @@ func TestServerCoalescesIdenticalQueries(t *testing.T) {
 	}
 }
 
-// Drain: the instant Shutdown begins, /readyz flips and new API
+// Drain: the instant Drain begins, /readyz flips and new API
 // requests get clean 503s — while requests already executing run to
 // completion.
 func TestServerDrainRefusesNewFinishesInFlight(t *testing.T) {
@@ -206,7 +205,7 @@ func TestServerDrainRefusesNewFinishesInFlight(t *testing.T) {
 
 	shutCtx, stopShutdown := context.WithCancel(context.Background())
 	defer stopShutdown()
-	go srv.Shutdown(shutCtx) // handler-driven: Shutdown holds until ctx ends
+	srv.Drain(shutCtx)
 	waitFor(t, "drain to begin", func() bool { return srv.Draining() })
 
 	if code, _, _ := get(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
@@ -227,62 +226,6 @@ func TestServerDrainRefusesNewFinishesInFlight(t *testing.T) {
 	if code := <-inflight; code != http.StatusOK {
 		t.Fatalf("in-flight request during drain finished with %d, want 200", code)
 	}
-}
-
-// A drain that begins before Serve still ends the server: Serve then
-// closes its listener and returns at once instead of serving until the
-// process is killed. Shutdown racing a Serve already under way ends it
-// too, with the listener handed over under the server's lock.
-func TestShutdownBeforeServeEndsServe(t *testing.T) {
-	serveOn := func(srv *Server) (net.Listener, chan error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(ln) }()
-		return ln, done
-	}
-	await := func(what string, ln net.Listener, done chan error) {
-		t.Helper()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: Serve = %v, want nil", what, err)
-			}
-		case <-time.After(time.Second):
-			ln.Close()
-			t.Fatalf("%s: still serving 1s after Shutdown", what)
-		}
-	}
-
-	srv, err := New(Config{Engine: sweep.NewEngine(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ln, done := serveOn(srv)
-	await("Serve after Shutdown", ln, done)
-	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
-		c.Close()
-		t.Error("listener still accepting after Serve returned")
-	}
-
-	srv, err = New(Config{Engine: sweep.NewEngine(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, done = serveOn(srv)
-	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	await("Shutdown racing Serve", ln, done)
 }
 
 // One impatient caller must not kill the simulation a patient identical
@@ -343,7 +286,7 @@ func TestServerDrainDeadlineReturnsPartialSweep(t *testing.T) {
 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	srv.Shutdown(shutCtx)
+	srv.Drain(shutCtx)
 
 	var got answer
 	select {
@@ -439,12 +382,14 @@ func TestServerPanicContainedToOneRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	query := func(fn func(ctx context.Context) (any, int, error)) *httptest.ResponseRecorder {
+	var fn func(ctx context.Context) (any, int, error)
+	srv.mux.HandleFunc("/test/query", func(w http.ResponseWriter, r *http.Request) {
+		srv.runQuery(w, r, 1, fn)
+	})
+	query := func(f func(ctx context.Context) (any, int, error)) *httptest.ResponseRecorder {
+		fn = f
 		rr := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodGet, "/v1/simulate", nil)
-		srv.recoverWrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			srv.runQuery(w, r, 1, fn)
-		})).ServeHTTP(rr, req)
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/test/query", nil))
 		return rr
 	}
 	rr := query(func(ctx context.Context) (any, int, error) {

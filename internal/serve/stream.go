@@ -8,11 +8,9 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
-	"mlperf/internal/telemetry"
 )
 
 // The streaming sweep surface: /v1/sweep/stream emits one frame per
@@ -303,8 +301,6 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer finish()
 
-	start := time.Now()
-
 	// Buffered to the whole grid: OnCell (on an engine worker) can never
 	// block on a slow client. Closed after the run returns, by which
 	// point every OnCell send has happened.
@@ -337,7 +333,6 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter(MetricStreamRecords).Inc()
 	}
 	res := <-resCh
-	s.reg.Histogram(MetricRequestSeconds, telemetry.LatencyBuckets).Observe(time.Since(start).Seconds())
 	if res.err != nil {
 		// Partial mode reserves errors for malformed grids, which were
 		// caught before streaming began; anything here is exceptional and

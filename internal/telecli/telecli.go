@@ -1,7 +1,9 @@
 // Package telecli is the one way a command-line tool or daemon of this
 // repository runs and ends. Every binary registers the same
-// observability flags (Register), then hands its body to Run or
-// RunContext, or its server to Serve. Each activates one telemetry registry when
+// observability flags (Register; a daemon's RegisterDaemon adds -addr,
+// -drain-timeout and -flight-dump), then hands its body to Run or
+// RunContext, or its daemon to Serve, the one daemon shell: listener,
+// drain and flight dumps. Each activates one telemetry registry when
 // -metrics/-manifest/-trace-out is set, build one structured logger
 // when -log-json is set, run the body under one SIGINT/SIGTERM context,
 // fill the run manifest with the counts of the engine the tool drove,
@@ -27,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
@@ -75,6 +78,11 @@ type Sink struct {
 	// LogLevel and LogJSON are the -log-level/-log-json values.
 	LogLevel string
 	LogJSON  bool
+	// Addr, DrainTimeout and FlightDump are a daemon's -addr,
+	// -drain-timeout and -flight-dump values (RegisterDaemon).
+	Addr         string
+	DrainTimeout time.Duration
+	FlightDump   string
 	// Reg is the active registry (nil before the run starts, and nil
 	// forever when no telemetry flag was given).
 	Reg *telemetry.Registry
@@ -113,6 +121,21 @@ func Register(tool string, fs *flag.FlagSet) *Sink {
 		"structured log level: debug|info|warn|error")
 	fs.BoolVar(&s.LogJSON, "log-json", false,
 		"emit structured JSON logs on stderr")
+	return s
+}
+
+// RegisterDaemon is Register plus the flags of the daemon shell Serve
+// runs: -addr, -drain-timeout and -flight-dump.
+func RegisterDaemon(tool string, fs *flag.FlagSet) *Sink {
+	if fs == nil {
+		fs = flag.CommandLine
+	}
+	s := Register(tool, fs)
+	fs.StringVar(&s.Addr, "addr", ":8080", "listen address")
+	fs.DurationVar(&s.DrainTimeout, "drain-timeout", 15*time.Second,
+		"how long in-flight requests get to finish on SIGTERM")
+	fs.StringVar(&s.FlightDump, "flight-dump", "",
+		"write the flight ring here on a contained panic, SIGQUIT and drain")
 	return s
 }
 
@@ -170,25 +193,31 @@ func (s *Sink) exit(err error) int {
 	return status
 }
 
-// Daemon is a server Serve drives: it serves a listener until Shutdown
-// drains it, records its counters into the run manifest, and dumps its
-// flight ring on request.
+// Daemon is what a daemon keeps of its own under Serve: its HTTP
+// surface, what draining means for it, the counts it records into the
+// run manifest, and the flight ring the kernel and Serve dump.
 type Daemon interface {
-	Serve(net.Listener) error
-	Shutdown(context.Context) error
+	Handler() http.Handler
+	// Drain begins the daemon's drain and must not block: ctx ends at
+	// the drain deadline (or once the listener has drained).
+	Drain(ctx context.Context)
 	FillManifest(*telemetry.Manifest)
-	DumpFlight(reason string)
+	Flight() *telemetry.FlightRecorder
 }
 
-// Serve is RunContext for a daemon. It listens on addr and builds the
+// Serve is RunContext for a daemon. It listens on -addr and builds the
 // daemon with open, which gets the registry and the listener (to
-// announce its address). It serves until the listener fails or the
-// first SIGINT/SIGTERM, which drains in-flight requests for up to
-// drain; a drained daemon exits 0. The manifest is filled from the
-// daemon.
-func (s *Sink) Serve(addr string, drain time.Duration, open func(*telemetry.Registry, net.Listener) (Daemon, error)) int {
+// announce its address), and serves its Handler through
+// httpkit.NewServer. The flight ring's dump target is -flight-dump, for
+// the kernel's panic dumps and for Serve's own: SIGQUIT dumps it
+// without stopping the daemon. The first SIGINT/SIGTERM drains: the
+// daemon's Drain and the server's Shutdown share a context that ends
+// after -drain-timeout, when the remaining connections are closed. The
+// drain ends with a dump, and a drained daemon exits 0. The manifest
+// is filled from the daemon.
+func (s *Sink) Serve(open func(*telemetry.Registry, net.Listener) (Daemon, error)) int {
 	return s.RunContext(nil, func(ctx context.Context) error {
-		ln, err := net.Listen("tcp", addr)
+		ln, err := net.Listen("tcp", s.Addr)
 		if err != nil {
 			return err
 		}
@@ -198,6 +227,9 @@ func (s *Sink) Serve(addr string, drain time.Duration, open func(*telemetry.Regi
 			return err
 		}
 		s.fill = d.FillManifest
+		s.Config("addr", s.Addr)
+		flight := d.Flight()
+		flight.SetDumpTarget(s.FlightDump, s.tool)
 		// SIGQUIT is a forensic request, not a kill: unlike the runtime's
 		// default (goroutine dump + exit), the daemon keeps serving.
 		quit := make(chan os.Signal, 1)
@@ -205,23 +237,36 @@ func (s *Sink) Serve(addr string, drain time.Duration, open func(*telemetry.Regi
 		defer func() { signal.Stop(quit); close(quit) }()
 		go func() {
 			for range quit {
-				d.DumpFlight("sigquit")
+				httpkit.DumpFlight(flight, s.Logger, "sigquit")
 			}
 		}()
+		// A Shutdown that comes before Serve makes Serve close ln and
+		// return at once, so an interrupt during startup ends the daemon.
+		hs := httpkit.NewServer(d.Handler())
 		done := make(chan error, 1)
-		go func() { done <- d.Serve(ln) }()
+		go func() { done <- hs.Serve(ln) }()
 		select {
 		case err := <-done:
 			return err // the listener failed: nothing to drain
 		case <-ctx.Done():
 		}
-		fmt.Fprintf(os.Stderr, "%s: signal received, draining (up to %v)\n", s.tool, drain)
-		dctx, cancel := context.WithTimeout(context.Background(), drain)
+		fmt.Fprintf(os.Stderr, "%s: signal received, draining (up to %v)\n", s.tool, s.DrainTimeout)
+		flight.Event("drain begin", "")
+		s.Logger.Info("drain begin")
+		dctx, cancel := context.WithTimeout(context.Background(), s.DrainTimeout)
 		defer cancel()
-		if err := d.Shutdown(dctx); err != nil {
+		d.Drain(dctx)
+		if err := hs.Shutdown(dctx); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: drain deadline expired: %v\n", s.tool, err)
+			flight.Event("drain deadline expired", "")
+			s.Logger.Warn("drain deadline expired", telemetry.F("err", err.Error()))
+			hs.Close()
 		}
-		if err := <-done; err != http.ErrServerClosed {
+		err = <-done
+		flight.Event("drain complete", "")
+		s.Logger.Info("drain complete")
+		httpkit.DumpFlight(flight, s.Logger, "drain")
+		if err != http.ErrServerClosed {
 			return err
 		}
 		return nil

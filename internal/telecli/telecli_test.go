@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -244,55 +245,189 @@ func TestFlushFailureExitsOne(t *testing.T) {
 	}
 }
 
-// fakeDaemon records the drive sequence Serve puts it through.
+// fakeDaemon answers every request with hold (200 at once when nil)
+// and hands each Drain context to drained.
 type fakeDaemon struct {
-	served, drained chan struct{}
-	stop            chan error
+	hold    http.HandlerFunc
+	drained chan context.Context
+	flight  *telemetry.FlightRecorder
 }
 
-func (d *fakeDaemon) Serve(ln net.Listener) error {
-	close(d.served)
-	return <-d.stop
+func newFakeDaemon(hold http.HandlerFunc) *fakeDaemon {
+	return &fakeDaemon{hold: hold, drained: make(chan context.Context, 1), flight: telemetry.NewFlightRecorder(0)}
 }
 
-func (d *fakeDaemon) Shutdown(context.Context) error {
-	close(d.drained)
-	d.stop <- nil
-	return nil
+func (d *fakeDaemon) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if d.hold != nil {
+			d.hold(w, r)
+		}
+	})
 }
 
+func (d *fakeDaemon) Drain(ctx context.Context)          { d.drained <- ctx }
 func (d *fakeDaemon) FillManifest(m *telemetry.Manifest) { m.Config["requests"] = "7" }
-func (d *fakeDaemon) DumpFlight(string)                  {}
+func (d *fakeDaemon) Flight() *telemetry.FlightRecorder  { return d.flight }
+
+// newDaemonSink registers a daemon sink listening on a free loopback
+// port and parses args.
+func newDaemonSink(t *testing.T, args ...string) *Sink {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	s := RegisterDaemon("test-tool", fs)
+	if err := fs.Parse(append([]string{"-addr", "127.0.0.1:0"}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// serveInBackground runs s.Serve over d and returns the listener's
+// address (once open has run) and the exit status channel.
+func serveInBackground(s *Sink, d Daemon) (string, <-chan int) {
+	addr := make(chan string, 1)
+	status := make(chan int, 1)
+	go func() {
+		status <- s.Serve(func(reg *telemetry.Registry, ln net.Listener) (Daemon, error) {
+			addr <- ln.Addr().String()
+			return d, nil
+		})
+	}()
+	return <-addr, status
+}
+
+// awaitStatus waits for Serve's exit status.
+func awaitStatus(t *testing.T, what string, status <-chan int) int {
+	t.Helper()
+	select {
+	case st := <-status:
+		return st
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: Serve still running 5s after the interrupt", what)
+		return 0
+	}
+}
 
 // TestServeDrainsAndFills: Serve listens, opens the daemon with the
-// registry, serves until the interrupt, drains, exits 0 and fills the
-// manifest from the daemon.
+// registry, serves its handler until the interrupt, drains, exits 0 and
+// fills the manifest from the daemon.
 func TestServeDrainsAndFills(t *testing.T) {
 	manifest := filepath.Join(t.TempDir(), "serve.json")
 	fire := make(chan struct{})
 	interruptAfter(t, fire)
-	s := newSink(t, "-manifest", manifest)
-	d := &fakeDaemon{served: make(chan struct{}), drained: make(chan struct{}), stop: make(chan error, 1)}
-	go func() {
-		<-d.served
-		close(fire)
-	}()
-	status := s.Serve("127.0.0.1:0", time.Second, func(reg *telemetry.Registry, ln net.Listener) (Daemon, error) {
-		if reg == nil || ln == nil {
-			t.Error("open got no registry or listener")
-		}
-		return d, nil
-	})
-	if status != 0 {
-		t.Fatalf("status %d, want 0 after a drain", status)
+	s := newDaemonSink(t, "-manifest", manifest)
+	d := newFakeDaemon(nil)
+	addr, status := serveInBackground(s, d)
+	resp, err := http.Get("http://" + addr + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon handler answered %d", resp.StatusCode)
+	}
+	close(fire)
+	if st := awaitStatus(t, "drain", status); st != 0 {
+		t.Fatalf("status %d, want 0 after a drain", st)
 	}
 	select {
 	case <-d.drained:
 	default:
 		t.Error("daemon was never drained")
 	}
-	if m := readManifest(t, manifest); m.Config["requests"] != "7" {
-		t.Errorf("manifest not filled from the daemon: %v", m.Config)
+	m := readManifest(t, manifest)
+	if m.Config["requests"] != "7" || m.Config["addr"] != "127.0.0.1:0" {
+		t.Errorf("manifest not filled from the daemon and the shell: %v", m.Config)
+	}
+}
+
+// TestServeDrainDeadline: a request still running at the drain
+// deadline holds Shutdown until then. The daemon's Drain context ends at
+// that deadline, not before, the connections are closed, Serve exits 0,
+// and the drain dump at -flight-dump records the drain's phases.
+func TestServeDrainDeadline(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "flight.json")
+	fire := make(chan struct{})
+	interruptAfter(t, fire)
+	const drain = 100 * time.Millisecond
+	s := newDaemonSink(t, "-drain-timeout", drain.String(), "-flight-dump", dump)
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	d := newFakeDaemon(func(http.ResponseWriter, *http.Request) {
+		close(entered)
+		<-release
+	})
+	addr, status := serveInBackground(s, d)
+	go func() {
+		if resp, err := http.Get("http://" + addr + "/"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	began := time.Now()
+	close(fire)
+	if st := awaitStatus(t, "drain deadline", status); st != 0 {
+		t.Fatalf("status %d, want 0 after a drain", st)
+	}
+	ctx := <-d.drained
+	if ctx.Err() != context.DeadlineExceeded {
+		t.Errorf("Drain context ended with %v, want the drain deadline", ctx.Err())
+	}
+	if dl, ok := ctx.Deadline(); !ok || dl.Sub(began) < drain || dl.Sub(began) > drain+time.Second {
+		t.Errorf("Drain context deadline %v after the interrupt, want %v", dl.Sub(began), drain)
+	}
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatalf("no drain dump: %v", err)
+	}
+	fd, err := telemetry.ParseFlightDump(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []string
+	for _, e := range fd.Entries {
+		events = append(events, e.Msg)
+	}
+	if fd.Reason != "drain" || fd.Tool != "test-tool" ||
+		strings.Join(events, ", ") != "drain begin, drain deadline expired, drain complete" {
+		t.Errorf("dump %s/%s with events %q", fd.Tool, fd.Reason, events)
+	}
+}
+
+// TestInterruptBeforeServeEndsServe: an interrupt that arrives before
+// the listener is served, or while Serve is starting to serve it, still
+// ends Serve with status 0 and closes the listener, instead of serving
+// until the process is killed.
+func TestInterruptBeforeServeEndsServe(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		inOpen bool // fire inside open, racing the start of serving
+	}{{"before Serve", false}, {"while serving", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			fire := make(chan struct{})
+			interruptAfter(t, fire)
+			if !c.inOpen {
+				close(fire)
+			}
+			s := newDaemonSink(t)
+			var addr string
+			status := make(chan int, 1)
+			go func() {
+				status <- s.Serve(func(_ *telemetry.Registry, ln net.Listener) (Daemon, error) {
+					addr = ln.Addr().String()
+					if c.inOpen {
+						close(fire)
+					}
+					return newFakeDaemon(nil), nil
+				})
+			}()
+			if st := awaitStatus(t, c.name, status); st != 0 {
+				t.Fatalf("status %d, want 0", st)
+			}
+			if conn, err := net.Dial("tcp", addr); err == nil {
+				conn.Close()
+				t.Error("listener still accepting after Serve returned")
+			}
+		})
 	}
 }
 
@@ -300,8 +435,8 @@ func TestServeDrainsAndFills(t *testing.T) {
 // error's status and still writes the manifest.
 func TestServeOpenFailure(t *testing.T) {
 	manifest := filepath.Join(t.TempDir(), "serve.json")
-	s := newSink(t, "-manifest", manifest)
-	status := s.Serve("127.0.0.1:0", time.Second, func(*telemetry.Registry, net.Listener) (Daemon, error) {
+	s := newDaemonSink(t, "-manifest", manifest)
+	status := s.Serve(func(*telemetry.Registry, net.Listener) (Daemon, error) {
 		return nil, Usage(errors.New("-backends is required"))
 	})
 	if status != 2 {

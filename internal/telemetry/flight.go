@@ -44,7 +44,14 @@ type FlightRecorder struct {
 	mask  uint64
 	seq   atomic.Uint64
 	clock func() time.Time
+	// target is where DumpToTarget writes: set by the daemon shell from
+	// -flight-dump, read by the HTTP kernel on a contained panic and by
+	// the shell on drain and SIGQUIT.
+	target atomic.Pointer[dumpTarget]
 }
+
+// dumpTarget names a dump's file and the tool its envelope names.
+type dumpTarget struct{ path, tool string }
 
 // DefaultFlightSize is the ring capacity when none is configured.
 const DefaultFlightSize = 512
@@ -189,6 +196,28 @@ func (f *FlightRecorder) DumpFile(path, tool, reason string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// SetDumpTarget makes DumpToTarget write the ring to path under tool
+// ("" path = no target). Safe for concurrent use with DumpToTarget.
+func (f *FlightRecorder) SetDumpTarget(path, tool string) {
+	if f != nil {
+		f.target.Store(&dumpTarget{path: path, tool: tool})
+	}
+}
+
+// DumpToTarget writes the ring to its dump target under reason
+// ("panic", "drain", "sigquit") and returns the path written: "" and
+// nil when no target is set.
+func (f *FlightRecorder) DumpToTarget(reason string) (string, error) {
+	if f == nil {
+		return "", nil
+	}
+	t := f.target.Load()
+	if t == nil || t.path == "" {
+		return "", nil
+	}
+	return t.path, f.DumpFile(t.path, t.tool, reason)
 }
 
 // ParseFlightDump parses and validates a dump: known fields only, a

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +303,38 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	}
 	if d.Tool != "mlperf-serve" || d.Reason != "test" || len(d.Entries) != 2 {
 		t.Fatalf("dump: %+v", d)
+	}
+}
+
+// A recorder dumps to its target only once one is set, and the file
+// names the target's tool and the dump's reason.
+func TestFlightDumpToTarget(t *testing.T) {
+	fr := NewFlightRecorder(8)
+	fr.Event("drain begin", "")
+	if path, err := fr.DumpToTarget("drain"); path != "" || err != nil {
+		t.Fatalf("no target: DumpToTarget = %q, %v; want \"\", nil", path, err)
+	}
+	want := filepath.Join(t.TempDir(), "flight.json")
+	fr.SetDumpTarget(want, "mlperf-front")
+	path, err := fr.DumpToTarget("sigquit")
+	if err != nil || path != want {
+		t.Fatalf("DumpToTarget = %q, %v; want %q, nil", path, err, want)
+	}
+	data, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseFlightDump(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Tool != "mlperf-front" || d.Reason != "sigquit" || len(d.Entries) != 1 {
+		t.Fatalf("dump: %+v", d)
+	}
+	var nilRec *FlightRecorder
+	nilRec.SetDumpTarget(want, "x")
+	if path, err := nilRec.DumpToTarget("panic"); path != "" || err != nil {
+		t.Fatalf("nil recorder: DumpToTarget = %q, %v", path, err)
 	}
 }
 
