@@ -18,10 +18,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/experiments"
 	"mlperf/internal/fault"
 	"mlperf/internal/hw"
@@ -147,34 +149,26 @@ func runOne(args []string) int {
 		}
 
 		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				return err
-			}
-			if err := res.Timeline.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := atomicfile.Write(*trace, res.Timeline.WriteChromeTrace); err != nil {
 				return err
 			}
 			fmt.Printf("  wrote Chrome trace : %s (%d events)\n", *trace, len(log.Events))
 		}
-		if *events != "" {
-			out := os.Stdout
-			if *events != "-" {
-				f, err := os.Create(*events)
-				if err != nil {
+		write := func(w io.Writer) error {
+			for _, ev := range log.Events {
+				if _, err := fmt.Fprintf(w, "%.6f %.6f %-10s %s\n", ev.Start, ev.End, ev.Lane, ev.Label()); err != nil {
 					return err
 				}
-				defer f.Close()
-				out = f
 			}
-			for _, ev := range log.Events {
-				fmt.Fprintf(out, "%.6f %.6f %-10s %s\n", ev.Start, ev.End, ev.Lane, ev.Label())
-			}
+			return nil
 		}
-		return nil
+		switch *events {
+		case "":
+			return nil
+		case "-":
+			return write(os.Stdout)
+		}
+		return atomicfile.Write(*events, write)
 	})
 }
 
@@ -204,12 +198,9 @@ func sensitivity(args []string) int {
 			fmt.Print(experiments.RenderFaultSensitivity(rows))
 			return nil
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiments.WriteFaultSensitivityCSV(f, rows); err != nil {
+		if err := atomicfile.Write(*out, func(w io.Writer) error {
+			return experiments.WriteFaultSensitivityCSV(w, rows)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d severity levels x %d systems to %s\n",

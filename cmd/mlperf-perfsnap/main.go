@@ -22,8 +22,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/perfsnap"
 )
 
@@ -86,15 +88,15 @@ func run(file string, update bool, opts perfsnap.Options, blessSpeedup float64, 
 		fmt.Fprintln(os.Stderr, "REGRESSION:", r)
 	}
 	if diffOut != "" {
-		b, err := json.MarshalIndent(struct {
-			File        string                `json:"file"`
-			Regressions []perfsnap.Regression `json:"regressions"`
-			Fresh       *perfsnap.Snapshot    `json:"fresh"`
-		}{file, regs, fresh}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(diffOut, append(b, '\n'), 0o644); err != nil {
+		if err := atomicfile.Write(diffOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(struct {
+				File        string                `json:"file"`
+				Regressions []perfsnap.Regression `json:"regressions"`
+				Fresh       *perfsnap.Snapshot    `json:"fresh"`
+			}{file, regs, fresh})
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintln(os.Stderr, "wrote diff to", diffOut)

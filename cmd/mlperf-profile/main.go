@@ -20,10 +20,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/fault"
 	"mlperf/internal/hw"
 	"mlperf/internal/profile"
@@ -92,28 +94,26 @@ func run(benchName, systemName string, gpus int, duration float64, outDir, fault
 	}
 	sampler := profile.NewSampler()
 
-	if err := writeFile(filepath.Join(outDir, "dstat.csv"), func(f *os.File) error {
-		return profile.WriteDstatCSV(f, sampler.Dstat(p, duration))
+	if err := atomicfile.Write(filepath.Join(outDir, "dstat.csv"), func(w io.Writer) error {
+		return profile.WriteDstatCSV(w, sampler.Dstat(p, duration))
 	}); err != nil {
 		return err
 	}
 
-	if err := writeFile(filepath.Join(outDir, "dmon.csv"), func(f *os.File) error {
-		return profile.WriteDmonCSV(f, sampler.Dmon(p, duration))
+	if err := atomicfile.Write(filepath.Join(outDir, "dmon.csv"), func(w io.Writer) error {
+		return profile.WriteDmonCSV(w, sampler.Dmon(p, duration))
 	}); err != nil {
 		return err
 	}
 
 	recs := p.Kernels(16)
-	if err := writeFile(filepath.Join(outDir, "kernels.csv"), func(f *os.File) error {
-		return profile.WriteKernelCSV(f, recs)
+	if err := atomicfile.Write(filepath.Join(outDir, "kernels.csv"), func(w io.Writer) error {
+		return profile.WriteKernelCSV(w, recs)
 	}); err != nil {
 		return err
 	}
 
-	if err := writeFile(filepath.Join(outDir, "trace.json"), func(f *os.File) error {
-		return p.Timeline().WriteChromeTrace(f)
-	}); err != nil {
+	if err := atomicfile.Write(filepath.Join(outDir, "trace.json"), p.Timeline().WriteChromeTrace); err != nil {
 		return err
 	}
 
@@ -129,16 +129,4 @@ func run(benchName, systemName string, gpus int, duration float64, outDir, fault
 	fmt.Printf("\nroofline point: AI %.2f FLOP/B at %.1f GFLOPS\n", float64(ai), rate.G())
 	fmt.Printf("\nwrote dstat.csv, dmon.csv, kernels.csv, trace.json to %s\n", outDir)
 	return nil
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		return err
-	}
-	return f.Close()
 }

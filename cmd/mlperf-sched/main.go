@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/experiments"
 	"mlperf/internal/hw"
 	"mlperf/internal/sched"
@@ -166,12 +167,7 @@ func runOnline(policy, machines string, seed int64, n int, gap float64, traceOut
 		m.Makespan/3600, m.MeanJCT/3600, m.P95JCT/3600, m.GPUUtil*100, m.Preemptions)
 
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.Timeline().WriteChromeTrace(f); err != nil {
+		if err := atomicfile.Write(traceOut, res.Timeline().WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Printf("chrome trace written to %s\n", traceOut)

@@ -29,8 +29,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/fault"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telecli"
@@ -138,15 +140,6 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 
-	w := os.Stdout
-	if cfg.out != "" {
-		f, err := os.Create(cfg.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	if report != nil && report.Failed() {
 		// Graceful degradation: drop the failed cells' zero records so the
 		// CSV holds exactly the completed cells, then surface the failures.
@@ -169,10 +162,15 @@ func run(ctx context.Context, cfg runConfig) error {
 			m.SimulatedSeconds += r.TimeToTrainMin * 60
 		}
 	}
-	if err := sweep.WriteCSV(w, recs); err != nil {
-		return err
-	}
-	if cfg.out != "" {
+	write := func(w io.Writer) error { return sweep.WriteCSV(w, recs) }
+	if cfg.out == "" {
+		if err := write(os.Stdout); err != nil {
+			return err
+		}
+	} else {
+		if err := atomicfile.Write(cfg.out, write); err != nil {
+			return err
+		}
 		fmt.Printf("wrote %d sweep cells to %s\n", len(recs), cfg.out)
 	}
 	if report != nil {

@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/report"
 	"mlperf/internal/telemetry"
 )
@@ -226,17 +227,12 @@ func stitch(args []string) error {
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		docs = append(docs, telemetry.NamedTrace{Name: name, Spans: spans})
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	var rep *telemetry.StitchReport
+	write := func(w io.Writer) (err error) {
+		rep, err = telemetry.WriteStitchedChromeTrace(w, docs)
+		return err
 	}
-	rep, err := telemetry.WriteStitchedChromeTrace(w, docs)
-	if err != nil {
+	if err := writeOut(*out, write); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "stitched %d processes: %d spans, %d traces, %d cross-process links, %d orphans\n",
@@ -276,22 +272,24 @@ func merge(args []string) error {
 		readers = append(readers, f)
 		closers = append(closers, f)
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := telemetry.MergeChromeTraces(w, readers...); err != nil {
+	if err := writeOut(*out, func(w io.Writer) error {
+		return telemetry.MergeChromeTraces(w, readers...)
+	}); err != nil {
 		return err
 	}
 	if *out != "" {
 		fmt.Printf("merged %d traces into %s\n", fs.NArg(), *out)
 	}
 	return nil
+}
+
+// writeOut writes path with write, whole or not at all, or stdout when
+// path is "".
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	return atomicfile.Write(path, write)
 }
 
 func readManifest(path string) (*telemetry.Manifest, error) {

@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mlperf/internal/atomicfile"
 )
 
 // EnvelopeVersion is the on-disk entry format version. Get rejects (and
@@ -48,8 +50,9 @@ const magic = "mlperf-cas"
 // quarantineDir is the subdirectory corrupt entries are moved into.
 const quarantineDir = "quarantine"
 
-// tempPrefix starts the name of every in-flight Put's temp file.
-const tempPrefix = ".put-"
+// tempPrefix starts the name of every in-flight Put's temp file: Put
+// writes through atomicfile.Write.
+const tempPrefix = atomicfile.TempPrefix
 
 // staleTempAge is how old a temp file must be before the eviction scan
 // treats it as the leftover of a writer killed mid-Put and removes it. A
@@ -193,11 +196,12 @@ func (s *Store) Get(digest string) (payload []byte, ok bool, err error) {
 }
 
 // Put stores payload under digest, atomically and durably: the envelope
-// is written to a temp file in the store, fsynced, renamed into place,
-// and the directory is fsynced, so readers (and concurrent writers in
-// other processes) only ever observe absent or complete entries, and a
-// returned nil survives a crash. Re-putting an existing digest is a
-// cheap no-op — content addressing guarantees the bytes are the same.
+// goes through atomicfile.Write (a temp file in the store, fsynced,
+// renamed into place, the directory fsynced), so readers (and
+// concurrent writers in other processes) only ever observe absent or
+// complete entries, and a returned nil survives a crash. Re-putting an
+// existing digest is a cheap no-op — content addressing guarantees the
+// bytes are the same.
 func (s *Store) Put(digest string, payload []byte) error {
 	if err := validDigest(digest); err != nil {
 		return err
@@ -210,27 +214,11 @@ func (s *Store) Put(digest string, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), tempPrefix+"*")
-	if err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	env := encodeEnvelope(payload)
-	if _, err := tmp.Write(env); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := syncDir(filepath.Dir(dst)); err != nil {
+	if err := atomicfile.Write(dst, func(w io.Writer) error {
+		_, err := w.Write(env)
+		return err
+	}); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
 	s.puts.Add(1)
@@ -240,19 +228,6 @@ func (s *Store) Put(digest string, payload []byte) error {
 		s.evictToCap()
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory, making a rename into it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // evictToCap walks the store, re-anchors the size estimate to the

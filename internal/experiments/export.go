@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/workload"
 )
 
@@ -89,7 +90,7 @@ func ExportAll(dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(dir, "table4_scaling.csv"), func(w io.Writer) error {
+	if err := atomicfile.Write(filepath.Join(dir, "table4_scaling.csv"), func(w io.Writer) error {
 		return WriteTable4CSV(w, t4)
 	}); err != nil {
 		return err
@@ -99,7 +100,7 @@ func ExportAll(dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(dir, "table5_usage.csv"), func(w io.Writer) error {
+	if err := atomicfile.Write(filepath.Join(dir, "table5_usage.csv"), func(w io.Writer) error {
 		return WriteTable5CSV(w, t5)
 	}); err != nil {
 		return err
@@ -168,7 +169,7 @@ func ExportAll(dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(dir, "fig5_topology.csv"), func(w io.Writer) error {
+	if err := atomicfile.Write(filepath.Join(dir, "fig5_topology.csv"), func(w io.Writer) error {
 		return WriteFig5CSV(w, f5)
 	}); err != nil {
 		return err
@@ -197,21 +198,15 @@ func ExportAll(dir string) error {
 		},
 		"fig2_all_memory_bound": f2.AllMemoryBound(),
 	}
-	jf, err := os.Create(filepath.Join(dir, "summary.json"))
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-	enc := json.NewEncoder(jf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(summary); err != nil {
-		return err
-	}
-	return jf.Close()
+	return atomicfile.Write(filepath.Join(dir, "summary.json"), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(summary)
+	})
 }
 
 func writeCSV(path string, header []string, body func(*csv.Writer) error) error {
-	return writeFile(path, func(out io.Writer) error {
+	return atomicfile.Write(path, func(out io.Writer) error {
 		w := csv.NewWriter(out)
 		if err := w.Write(header); err != nil {
 			return err
@@ -222,18 +217,6 @@ func writeCSV(path string, header []string, body func(*csv.Writer) error) error 
 		w.Flush()
 		return w.Error()
 	})
-}
-
-func writeFile(path string, body func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := body(f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 func ff(v float64) string { return fmt.Sprintf("%.4f", v) }

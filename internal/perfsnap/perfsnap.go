@@ -11,11 +11,14 @@ package perfsnap
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+
+	"mlperf/internal/atomicfile"
 )
 
 // Schema is the snapshot file format version.
@@ -136,13 +139,16 @@ func (s *Snapshot) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// WriteFile writes the snapshot to path.
+// WriteFile writes the snapshot to path, whole or not at all.
 func (s *Snapshot) WriteFile(path string) error {
 	b, err := s.Marshal()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, b, 0o644)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 // ReadFile loads a snapshot, rejecting unknown schema versions.

@@ -199,8 +199,8 @@ func TestSimSpecsBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 8 {
-		t.Fatalf("%d specs, want 8", len(specs))
+	if len(specs) != 9 {
+		t.Fatalf("%d specs, want 9", len(specs))
 	}
 	names := map[string]bool{}
 	for _, s := range specs {
@@ -211,7 +211,7 @@ func TestSimSpecsBuild(t *testing.T) {
 	}
 	for _, want := range []string{"sim_cell_fast_1000", "sim_cell_step_1000",
 		"sim_full_fast_1000", "sim_full_step_1000", "sim_fixed_overhead",
-		"grid_table4_cold", "grid_table4_memwarm", "grid_table4_diskwarm"} {
+		"grid_table4_cold", "grid_table4_memwarm", "grid_table4_memwarm_tel", "grid_table4_diskwarm"} {
 		if !names[want] {
 			t.Fatalf("suite missing %s", want)
 		}

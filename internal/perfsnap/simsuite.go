@@ -7,6 +7,7 @@ import (
 	"mlperf/internal/hw"
 	"mlperf/internal/sim"
 	"mlperf/internal/sweep"
+	"mlperf/internal/telemetry"
 	"mlperf/internal/workload"
 )
 
@@ -38,11 +39,15 @@ const simSteps = 1000
 // the engine's cache tiers, on one worker for deterministic allocation
 // counts:
 //
-//	grid_table4_cold     - fresh engine per iteration: every cell simulates
-//	grid_table4_memwarm  - one warmed engine: every cell hits the memory tier
-//	grid_table4_diskwarm - fresh engine + fresh store handle over a filled
-//	  cache directory per iteration: every cell replays from disk (the
-//	  cross-process -cache-dir story)
+//	grid_table4_cold        - fresh engine per iteration: every cell
+//	  simulates
+//	grid_table4_memwarm     - one warmed engine: every cell hits the
+//	  memory tier
+//	grid_table4_memwarm_tel - the same with a telemetry registry
+//	  attached, as every daemon runs: what counting each cell costs
+//	grid_table4_diskwarm    - fresh engine + fresh store handle over a
+//	  filled cache directory per iteration: every cell replays from disk
+//	  (the cross-process -cache-dir story)
 //
 // Each spec builds its System once and reuses it across iterations, so
 // topology caches warm exactly as they do across a long-lived run; the
@@ -81,7 +86,8 @@ func SimSpecs() ([]Spec, error) {
 		{Name: "sim_full_step_1000", Bench: mk(simSteps, sim.FastPathOff, false)},
 		{Name: "sim_fixed_overhead", Bench: mk(1, sim.FastPathForce, true)},
 		{Name: "grid_table4_cold", Bench: gridCold},
-		{Name: "grid_table4_memwarm", Bench: gridMemWarm},
+		{Name: "grid_table4_memwarm", Bench: func(b *testing.B) { gridMemWarm(b, nil) }},
+		{Name: "grid_table4_memwarm_tel", Bench: func(b *testing.B) { gridMemWarm(b, telemetry.New()) }},
 		{Name: "grid_table4_diskwarm", Bench: gridDiskWarm},
 	}, nil
 }
@@ -111,10 +117,12 @@ func gridCold(b *testing.B) {
 	}
 }
 
-// gridMemWarm measures the grid replayed from the in-memory memo tier.
-func gridMemWarm(b *testing.B) {
+// gridMemWarm measures the grid replayed from the in-memory memo tier
+// by an engine that publishes into reg (nil = telemetry off).
+func gridMemWarm(b *testing.B, reg *telemetry.Registry) {
 	g := gridTable4()
 	e := sweep.NewEngine(1)
+	e.SetTelemetry(reg)
 	if _, err := e.Run(g); err != nil {
 		b.Fatal(err)
 	}

@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"mlperf/internal/atomicfile"
 	"mlperf/internal/httpkit"
 	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
@@ -321,34 +322,20 @@ func (s *Sink) flush() error {
 	defer s.mu.Unlock()
 	s.Manifest.Finish(s.Reg, time.Since(s.start))
 	if s.MetricsPath != "" {
-		if err := writeFile(s.MetricsPath, s.Reg.WritePrometheus); err != nil {
+		if err := atomicfile.Write(s.MetricsPath, s.Reg.WritePrometheus); err != nil {
 			return err
 		}
 	}
 	if s.ManifestPath != "" {
-		if err := s.Manifest.WriteFile(s.ManifestPath); err != nil {
+		if err := atomicfile.Write(s.ManifestPath, s.Manifest.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if s.TracePath != "" {
 		spans := s.Reg.Tracer().Spans()
-		return writeFile(s.TracePath, func(w io.Writer) error {
+		return atomicfile.Write(s.TracePath, func(w io.Writer) error {
 			return telemetry.WriteSpansChromeTrace(w, spans)
 		})
 	}
 	return nil
-}
-
-// writeFile creates path and writes it with write, reporting the first
-// error including the close.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"mlperf/internal/atomicfile"
 )
 
 // FlightRecorder is a fixed-size, lock-free ring of the most recent
@@ -180,24 +182,6 @@ func (f *FlightRecorder) WriteDump(w io.Writer, tool, reason string) error {
 	return enc.Encode(f.Dump(tool, reason))
 }
 
-// DumpFile writes the envelope to path atomically (write-then-rename,
-// the crash-safety idiom of the CAS tier) — a panicking process must
-// not leave a half-written forensic artifact.
-func (f *FlightRecorder) DumpFile(path, tool, reason string) error {
-	var buf bytes.Buffer
-	if err := f.WriteDump(&buf, tool, reason); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // SetDumpTarget makes DumpToTarget write the ring to path under tool
 // ("" path = no target). Safe for concurrent use with DumpToTarget.
 func (f *FlightRecorder) SetDumpTarget(path, tool string) {
@@ -208,7 +192,9 @@ func (f *FlightRecorder) SetDumpTarget(path, tool string) {
 
 // DumpToTarget writes the ring to its dump target under reason
 // ("panic", "drain", "sigquit") and returns the path written: "" and
-// nil when no target is set.
+// nil when no target is set. It creates the target's directory and
+// writes through atomicfile.Write, so a panicking process never leaves
+// a half-written forensic artifact and concurrent dumpers never lose one.
 func (f *FlightRecorder) DumpToTarget(reason string) (string, error) {
 	if f == nil {
 		return "", nil
@@ -217,7 +203,12 @@ func (f *FlightRecorder) DumpToTarget(reason string) (string, error) {
 	if t == nil || t.path == "" {
 		return "", nil
 	}
-	return t.path, f.DumpFile(t.path, t.tool, reason)
+	if err := os.MkdirAll(filepath.Dir(t.path), 0o755); err != nil {
+		return t.path, err
+	}
+	return t.path, atomicfile.Write(t.path, func(w io.Writer) error {
+		return f.WriteDump(w, t.tool, reason)
+	})
 }
 
 // ParseFlightDump parses and validates a dump: known fields only, a

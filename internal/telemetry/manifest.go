@@ -118,19 +118,6 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteFile writes the manifest to path.
-func (m *Manifest) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ParseManifest decodes and validates a manifest against its schema:
 // unknown fields are rejected, required fields must be present, and
 // every numeric field must be sane. It is the inspector's and CI's

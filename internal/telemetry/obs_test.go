@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -335,6 +336,43 @@ func TestFlightDumpToTarget(t *testing.T) {
 	nilRec.SetDumpTarget(want, "x")
 	if path, err := nilRec.DumpToTarget("panic"); path != "" || err != nil {
 		t.Fatalf("nil recorder: DumpToTarget = %q, %v", path, err)
+	}
+}
+
+// Concurrent dumps to one target all land: a panic dump racing a
+// SIGQUIT or drain dump gets its own temp file, so no call fails and
+// the surviving file is one whole dump.
+func TestConcurrentDumpsToOneTarget(t *testing.T) {
+	const rounds, dumpers = 200, 4
+	fr := NewFlightRecorder(8)
+	fr.Event("drain begin", "")
+	target := filepath.Join(t.TempDir(), "flight.json")
+	fr.SetDumpTarget(target, "mlperf-serve")
+	failed, first := 0, error(nil)
+	for round := 0; round < rounds; round++ {
+		errs := make(chan error, dumpers)
+		for g := 0; g < dumpers; g++ {
+			go func() {
+				_, err := fr.DumpToTarget("panic")
+				errs <- err
+			}()
+		}
+		for g := 0; g < dumpers; g++ {
+			if err := <-errs; err != nil {
+				failed++
+				first = cmp.Or(first, err)
+			}
+		}
+		data, err := os.ReadFile(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseFlightDump(data); err != nil {
+			t.Fatalf("round %d: surviving dump does not parse: %v", round, err)
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d concurrent dumps failed, the first with: %v", failed, rounds*dumpers, first)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,22 +42,39 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // what the Prometheus exporter prints, so equal label sets always share
 // one instrument.
 func labelID(labels []Label) string {
+	return string(appendKey(nil, "", labels))
+}
+
+// maxStackLabels is how many labels appendKey sorts without allocating;
+// every instrument in the repository has at most two.
+const maxStackLabels = 8
+
+// appendKey appends the canonical instrument key to buf: name, then the
+// labels sorted by key (insertion sort on a copy) with each value quoted
+// as %q quotes it. A lookup builds the key in a stack buffer and indexes
+// the maps with string(buf), which does not allocate.
+func appendKey(buf []byte, name string, labels []Label) []byte {
+	buf = append(buf, name...)
 	if len(labels) == 0 {
-		return ""
+		return buf
 	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteByte('{')
+	var stack [maxStackLabels]Label
+	ls := append(stack[:0], labels...)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	buf = append(buf, '{')
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		buf = append(buf, l.Key...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(buf, '}')
 }
 
 // validName reports whether s is a legal Prometheus metric or label
@@ -290,10 +307,16 @@ func (r *Registry) Now() float64 {
 	return r.tracer.Now()
 }
 
-// key builds the canonical instrument key, panicking on malformed
-// names: instrument names are compile-time constants, so a bad one is a
-// programming error the first test run should catch.
-func key(name string, labels []Label) (full, id string) {
+// keyBuf is the stack buffer a lookup builds its key in; a longer key
+// spills to the heap.
+type keyBuf [128]byte
+
+// register validates name and labels, panicking on a malformed one
+// (instrument names are compile-time constants, so a bad one is a
+// programming error the first test run should catch), and returns the
+// key to store the new instrument under and its label suffix. It runs
+// only when an instrument is first registered.
+func register(name string, labels []Label, key []byte) (full, id string) {
 	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -302,8 +325,8 @@ func key(name string, labels []Label) (full, id string) {
 			panic(fmt.Sprintf("telemetry: invalid label name %q on %q", l.Key, name))
 		}
 	}
-	id = labelID(labels)
-	return name + id, id
+	full = string(key)
+	return full, full[len(name):]
 }
 
 // Counter returns (registering on first use) the named counter.
@@ -311,11 +334,13 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	full, id := key(name, labels)
+	var kb keyBuf
+	k := appendKey(kb[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[full]
+	c, ok := r.counters[string(k)]
 	if !ok {
+		full, id := register(name, labels, k)
 		c = &Counter{name: name, id: id}
 		r.counters[full] = c
 	}
@@ -327,11 +352,13 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	full, id := key(name, labels)
+	var kb keyBuf
+	k := appendKey(kb[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[full]
+	g, ok := r.gauges[string(k)]
 	if !ok {
+		full, id := register(name, labels, k)
 		g = &Gauge{name: name, id: id}
 		r.gauges[full] = g
 	}
@@ -346,11 +373,13 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	if r == nil {
 		return nil
 	}
-	full, id := key(name, labels)
+	var kb keyBuf
+	k := appendKey(kb[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[full]
+	h, ok := r.hists[string(k)]
 	if !ok {
+		full, id := register(name, labels, k)
 		if len(buckets) == 0 {
 			buckets = LatencyBuckets
 		}
@@ -369,13 +398,14 @@ func (r *Registry) Count(name string, labels ...Label) int64 {
 	if r == nil {
 		return 0
 	}
-	full, _ := key(name, labels)
+	var kb keyBuf
+	k := appendKey(kb[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[full]; ok {
+	if c, ok := r.counters[string(k)]; ok {
 		return c.Value()
 	}
-	if h, ok := r.hists[full]; ok {
+	if h, ok := r.hists[string(k)]; ok {
 		return h.Count()
 	}
 	return 0

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -99,6 +100,36 @@ func TestLabelCanonicalization(t *testing.T) {
 	b := r.Counter("x_total", L("a", "1"), L("b", "2"))
 	if a != b {
 		t.Fatal("label order changed instrument identity")
+	}
+}
+
+// The label suffix quotes each value exactly as %q does, so the
+// /metrics text keeps its bytes.
+func TestLabelIDQuotesLikePercentQ(t *testing.T) {
+	for _, v := range []string{"", "plain", `a "quoted" \ value`, "tab\tnew\nline", "ünï code", "\x00\xff"} {
+		want := fmt.Sprintf("{a=%q,b=%q}", v, v+"2")
+		if got := labelID([]Label{L("b", v+"2"), L("a", v)}); got != want {
+			t.Errorf("labelID(%q) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// Looking up an instrument that already exists allocates nothing, so
+// hot paths may look their instruments up on every event.
+func TestLookupOfExistingInstrumentAllocatesNothing(t *testing.T) {
+	r := New()
+	r.Counter("req_total", L("endpoint", "sweep"), L("code", "200")).Inc()
+	r.Gauge("depth", L("queue", "admit")).Set(1)
+	r.Histogram("req_seconds", LatencyBuckets, L("endpoint", "sweep")).Observe(0.01)
+	for name, lookup := range map[string]func(){
+		"Counter":   func() { r.Counter("req_total", L("endpoint", "sweep"), L("code", "200")).Inc() },
+		"Gauge":     func() { r.Gauge("depth", L("queue", "admit")).Max(2) },
+		"Histogram": func() { r.Histogram("req_seconds", LatencyBuckets, L("endpoint", "sweep")).Observe(0.01) },
+		"Count":     func() { r.Count("req_total", L("code", "200"), L("endpoint", "sweep")) },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s lookup of an existing instrument: %.0f allocs, want 0", name, n)
+		}
 	}
 }
 
