@@ -70,13 +70,11 @@ const DefaultQuarantineLimit = 64
 // never returns it: it quarantines such an entry and reports a miss.
 var ErrCorrupt = errors.New("cas: corrupt entry")
 
-// Stats counts a store's traffic since Open. All counters are monotone.
+// Stats counts a store's writes, quarantines and evictions since Open.
+// All counters are monotone. Lookups are not counted here: whether a
+// Get answers a cell is the caller's to judge (the sweep engine counts
+// its disk hits and misses after decoding the record).
 type Stats struct {
-	// Hits counts Gets that returned a verified payload.
-	Hits int64
-	// Misses counts Gets that found no entry (including entries lost to
-	// quarantine on the same call).
-	Misses int64
 	// Puts counts blobs written (idempotent re-puts of an existing
 	// digest are not counted; see PutsSkipped).
 	Puts int64
@@ -104,8 +102,7 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	hits, misses, puts, putsSkipped, quarantined, quarantineDropped atomic.Int64
-	evictions                                                       atomic.Int64
+	puts, putsSkipped, quarantined, quarantineDropped, evictions atomic.Int64
 
 	// qmu serializes quarantine moves and the prune that follows, so two
 	// goroutines quarantining at once cannot both skip pruning.
@@ -180,7 +177,6 @@ func (s *Store) Get(digest string) (payload []byte, ok bool, err error) {
 	data, rerr := os.ReadFile(s.path(digest))
 	if rerr != nil {
 		if errors.Is(rerr, fs.ErrNotExist) {
-			s.misses.Add(1)
 			return nil, false, nil
 		}
 		return nil, false, fmt.Errorf("cas: %w", rerr)
@@ -188,10 +184,8 @@ func (s *Store) Get(digest string) (payload []byte, ok bool, err error) {
 	payload, verr := decodeEnvelope(data)
 	if verr != nil {
 		s.Quarantine(digest)
-		s.misses.Add(1)
 		return nil, false, nil
 	}
-	s.hits.Add(1)
 	return payload, true, nil
 }
 
@@ -398,8 +392,6 @@ func (s *Store) Len() (int, error) {
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Hits:              s.hits.Load(),
-		Misses:            s.misses.Load(),
 		Puts:              s.puts.Load(),
 		PutsSkipped:       s.putsSkipped.Load(),
 		Quarantined:       s.quarantined.Load(),

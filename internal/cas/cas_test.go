@@ -43,8 +43,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.PutsSkipped != 1 || st.Quarantined != 0 {
-		t.Errorf("stats %+v, want 1 hit / 1 miss / 1 put / 1 skipped / 0 quarantined", st)
+	if st.Puts != 1 || st.PutsSkipped != 1 || st.Quarantined != 0 {
+		t.Errorf("stats %+v, want 1 put / 1 skipped / 0 quarantined", st)
 	}
 	if n, err := s.Len(); err != nil || n != 1 {
 		t.Errorf("Len = %d, %v; want 1", n, err)

@@ -106,11 +106,12 @@ func diffLines(want, got []byte) string {
 // TestCacheDedupAcrossExperiments pins the exact sharing structure the
 // memo cache exploits: Table V and Figure 5 share the C4140 (K) 4-GPU
 // column, Table IV and Figure 4 share the DSS 8440 ladder, and a repeated
-// experiment costs zero simulations. The hit/miss deltas are computed
-// against the engine's counters stage by stage.
+// experiment costs zero simulations. The experiments run on a fresh
+// Default engine, so its counters are this test's alone.
 func TestCacheDedupAcrossExperiments(t *testing.T) {
-	sweep.Default.ResetCache()
-	defer sweep.Default.ResetCache()
+	old := sweep.Default
+	sweep.Default = sweep.NewEngine(0)
+	defer func() { sweep.Default = old }()
 
 	assertStats := func(stage string, wantMisses, wantHits int64) {
 		t.Helper()

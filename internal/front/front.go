@@ -21,12 +21,13 @@
 // A grid over the backends' cell budget (serve.MaxRequestCells) is
 // refused with a backend's own 413 before any fan-out.
 //
-// Cell cache: the front keeps a bounded digest → record map (a
+// Cell cache: the front keeps a bounded normalized-key → record map (a
 // memo.Map, like the backends' cell memo) filled from every record it
 // delivers, never from an undelivered cell. A held cell is answered
 // without a backend hop — no backend admission, no tenant bucket, even
 // with every backend draining or down — and a grid fans out only its
-// unheld cells. The digest is the cell's content, so entries never need
+// unheld cells; only those are digested, to route them. A normalized
+// key is the cell's content, as its digest is, so entries never need
 // invalidation.
 //
 // Failover: a health loop polls each backend's /readyz; a draining or
@@ -146,30 +147,30 @@ type health struct {
 func (f *Front) isHealthy(i int) bool { return f.health[i].Load().healthy }
 
 // cellCacheCap bounds the cell cache: at most 8192 records, about 5 MB
-// with their digests. A constant, not a knob.
+// with their keys. A constant, not a knob.
 const cellCacheCap = 8192
 
-// cellCache holds records the fleet already computed, keyed by cell
-// digest. A digest addresses the cell's content under the KeySchema, so
-// an entry never goes stale and is never invalidated; only the bound
-// drops entries.
+// cellCache holds records the fleet already computed, keyed by
+// normalized cell key. The key is the cell's content (its digest is a
+// pure function of it), so an entry never goes stale and is never
+// invalidated; only the bound drops entries.
 type cellCache struct {
 	mu sync.Mutex
-	m  *memo.Map[string, sweep.Record]
+	m  *memo.Map[sweep.CellKey, sweep.Record]
 }
 
-func (c *cellCache) get(digest string) (sweep.Record, bool) {
+func (c *cellCache) get(k sweep.CellKey) (sweep.Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.m.Get(digest)
+	return c.m.Get(k)
 }
 
 // put stores a record. Callers pass only validated backend answers:
 // whatever is put here is served without a backend hop.
-func (c *cellCache) put(digest string, r sweep.Record) {
+func (c *cellCache) put(k sweep.CellKey, r sweep.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m.Put(digest, r)
+	c.m.Put(k, r)
 }
 
 // New builds a front over cfg.Backends and starts its health loop.
@@ -201,7 +202,7 @@ func New(cfg Config) (*Front, error) {
 		health:   make([]atomic.Pointer[health], len(backends)),
 		log:      cfg.Logger,
 		flight:   telemetry.NewFlightRecorder(telemetry.DefaultFlightSize),
-		cells:    cellCache{m: memo.New[string, sweep.Record](cellCacheCap)},
+		cells:    cellCache{m: memo.New[sweep.CellKey, sweep.Record](cellCacheCap)},
 	}
 	// Optimistic start: every backend is presumed healthy until a probe
 	// says otherwise, so the front serves immediately and per-request
@@ -396,18 +397,18 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	digest, err := k.Digest()
-	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if _, err := serve.RequestTimeout(r); err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if rec, ok := f.cells.get(digest); ok {
+	if rec, ok := f.cells.get(k); ok {
 		f.countCells(1, 0)
 		httpkit.WriteJSON(w, http.StatusOK, serve.SimulateResponse{Record: rec})
+		return
+	}
+	digest, err := k.Digest()
+	if err != nil {
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	f.countCells(0, 1)
@@ -426,7 +427,7 @@ func (f *Front) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if err := json.NewDecoder(resp.Body).Decode(&sim); err != nil {
 				return false, true // a garbled answer is a broken backend
 			}
-			f.cells.put(digest, sim.Record)
+			f.cells.put(k, sim.Record)
 			httpkit.WriteJSON(w, http.StatusOK, sim)
 			return true, false
 		}
@@ -492,7 +493,7 @@ func (f *Front) countCells(hits, misses int) {
 type partition struct {
 	indices []int
 	keys    []sweep.CellKey
-	digests []string
+	route   string // the first cell's digest: its owner is the slice's
 }
 
 // gridPlan is a grid split for fan-out: records is the whole grid in
@@ -505,8 +506,8 @@ type gridPlan struct {
 }
 
 // planGrid resolves a sweep request's cells, answers the held ones from
-// the cell cache and slices the rest by owner, hashing each cell
-// once for lookup, routing and fill. It refuses, before any fan-out and
+// the cell cache and slices the rest by owner, digesting only those to
+// route them. It refuses, before any fan-out and
 // held cells or not, what a backend refuses before admission, in the
 // backend's order: a malformed grid (400), a grid over the backends'
 // cell budget (413, the backend's own body) and a malformed deadline
@@ -528,25 +529,24 @@ func (f *Front) planGrid(w http.ResponseWriter, r *http.Request) (*gridPlan, boo
 	g := &gridPlan{records: make([]sweep.Record, len(keys))}
 	byOwner := make([]*partition, len(f.backends))
 	for i, k := range keys {
+		if rec, ok := f.cells.get(k); ok {
+			g.records[i] = rec
+			g.held = append(g.held, i)
+			continue
+		}
 		d, err := k.Digest()
 		if err != nil {
 			httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 			return nil, false
 		}
-		if rec, ok := f.cells.get(d); ok {
-			g.records[i] = rec
-			g.held = append(g.held, i)
-			continue
-		}
 		o := f.owner(d)
 		p := byOwner[o]
 		if p == nil {
-			p = &partition{}
+			p = &partition{route: d}
 			byOwner[o] = p
 		}
 		p.indices = append(p.indices, i)
 		p.keys = append(p.keys, k)
-		p.digests = append(p.digests, d)
 	}
 	f.countCells(len(g.held), len(keys)-len(g.held))
 	for _, p := range byOwner {
@@ -618,7 +618,11 @@ func (f *Front) fanOut(r *http.Request, g *gridPlan, deliver func(*serve.StreamF
 			sums[pi], errs[pi] = f.subStream(r, p, frames)
 		}(pi, p)
 	}
-	go func() { wg.Wait(); close(frames) }()
+	if len(g.parts) == 0 {
+		close(frames) // every cell is held: nothing to wait for
+	} else {
+		go func() { wg.Wait(); close(frames) }()
+	}
 
 	sum := serve.StreamFrame{Type: "summary", Cells: len(g.records)}
 	for _, gi := range g.held {
@@ -648,8 +652,8 @@ func (f *Front) fanOut(r *http.Request, g *gridPlan, deliver func(*serve.StreamF
 }
 
 // subStream streams one partition from /v1/sweep/stream on its owner,
-// keyed by the partition's first cell digest (the first cell's owner IS
-// the slice's owner, so attempt 0 goes there). Each record frame fills
+// keyed by the partition's route (the first cell's owner IS the slice's
+// owner, so attempt 0 goes there). Each record frame fills
 // the cell cache and goes to frames re-indexed from slice-local to
 // global; the backend's summary is returned.
 //
@@ -667,7 +671,7 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 	}
 	var summary *serve.StreamFrame
 	var lastErr error
-	f.tryBackends(p.digests[0], func(i int) (bool, bool) {
+	f.tryBackends(p.route, func(i int) (bool, bool) {
 		f.reg.Counter(MetricFanouts).Inc()
 		keys := make([]sweep.CellKey, len(todo))
 		for n, j := range todo {
@@ -748,7 +752,7 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 				seen[fr.Index] = true
 				got++
 				j := todo[fr.Index]
-				f.cells.put(p.digests[j], *fr.Record)
+				f.cells.put(p.keys[j], *fr.Record)
 				fr.Index = p.indices[j] // slice-local -> global
 				frames <- fr
 			case "summary":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -161,6 +162,42 @@ func TestOversizedGridIs413(t *testing.T) {
 		if m.Name == MetricShed {
 			t.Errorf("oversized grid counted as a shed: %+v", m)
 		}
+	}
+}
+
+// An oversized GET grid is refused the same way every time: 20
+// requests to each sweep endpoint get byte-identical 413s, the same
+// headers but the request id, and nothing simulates.
+func TestOversizedGetGridRefusalRepeats(t *testing.T) {
+	srv, ts := newTestServer(t, Config{}, nil)
+	batches := make([]string, MaxRequestCells)
+	for i := range batches {
+		batches[i] = fmt.Sprint(i + 1)
+	}
+	q := "?benchmarks=res50_tf,ncf_py&batches=" + strings.Join(batches, ",")
+	want := fmt.Sprintf("request costs %d cells, server admits at most %d", 2*MaxRequestCells, MaxRequestCells)
+	for _, p := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+		var firstBody string
+		var firstHdr http.Header
+		for i := 0; i < 20; i++ {
+			code, body, hdr := get(t, ts.URL+p+q)
+			if code != http.StatusRequestEntityTooLarge || !strings.Contains(body, want) {
+				t.Fatalf("GET %s run %d: %d %s, want 413 %q", p, i, code, strings.TrimSpace(body), want)
+			}
+			if hdr.Get("X-Request-Id") == "" {
+				t.Fatalf("GET %s run %d: no X-Request-Id", p, i)
+			}
+			hdr.Del("X-Request-Id")
+			hdr.Del("Date")
+			if i == 0 {
+				firstBody, firstHdr = body, hdr
+			} else if body != firstBody || !reflect.DeepEqual(hdr, firstHdr) {
+				t.Fatalf("GET %s run %d: %v %q, want %v %q as on run 0", p, i, hdr, body, firstHdr, firstBody)
+			}
+		}
+	}
+	if sims := srv.Engine().Stats().Simulations; sims != 0 {
+		t.Errorf("%d simulations for refused grids, want 0", sims)
 	}
 }
 

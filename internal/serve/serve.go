@@ -113,7 +113,8 @@ type Config struct {
 	// Telemetry is the registry /metrics serves and /v1/stats reads (nil
 	// = a private registry; the daemon always measures itself). It
 	// belongs to this one server: a registry shared with another daemon
-	// would add that daemon's counts to this one's stats.
+	// would add that daemon's request counts to this one's stats, and
+	// its engine cache series would read only the last engine attached.
 	Telemetry *telemetry.Registry
 	// Logger emits structured request/lifecycle events (nil = no
 	// logging; nil is the valid no-op logger).

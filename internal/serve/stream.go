@@ -118,12 +118,8 @@ func SweepKeysFromRequest(r *http.Request) (keys []sweep.CellKey, cost int64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	n, err := g.Count()
-	if err != nil || n > MaxRequestCells {
-		return nil, int64(n), err
-	}
-	keys, err = g.Cells()
-	return keys, int64(len(keys)), err
+	keys, n, err := g.CellsWithin(MaxRequestCells)
+	return keys, int64(n), err
 }
 
 // cellsFromBody stream-decodes a POST {"cells": [...]} body one cell

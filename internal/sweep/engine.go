@@ -38,24 +38,28 @@ type Engine struct {
 	// mid-process attach reason as tel.
 	disk atomic.Pointer[storeRef]
 
-	// diskHits/diskMisses count second-tier traffic and diskErrors its
+	// The engine counts each cache event once, here; an attached
+	// registry reads these counters (SetTelemetry). diskHits/diskMisses
+	// count second-tier traffic and diskGetErrors/diskPutErrors its
 	// failed operations; simulations counts cells that actually ran the
 	// simulator (a memory miss promoted from disk is NOT a simulation —
 	// that distinction is the whole point of the persistent tier, and CI
 	// asserts it).
-	diskHits    atomic.Int64
-	diskMisses  atomic.Int64
-	diskErrors  atomic.Int64
-	simulations atomic.Int64
+	diskHits      atomic.Int64
+	diskMisses    atomic.Int64
+	diskGetErrors atomic.Int64
+	diskPutErrors atomic.Int64
+	simulations   atomic.Int64
 
 	mu sync.Mutex
 	// cache memoizes cells, at most maxMemoCells of them. Its length is
 	// NOT the miss count: rotations drop entries, so misses get their own
-	// monotone counter below.
+	// monotone counter below. hits, misses and joins change under mu, so
+	// Stats reads them as one consistent set.
 	cache  *memo.Map[CellKey, *cellEntry]
-	hits   int64
-	misses int64
-	joins  int64
+	hits   atomic.Int64
+	misses atomic.Int64
+	joins  atomic.Int64
 }
 
 // maxMemoCells bounds the memory tier. Full, it holds about 25 MB of
@@ -100,12 +104,25 @@ var Default = NewEngine(0)
 func (e *Engine) SetWorkers(n int) { e.workers.Store(int64(n)) }
 
 // SetTelemetry attaches (or, with nil, detaches) a metrics registry.
-// While attached, the engine publishes cache traffic, per-cell latency
-// histograms, failure counters, worker-pool occupancy and one
-// span per simulated cell. Detached (the default), every telemetry
-// call is a nil no-op and results are byte-identical to an engine that
-// never heard of telemetry.
-func (e *Engine) SetTelemetry(reg *telemetry.Registry) { e.tel.Store(reg) }
+// Attaching registers the cache series (MetricCacheTotal,
+// MetricDiskCacheTotal, MetricDiskErrors) as read-through counters over
+// the engine's own counts, so they appear at once, read 0 until traffic
+// arrives and cost a cell nothing; a registry reads one engine, the
+// last one attached. While attached, the engine also publishes
+// per-cell latency histograms, failure counters, worker-pool occupancy
+// and one span per simulated cell. Detached (the default), every
+// telemetry call is a nil no-op and results are byte-identical to an
+// engine that never heard of telemetry.
+func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
+	hit, miss := telemetry.L("result", "hit"), telemetry.L("result", "miss")
+	reg.CounterFunc(MetricCacheTotal, e.hits.Load, hit)
+	reg.CounterFunc(MetricCacheTotal, e.misses.Load, miss)
+	reg.CounterFunc(MetricDiskCacheTotal, e.diskHits.Load, hit)
+	reg.CounterFunc(MetricDiskCacheTotal, e.diskMisses.Load, miss)
+	reg.CounterFunc(MetricDiskErrors, e.diskGetErrors.Load, telemetry.L("op", "get"))
+	reg.CounterFunc(MetricDiskErrors, e.diskPutErrors.Load, telemetry.L("op", "put"))
+	e.tel.Store(reg)
+}
 
 // Telemetry returns the attached registry (nil when detached).
 func (e *Engine) Telemetry() *telemetry.Registry { return e.tel.Load() }
@@ -219,27 +236,24 @@ func (e *Engine) entry(k CellKey) *cellEntry {
 	if !ok {
 		en = &cellEntry{}
 		e.cache.Put(k, en)
-		e.misses++
+		e.misses.Add(1)
 	} else {
-		e.hits++
+		e.hits.Add(1)
 		if !en.settled.Load() {
-			e.joins++
+			e.joins.Add(1)
 		}
 	}
 	e.mu.Unlock()
-	reg := e.tel.Load()
-	if ok {
-		reg.Counter(MetricCacheTotal, telemetry.L("result", "hit")).Inc()
-	} else {
-		reg.Counter(MetricCacheTotal, telemetry.L("result", "miss")).Inc()
-	}
 	return en
 }
 
 // fill settles en exactly once and waits for it: from the disk tier when
 // the store holds the cell, else by simulating it. The simulation runs
 // panic-guarded: a panicking cell settles its entry with a *PanicError
-// instead of unwinding through the worker pool.
+// instead of unwinding through the worker pool. A failed store Get or
+// Put is counted, and that is all: the tier is an accelerator, so a
+// failed Get reads as a disk miss and a failed Put drops the write, and
+// neither fails the cell.
 func (e *Engine) fill(en *cellEntry, k CellKey, parent telemetry.SpanID) {
 	reg := e.tel.Load()
 	en.once.Do(func() {
@@ -249,15 +263,15 @@ func (e *Engine) fill(en *cellEntry, k CellKey, parent telemetry.SpanID) {
 		// this branch can change wall time but never records.
 		if ds := e.Store(); ds != nil {
 			rec, ok, err := ds.Get(k)
-			e.countDiskError(reg, "get", err)
+			if err != nil {
+				e.diskGetErrors.Add(1)
+			}
 			if ok {
 				e.diskHits.Add(1)
-				reg.Counter(MetricDiskCacheTotal, telemetry.L("result", "hit")).Inc()
 				en.rec, en.err = rec, nil
 				return
 			}
 			e.diskMisses.Add(1)
-			reg.Counter(MetricDiskCacheTotal, telemetry.L("result", "miss")).Inc()
 		}
 		release := e.trackBusy()
 		defer release()
@@ -273,21 +287,11 @@ func (e *Engine) fill(en *cellEntry, k CellKey, parent telemetry.SpanID) {
 			reg.Tracer().End(span)
 		}
 		if en.err == nil {
-			if ds := e.Store(); ds != nil {
-				e.countDiskError(reg, "put", ds.Put(k, en.rec))
+			if ds := e.Store(); ds != nil && ds.Put(k, en.rec) != nil {
+				e.diskPutErrors.Add(1)
 			}
 		}
 	})
-}
-
-// countDiskError counts a failed store operation, and that is all it
-// does: the tier is an accelerator, so a failed Get reads as a disk
-// miss and a failed Put drops the write, and neither fails the cell.
-func (e *Engine) countDiskError(reg *telemetry.Registry, op string, err error) {
-	if err != nil {
-		e.diskErrors.Add(1)
-		reg.Counter(MetricDiskErrors, telemetry.L("op", op)).Inc()
-	}
 }
 
 // cellName renders the span label of one cell ("res50_tf/dss8440@4").
@@ -340,7 +344,7 @@ type CacheStats struct {
 // Stats returns a snapshot of the cache counters.
 func (e *Engine) Stats() CacheStats {
 	e.mu.Lock()
-	hits, misses, joins := e.hits, e.misses, e.joins
+	hits, misses, joins := e.hits.Load(), e.misses.Load(), e.joins.Load()
 	evict := e.cache.Dropped()
 	e.mu.Unlock()
 	st := CacheStats{
@@ -352,7 +356,7 @@ func (e *Engine) Stats() CacheStats {
 			Hits:   e.diskHits.Load(),
 			Misses: e.diskMisses.Load(),
 		},
-		DiskErrors:  e.diskErrors.Load(),
+		DiskErrors:  e.diskGetErrors.Load() + e.diskPutErrors.Load(),
 		Simulations: e.simulations.Load(),
 		Schema:      KeySchema,
 	}
@@ -362,22 +366,6 @@ func (e *Engine) Stats() CacheStats {
 		st.Disk.Quarantined = dst.Quarantined
 	}
 	return st
-}
-
-// ResetCache drops all memoized results and zeroes this engine's
-// counters. An attached persistent store is NOT cleared — its entries
-// and eviction history outlive any one engine by design.
-func (e *Engine) ResetCache() {
-	e.mu.Lock()
-	e.cache = memo.New[CellKey, *cellEntry](maxMemoCells)
-	e.hits = 0
-	e.misses = 0
-	e.joins = 0
-	e.mu.Unlock()
-	e.diskHits.Store(0)
-	e.diskMisses.Store(0)
-	e.diskErrors.Store(0)
-	e.simulations.Store(0)
 }
 
 // Map runs fn(0..n-1) on up to workers goroutines and returns the results

@@ -129,10 +129,6 @@ func TestCacheReturnsIdenticalRecords(t *testing.T) {
 	if !reflect.DeepEqual(first, fresh) {
 		t.Error("cached records differ from an uncached engine's")
 	}
-	e.ResetCache()
-	if st := e.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("after reset: stats %+v", st)
-	}
 }
 
 // TestCellKeyNormalization checks that spelling variants of one cell

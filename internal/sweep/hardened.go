@@ -146,7 +146,7 @@ func classify(err error) FailKind {
 // every cell it could complete plus a Report of the rest; without it
 // the first (lowest-index) failure aborts the result like Engine.Run.
 func (e *Engine) RunWithOptions(ctx context.Context, g Grid, opts Options) ([]Record, *Report, error) {
-	keys, err := expand(g)
+	keys, err := g.Cells()
 	if err != nil {
 		return nil, nil, err
 	}

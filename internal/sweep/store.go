@@ -34,7 +34,8 @@ type Store interface {
 	Get(k CellKey) (rec Record, ok bool, err error)
 	// Put stores the record for a normalized key.
 	Put(k CellKey, rec Record) error
-	// Stats reports the tier's traffic.
+	// Stats reports the tier's Evictions and Quarantined; the engine
+	// counts the tier's hits and misses itself and reads nothing else.
 	Stats() TierStats
 }
 
@@ -123,19 +124,15 @@ func (d *DiskStore) Put(k CellKey, rec Record) error {
 	return d.cas.Put(digestOf(k), payload)
 }
 
-// Stats implements Store, mapping the blob store's counters onto the
-// tier view. Quarantines (corrupt, foreign-codec or misfiled entries
-// moved aside) are reported as Quarantined, distinct from Evictions
-// (capacity decisions about intact entries) — the two used to be
-// conflated, which made a corruption storm read as a capacity problem.
+// Stats implements Store with the blob store's Evictions and
+// Quarantined; Hits and Misses stay 0, because the engine counts the
+// tier's lookups itself. Quarantines (corrupt, foreign-codec or
+// misfiled entries moved aside) are distinct from Evictions (capacity
+// decisions about intact entries) — the two used to be conflated,
+// which made a corruption storm read as a capacity problem.
 func (d *DiskStore) Stats() TierStats {
 	st := d.cas.Stats()
-	return TierStats{
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Evictions:   st.Evictions,
-		Quarantined: st.Quarantined,
-	}
+	return TierStats{Evictions: st.Evictions, Quarantined: st.Quarantined}
 }
 
 // Len reports how many intact entries the store holds (inspection

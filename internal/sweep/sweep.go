@@ -294,7 +294,7 @@ type space struct {
 // are the ones expanding cell by cell would meet first: an unknown
 // benchmark, system or precision, then the first feasible (system, GPU
 // count) pair's GPU count below 1, negative batch or bad fault plan.
-// Both expand and Count run it, so they agree on every grid.
+// CellsWithin prices and expands a grid from one resolve.
 func resolve(g Grid) (space, int, error) {
 	if len(g.Benchmarks) == 0 {
 		for _, b := range workload.MLPerfSuite() {
@@ -381,14 +381,18 @@ func orDefault[T any](xs []T, d T) []T {
 	return xs
 }
 
-// expand enumerates the grid's feasible cells in deterministic order,
-// validating every dimension up front. Both the engine and the
-// sequential reference path run exactly this list, which is what makes
-// their outputs comparable cell for cell.
-func expand(g Grid) ([]CellKey, error) {
+// CellsWithin prices the grid and, when it costs at most limit cells,
+// enumerates them in deterministic order, validating every dimension up
+// front. It returns the keys, their count and Cells' errors. A grid
+// costing more than limit comes back with nil keys and its cost
+// (saturating at math.MaxInt), so a grid too large to run is refused
+// for the cost of its parameter lists, not of its cells. Each
+// benchmark and system is resolved once for both the price and the
+// keys.
+func (g Grid) CellsWithin(limit int) ([]CellKey, int, error) {
 	sp, n, err := resolve(g)
-	if err != nil {
-		return nil, err
+	if err != nil || n > limit {
+		return nil, n, err
 	}
 	keys := make([]CellKey, 0, n)
 	for _, b := range sp.benches {
@@ -408,7 +412,7 @@ func expand(g Grid) ([]CellKey, error) {
 							Faults:    sp.faults,
 						}).Normalize()
 						if err != nil {
-							return nil, err
+							return nil, 0, err
 						}
 						keys = append(keys, k)
 					}
@@ -416,21 +420,18 @@ func expand(g Grid) ([]CellKey, error) {
 			}
 		}
 	}
-	return keys, nil
+	return keys, n, nil
 }
 
 // Cells enumerates the grid's feasible cells in deterministic order —
-// the exact normalized list every Run variant executes. Callers that
-// run the keys themselves (the serve daemon, once Count has priced the
-// grid) expand once here and hand them to RunCellsWithOptions.
-func (g Grid) Cells() ([]CellKey, error) { return expand(g) }
-
-// Count reports len(Cells()), with Cells' errors, without building the
-// keys: a grid too large to run is priced and refused for the cost of
-// its parameter lists, not of its cells.
-func (g Grid) Count() (int, error) {
-	_, n, err := resolve(g)
-	return n, err
+// the exact normalized list every Run variant executes. Both the engine
+// and the sequential reference path run exactly this list, which is
+// what makes their outputs comparable cell for cell. Callers that run
+// the keys themselves (the serve daemon, through CellsWithin) hand them
+// to RunCellsWithOptions.
+func (g Grid) Cells() ([]CellKey, error) {
+	keys, _, err := g.CellsWithin(math.MaxInt)
+	return keys, err
 }
 
 // RunSequential executes the grid one cell at a time on the calling
@@ -438,7 +439,7 @@ func (g Grid) Count() (int, error) {
 // the step-by-step reference every engine configuration (parallel,
 // cached, fast-path) is proven byte-identical to.
 func RunSequential(g Grid) ([]Record, error) {
-	keys, err := expand(g)
+	keys, err := g.Cells()
 	if err != nil {
 		return nil, err
 	}

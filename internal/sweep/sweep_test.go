@@ -201,9 +201,9 @@ func naiveCells(g Grid) ([]CellKey, error) {
 	return keys, nil
 }
 
-// Count prices a grid without building it, so it must say exactly what
-// expanding it cell by cell says: the same number of cells, or the same
-// first error.
+// CellsWithin prices a grid without building it when the grid is over
+// its limit, so the price must say exactly what expanding the grid cell
+// by cell says: the same number of cells, or the same first error.
 func TestCountMatchesCells(t *testing.T) {
 	const badPlan = `{"Stragglers":[{"Lane":"gpu","Factor":-2}]}`
 	const goodPlan = `{"Stragglers":[{"Lane":"gpu","Factor":2}]}`
@@ -230,13 +230,14 @@ func TestCountMatchesCells(t *testing.T) {
 	} {
 		want, wantErr := naiveCells(g)
 		got, err := g.Cells()
-		n, cerr := g.Count()
+		priced, n, cerr := g.CellsWithin(0) // every grid costs more than 0 cells
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(cerr) != fmt.Sprint(wantErr) {
-			t.Errorf("%s: Cells error %v, Count error %v, want %v", name, err, cerr, wantErr)
+			t.Errorf("%s: Cells error %v, CellsWithin error %v, want %v", name, err, cerr, wantErr)
 			continue
 		}
-		if !reflect.DeepEqual(got, want) || n != len(want) {
-			t.Errorf("%s: Count %d, Cells %d keys, want %d keys:\n%+v\n%+v", name, n, len(got), len(want), got, want)
+		if !reflect.DeepEqual(got, want) || n != len(want) || priced != nil {
+			t.Errorf("%s: priced at %d (%d keys built), Cells %d keys, want %d keys:\n%+v\n%+v",
+				name, n, len(priced), len(got), len(want), got, want)
 		}
 	}
 
@@ -249,8 +250,8 @@ func TestCountMatchesCells(t *testing.T) {
 		ints[i] = i + 1
 	}
 	g := Grid{Benchmarks: huge("res50_tf"), Systems: huge("dss8440")[:10000], GPUCounts: ints[:8], BatchPerGPU: ints, Precisions: huge("fp32")}
-	if n, err := g.Count(); err != nil || n != math.MaxInt {
-		t.Errorf("10^5 x 10^4 x 8 x 10^5 x 10^5 grid: Count %d, %v, want math.MaxInt", n, err)
+	if keys, n, err := g.CellsWithin(0); err != nil || n != math.MaxInt || keys != nil {
+		t.Errorf("10^5 x 10^4 x 8 x 10^5 x 10^5 grid: priced at %d (%d keys built), %v, want math.MaxInt", n, len(keys), err)
 	}
 }
 

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -225,5 +227,74 @@ func TestEngineTelemetryFailureCounters(t *testing.T) {
 	}
 	if got := reg.Counter(MetricFailures, telemetry.L("kind", string(FailPanic))).Value(); got != 1 {
 		t.Errorf("panic failure counter = %d, want 1", got)
+	}
+}
+
+// The registry reads the engine's own cache counters: the six series
+// exist at 0 from the moment a registry is attached, every one equals
+// the engine's Stats, an entry the record codec rejects is one disk
+// miss in both, and attaching the registry to another engine makes it
+// read that engine instead.
+func TestEngineCacheSeriesReadTheEngine(t *testing.T) {
+	series := func(reg *telemetry.Registry) map[string]int64 {
+		return map[string]int64{
+			"hit":       reg.Count(MetricCacheTotal, telemetry.L("result", "hit")),
+			"miss":      reg.Count(MetricCacheTotal, telemetry.L("result", "miss")),
+			"disk hit":  reg.Count(MetricDiskCacheTotal, telemetry.L("result", "hit")),
+			"disk miss": reg.Count(MetricDiskCacheTotal, telemetry.L("result", "miss")),
+			"disk errors": reg.Count(MetricDiskErrors, telemetry.L("op", "get")) +
+				reg.Count(MetricDiskErrors, telemetry.L("op", "put")),
+		}
+	}
+	of := func(st CacheStats) map[string]int64 {
+		return map[string]int64{
+			"hit": st.Hits, "miss": st.Misses, "disk hit": st.Disk.Hits, "disk miss": st.Disk.Misses,
+			"disk errors": st.DiskErrors,
+		}
+	}
+	reg := telemetry.NewWithClock(nil)
+	cold := NewEngine(2)
+	cold.SetTelemetry(reg)
+	if got := len(reg.Snapshot()); got != 6 {
+		t.Fatalf("%d series at attach, want the 6 cache series", got)
+	}
+	if got, want := series(reg), of(CacheStats{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("series at attach %v, want %v", got, want)
+	}
+
+	dir := t.TempDir()
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := storeGrid().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An intact envelope whose record the codec rejects: the CAS returns
+	// it, the engine counts a disk miss and simulates.
+	foreign, err := json.Marshal(storedRecord{Codec: RecordCodec + 1, Key: keys[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putRaw(t, ds, keys[0], foreign)
+	cold.SetStore(ds)
+	if _, err := cold.Run(storeGrid()); err != nil {
+		t.Fatal(err)
+	}
+	st := cold.Stats()
+	if got, want := series(reg), of(st); !reflect.DeepEqual(got, want) || st.Disk.Misses != int64(len(keys)) {
+		t.Errorf("cold series %v, want %v with %d disk misses", got, want, len(keys))
+	}
+
+	warm := NewEngine(2)
+	warm.SetStore(ds)
+	warm.SetTelemetry(reg)
+	if _, err := warm.Run(storeGrid()); err != nil {
+		t.Fatal(err)
+	}
+	st = warm.Stats()
+	if got, want := series(reg), of(st); !reflect.DeepEqual(got, want) || st.Disk.Hits != int64(len(keys)) {
+		t.Errorf("warm series %v, want %v with %d disk hits", got, want, len(keys))
 	}
 }

@@ -98,11 +98,13 @@ func validName(s string) bool {
 }
 
 // Counter is a monotonically increasing integer metric. A nil Counter
-// is valid and no-op.
+// is valid and no-op. A counter registered by CounterFunc reads its
+// value from the function instead of counting.
 type Counter struct {
 	name string
 	id   string
 	v    atomic.Int64
+	fn   atomic.Pointer[func() int64]
 }
 
 // Inc adds one.
@@ -120,6 +122,9 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
+	}
+	if fn := c.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return c.v.Load()
 }
@@ -345,6 +350,18 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		r.counters[full] = c
 	}
 	return c
+}
+
+// CounterFunc registers name{labels} as a read-through counter: its
+// value is fn() whenever /metrics, Snapshot, Count or Counter(...).Value
+// reads it, so a component that keeps its own monotone count publishes
+// it without counting twice. fn must be monotone and safe to call
+// concurrently. Registering the series again replaces fn: a series has
+// one source. Add on the series is not seen.
+func (r *Registry) CounterFunc(name string, fn func() int64, labels ...Label) {
+	if c := r.Counter(name, labels...); c != nil {
+		c.fn.Store(&fn)
+	}
 }
 
 // Gauge returns (registering on first use) the named gauge.

@@ -3,7 +3,10 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -145,6 +148,7 @@ func TestInvalidMetricNamePanics(t *testing.T) {
 func TestRegistryConcurrency(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup
+	var src atomic.Int64 // a read-through source, re-registered while read
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -154,10 +158,16 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("c_total").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h_seconds", LatencyBuckets).Observe(0.01)
+				src.Add(1)
+				r.CounterFunc("f_total", src.Load)
+				r.Count("f_total")
 			}
 		}()
 	}
 	wg.Wait()
+	if got := r.Count("f_total"); got != workers*per {
+		t.Fatalf("read-through counter = %d, want %d", got, workers*per)
+	}
 	if got := r.Counter("c_total").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
@@ -340,4 +350,48 @@ func TestCountReadsWithoutRegistering(t *testing.T) {
 	if n := nilReg.Count("a_total"); n != 0 {
 		t.Errorf("nil registry count %d", n)
 	}
+}
+
+// A CounterFunc series is read through by every reader — the
+// Prometheus text, Snapshot, Count and Counter(...).Value — and
+// registering it again replaces its source.
+func TestCounterFuncReadsThrough(t *testing.T) {
+	r := New()
+	var n int64 = 7
+	r.CounterFunc("src_total", func() int64 { return n }, L("result", "hit"))
+	read := func() []string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Snapshot()
+		if len(snap) != 1 {
+			t.Fatalf("snapshot %+v, want one series", snap)
+		}
+		return []string{
+			b.String(),
+			fmt.Sprint(snap[0].Type, " ", snap[0].Value),
+			fmt.Sprint(r.Count("src_total", L("result", "hit"))),
+			fmt.Sprint(r.Counter("src_total", L("result", "hit")).Value()),
+		}
+	}
+	want := func(v int64) []string {
+		return []string{
+			fmt.Sprintf("# TYPE src_total counter\nsrc_total{result=\"hit\"} %d\n", v),
+			fmt.Sprint("counter ", v), fmt.Sprint(v), fmt.Sprint(v),
+		}
+	}
+	if got := read(); !reflect.DeepEqual(got, want(7)) {
+		t.Errorf("at 7 read %q, want %q", got, want(7))
+	}
+	n = 9 // the source moves; nothing is re-registered
+	if got := read(); !reflect.DeepEqual(got, want(9)) {
+		t.Errorf("at 9 read %q, want %q", got, want(9))
+	}
+	r.CounterFunc("src_total", func() int64 { return 40 }, L("result", "hit"))
+	if got := read(); !reflect.DeepEqual(got, want(40)) {
+		t.Errorf("replaced read %q, want %q", got, want(40))
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("src_total", func() int64 { return 1 }) // no-op
 }
