@@ -10,12 +10,17 @@
 //	    -slo-p99 2s -min-shed 0.01 -max-5xx 0
 //
 // The report and the gate cover only what the client saw: statuses,
-// request IDs, stream frames and latency. How much work the target
-// shared (simulations against requests) is read from the target's own
-// drained manifest (-manifest on mlperf-serve or mlperf-front).
+// request IDs, answers, stream frames and latency. Every admitted
+// answer is checked (internal/loadgen): it must decode as the daemon's
+// wire type, and after the load window each delivered record must
+// equal a fresh in-process engine's; the report's "answers: N checked,
+// M wrong" line counts them. How much work the target shared
+// (simulations against requests) is read from the target's own drained
+// manifest (-manifest on mlperf-serve or mlperf-front).
 //
 // The exit status is the SLO verdict: 0 when every asserted bound
-// holds, 1 when any is violated — which is what makes it a CI gate.
+// holds, 1 when any is violated — which is what makes it a CI gate. A
+// wrong answer and a response without X-Request-Id always violate it.
 package main
 
 import (
@@ -26,7 +31,7 @@ import (
 	"os"
 	"time"
 
-	"mlperf/internal/serve"
+	"mlperf/internal/loadgen"
 	"mlperf/internal/telecli"
 )
 
@@ -43,7 +48,6 @@ func main() {
 	maxShed := flag.Float64("max-shed", 0, "SLO: max shed fraction of sent requests (0 = unchecked)")
 	minShed := flag.Float64("min-shed", 0, "SLO: min shed fraction — asserts overload was actually reached (0 = unchecked)")
 	max5xx := flag.Int("max-5xx", 0, "SLO: max tolerated 5xx responses")
-	assertRequestIDs := flag.Bool("assert-request-ids", false, "SLO: require X-Request-Id on every response, sheds included")
 	sink := telecli.Register("mlperf-loadgen", nil)
 	flag.Parse()
 
@@ -54,7 +58,7 @@ func main() {
 		if sink.Enabled() {
 			sink.Manifest.Seed = *seed
 		}
-		rep, err := serve.RunLoad(ctx, serve.LoadOptions{
+		rep, err := loadgen.RunLoad(ctx, loadgen.LoadOptions{
 			BaseURL:        *url,
 			Duration:       *duration,
 			Rate:           *rate,
@@ -68,16 +72,15 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Print(serve.RenderLoadReport(rep))
+		fmt.Print(loadgen.RenderLoadReport(rep))
 		if sink.Enabled() {
 			sink.Manifest.Cells = rep.Sent
 		}
-		slo := serve.SLO{
-			MaxP99:            *sloP99,
-			MaxShedRate:       *maxShed,
-			MinShedRate:       *minShed,
-			MaxServerErrors:   *max5xx,
-			RequireRequestIDs: *assertRequestIDs,
+		slo := loadgen.SLO{
+			MaxP99:          *sloP99,
+			MaxShedRate:     *maxShed,
+			MinShedRate:     *minShed,
+			MaxServerErrors: *max5xx,
 		}
 		violations := slo.Violations(rep)
 		for _, v := range violations {

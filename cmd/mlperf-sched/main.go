@@ -106,7 +106,7 @@ func run(gpus int, jobsFlag string, sink *telecli.Sink) error {
 		}
 		j := sched.Job{Name: b.Abbrev, Duration: map[int]float64{}}
 		for _, w := range widths {
-			res, err := sim.RunObserved(sim.Config{System: sys, GPUCount: w, Job: b.Job},
+			res, err := sim.Run(sim.Config{System: sys, GPUCount: w, Job: b.Job},
 				sim.NewTelemetryObserver(sink.Reg))
 			if err != nil {
 				return err

@@ -40,10 +40,10 @@
 package front
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -657,13 +657,11 @@ func (f *Front) fanOut(r *http.Request, g *gridPlan, deliver func(*serve.StreamF
 // the cell cache and goes to frames re-indexed from slice-local to
 // global; the backend's summary is returned.
 //
-// A backend's answer is broken when a frame does not parse, an index is
-// out of range or repeated, the stream ends without a summary, or the
-// summary disagrees with what arrived (Cells is not the cells asked
-// for, or Completed is not the record frames received). A broken answer
-// fails over to the next backend with only the cells not delivered yet,
-// so a delivered cell never travels twice. A well-formed partial
-// summary (deadline, drain) is the backend's answer and is not retried.
+// A backend's answer is broken when serve.ReadStream finds it breaks
+// the protocol or its body fails to read. A broken answer fails over to
+// the next backend with only the cells not delivered yet, so a
+// delivered cell never travels twice. A well-formed partial summary
+// (deadline, drain) is the backend's answer and is not retried.
 func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.StreamFrame) (serve.StreamFrame, error) {
 	todo := make([]int, len(p.keys)) // partition-local indices not yet delivered
 	for j := range todo {
@@ -716,61 +714,32 @@ func (f *Front) subStream(r *http.Request, p partition, frames chan<- serve.Stre
 			return false, false
 		}
 		seen := make([]bool, len(todo))
-		got := 0
-		broken := func(format string, args ...any) (bool, bool) {
-			lastErr = fmt.Errorf("backend %s: "+format, append([]any{f.backends[i]}, args...)...)
-			left := todo[:0:0]
-			for n, j := range todo {
-				if !seen[n] {
-					left = append(left, j)
-				}
-			}
-			todo = left
-			if len(todo) == 0 {
-				summary = &serve.StreamFrame{Type: "summary"} // every cell arrived
-				return true, false
-			}
-			return false, r.Context().Err() == nil
+		sum, err := serve.ReadStream(resp.Body, len(todo), func(n int, rec *sweep.Record) {
+			seen[n] = true
+			j := todo[n]
+			f.cells.put(p.keys[j], *rec)
+			frames <- serve.StreamFrame{Type: "record", Index: p.indices[j], Record: rec} // slice-local -> global index
+		})
+		if err == nil {
+			summary = &sum
+			return true, false
 		}
-		var sum *serve.StreamFrame
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(nil, 1<<20) // frames are small: start at the default size, cap a bad line
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var fr serve.StreamFrame
-			if err := json.Unmarshal(line, &fr); err != nil {
-				return broken("bad frame: %v", err)
-			}
-			switch fr.Type {
-			case "record":
-				if fr.Index < 0 || fr.Index >= len(seen) || seen[fr.Index] || fr.Record == nil {
-					return broken("bad record frame: index %d of %d cells", fr.Index, len(seen))
-				}
-				seen[fr.Index] = true
-				got++
-				j := todo[fr.Index]
-				f.cells.put(p.keys[j], *fr.Record)
-				fr.Index = p.indices[j] // slice-local -> global
-				frames <- fr
-			case "summary":
-				sum = &fr
+		if !errors.Is(err, serve.ErrBadStream) {
+			err = fmt.Errorf("stream broke: %v", err)
+		}
+		lastErr = fmt.Errorf("backend %s: %v", f.backends[i], err)
+		left := todo[:0:0]
+		for n, j := range todo {
+			if !seen[n] {
+				left = append(left, j)
 			}
 		}
-		if err := sc.Err(); err != nil {
-			return broken("stream broke: %v", err)
+		todo = left
+		if len(todo) == 0 {
+			summary = &serve.StreamFrame{Type: "summary"} // every cell arrived
+			return true, false
 		}
-		if sum == nil {
-			return broken("stream ended without summary")
-		}
-		if sum.Cells != len(todo) || sum.Completed != got {
-			return broken("summary counts %d/%d cells, %d/%d arrived",
-				sum.Completed, sum.Cells, got, len(todo))
-		}
-		summary = sum
-		return true, false
+		return false, r.Context().Err() == nil
 	})
 	if summary == nil {
 		if lastErr == nil {

@@ -1,9 +1,16 @@
-package serve
+// Package loadgen is the synthetic-client harness: an open-loop
+// generator that drives a serve daemon (or a front over several)
+// through its public HTTP surface and checks every admitted answer, not
+// just its status. Bodies decode with serve's wire types and streams
+// read through serve.ReadStream; the cells a query asks for come from
+// the daemons' own parsers; and after the load window each delivered
+// record is compared with a fresh engine's for the same cell.
+package loadgen
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +21,8 @@ import (
 	"sync"
 	"time"
 
+	"mlperf/internal/serve"
+	"mlperf/internal/sweep"
 	"mlperf/internal/telemetry"
 )
 
@@ -77,17 +86,24 @@ type LoadReport struct {
 	// of that promise.
 	MissingRequestID int `json:"missing_request_id"`
 	// Streamed counts 2xx responses read as /v1/sweep/stream clients;
-	// StreamRecords is the total record frames they received. A stream
-	// that died mid-body after a 200 still counts as Streamed — the
-	// records it kept are the point of streaming.
+	// StreamRecords is the total record frames they received.
 	Streamed      int `json:"streamed"`
 	StreamRecords int `json:"stream_records"`
+	// Checked counts the 2xx answers checked after the load window, and
+	// Wrong those that are a broken stream, a body that does not decode
+	// or add up, or a record differing from a fresh engine's (a partial
+	// answer's failed cells are zero records, not wrong). CheckSeconds
+	// is the check's wall time.
+	Checked      int     `json:"checked"`
+	Wrong        int     `json:"wrong"`
+	CheckSeconds float64 `json:"check_seconds"`
 	// P50/P95/P99/Max are latency quantiles in seconds over admitted
 	// (2xx) responses.
 	P50, P95, P99, Max float64
 }
 
-// SLO is the service-level gate the harness asserts after a run.
+// SLO is the service-level gate the harness asserts after a run. A
+// wrong answer and a response without X-Request-Id always violate it.
 type SLO struct {
 	// MaxP99 bounds p99 latency of admitted requests (0 = no bound).
 	MaxP99 time.Duration
@@ -100,8 +116,6 @@ type SLO struct {
 	// MaxServerErrors bounds 5xx count (usually 0: overload must shed,
 	// never break).
 	MaxServerErrors int
-	// RequireRequestIDs asserts every response carried X-Request-Id.
-	RequireRequestIDs bool
 }
 
 // Violations checks the report against the gate, returning one line per
@@ -123,15 +137,18 @@ func (s SLO) Violations(r *LoadReport) []string {
 	if r.ServerErrors > s.MaxServerErrors {
 		v = append(v, fmt.Sprintf("%d server errors exceed bound %d", r.ServerErrors, s.MaxServerErrors))
 	}
-	if s.RequireRequestIDs && r.MissingRequestID > 0 {
+	if r.Wrong > 0 {
+		v = append(v, fmt.Sprintf("%d of %d answers wrong", r.Wrong, r.Checked))
+	}
+	if r.MissingRequestID > 0 {
 		v = append(v, fmt.Sprintf("%d responses missing X-Request-Id", r.MissingRequestID))
 	}
 	return v
 }
 
-// RunLoad drives the daemon with the configured open-loop stream and
-// reports what came back. ctx cancels the run early (the report covers
-// what was sent).
+// RunLoad drives the daemon with the configured open-loop stream, then
+// checks every answer, and reports what came back. ctx cancels the run
+// early (the report covers what was sent).
 func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if opts.BaseURL == "" {
 		return nil, fmt.Errorf("loadgen: BaseURL required")
@@ -153,6 +170,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	var (
 		mu        sync.Mutex
 		latencies []float64
+		answers   []reqResult
 		wg        sync.WaitGroup
 	)
 	reg := opts.Telemetry
@@ -162,10 +180,13 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 		if res.err == nil && !res.hasRequestID {
 			rep.MissingRequestID++
 		}
+		class := "4xx"
 		switch {
 		case res.err != nil:
+			class = "transport"
 			rep.TransportErrors++
 		case res.status >= 200 && res.status < 300:
+			class = "ok"
 			rep.OK++
 			if res.partial {
 				rep.Partial++
@@ -174,18 +195,22 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 				rep.Streamed++
 				rep.StreamRecords += res.records
 			}
+			answers = append(answers, res)
 			latencies = append(latencies, dur.Seconds())
 			reg.Histogram("loadgen_request_seconds", telemetry.LatencyBuckets).Observe(dur.Seconds())
 		case res.status == http.StatusTooManyRequests:
+			class = "shed"
 			rep.Shed++
 		case res.status == http.StatusServiceUnavailable:
+			class = "5xx"
 			rep.Unavailable++
 		case res.status >= 500:
+			class = "5xx"
 			rep.ServerErrors++
 		default:
 			rep.ClientErrors++
 		}
-		reg.Counter("loadgen_responses_total", telemetry.Label{Key: "class", Value: classOf(res.status, res.err)}).Inc()
+		reg.Counter("loadgen_responses_total", telemetry.Label{Key: "class", Value: class}).Inc()
 	}
 
 	deadline := time.Now().Add(opts.Duration)
@@ -217,6 +242,9 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if n := len(latencies); n > 0 {
 		rep.Max = latencies[n-1]
 	}
+	start := time.Now()
+	rep.Checked, rep.Wrong = len(answers), check(answers)
+	rep.CheckSeconds = time.Since(start).Seconds()
 	return rep, nil
 }
 
@@ -248,17 +276,23 @@ func nextQuery(rng *rand.Rand, opts LoadOptions) (url, tenant string) {
 		opts.BaseURL, 1+rng.Intn(1<<20)), tenant
 }
 
-// reqResult classifies one finished request.
+// reqResult classifies one finished request. For a 2xx, recs[i]
+// answers keys[i] and is zero where the answer delivered no record, and
+// bad marks a body that broke the protocol or did not decode.
 type reqResult struct {
 	status       int
 	partial      bool
 	stream       bool // read as a /v1/sweep/stream client
 	records      int  // record frames received (stream clients only)
+	keys         []sweep.CellKey
+	recs         []sweep.Record
+	bad          bool
 	hasRequestID bool
 	err          error
 }
 
-// issue sends one request and classifies the response.
+// issue sends one request and classifies the response, reading a 2xx
+// body as the answer it must be.
 func issue(ctx context.Context, client *http.Client, url, tenant string, timeout time.Duration) reqResult {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -277,57 +311,98 @@ func issue(ctx context.Context, client *http.Client, url, tenant string, timeout
 		status:       resp.StatusCode,
 		hasRequestID: resp.Header.Get(telemetry.RequestIDHeader) != "",
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK && strings.Contains(url, "/v1/sweep/stream"):
-		// Streaming client: read NDJSON frames as they arrive, keeping
-		// the record count and the summary's partial flag.
-		res.stream = true
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var fr StreamFrame
-			if json.Unmarshal([]byte(line), &fr) != nil {
-				continue
-			}
-			switch fr.Type {
-			case "record":
-				res.records++
-			case "summary":
-				res.partial = fr.Partial
-			}
-		}
-	case resp.StatusCode == http.StatusOK && strings.Contains(url, "/v1/sweep"):
-		// Sniff the partial flag from unary sweep responses.
-		var body struct {
-			Partial bool `json:"partial"`
-		}
-		if data, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<22)); rerr == nil {
-			_ = json.Unmarshal(data, &body)
-			res.partial = body.Partial
-		}
-	default:
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		_, _ = io.Copy(io.Discard, resp.Body)
+	} else if err := res.read(req, resp.Body); err != nil {
+		res.bad = true
 	}
 	return res
 }
 
-func classOf(status int, err error) string {
-	switch {
-	case err != nil:
-		return "transport"
-	case status >= 200 && status < 300:
-		return "ok"
-	case status == 429:
-		return "shed"
-	case status >= 500:
-		return "5xx"
-	default:
-		return "4xx"
+// read decodes a 2xx body for req into res with the wire types,
+// the cells asked for worked out by the daemons' own parsers. An error
+// is a body that is not that answer.
+func (res *reqResult) read(req *http.Request, body io.Reader) error {
+	var sum serve.StreamFrame
+	if req.URL.Path == "/v1/simulate" {
+		k, err := serve.CellKeyFromRequest(req)
+		var sr serve.SimulateResponse
+		if err == nil {
+			err = decodeStrict(body, &sr)
+		}
+		if err != nil {
+			return err
+		}
+		res.keys, res.recs = []sweep.CellKey{k}, []sweep.Record{sr.Record}
+		sum = serve.StreamFrame{Cells: 1, Completed: 1}
+	} else {
+		keys, _, err := serve.SweepKeysFromRequest(req)
+		if err != nil {
+			return err
+		}
+		res.keys, res.recs = keys, make([]sweep.Record, len(keys))
+		if res.stream = req.URL.Path == "/v1/sweep/stream"; res.stream {
+			sum, err = serve.ReadStream(body, len(keys), func(i int, rec *sweep.Record) {
+				res.recs[i] = *rec
+				res.records++
+			})
+		} else {
+			var sr serve.SweepResponse
+			if err = decodeStrict(body, &sr); err == nil && len(sr.Records) != len(keys) {
+				err = fmt.Errorf("%d records for %d cells", len(sr.Records), len(keys))
+			}
+			copy(res.recs, sr.Records)
+			sum = serve.StreamFrame{Cells: sr.Cells, Completed: sr.Completed, Partial: sr.Partial}
+		}
+		if err != nil {
+			return err
+		}
 	}
+	res.partial = sum.Partial
+	delivered := 0
+	for _, rec := range res.recs {
+		if rec != (sweep.Record{}) {
+			delivered++
+		}
+	}
+	if sum.Cells != len(res.keys) || sum.Completed != delivered || !sum.Partial && delivered != len(res.keys) {
+		return fmt.Errorf("%d of %d cells delivered, answer says %d of %d (partial %v)",
+			delivered, len(res.keys), sum.Completed, sum.Cells, sum.Partial)
+	}
+	return nil
+}
+
+// decodeStrict decodes one JSON value into v: no unknown field, nothing
+// after it.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, 1<<22))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = errors.New("data after the answer")
+	}
+	return err
+}
+
+// check counts the wrong answers: bad ones, and those with a record
+// that is not the one a fresh engine (no registry, no store) computes
+// for its cell. The engine simulates each distinct cell once; a cell it
+// cannot simulate makes any record delivered for it wrong.
+func check(answers []reqResult) (wrong int) {
+	ref := sweep.NewEngine(0)
+	for _, a := range answers {
+		ok := !a.bad
+		for i := 0; ok && i < len(a.recs); i++ {
+			if a.recs[i] != (sweep.Record{}) {
+				want, err := ref.Cell(a.keys[i])
+				ok = err == nil && a.recs[i] == want
+			}
+		}
+		if !ok {
+			wrong++
+		}
+	}
+	return wrong
 }
 
 // quantile reads the q-quantile from sorted samples (0 when empty).
@@ -350,12 +425,10 @@ func RenderLoadReport(r *LoadReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sent %d: %d ok (%d partial), %d shed, %d unavailable, %d client-err, %d server-err, %d transport-err\n",
 		r.Sent, r.OK, r.Partial, r.Shed, r.Unavailable, r.ClientErrors, r.ServerErrors, r.TransportErrors)
-	if r.MissingRequestID > 0 {
-		fmt.Fprintf(&b, "WARNING: %d responses missing X-Request-Id\n", r.MissingRequestID)
-	}
 	if r.Streamed > 0 {
 		fmt.Fprintf(&b, "streams: %d completed, %d record frames\n", r.Streamed, r.StreamRecords)
 	}
+	fmt.Fprintf(&b, "answers: %d checked, %d wrong (check took %.3fs)\n", r.Checked, r.Wrong, r.CheckSeconds)
 	fmt.Fprintf(&b, "latency (admitted): p50 %.3fs  p95 %.3fs  p99 %.3fs  max %.3fs\n", r.P50, r.P95, r.P99, r.Max)
 	return b.String()
 }

@@ -11,7 +11,7 @@
 // Like the paper's toolchain — where nvprof, dstat and nvidia-smi dmon
 // all watch the same real training run — every analog here reads from
 // one Profile, collected by subscribing to a single simulation's event
-// stream (sim.RunObserved). Collect simulates once; the samplers, the
+// stream (sim.Run). Collect simulates once; the samplers, the
 // characteristics vector and the Chrome-trace export then derive their
 // views without re-running the simulator.
 package profile
@@ -72,18 +72,12 @@ func Collect(b workload.Benchmark, system *hw.System, gpus int) (*Profile, error
 // through the fault layer (stragglers, retries, checkpoints, restarts
 // land on the event stream and the timeline's "faults" lane), and any
 // extra observers — a sim.TelemetryObserver, an external log — ride the
-// same single simulation. A nil plan is the plain Collect path.
+// same single simulation. A nil or empty plan is the plain Collect path.
 func CollectWithFaults(b workload.Benchmark, system *hw.System, gpus int, plan *fault.Plan, obs ...sim.Observer) (*Profile, error) {
 	log := &sim.EventLog{}
 	cfg := sim.Config{System: system, GPUCount: gpus, Job: b.Job}
 	all := append([]sim.Observer{log}, obs...)
-	var res *sim.Result
-	var err error
-	if plan == nil {
-		res, err = sim.RunObserved(cfg, all...)
-	} else {
-		res, err = sim.RunWithFaults(cfg, plan, all...)
-	}
+	res, err := sim.RunWithFaults(cfg, plan, all...)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ type DmonSample struct {
 // tools sample a noisy process; the simulator's steady state plus a
 // short warmup ramp reproduces the shape the paper's figures average
 // over. The sampler never simulates: both analogs read the Profile a
-// single sim.RunObserved call collected, so dstat and dmon rows describe
+// single sim.Run call collected, so dstat and dmon rows describe
 // the same run (the paper's "one run, many tools" protocol).
 type Sampler struct {
 	// Interval between samples in seconds (dstat's default is 1s).

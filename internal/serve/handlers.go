@@ -168,10 +168,11 @@ type SimulateResponse struct {
 	Record sweep.Record `json:"record"`
 }
 
-// cellKeyFrom parses /v1/simulate's cell-addressing query parameters
-// into a normalized key, so an impossible cell is a 400 before
-// admission.
-func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
+// CellKeyFromRequest parses /v1/simulate's cell-addressing query
+// parameters into a normalized key, so an impossible cell is a 400
+// before admission. Exported for the front tier's digest routing and
+// the load harness's answer check.
+func CellKeyFromRequest(r *http.Request) (sweep.CellKey, error) {
 	q := r.URL.Query()
 	k := sweep.CellKey{
 		Benchmark: q.Get("benchmark"),
@@ -206,7 +207,7 @@ func cellKeyFrom(r *http.Request) (sweep.CellKey, error) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	k, err := cellKeyFrom(r)
+	k, err := CellKeyFromRequest(r)
 	if err != nil {
 		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return

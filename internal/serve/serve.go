@@ -28,8 +28,12 @@
 //     orchestration. The daemon shell (internal/telecli) owns the
 //     listener and drives the drain.
 //
-// The daemon binary is cmd/mlperf-serve; cmd/mlperf-loadgen is the
-// synthetic-client harness that drives it to overload and asserts SLOs.
+// The wire types (SimulateResponse, SweepResponse, StreamFrame) and
+// the stream protocol's one writer and one reader (StreamWriter,
+// ReadStream) live here; the front tier and the load harness
+// (internal/loadgen) are their other users. The package holds no HTTP
+// client. The daemon binary is cmd/mlperf-serve; cmd/mlperf-loadgen
+// drives it to overload, checks every answer and asserts SLOs.
 package serve
 
 import (
@@ -44,8 +48,8 @@ import (
 	"mlperf/internal/telemetry"
 )
 
-// Metric names the server registers. Exported so the loadgen harness,
-// CI assertions and tests share one schema.
+// Metric names the server registers. Exported so CI assertions and
+// tests share one schema.
 const (
 	MetricRequests      = "serve_requests_total"          // counter, endpoint= code=
 	MetricShed          = "serve_shed_total"              // counter, reason=quota|queue|cost|drain

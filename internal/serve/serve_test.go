@@ -441,61 +441,6 @@ func TestServerObservabilitySurface(t *testing.T) {
 	}
 }
 
-// slowStore makes every cold lookup cost real time, so an open-loop
-// stream overruns MaxInFlight=1 and the server must shed.
-type slowStore struct{ d time.Duration }
-
-func (s slowStore) Get(sweep.CellKey) (sweep.Record, bool, error) {
-	time.Sleep(s.d)
-	return sweep.Record{}, false, nil
-}
-func (s slowStore) Put(sweep.CellKey, sweep.Record) error { return nil }
-func (s slowStore) Stats() sweep.TierStats                { return sweep.TierStats{} }
-
-// End-to-end acceptance: the loadgen harness drives a small server past
-// its admission limit. Overload must shed (429) and never 5xx, and the
-// SLO gate must agree.
-func TestLoadgenOverloadShedsCleanly(t *testing.T) {
-	eng := sweep.NewEngine(2)
-	eng.SetStore(slowStore{d: 10 * time.Millisecond})
-	srv, ts := newTestServer(t, Config{Engine: eng, MaxInFlight: 1, MaxQueue: 2}, nil)
-	_ = srv
-
-	rep, err := RunLoad(context.Background(), LoadOptions{
-		BaseURL:        ts.URL,
-		Duration:       600 * time.Millisecond,
-		Rate:           300,
-		HotFraction:    0.5,
-		RequestTimeout: 5 * time.Second,
-		Seed:           1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sent < 20 {
-		t.Fatalf("open-loop generator only sent %d requests", rep.Sent)
-	}
-	if rep.ServerErrors != 0 {
-		t.Fatalf("%d server errors under overload — overload must shed, never 5xx", rep.ServerErrors)
-	}
-	if rep.ClientErrors != 0 {
-		t.Fatalf("%d client errors: the loadgen query mix is broken", rep.ClientErrors)
-	}
-	if rep.TransportErrors != 0 {
-		t.Fatalf("%d transport errors against a local server", rep.TransportErrors)
-	}
-	if rep.Shed == 0 {
-		t.Fatal("no shedding at 300 rps against MaxInFlight=1 — overload never happened")
-	}
-	if rep.OK == 0 {
-		t.Fatal("nothing admitted at all")
-	}
-	slo := SLO{MaxServerErrors: 0, MinShedRate: 0.01}
-	if v := slo.Violations(rep); len(v) != 0 {
-		t.Fatalf("SLO violations: %v", v)
-	}
-}
-
 // breakCacheDir turns every shard path of a cache dir into a regular
 // file, so each disk Get and Put fails at once with ENOTDIR. heal
 // removes them.

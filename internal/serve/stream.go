@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,8 +67,9 @@ type StreamFrame struct {
 }
 
 // cellSpec is the JSON wire form of one requested cell, for POST
-// bodies. It mirrors sweep.CellKey with the same defaults the GET
-// parameters apply (system dss8440, 1 GPU).
+// bodies: sweep.CellKey field for field (so each converts to the
+// other), with the same defaults the GET parameters apply (system
+// dss8440, 1 GPU).
 type cellSpec struct {
 	Benchmark string `json:"benchmark"`
 	Ref       bool   `json:"ref,omitempty"`
@@ -78,15 +81,7 @@ type cellSpec struct {
 }
 
 func (c cellSpec) key() sweep.CellKey {
-	k := sweep.CellKey{
-		Benchmark: c.Benchmark,
-		Ref:       c.Ref,
-		System:    c.System,
-		GPUs:      c.GPUs,
-		Batch:     c.Batch,
-		Precision: c.Precision,
-		Faults:    c.Faults,
-	}
+	k := sweep.CellKey(c)
 	if k.System == "" {
 		k.System = "dss8440"
 	}
@@ -205,12 +200,6 @@ func cellsFromBody(body io.Reader) ([]sweep.CellKey, int64, error) {
 	return keys, n, nil
 }
 
-// CellKeyFromRequest parses /v1/simulate's cell-addressing parameters.
-// Exported for the front tier's digest routing.
-func CellKeyFromRequest(r *http.Request) (sweep.CellKey, error) {
-	return cellKeyFrom(r)
-}
-
 // CellsBody renders an explicit cell list as the POST body both sweep
 // endpoints accept — the form a front tier uses to hand a backend its
 // digest-partitioned slice of a grid.
@@ -219,15 +208,7 @@ func CellsBody(keys []sweep.CellKey) ([]byte, error) {
 		Cells []cellSpec `json:"cells"`
 	}{Cells: make([]cellSpec, len(keys))}
 	for i, k := range keys {
-		body.Cells[i] = cellSpec{
-			Benchmark: k.Benchmark,
-			Ref:       k.Ref,
-			System:    k.System,
-			GPUs:      k.GPUs,
-			Batch:     k.Batch,
-			Precision: k.Precision,
-			Faults:    k.Faults,
-		}
+		body.Cells[i] = cellSpec(k)
 	}
 	return json.Marshal(body)
 }
@@ -279,6 +260,74 @@ func (sw *StreamWriter) Frame(f *StreamFrame) error {
 		sw.flush.Flush()
 	}
 	return nil
+}
+
+// ErrBadStream marks a sweep stream that breaks the protocol; see
+// ReadStream.
+var ErrBadStream = errors.New("bad sweep stream")
+
+// badStream is one protocol break: its message names the cause, and it
+// is ErrBadStream to errors.Is.
+type badStream string
+
+func (e badStream) Error() string { return string(e) }
+func (badStream) Unwrap() error   { return ErrBadStream }
+
+// ReadStream reads an NDJSON sweep stream answering cells cells, the
+// one reader of what StreamWriter writes (the front's backend slices,
+// the load harness's answers). Each valid record frame's record goes to
+// record as it arrives, the caller's to keep; the terminal summary is
+// returned. A stream is broken when a frame does not parse or has an
+// unknown type, a record frame's index is out of range or repeated or
+// it has no record, a frame follows the summary, there is no summary,
+// or the summary's Cells or Completed disagrees with what arrived. A
+// break is an error wrapping ErrBadStream that names its cause; a body
+// read error is returned as it is.
+func ReadStream(body io.Reader, cells int, record func(index int, rec *sweep.Record)) (StreamFrame, error) {
+	broken := func(format string, args ...any) (StreamFrame, error) {
+		return StreamFrame{}, badStream(fmt.Sprintf(format, args...))
+	}
+	seen := make([]bool, cells)
+	got := 0
+	var sum *StreamFrame
+	sc := bufio.NewScanner(body)
+	sc.Buffer(nil, 1<<20) // frames are small: start at the default size, cap a bad line
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var fr StreamFrame
+		if err := json.Unmarshal(line, &fr); err != nil {
+			return broken("bad frame: %v", err)
+		}
+		if sum != nil {
+			return broken("%s frame after the summary", fr.Type)
+		}
+		switch fr.Type {
+		case "record":
+			if fr.Index < 0 || fr.Index >= cells || seen[fr.Index] || fr.Record == nil {
+				return broken("bad record frame: index %d of %d cells", fr.Index, cells)
+			}
+			seen[fr.Index] = true
+			got++
+			record(fr.Index, fr.Record)
+		case "summary":
+			sum = &fr
+		default:
+			return broken("bad frame: type %q", fr.Type)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return StreamFrame{}, err
+	}
+	if sum == nil {
+		return broken("stream ended without summary")
+	}
+	if sum.Cells != cells || sum.Completed != got {
+		return broken("summary counts %d/%d cells, %d/%d arrived", sum.Completed, sum.Cells, got, cells)
+	}
+	return *sum, nil
 }
 
 // handleSweepStream is the streaming grid endpoint. It passes the same

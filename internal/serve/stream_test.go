@@ -3,7 +3,9 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -428,4 +430,97 @@ func TestCellsFromBodyMatchesWholeBodyDecode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// errReader yields its data, then fails the read instead of ending.
+type errReader struct {
+	data io.Reader
+	err  error
+}
+
+func (r *errReader) Read(p []byte) (int, error) {
+	if n, _ := r.data.Read(p); n > 0 {
+		return n, nil
+	}
+	return 0, r.err
+}
+
+// ReadStream is the one reader of the sweep stream: every protocol
+// break is ErrBadStream naming its cause, a failing body is not, and a
+// well-formed stream hands each record over once, in arrival order.
+func TestReadStream(t *testing.T) {
+	rec := func(i int) string {
+		return fmt.Sprintf(`{"type":"record","index":%d,"record":{"Benchmark":"b%d"}}`, i, i)
+	}
+	sum := func(completed, cells int) string {
+		return fmt.Sprintf(`{"type":"summary","index":0,"cells":%d,"completed":%d}`, cells, completed)
+	}
+	lines := func(ls ...string) string { return strings.Join(ls, "\n") + "\n" }
+	breaks := []struct {
+		name, body, cause string
+	}{
+		{"unparsable frame", lines(rec(0), `{"type":`), "bad frame"},
+		{"unknown frame type", lines(`{"type":"progress"}`, sum(0, 2)), `bad frame: type "progress"`},
+		{"index out of range", lines(rec(2), sum(1, 2)), "bad record frame: index 2 of 2 cells"},
+		{"negative index", lines(`{"type":"record","index":-1,"record":{}}`, sum(1, 2)), "index -1 of 2"},
+		{"repeated index", lines(rec(1), rec(1), sum(2, 2)), "bad record frame: index 1 of 2 cells"},
+		{"record frame without record", lines(`{"type":"record","index":0}`, sum(1, 2)), "index 0 of 2"},
+		{"no summary", lines(rec(0), rec(1)), "stream ended without summary"},
+		{"empty body", "", "stream ended without summary"},
+		{"frame after summary", lines(rec(0), sum(1, 2), rec(1)), "record frame after the summary"},
+		{"summary cells disagree", lines(rec(0), rec(1), sum(2, 3)), "summary counts 2/3 cells, 2/2 arrived"},
+		{"summary completed disagrees", lines(rec(0), sum(2, 2)), "summary counts 2/2 cells, 1/2 arrived"},
+	}
+	for _, tc := range breaks {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadStream(strings.NewReader(tc.body), 2, func(int, *sweep.Record) {})
+			if !errors.Is(err, ErrBadStream) {
+				t.Fatalf("err = %v, want ErrBadStream", err)
+			}
+			if !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("err = %q, want it to name %q", err, tc.cause)
+			}
+		})
+	}
+
+	t.Run("body read error is returned as it is", func(t *testing.T) {
+		cut := errors.New("connection reset")
+		var got []int
+		_, err := ReadStream(&errReader{data: strings.NewReader(lines(rec(1))), err: cut}, 2,
+			func(i int, _ *sweep.Record) { got = append(got, i) })
+		if !errors.Is(err, cut) || errors.Is(err, ErrBadStream) {
+			t.Fatalf("err = %v, want the read error and not ErrBadStream", err)
+		}
+		if len(got) != 1 || got[0] != 1 {
+			t.Fatalf("delivered %v before the cut, want [1]", got)
+		}
+	})
+
+	t.Run("well-formed stream", func(t *testing.T) {
+		var idx []int
+		var names []string
+		s, err := ReadStream(strings.NewReader(lines(rec(2), "", rec(0), rec(1), sum(3, 3))), 3,
+			func(i int, r *sweep.Record) {
+				idx = append(idx, i)
+				names = append(names, r.Benchmark)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Type != "summary" || s.Cells != 3 || s.Completed != 3 {
+			t.Fatalf("summary %+v", s)
+		}
+		if strings.Join(names, ",") != "b2,b0,b1" || len(idx) != 3 || idx[0] != 2 || idx[1] != 0 || idx[2] != 1 {
+			t.Fatalf("delivered %v %v, want each record once in arrival order", idx, names)
+		}
+	})
+
+	t.Run("partial stream", func(t *testing.T) {
+		s, err := ReadStream(strings.NewReader(lines(rec(1),
+			`{"type":"summary","index":0,"cells":2,"completed":1,"partial":true,"reason":"deadline"}`)), 2,
+			func(int, *sweep.Record) {})
+		if err != nil || !s.Partial || s.Reason != "deadline" || s.Completed != 1 {
+			t.Fatalf("summary %+v, err %v", s, err)
+		}
+	})
 }

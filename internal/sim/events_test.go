@@ -12,7 +12,7 @@ import (
 func runLogged(t *testing.T, gpus int) (*Result, *EventLog) {
 	t.Helper()
 	log := &EventLog{}
-	res, err := RunObserved(Config{System: hw.C4140K(), GPUCount: gpus, Job: testJob()}, log)
+	res, err := Run(Config{System: hw.C4140K(), GPUCount: gpus, Job: testJob()}, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEventStreamSingleGPUHasNoAllReduce(t *testing.T) {
 // phase breakdown times the step count.
 func TestPhaseTotalsMatchPhases(t *testing.T) {
 	totals := NewPhaseTotals()
-	res, err := RunObserved(Config{System: hw.C4140K(), GPUCount: 4, Job: testJob(), Steps: 16}, totals)
+	res, err := Run(Config{System: hw.C4140K(), GPUCount: 4, Job: testJob(), Steps: 16}, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPhaseTotalsMatchPhases(t *testing.T) {
 // must reconstruct it exactly.
 func TestTimelineMatchesEventStream(t *testing.T) {
 	ext := NewTimelineObserver(LaneCPU, LanePCIe, LaneGPU)
-	res, err := RunObserved(Config{System: hw.C4140K(), GPUCount: 2, Job: testJob()}, ext)
+	res, err := Run(Config{System: hw.C4140K(), GPUCount: 2, Job: testJob()}, ext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestObserversDoNotPerturbResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watched, err := RunObserved(Config{System: hw.DSS8440(), GPUCount: 4, Job: testJob()},
+	watched, err := Run(Config{System: hw.DSS8440(), GPUCount: 4, Job: testJob()},
 		&EventLog{}, NewPhaseTotals(), Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func BenchmarkRunNoObservers(b *testing.B) {
 func BenchmarkRunWithEventLog(b *testing.B) {
 	cfg := Config{System: hw.C4140K(), GPUCount: 4, Job: testJob()}
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(cfg, &EventLog{}); err != nil {
+		if _, err := Run(cfg, &EventLog{}); err != nil {
 			b.Fatal(err)
 		}
 	}

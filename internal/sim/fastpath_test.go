@@ -138,7 +138,7 @@ func TestFastPathRefusesDivergentPlans(t *testing.T) {
 func TestFastPathObserverGating(t *testing.T) {
 	cfg := Config{System: hw.DSS8440(), GPUCount: 2, Job: testJob(), Steps: 8}
 	cfg.FastPath = FastPathForce
-	_, err := RunObserved(cfg, &EventLog{})
+	_, err := Run(cfg, &EventLog{})
 	var fe *FastPathError
 	if !errors.As(err, &fe) {
 		t.Fatalf("EventLog should force the slow path, got %v", err)
@@ -146,12 +146,12 @@ func TestFastPathObserverGating(t *testing.T) {
 
 	slowLog, autoLog := &EventLog{}, &EventLog{}
 	cfg.FastPath = FastPathOff
-	slow, err := RunObserved(cfg, slowLog)
+	slow, err := Run(cfg, slowLog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.FastPath = FastPathAuto
-	auto, err := RunObserved(cfg, autoLog)
+	auto, err := Run(cfg, autoLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFastPathObserverAggregates(t *testing.T) {
 			Steps: 64, FastPath: mode}
 		pt := NewPhaseTotals()
 		reg := telemetry.New()
-		if _, err := RunObserved(cfg, pt, NewTelemetryObserver(reg)); err != nil {
+		if _, err := Run(cfg, pt, NewTelemetryObserver(reg)); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		var buf bytes.Buffer
@@ -214,12 +214,12 @@ func TestFastPathCanonicalEventOrder(t *testing.T) {
 
 	slowLog := &EventLog{}
 	cfg.FastPath = FastPathOff
-	if _, err := RunObserved(cfg, slowLog); err != nil {
+	if _, err := Run(cfg, slowLog); err != nil {
 		t.Fatal(err)
 	}
 	cap := &bulkCapture{}
 	cfg.FastPath = FastPathForce
-	if _, err := RunObserved(cfg, cap); err != nil {
+	if _, err := Run(cfg, cap); err != nil {
 		t.Fatal(err)
 	}
 

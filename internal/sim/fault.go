@@ -209,8 +209,8 @@ func (fr *faultRun) excludedOverlap(from, to float64) float64 {
 
 // RunWithFaults simulates the job under a fault plan, streaming events
 // (including the fault kinds) to obs. A nil or empty plan is exactly
-// RunObserved and leaves Result.Faults nil. Any other plan runs the same
-// pipeline loop as RunObserved with the compiled schedule as its fault
+// Run and leaves Result.Faults nil. Any other plan runs the same
+// pipeline loop as Run with the compiled schedule as its fault
 // input, so a plan with no effect inside the window reproduces the
 // fault-free events and results; only the FaultReport and the timeline's
 // empty faults lane tell them apart. The returned Result carries a
@@ -219,7 +219,7 @@ func (fr *faultRun) excludedOverlap(from, to float64) float64 {
 // preemption's restart + replay cost.
 func RunWithFaults(cfg Config, plan *fault.Plan, obs ...Observer) (*Result, error) {
 	if plan.Empty() {
-		return RunObserved(cfg, obs...)
+		return Run(cfg, obs...)
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, err

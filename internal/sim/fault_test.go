@@ -56,7 +56,7 @@ func TestNeutralPlanMatchesFaultFree(t *testing.T) {
 			if logged {
 				baseObs, planObs = []Observer{&baseLog}, []Observer{&planLog}
 			}
-			base, err := RunObserved(cfg, baseObs...)
+			base, err := Run(cfg, baseObs...)
 			if err != nil {
 				t.Fatal(err)
 			}

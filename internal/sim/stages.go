@@ -9,37 +9,22 @@ import (
 	"mlperf/internal/units"
 )
 
-// Stage is one station task of the training pipeline. A stage knows its
-// per-step service time, the lane (station) it occupies, and the payload
-// it moves; the pipeline executes stages over the discrete-event Engine
-// and publishes one typed Event per stage per step.
-type Stage interface {
-	// Kind tags the events this stage publishes.
-	Kind() EventKind
-	// Lane is the station the stage occupies. Stages sharing a lane run
-	// back-to-back on the same resource.
-	Lane() string
-	// Service is the stage's busy time for one step in seconds.
-	Service() float64
-	// Bytes is the payload moved per step (0 when none applies).
-	Bytes() units.Bytes
-	// FLOPs is the floating-point work per step (0 when none applies).
-	FLOPs() units.FLOPs
+// stage is one station task of the training pipeline: the lane
+// (station) it occupies and its per-step service time and payload.
+// Stages sharing a lane run back-to-back on the same resource; the
+// pipeline executes stages over the discrete-event Engine and publishes
+// one typed Event per stage per step. Each constructor below owns its
+// slice of the performance model.
+type stage struct {
+	lane string
+	SteadyStage
 }
 
-// InputStage models the host preprocessing pool: dedicated worker cores
-// (per GPU, or a fixed pool for single-process samplers) prepare one
-// global batch per step.
-type InputStage struct {
-	// Time is seconds per global batch across the worker pool.
-	Time float64
-	// Cores is the worker-core count feeding the pipeline.
-	Cores int
-}
-
-// newInputStage sizes the worker pool and computes the per-step
-// preprocessing time.
-func newInputStage(sys *hw.System, j *Job, g, globalB int) *InputStage {
+// newInputStage models the host preprocessing pool: dedicated worker
+// cores (per GPU, or a fixed pool for single-process samplers) prepare
+// one global batch per step. It returns the stage and the worker-core
+// count feeding the pipeline.
+func newInputStage(sys *hw.System, j *Job, g, globalB int) (stage, int) {
 	totalCores := sys.CPU.Cores * sys.CPUSockets
 	var cores int
 	if j.FixedInputWorkers > 0 {
@@ -54,99 +39,55 @@ func newInputStage(sys *hw.System, j *Job, g, globalB int) *InputStage {
 	if cores > totalCores {
 		cores = totalCores
 	}
-	return &InputStage{
-		Time:  float64(globalB) * j.CPUSecondsPerSample / float64(cores),
-		Cores: cores,
-	}
+	return stage{LaneCPU, SteadyStage{
+		Kind:    EvInput,
+		Service: float64(globalB) * j.CPUSecondsPerSample / float64(cores),
+	}}, cores
 }
 
-func (s *InputStage) Kind() EventKind    { return EvInput }
-func (s *InputStage) Lane() string       { return LaneCPU }
-func (s *InputStage) Service() float64   { return s.Time }
-func (s *InputStage) Bytes() units.Bytes { return 0 }
-func (s *InputStage) FLOPs() units.FLOPs { return 0 }
-
-// CopyStage models the host-to-device copy: each GPU pulls its local
-// batch over its host path, derated when several GPUs share the same CPU
-// egress link. The stage's service time is the slowest GPU's copy.
-type CopyStage struct {
-	// Time is the slowest GPU's copy seconds per step.
-	Time float64
-	// SampleBytes is the per-sample H2D payload.
-	SampleBytes units.Bytes
-	// StepBytes is the aggregate payload per step (global batch).
-	StepBytes units.Bytes
-}
-
-// newCopyStage resolves the per-sample payload and the shared-egress copy
-// time.
-func newCopyStage(sys *hw.System, j *Job, gpus []string, localB, globalB int) *CopyStage {
+// newCopyStage models the host-to-device copy: each GPU pulls its local
+// batch over its host path, derated when several GPUs share the same
+// CPU egress link. The service time is the slowest GPU's copy; the
+// payload is the global batch's.
+func newCopyStage(sys *hw.System, j *Job, gpus []string, localB, globalB int) stage {
 	sampleBytes := j.Net.InputBytes
 	if j.H2DBytesPerSample > 0 {
 		sampleBytes = j.H2DBytesPerSample
 	}
-	return &CopyStage{
-		Time:        h2dTime(sys, gpus, units.Bytes(localB)*sampleBytes),
-		SampleBytes: sampleBytes,
-		StepBytes:   units.Bytes(globalB) * sampleBytes,
-	}
+	return stage{LanePCIe, SteadyStage{
+		Kind:    EvH2D,
+		Service: h2dTime(sys, gpus, units.Bytes(localB)*sampleBytes),
+		Bytes:   units.Bytes(globalB) * sampleBytes,
+	}}
 }
 
-func (s *CopyStage) Kind() EventKind    { return EvH2D }
-func (s *CopyStage) Lane() string       { return LanePCIe }
-func (s *CopyStage) Service() float64   { return s.Time }
-func (s *CopyStage) Bytes() units.Bytes { return s.StepBytes }
-func (s *CopyStage) FLOPs() units.FLOPs { return 0 }
-
-// ComputeStage models forward+backward: per-sample roofline time across
-// the layer graph, inflated by kernel-gap stalls, synchronization
-// imbalance across GPUs, and any fixed per-step GPU overhead.
-type ComputeStage struct {
-	// Time is the inflated wall time per step on one GPU.
-	Time float64
-	// PerSample is the un-inflated roofline seconds per sample.
-	PerSample float64
-	// Imbalance is the multi-GPU synchronization stretch factor.
-	Imbalance float64
-	// Work is the aggregate FLOPs per step across all GPUs.
-	Work units.FLOPs
-}
-
-func newComputeStage(gpu *hw.GPU, j *Job, localB, globalB, g int) *ComputeStage {
+// newComputeStage models forward+backward: per-sample roofline time
+// across the layer graph, inflated by kernel-gap stalls,
+// synchronization imbalance across GPUs, and any fixed per-step GPU
+// overhead. It returns the stage and the un-inflated kernel seconds per
+// step (the roofline time stretched only by the imbalance), which is
+// what keeps the SMs busy.
+func newComputeStage(gpu *hw.GPU, j *Job, localB, globalB, g int) (stage, float64) {
 	perSample := precision.StepTime(gpu, j.Net, localB, j.Precision)
 	imbalance := 1 + j.Imbalance*(1-1/float64(g))
-	return &ComputeStage{
-		Time:      perSample*float64(localB)*(1+j.GPUIdleFrac)*imbalance + j.GPUFixedPerStep,
-		PerSample: perSample,
-		Imbalance: imbalance,
-		Work:      j.Net.TrainFLOPs() * units.FLOPs(globalB),
-	}
+	return stage{LaneGPU, SteadyStage{
+		Kind:    EvCompute,
+		Service: perSample*float64(localB)*(1+j.GPUIdleFrac)*imbalance + j.GPUFixedPerStep,
+		FLOPs:   j.Net.TrainFLOPs() * units.FLOPs(globalB),
+	}}, perSample * float64(localB) * imbalance
 }
 
-func (s *ComputeStage) Kind() EventKind    { return EvCompute }
-func (s *ComputeStage) Lane() string       { return LaneGPU }
-func (s *ComputeStage) Service() float64   { return s.Time }
-func (s *ComputeStage) Bytes() units.Bytes { return 0 }
-func (s *ComputeStage) FLOPs() units.FLOPs { return s.Work }
-
-// AllReduceStage models the gradient collective. Only the exposed
-// (non-overlapped) part occupies the gpu lane: comm hides under the
-// backward pass up to an OverlapComm fraction of the collective, and
-// never more than the overlap window the backward pass provides.
-type AllReduceStage struct {
-	// Full is the collective's full latency.
-	Full float64
-	// Exposed is the non-overlapped remainder that extends the step.
-	Exposed float64
-	// Comm is the collective's cost detail (algorithm, per-kind traffic).
-	Comm comm.Result
-}
-
-// newAllReduceStage routes the collective over the topology (multi-GPU
-// only; a single GPU gets a zero stage).
-func newAllReduceStage(sys *hw.System, j *Job, gpus []string, computeTime float64) (*AllReduceStage, error) {
+// newAllReduceStage models the gradient collective, routed over the
+// topology (multi-GPU only; a single GPU gets a zero stage). Only the
+// exposed (non-overlapped) part occupies the gpu lane: comm hides under
+// the backward pass up to an OverlapComm fraction of the collective,
+// and never more than the overlap window the backward pass provides.
+// The payload is the collective's total wire traffic per step; the
+// returned comm.Result is its full cost detail.
+func newAllReduceStage(sys *hw.System, j *Job, gpus []string, computeTime float64) (stage, comm.Result, error) {
+	st := stage{LaneGPU, SteadyStage{Kind: EvAllReduce}}
 	if len(gpus) <= 1 {
-		return &AllReduceStage{}, nil
+		return st, comm.Result{}, nil
 	}
 	var cr comm.Result
 	var err error
@@ -156,63 +97,36 @@ func newAllReduceStage(sys *hw.System, j *Job, gpus []string, computeTime float6
 		cr, err = comm.AllReduce(sys.Topo, gpus, j.Net.GradientBytes())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", j.Name, sys.Name, err)
+		return stage{}, comm.Result{}, fmt.Errorf("sim: %s on %s: %w", j.Name, sys.Name, err)
 	}
 	overlap := j.OverlapComm
 	hidden := overlap * computeTime
 	if cap := cr.Time * overlap; cap < hidden {
 		hidden = cap
 	}
-	return &AllReduceStage{
-		Full:    cr.Time,
-		Exposed: cr.Time - hidden,
-		Comm:    cr,
-	}, nil
-}
-
-func (s *AllReduceStage) Kind() EventKind  { return EvAllReduce }
-func (s *AllReduceStage) Lane() string     { return LaneGPU }
-func (s *AllReduceStage) Service() float64 { return s.Exposed }
-
-// Bytes is the total wire traffic the collective moves per step.
-func (s *AllReduceStage) Bytes() units.Bytes {
-	var total units.Bytes
-	for _, b := range s.Comm.TrafficByKind {
-		total += b
+	st.Service = cr.Time - hidden
+	for _, b := range cr.TrafficByKind {
+		st.Bytes += b
 	}
-	return total
+	return st, cr, nil
 }
-func (s *AllReduceStage) FLOPs() units.FLOPs { return 0 }
 
-// OptimizerStage models the weight update: it streams parameters,
+// newOptimizerStage models the weight update: it streams parameters,
 // optimizer state and gradients through HBM.
-type OptimizerStage struct {
-	// Time is the update's wall time per step.
-	Time float64
-	// StepBytes is the HBM traffic per step summed over GPUs.
-	StepBytes units.Bytes
-}
-
-func newOptimizerStage(gpu *hw.GPU, j *Job, g int) *OptimizerStage {
+func newOptimizerStage(gpu *hw.GPU, j *Job, g int) stage {
 	optBytes := float64(j.Net.ParamBytes(4))*(2+float64(j.OptimizerSlots)) +
 		float64(j.Net.GradientBytes())
-	return &OptimizerStage{
-		Time:      optBytes / (float64(gpu.MemBandwidth) * 0.7),
-		StepBytes: units.Bytes(optBytes) * units.Bytes(g),
-	}
+	return stage{LaneGPU, SteadyStage{
+		Kind:    EvOptimizer,
+		Service: optBytes / (float64(gpu.MemBandwidth) * 0.7),
+		Bytes:   units.Bytes(optBytes) * units.Bytes(g),
+	}}
 }
-
-func (s *OptimizerStage) Kind() EventKind    { return EvOptimizer }
-func (s *OptimizerStage) Lane() string       { return LaneGPU }
-func (s *OptimizerStage) Service() float64   { return s.Time }
-func (s *OptimizerStage) Bytes() units.Bytes { return s.StepBytes }
-func (s *OptimizerStage) FLOPs() units.FLOPs { return 0 }
 
 // laneExec is one pipeline station at execution time: a serializing
 // resource plus its stages, compiled once per run. Per-stage service
 // times are step-invariant, so the fault-free loop reads the lane's
-// precomputed total instead of re-walking the Stage interfaces every
-// step.
+// precomputed total instead of re-walking the stages every step.
 type laneExec struct {
 	name string
 	res  Resource
@@ -237,19 +151,17 @@ type laneStage struct {
 // groupLanes orders stages into stations, preserving stage order within a
 // lane and first-appearance order across lanes, and compiles each
 // station's per-step schedule.
-func groupLanes(stages []Stage) []laneExec {
+func groupLanes(stages []stage) []laneExec {
 	var lanes []laneExec
 	for _, st := range stages {
 		i := 0
-		for i < len(lanes) && lanes[i].name != st.Lane() {
+		for i < len(lanes) && lanes[i].name != st.lane {
 			i++
 		}
 		if i == len(lanes) {
-			lanes = append(lanes, laneExec{name: st.Lane(), res: Resource{Name: st.Lane()}})
+			lanes = append(lanes, laneExec{name: st.lane, res: Resource{Name: st.lane}})
 		}
-		lanes[i].stages = append(lanes[i].stages, laneStage{SteadyStage: SteadyStage{
-			Kind: st.Kind(), Service: st.Service(), Bytes: st.Bytes(), FLOPs: st.FLOPs(),
-		}})
+		lanes[i].stages = append(lanes[i].stages, laneStage{SteadyStage: st.SteadyStage})
 	}
 	target := 0
 	for i := range lanes {

@@ -11,7 +11,7 @@ import (
 func TestTelemetryObserverCountsMatchEventStream(t *testing.T) {
 	reg := telemetry.New()
 	log := &EventLog{}
-	res, err := RunObserved(
+	res, err := Run(
 		Config{System: hw.C4140K(), GPUCount: 4, Job: testJob(), Steps: 16},
 		log, NewTelemetryObserver(reg),
 	)
@@ -56,7 +56,7 @@ func TestTelemetryObserverNilRegistryIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watched, err := RunObserved(Config{System: hw.C4140K(), GPUCount: 2, Job: testJob()}, obs)
+	watched, err := Run(Config{System: hw.C4140K(), GPUCount: 2, Job: testJob()}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

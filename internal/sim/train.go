@@ -200,21 +200,18 @@ func (j *Job) LocalBatchFor(gpus int) int {
 	return b
 }
 
-// Run simulates the job and returns the full result.
-func Run(cfg Config) (*Result, error) { return RunObserved(cfg) }
-
-// RunObserved simulates the job once while streaming every stage event to
-// obs, alongside the built-in timeline and counter observers that
-// assemble the Result. One simulation therefore feeds every consumer —
-// the paper's "one real run, many tools watching" structure: the Chrome
+// Run simulates the job once while streaming every stage event to obs,
+// alongside the built-in timeline and counter observers that assemble
+// the Result. One simulation therefore feeds every consumer — the
+// paper's "one real run, many tools watching" structure: the Chrome
 // trace, the Table V counters and the dstat/dmon/nvprof analogs
-// (internal/profile) all subscribe to this stream rather than re-running
-// the simulator.
-func RunObserved(cfg Config, obs ...Observer) (*Result, error) {
+// (internal/profile) all subscribe to this stream rather than
+// re-running the simulator.
+func Run(cfg Config, obs ...Observer) (*Result, error) {
 	return runObserved(cfg, nil, obs)
 }
 
-// runObserved is the shared core behind RunObserved (plan == nil, the
+// runObserved is the shared core behind Run (plan == nil, the
 // fault-free pipeline) and RunWithFaults (a compiled fault schedule rides
 // along as runPipeline's fault input). Every fault hook is behind a nil
 // check, so a fault-free run reads only the compiled lane totals.
@@ -240,31 +237,31 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 	localB := j.LocalBatchFor(g)
 	globalB := localB * g
 
-	// Build the stage components; each constructor owns its slice of the
+	// Build the stages; each constructor owns its slice of the
 	// performance model.
-	input := newInputStage(cfg.System, j, g, globalB)
+	input, cores := newInputStage(cfg.System, j, g, globalB)
 	h2d := newCopyStage(cfg.System, j, gpus, localB, globalB)
-	compute := newComputeStage(gpu, j, localB, globalB, g)
-	allreduce, err := newAllReduceStage(cfg.System, j, gpus, compute.Time)
+	compute, kernelTime := newComputeStage(gpu, j, localB, globalB, g)
+	allreduce, cr, err := newAllReduceStage(cfg.System, j, gpus, compute.Service)
 	if err != nil {
 		return nil, err
 	}
 	optimizer := newOptimizerStage(gpu, j, g)
 
 	ph := Phases{
-		Input:       input.Time,
-		H2D:         h2d.Time,
-		Compute:     compute.Time,
-		AllReduce:   allreduce.Full,
-		ExposedComm: allreduce.Exposed,
-		Optimizer:   optimizer.Time,
+		Input:       input.Service,
+		H2D:         h2d.Service,
+		Compute:     compute.Service,
+		AllReduce:   cr.Time,
+		ExposedComm: allreduce.Service,
+		Optimizer:   optimizer.Service,
 	}
 	gpuWork := ph.Compute + ph.ExposedComm + ph.Optimizer
 
 	// Execute the stage pipeline, publishing every span to the built-in
 	// observers plus any external subscribers.
-	stageList := []Stage{input, h2d, compute, allreduce, optimizer}
-	lanes := groupLanes(stageList)
+	stages := []stage{input, h2d, compute, allreduce, optimizer}
+	lanes := groupLanes(stages)
 	var fr *faultRun
 	var snapshot units.Bytes
 	tlLanes := []string{LaneCPU, LanePCIe, LaneGPU}
@@ -293,7 +290,7 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 		if fastEnd == nil && dirty {
 			// The abandoned attempt pushed warm-up steps through the
 			// stations; rebuild them untouched for the slow run.
-			lanes = groupLanes(stageList)
+			lanes = groupLanes(stages)
 			if fr, err = newFaultRun(plan, lanes, steps, snapshot); err != nil {
 				return nil, err
 			}
@@ -358,7 +355,7 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 		StepsPerEpoch: stepsPerEpoch,
 		TimeToTrain:   ttt,
 		Throughput:    float64(globalB) / stepTime,
-		Comm:          allreduce.Comm,
+		Comm:          cr,
 		Timeline:      tl.Timeline(),
 	}
 	if fr != nil {
@@ -370,7 +367,7 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 	// dmon-style utilization counts only the un-inflated kernel time plus
 	// collective kernels.
 	gpuBusy := use.utilizationOver(LaneGPU, span[0], span[1])
-	busyWork := compute.PerSample*float64(localB)*compute.Imbalance + j.GPUFixedPerStep + ph.Optimizer + ph.ExposedComm
+	busyWork := kernelTime + j.GPUFixedPerStep + ph.Optimizer + ph.ExposedComm
 	if gpuWorkTotal := ph.Compute + ph.ExposedComm + ph.Optimizer; gpuWorkTotal > 0 {
 		gpuBusy *= busyWork / gpuWorkTotal
 	}
@@ -382,7 +379,7 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 	// a small OS floor.
 	totalCores := cfg.System.CPU.Cores * cfg.System.CPUSockets
 	serialPerStep := j.HostSerialPerEpoch / float64(stepsPerEpoch)
-	coreSeconds := use.utilizationOver(LaneCPU, span[0], span[1])*float64(input.Cores)*stepTime +
+	coreSeconds := use.utilizationOver(LaneCPU, span[0], span[1])*float64(cores)*stepTime +
 		serialPerStep + 0.004*float64(totalCores)*stepTime
 	res.CPUUtil = units.Percent(coreSeconds / (stepTime * float64(totalCores)) * 100).Clamp(100)
 
@@ -394,12 +391,11 @@ func runObserved(cfg Config, plan *fault.Plan, obs []Observer) (*Result, error) 
 	// kind. PCIe follows the paper's "sum over GPUs" semantics; NVLink is
 	// reported as the mean per-GPU rate, the closest consistent reading
 	// of the nvidia-smi lane counters (see EXPERIMENTS.md).
-	h2dBytesPerStep := float64(globalB) * float64(h2d.SampleBytes)
-	pcieBytes := h2dBytesPerStep
+	pcieBytes := float64(h2d.Bytes)
 	var nvlinkBytes float64
 	if g > 1 {
-		pcieBytes += float64(allreduce.Comm.TrafficByKind[hw.PCIe3])
-		nvlinkBytes = float64(allreduce.Comm.TrafficByKind[hw.NVLink]) / float64(g)
+		pcieBytes += float64(cr.TrafficByKind[hw.PCIe3])
+		nvlinkBytes = float64(cr.TrafficByKind[hw.NVLink]) / float64(g)
 	}
 	res.PCIeRate = units.BytesPerSecond(pcieBytes / stepTime)
 	res.NVLinkRate = units.BytesPerSecond(nvlinkBytes / stepTime)

@@ -237,22 +237,16 @@ func RunCell(k CellKey, mode sim.FastPathMode) (Record, error) {
 	default:
 		return Record{}, fmt.Errorf("sweep: unknown precision %q", k.Precision)
 	}
-	var res *sim.Result
+	var plan *fault.Plan
 	if k.Faults != "" {
-		plan, perr := fault.Parse(k.Faults)
-		if perr != nil {
-			return Record{}, perr
+		if plan, err = fault.Parse(k.Faults); err != nil {
+			return Record{}, err
 		}
-		res, err = sim.RunWithFaults(sim.Config{
-			System: sys, GPUCount: k.GPUs, Job: job,
-			FastPath: mode, NoTimeline: true,
-		}, plan)
-	} else {
-		res, err = sim.Run(sim.Config{
-			System: sys, GPUCount: k.GPUs, Job: job,
-			FastPath: mode, NoTimeline: true,
-		})
 	}
+	res, err := sim.RunWithFaults(sim.Config{
+		System: sys, GPUCount: k.GPUs, Job: job,
+		FastPath: mode, NoTimeline: true,
+	}, plan)
 	if err != nil {
 		return Record{}, fmt.Errorf("sweep: %s on %s @%d: %w", b.Abbrev, sys.Name, k.GPUs, err)
 	}

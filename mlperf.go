@@ -126,7 +126,7 @@ const (
 // hook the profiling toolchain uses to derive dstat/dmon/nvprof views
 // and Chrome traces from a single simulation instead of re-running it.
 func SimulateObserved(system *System, gpus int, b Benchmark, obs ...SimObserver) (*SimResult, error) {
-	return sim.RunObserved(sim.Config{System: system, GPUCount: gpus, Job: b.Job}, obs...)
+	return sim.Run(sim.Config{System: system, GPUCount: gpus, Job: b.Job}, obs...)
 }
 
 // ---- Fault injection (DESIGN.md §"Fault model") ----
