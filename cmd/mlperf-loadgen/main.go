@@ -20,7 +20,8 @@
 //
 // The exit status is the SLO verdict: 0 when every asserted bound
 // holds, 1 when any is violated — which is what makes it a CI gate. A
-// wrong answer and a response without X-Request-Id always violate it.
+// wrong answer, a response without X-Request-Id, a transport error and
+// a run that checked no answer always violate it.
 package main
 
 import (

@@ -66,7 +66,7 @@ func main() {
 			EnablePprof:   *pprof,
 		})
 		if err != nil {
-			return nil, err
+			return nil, telecli.Usage(err) // the cache flags, checked as mlperf-sweep checks them
 		}
 		sink.Config("cache-dir", *cacheDir)
 		sink.Config("cache-max-bytes", strconv.FormatInt(*cacheMax, 10))

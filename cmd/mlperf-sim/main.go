@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -102,7 +101,7 @@ func run(args []string) error {
 		}
 		fmt.Print(experiments.RenderFig5(rows))
 	case "whatif":
-		rows, err := experiments.WhatIfNVLinkAt8On(context.Background(), sweep.Default)
+		rows, err := experiments.WhatIfNVLinkAt8()
 		if err != nil {
 			return err
 		}

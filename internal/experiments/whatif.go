@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"mlperf/internal/report"
@@ -27,13 +26,6 @@ type WhatIfRow struct {
 // machines. The DSS 8440 cells alias Table IV's, so a combined run only
 // adds the DGX-1 column.
 func WhatIfNVLinkAt8() ([]WhatIfRow, error) {
-	return WhatIfNVLinkAt8On(context.Background(), sweep.Default)
-}
-
-// WhatIfNVLinkAt8On is WhatIfNVLinkAt8 on an explicit engine under a
-// cancelable context — the form the serve daemon calls so a client
-// deadline propagates into the cells.
-func WhatIfNVLinkAt8On(ctx context.Context, e *sweep.Engine) ([]WhatIfRow, error) {
 	var keys []sweep.CellKey
 	for _, name := range Table4Benches {
 		for _, system := range []string{"DSS 8440", "DGX-1"} {
@@ -42,7 +34,7 @@ func WhatIfNVLinkAt8On(ctx context.Context, e *sweep.Engine) ([]WhatIfRow, error
 			}
 		}
 	}
-	recs, _, err := e.RunCellsWithOptions(ctx, keys, sweep.Options{})
+	recs, err := runCells(keys)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: %w", err)
 	}

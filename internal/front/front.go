@@ -18,7 +18,7 @@
 // answer is byte-identical to a single process running the whole grid.
 // A slice whose stream breaks fails over with only the cells it has not
 // delivered, and the summary's completed count is the frames delivered.
-// A grid over the backends' cell budget (serve.MaxRequestCells) is
+// A grid over the backends' per-request cell cap (serve.MaxRequestCells) is
 // refused with a backend's own 413 before any fan-out.
 //
 // Cell cache: the front keeps a bounded normalized-key → record map (a

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -199,6 +200,15 @@ func TestFrontStreamMergesByteIdentical(t *testing.T) {
 	}
 	if got := renderCSV(t, recs); got != want {
 		t.Fatalf("front-streamed CSV differs from RunSequential")
+	}
+	// One summary shape on both tiers: a backend's own stream of the same
+	// grid ends with a summary equal to the front's merged one.
+	code, body, _ = get(t, c.backTS[0].URL+"/v1/sweep/stream?"+tableGrid)
+	if code != http.StatusOK {
+		t.Fatalf("backend stream = %d (%s)", code, strings.TrimSpace(body))
+	}
+	if _, backSum := reassemble(t, body, false, cells); !reflect.DeepEqual(backSum, *summary) {
+		t.Fatalf("backend summary %+v, front summary %+v: want equal", backSum, *summary)
 	}
 }
 

@@ -103,7 +103,8 @@ type LoadReport struct {
 }
 
 // SLO is the service-level gate the harness asserts after a run. A
-// wrong answer and a response without X-Request-Id always violate it.
+// wrong answer, a response without X-Request-Id, a transport error and
+// a run that checked no answer always violate it.
 type SLO struct {
 	// MaxP99 bounds p99 latency of admitted requests (0 = no bound).
 	MaxP99 time.Duration
@@ -142,6 +143,12 @@ func (s SLO) Violations(r *LoadReport) []string {
 	}
 	if r.MissingRequestID > 0 {
 		v = append(v, fmt.Sprintf("%d responses missing X-Request-Id", r.MissingRequestID))
+	}
+	if r.TransportErrors > 0 {
+		v = append(v, fmt.Sprintf("%d of %d requests got no HTTP response", r.TransportErrors, r.Sent))
+	}
+	if r.Checked == 0 {
+		v = append(v, "no answer checked: the run proved nothing about the target")
 	}
 	return v
 }

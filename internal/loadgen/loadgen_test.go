@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -333,5 +334,40 @@ func TestLoadgenFailsAlteredServer(t *testing.T) {
 				t.Fatalf("violations %q do not name %q", v, want)
 			}
 		})
+	}
+}
+
+// A run that reached no server proves nothing: every request is a
+// transport error, no answer is checked, and the gate fails on each.
+func TestLoadgenFailsUnreachableTarget(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	ln.Close() // a closed port: every connection is refused
+	rep, err := RunLoad(context.Background(), LoadOptions{
+		BaseURL:        url,
+		Duration:       200 * time.Millisecond,
+		Rate:           50,
+		RequestTimeout: time.Second,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent == 0 || rep.TransportErrors != rep.Sent || rep.Checked != 0 {
+		t.Fatalf("against a closed port: %s", RenderLoadReport(rep))
+	}
+	v := strings.Join(SLO{}.Violations(rep), "; ")
+	for _, want := range []string{"no HTTP response", "no answer checked"} {
+		if !strings.Contains(v, want) {
+			t.Fatalf("violations %q do not name %q", v, want)
+		}
+	}
+	// Reaching the target is not enough: a run whose every request was
+	// shed checked no answer either.
+	if v := (SLO{}).Violations(&LoadReport{Sent: 5, Shed: 5}); len(v) != 1 || !strings.Contains(v[0], "no answer checked") {
+		t.Fatalf("all-shed run: violations %q, want only the unchecked-run one", v)
 	}
 }

@@ -15,127 +15,67 @@ import (
 type shedReason string
 
 const (
-	shedQueue shedReason = "queue" // wait queue at capacity
-	shedCost  shedReason = "cost"  // in-flight cell budget exhausted
+	shedQueue shedReason = "queue" // wait queue at capacity, or the deadline passed waiting for a slot
 	shedQuota shedReason = "quota" // tenant token bucket empty
 	shedDrain shedReason = "drain" // server is shutting down
 )
 
-// admission is the bounded work queue at the daemon's front door. A
-// request is priced by its simulation cost, its cell count; acquiring
-// means the request may execute now. The controller enforces three
-// limits, shedding explicitly the moment any would be exceeded rather
-// than queuing without bound:
+// admission is the bounded work queue at the daemon's front door;
+// acquiring means the request may execute now. It enforces two limits,
+// shedding the moment either would be exceeded rather than queuing
+// without bound:
 //
-//   - slots: at most maxInFlight requests execute concurrently;
-//   - queue: at most maxQueue requests wait for a slot — the classic
-//     bounded buffer that keeps latency from growing unboundedly under
-//     overload;
-//   - cost: the summed cost of executing requests stays within
-//     MaxRequestCells, so ten cheap simulate calls and one 4096-cell
-//     sweep are not treated alike.
+//   - slots: at most maxInFlight requests execute concurrently (a held
+//     slot is one element in the slots channel);
+//   - queue: at most maxQueue requests are in acquire at once, the
+//     bounded buffer that keeps latency from growing under overload.
+//
+// A request's size is bounded before it gets here (TooLarge), not while
+// it runs: a slot is a slot whatever the request's cell count.
 type admission struct {
 	slots    chan struct{}
 	maxQueue int64
 	reg      *telemetry.Registry
-
 	queued   atomic.Int64
-	inFlight atomic.Int64
-
-	// cells is guarded by mu together with cond-style waiting: cost
-	// admission cannot be a channel semaphore because requests acquire
-	// variable amounts.
-	mu    sync.Mutex
-	cond  *sync.Cond
-	cells atomic.Int64
 }
 
 func newAdmission(maxInFlight, maxQueue int, reg *telemetry.Registry) *admission {
-	a := &admission{
-		slots:    make(chan struct{}, maxInFlight),
-		maxQueue: int64(maxQueue),
-		reg:      reg,
-	}
-	a.cond = sync.NewCond(&a.mu)
-	return a
+	return &admission{slots: make(chan struct{}, maxInFlight), maxQueue: int64(maxQueue), reg: reg}
 }
 
-// acquire admits a request of the given cost, blocking in the bounded
-// queue until a slot and cost budget are available, ctx expires, or the
-// queue is full (immediate shed). The cost must be at most
-// MaxRequestCells: admit answers a larger one with 413 (TooLarge)
-// before it gets here. The returned release function must be called
-// exactly once when the request finishes.
-func (a *admission) acquire(ctx context.Context, cost int64) (release func(), shed shedReason, ok bool) {
-	// Join the bounded queue — or shed on the spot if it is full. The
-	// check-then-increment is racy in the benign direction (a burst can
-	// briefly overshoot by the number of racing requests), which is fine:
-	// the queue bound is a load-shedding threshold, not a memory cap.
-	if a.queued.Load() >= a.maxQueue {
-		return nil, shedQueue, false
-	}
-	a.queued.Add(1)
-	a.gauge(MetricQueueDepth, float64(a.queued.Load()))
-	defer func() {
+// acquire admits a request, blocking in the bounded queue until a slot
+// is free or ctx ends; a full queue refuses at once. A refusal is
+// always shedQueue. The returned release function must be called once
+// the request finishes; further calls are no-ops.
+func (a *admission) acquire(ctx context.Context) (release func(), ok bool) {
+	// Incrementing before the check makes the bound exact: racing
+	// requests cannot overshoot it.
+	n := a.queued.Add(1)
+	if n > a.maxQueue {
 		a.queued.Add(-1)
-		a.gauge(MetricQueueDepth, float64(a.queued.Load()))
-	}()
+		return nil, false
+	}
+	a.gauge(MetricQueueDepth, n)
+	defer func() { a.gauge(MetricQueueDepth, a.queued.Add(-1)) }()
 
-	// Wait for an execution slot.
 	select {
 	case a.slots <- struct{}{}:
 	case <-ctx.Done():
-		return nil, shedQueue, false
+		return nil, false
 	}
-
-	// Wait for cost budget. Slot-holders queue here only when a large
-	// sweep is hogging the cell budget; cond broadcast on release wakes
-	// them. A context cancellation while waiting must abandon cleanly.
-	a.mu.Lock()
-	for a.cells.Load()+cost > MaxRequestCells {
-		if ctx.Err() != nil {
-			a.mu.Unlock()
-			<-a.slots
-			return nil, shedCost, false
-		}
-		// cond.Wait with a context: poll via timed wakeups. Admission waits
-		// are rare (only under cost contention) and bounded by the request
-		// deadline, so a coarse tick is fine.
-		waitCond(a.cond, 10*time.Millisecond)
-	}
-	a.cells.Add(cost)
-	a.mu.Unlock()
-
-	a.inFlight.Add(1)
-	a.gauge(MetricInFlight, float64(a.inFlight.Load()))
-	a.gauge(MetricCellsInFlight, float64(a.cells.Load()))
-
+	a.gauge(MetricInFlight, int64(len(a.slots)))
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			a.mu.Lock()
-			a.cells.Add(-cost)
-			a.mu.Unlock()
-			a.cond.Broadcast()
-			a.inFlight.Add(-1)
 			<-a.slots
-			a.gauge(MetricInFlight, float64(a.inFlight.Load()))
-			a.gauge(MetricCellsInFlight, float64(a.cells.Load()))
+			a.gauge(MetricInFlight, int64(len(a.slots)))
 		})
-	}, "", true
+	}, true
 }
 
-// waitCond is cond.Wait with a wakeup deadline, so waiters can re-check
-// their context. Caller holds the cond's lock.
-func waitCond(c *sync.Cond, d time.Duration) {
-	t := time.AfterFunc(d, c.Broadcast)
-	c.Wait()
-	t.Stop()
-}
-
-func (a *admission) gauge(name string, v float64) {
+func (a *admission) gauge(name string, v int64) {
 	if a.reg != nil {
-		a.reg.Gauge(name).Set(v)
+		a.reg.Gauge(name).Set(float64(v))
 	}
 }
 

@@ -87,12 +87,12 @@ func RequestTimeout(r *http.Request) (time.Duration, error) {
 }
 
 // admit is the one admission prologue every compute endpoint runs on a
-// request that parsed, in order: drain check, tenant quota, size,
-// deadline, drain watch, then the bounded queue and cost budget. A
-// refusal is answered here — a typed 429/503 with Retry-After, a 413 or
-// a 400 — and ok is false. Otherwise ctx carries the request's deadline
-// and is also cancelled by a drain's hard stop, and finish releases the
-// slot and the context.
+// request that parsed, in order: drain check, tenant quota, size (cost
+// in cells, at most MaxRequestCells), deadline, drain watch, then the
+// bounded queue and an execution slot. A refusal is answered here — a
+// typed 429/503 with Retry-After, a 413 or a 400 — and ok is false.
+// Otherwise ctx carries the request's deadline and is also cancelled by
+// a drain's hard stop, and finish releases the slot and the context.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost int64) (ctx context.Context, finish func(), ok bool) {
 	if s.draining.Load() {
 		s.shedWith(w, r, shedDrain, time.Second)
@@ -115,11 +115,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost int64) (ctx 
 	// Drain's hard stop cancels admitted work: the engine's Partial path
 	// then answers with whatever completed.
 	stopDrainWatch := context.AfterFunc(s.hardCtx, cancel)
-	release, reason, ok := s.adm.acquire(ctx, cost)
+	release, ok := s.adm.acquire(ctx)
 	if !ok {
 		stopDrainWatch()
 		cancel()
-		s.shedWith(w, r, reason, time.Second)
+		s.shedWith(w, r, shedQueue, time.Second)
 		return nil, nil, false
 	}
 	return ctx, func() {

@@ -4,11 +4,12 @@
 // routing — it is the robustness envelope:
 //
 //   - Admission control. A bounded work queue with explicit load
-//     shedding: once queue depth, in-flight requests or in-flight
-//     simulation cost exceed configured limits, requests are refused
-//     with 429 + Retry-After instead of queuing without bound. Per-tenant
-//     token buckets (keyed by the X-Tenant header) keep one noisy client
-//     from starving the rest.
+//     shedding: once queue depth or in-flight requests exceed configured
+//     limits, requests are refused with 429 + Retry-After instead of
+//     queuing without bound; a request costing more than
+//     MaxRequestCells cells is a 413 before it queues. Per-tenant token
+//     buckets (keyed by the X-Tenant header) keep one noisy client from
+//     starving the rest.
 //   - Deadline propagation. A request deadline (Request-Timeout header
 //     or ?timeout=, capped at 5 minutes, 30 seconds when none is named)
 //     flows into the sweep engine's per-cell context machinery, so a
@@ -52,10 +53,9 @@ import (
 // tests share one schema.
 const (
 	MetricRequests      = "serve_requests_total"          // counter, endpoint= code=
-	MetricShed          = "serve_shed_total"              // counter, reason=quota|queue|cost|drain
+	MetricShed          = "serve_shed_total"              // counter, reason=quota|queue|drain
 	MetricInFlight      = "serve_inflight"                // gauge, admitted requests executing
 	MetricQueueDepth    = "serve_queue_depth"             // gauge, requests waiting for a slot
-	MetricCellsInFlight = "serve_cells_inflight"          // gauge, admitted simulation cost units
 	MetricPanics        = "serve_panics_total"            // counter, contained per-request panics
 	MetricPartials      = "serve_partial_responses_total" // counter, sweeps answered with a partial grid
 	MetricStreamRecords = "serve_stream_records_total"    // counter, record frames delivered to clients
@@ -64,10 +64,10 @@ const (
 	MetricEndpointSeconds = "serve_endpoint_seconds" // histogram, endpoint=
 )
 
-// MaxRequestCells is the cell budget: the summed cell count of admitted
-// requests never exceeds it, and a request costing more can never be
-// admitted, so it is refused with 413 before admission. A constant, not a setting, so the front tier applies
-// the budget its backends do (TooLarge) before any fan-out.
+// MaxRequestCells is the per-request cell budget: a request costing
+// more is refused with 413 before admission. Admission itself bounds
+// requests, not cells. A constant, not a setting, so the front tier
+// applies the budget its backends do (TooLarge) before any fan-out.
 const MaxRequestCells = 4096
 
 // The request deadline: defaultDeadline when the client names none, and
@@ -100,7 +100,8 @@ type Config struct {
 	// store.
 	CacheDir string
 	// CacheMaxBytes caps the cache directory's size; past it the oldest
-	// entries are evicted on write-through (0 = unbounded).
+	// entries are evicted on write-through (0 = unbounded; a cap needs
+	// CacheDir).
 	CacheMaxBytes int64
 
 	// MaxInFlight caps concurrently executing admitted requests
@@ -166,8 +167,9 @@ type Server struct {
 	started time.Time
 }
 
-// New builds a server. The error is reserved for an unopenable
-// CacheDir.
+// New builds a server. The error is reserved for a cache setting
+// sweep.Engine.AttachCache refuses: a negative CacheMaxBytes, a cap
+// without a CacheDir, or an unopenable CacheDir.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng := cfg.Engine
@@ -190,13 +192,8 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	if cfg.CacheDir != "" {
-		ds, err := sweep.OpenDiskStore(cfg.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: cache dir %s: %w", cfg.CacheDir, err)
-		}
-		ds.SetMaxBytes(cfg.CacheMaxBytes)
-		eng.SetStore(ds)
+	if err := eng.AttachCache(cfg.CacheDir, cfg.CacheMaxBytes); err != nil {
+		return nil, err
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -251,7 +248,6 @@ type Stats struct {
 	StreamRecords int64            `json:"stream_records"`
 	InFlight      int64            `json:"inflight"`
 	Queued        int64            `json:"queued"`
-	CellsInFlight int64            `json:"cells_inflight"`
 	FlightEntries int              `json:"flight_entries"`
 	Cache         sweep.CacheStats `json:"cache"`
 }
@@ -263,7 +259,7 @@ type Stats struct {
 func (s *Server) Snapshot() Stats {
 	cache := s.eng.Stats()
 	var shed int64
-	for _, reason := range []shedReason{shedQueue, shedCost, shedQuota, shedDrain} {
+	for _, reason := range []shedReason{shedQueue, shedQuota, shedDrain} {
 		shed += s.reg.Count(MetricShed, telemetry.L("reason", string(reason)))
 	}
 	return Stats{
@@ -277,9 +273,8 @@ func (s *Server) Snapshot() Stats {
 		Streams: s.reg.Count(MetricRequests,
 			telemetry.L("endpoint", "sweep_stream"), telemetry.L("code", "200")),
 		StreamRecords: s.reg.Count(MetricStreamRecords),
-		InFlight:      s.adm.inFlight.Load(),
+		InFlight:      int64(len(s.adm.slots)),
 		Queued:        s.adm.queued.Load(),
-		CellsInFlight: s.adm.cells.Load(),
 		FlightEntries: s.flight.Len(),
 		Cache:         cache,
 	}

@@ -148,6 +148,45 @@ func TestServerShedsUnderOverloadNever5xx(t *testing.T) {
 	}
 }
 
+// Admission bounds requests, not cells: a full-size sweep is admitted
+// into a free slot while a 1-cell request is still executing, instead
+// of waiting for the small one's cells to leave an in-flight budget.
+func TestFullSizeSweepNotStarvedBySmallRequests(t *testing.T) {
+	gs := newGateStore(func(k sweep.CellKey) bool { return k.Batch == 99 })
+	openGate := sync.OnceFunc(func() { close(gs.gate) })
+	defer openGate()
+	srv, ts := newTestServer(t, Config{}, gs)
+
+	small := make(chan int, 1)
+	go func() {
+		code, _, _ := get(t, ts.URL+"/v1/simulate?benchmark=res50_tf&batch=99")
+		small <- code
+	}()
+	<-gs.entered // the 1-cell request holds a slot, parked in the store
+
+	body := `{"cells":[` + strings.Repeat(`{"benchmark":"ncf_py"},`, MaxRequestCells-1) + `{"benchmark":"ncf_py"}]}`
+	code, resp, _ := post(t, ts.URL+"/v1/sweep", body, "Request-Timeout", "2")
+	if code != http.StatusOK {
+		t.Fatalf("full-size sweep beside a 1-cell request: status %d (%.200q), want 200", code, resp)
+	}
+	var sr SweepResponse
+	if err := json.Unmarshal([]byte(resp), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Partial || sr.Cells != MaxRequestCells || sr.Completed != MaxRequestCells || len(sr.Records) != MaxRequestCells {
+		t.Fatalf("sweep answered %d/%d cells (%d records, partial %v), want all %d",
+			sr.Completed, sr.Cells, len(sr.Records), sr.Partial, MaxRequestCells)
+	}
+	if st := srv.Snapshot(); st.Shed != 0 || st.Cache.Simulations != 1 {
+		t.Fatalf("shed %d, simulations %d: want 0 sheds and the sweep's one simulation", st.Shed, st.Cache.Simulations)
+	}
+
+	openGate()
+	if code := <-small; code != http.StatusOK {
+		t.Fatalf("1-cell request finished with %d, want 200", code)
+	}
+}
+
 // Identical concurrent queries must collapse onto one computation: the
 // engine runs the cell once and every other caller joins it in flight.
 func TestServerCoalescesIdenticalQueries(t *testing.T) {
@@ -547,5 +586,23 @@ func TestBrokenCacheDirAnswersCountsAndHeals(t *testing.T) {
 	}
 	if n, err := ds.Len(); err != nil || n != 1 {
 		t.Fatalf("healed cache dir holds %d entries (%v) after one cold cell, want 1", n, err)
+	}
+}
+
+// The daemon checks its cache settings as every sweep CLI does: a
+// negative size cap and a cap without a cache directory are refused,
+// not read as unbounded or dropped.
+func TestNewRefusesBadCacheSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"negative cap", Config{CacheDir: t.TempDir(), CacheMaxBytes: -1}, "-cache-max-bytes must be >= 0"},
+		{"cap without dir", Config{CacheMaxBytes: 2048}, "-cache-max-bytes requires -cache-dir"},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -39,14 +39,16 @@ import (
 // so a slow client never stalls engine workers — the write loop is the
 // only place client pace matters, and the records are small. Streaming
 // requests pass the same admission prologue as unary ones (drain check,
-// tenant quota, size, deadline, queue, cell-cost budget), and the
+// tenant quota, size, deadline, queue, execution slot), and the
 // engine's per-cell singleflight and the shared CAS collapse their
-// simulation work across concurrent requests and processes.
+// simulation work across concurrent requests and processes. The stream
+// ends with the same summary frame on serve and the front: the run's
+// own counts, never the process's.
 
 // StreamFrame is one frame of a /v1/sweep/stream response. Type is
 // "record" (one completed cell: Index + Record) or "summary" (the
-// terminal frame: the Report's counts, failures and cache stats, and
-// the partial reason when the run was cut short).
+// terminal frame: the Report's counts and failures, and the partial
+// reason when the run was cut short).
 type StreamFrame struct {
 	Type string `json:"type"`
 
@@ -57,13 +59,12 @@ type StreamFrame struct {
 	Record *sweep.Record `json:"record,omitempty"`
 
 	// Summary-frame fields.
-	Cells     int               `json:"cells,omitempty"`
-	Completed int               `json:"completed,omitempty"`
-	Partial   bool              `json:"partial,omitempty"`
-	Canceled  bool              `json:"canceled,omitempty"`
-	Reason    string            `json:"reason,omitempty"`
-	Failures  []string          `json:"failures,omitempty"`
-	Cache     *sweep.CacheStats `json:"cache,omitempty"`
+	Cells     int      `json:"cells,omitempty"`
+	Completed int      `json:"completed,omitempty"`
+	Partial   bool     `json:"partial,omitempty"`
+	Canceled  bool     `json:"canceled,omitempty"`
+	Reason    string   `json:"reason,omitempty"`
+	Failures  []string `json:"failures,omitempty"`
 }
 
 // cellSpec is the JSON wire form of one requested cell, for POST
@@ -93,7 +94,7 @@ func (c cellSpec) key() sweep.CellKey {
 
 // maxCellsBody bounds a POST cell-list body (a million-cell grid is a
 // few hundred MB of JSON; the front tier never sends more than the
-// admission budget admits anyway).
+// per-request budget, MaxRequestCells, admits anyway).
 const maxCellsBody = 1 << 26
 
 // SweepKeysFromRequest resolves the requested cell list and its cost in
@@ -389,8 +390,6 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum := s.summarize(ctx, res.rep)
-	cache := s.eng.Stats()
-	sum.Cache = &cache
 	_ = sw.Frame(&sum)
 }
 
@@ -416,8 +415,7 @@ func (s *Server) summarize(ctx context.Context, rep *sweep.Report) StreamFrame {
 }
 
 // Response is the unary /v1/sweep body for records and this summary:
-// the same counts, flags and failures (the reason and cache stats are
-// stream-only).
+// the same counts, flags and failures (the reason is stream-only).
 func (f *StreamFrame) Response(records []sweep.Record) SweepResponse {
 	return SweepResponse{
 		Records:   records,

@@ -37,8 +37,7 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 }
 
 // Apply configures the engine from the parsed flags: bounds its worker
-// pool, validates the size cap, then opens (creating if needed) and
-// attaches the persistent tier.
+// pool, then attaches the persistent tier (AttachCache).
 func (f *CLIFlags) Apply(e *Engine) error {
 	w, err := ValidateWorkers(f.Workers)
 	if err != nil {
@@ -46,20 +45,30 @@ func (f *CLIFlags) Apply(e *Engine) error {
 	}
 	f.Workers = w
 	e.SetWorkers(w)
-	if f.CacheMaxBytes < 0 {
-		return fmt.Errorf("sweep: -cache-max-bytes must be >= 0 (0 = unbounded), got %d", f.CacheMaxBytes)
+	return e.AttachCache(f.CacheDir, f.CacheMaxBytes)
+}
+
+// AttachCache checks a cache directory and size cap as every CLI takes
+// them (-cache-dir, -cache-max-bytes) — the cap is >= 0 (0 = unbounded)
+// and needs a directory — then opens (creating if needed) the
+// directory's store and attaches it to e. An empty dir attaches
+// nothing: the engine runs memory-only.
+func (e *Engine) AttachCache(dir string, maxBytes int64) error {
+	if maxBytes < 0 {
+		return fmt.Errorf("sweep: -cache-max-bytes must be >= 0 (0 = unbounded), got %d", maxBytes)
 	}
-	if f.CacheMaxBytes > 0 && f.CacheDir == "" {
-		return fmt.Errorf("sweep: -cache-max-bytes requires -cache-dir")
-	}
-	if f.CacheDir != "" {
-		ds, err := OpenDiskStore(f.CacheDir)
-		if err != nil {
-			return fmt.Errorf("sweep: -cache-dir %s: %w", f.CacheDir, err)
+	if dir == "" {
+		if maxBytes > 0 {
+			return fmt.Errorf("sweep: -cache-max-bytes requires -cache-dir")
 		}
-		ds.SetMaxBytes(f.CacheMaxBytes)
-		e.SetStore(ds)
+		return nil
 	}
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		return fmt.Errorf("sweep: -cache-dir %s: %w", dir, err)
+	}
+	ds.SetMaxBytes(maxBytes)
+	e.SetStore(ds)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mlperf/internal/telemetry"
@@ -431,5 +432,37 @@ func TestDiskStoreCapacityEviction(t *testing.T) {
 	// The engine's aggregated cache view carries the tier's evictions.
 	if e1.Stats().Disk.Evictions != st.Evictions {
 		t.Fatalf("engine cache stats lost the eviction count: %+v", e1.Stats().Disk)
+	}
+}
+
+// AttachCache refuses a negative size cap and a cap without a
+// directory, attaching nothing; a directory with a cap attaches a
+// store.
+func TestAttachCacheRefusesBadSettings(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name     string
+		dir      string
+		maxBytes int64
+		want     string
+	}{
+		{"negative cap", dir, -1, "-cache-max-bytes must be >= 0"},
+		{"cap without dir", "", 2048, "-cache-max-bytes requires -cache-dir"},
+	} {
+		e := NewEngine(1)
+		err := e.AttachCache(tc.dir, tc.maxBytes)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+		if e.Store() != nil {
+			t.Errorf("%s: a refused setting attached a store", tc.name)
+		}
+	}
+	e := NewEngine(1)
+	if err := e.AttachCache(dir, 2048); err != nil || e.Store() == nil {
+		t.Fatalf("dir with a cap: err %v, store %v", err, e.Store())
+	}
+	if err := NewEngine(1).AttachCache("", 0); err != nil {
+		t.Fatalf("memory-only: %v", err)
 	}
 }
