@@ -30,42 +30,9 @@
 package main
 
 import (
-	"errors"
-	"flag"
-	"fmt"
-	"net"
 	"os"
-	"strings"
-	"time"
 
 	"mlperf/internal/front"
-	"mlperf/internal/sweep"
-	"mlperf/internal/telecli"
-	"mlperf/internal/telemetry"
 )
 
-func main() {
-	backends := flag.String("backends", "", "comma-separated mlperf-serve base URLs (required)")
-	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll cadence")
-	sink := telecli.RegisterDaemon("mlperf-front", nil)
-	flag.Parse()
-
-	os.Exit(sink.Serve(func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
-		urls := sweep.SplitList(*backends)
-		if len(urls) == 0 {
-			return nil, telecli.Usage(errors.New("-backends is required (comma-separated URLs)"))
-		}
-		f, err := front.New(front.Config{
-			Backends:       urls,
-			HealthInterval: *healthInterval,
-			Telemetry:      reg,
-			Logger:         sink.Logger,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sink.Config("backends", strings.Join(urls, ","))
-		fmt.Printf("mlperf-front: listening on %s, %d backends\n", ln.Addr(), len(urls))
-		return f, nil
-	}))
-}
+func main() { os.Exit(front.Main(os.Args[1:])) }

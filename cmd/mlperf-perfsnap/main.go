@@ -13,9 +13,9 @@
 // -diff-out for artifact upload, and exits non-zero.
 //
 // -update re-measures and rewrites the snapshot. A blessed snapshot must
-// demonstrate at least -bless-speedup (default 10x) on the steady-state
-// cell; the compare gate uses the looser -min-speedup (default 8x) so CI
-// noise does not flap the build.
+// demonstrate at least blessSpeedup (10x) on the steady-state cell; the
+// compare gate uses the looser minSpeedup (8x) so CI noise does not
+// flap the build. The gate's bounds are constants.
 package main
 
 import (
@@ -29,27 +29,27 @@ import (
 	"mlperf/internal/perfsnap"
 )
 
+// The gate's bounds.
+const (
+	timeTol      = 0.35 // allowed fractional ns/op growth (same-CPU runs only)
+	allocTol     = 0.10 // allowed fractional allocs/op and bytes/op growth
+	minSpeedup   = 8.0  // compare-mode floor on the derived steady_speedup_x
+	blessSpeedup = 10.0 // -update refuses to bless a snapshot below this speedup
+)
+
 func main() {
 	file := flag.String("file", perfsnap.SimSnapshotFile, "snapshot file to compare against or update")
 	update := flag.Bool("update", false, "re-measure and overwrite the snapshot instead of comparing")
-	timeTol := flag.Float64("time-tol", 0.35, "allowed fractional ns/op growth (same-CPU runs only)")
-	allocTol := flag.Float64("alloc-tol", 0.10, "allowed fractional allocs/op and bytes/op growth")
-	minSpeedup := flag.Float64("min-speedup", 8, "compare-mode floor on derived "+perfsnap.SpeedupKey)
-	blessSpeedup := flag.Float64("bless-speedup", 10, "-update refuses to bless a snapshot below this speedup")
 	diffOut := flag.String("diff-out", "", "write regressions as JSON to this path on failure")
 	flag.Parse()
 
-	if err := run(*file, *update, perfsnap.Options{
-		TimeTol:    *timeTol,
-		AllocTol:   *allocTol,
-		MinDerived: map[string]float64{perfsnap.SpeedupKey: *minSpeedup},
-	}, *blessSpeedup, *diffOut); err != nil {
+	if err := run(*file, *update, *diffOut); err != nil {
 		fmt.Fprintln(os.Stderr, "mlperf-perfsnap:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file string, update bool, opts perfsnap.Options, blessSpeedup float64, diffOut string) error {
+func run(file string, update bool, diffOut string) error {
 	fmt.Fprintf(os.Stderr, "collecting suite %q (this runs each benchmark for ~1s)...\n", perfsnap.SimSuite)
 	fresh, err := perfsnap.CollectSim()
 	if err != nil {
@@ -79,7 +79,11 @@ func run(file string, update bool, opts perfsnap.Options, blessSpeedup float64, 
 	if err != nil {
 		return fmt.Errorf("%w (run with -update to create the snapshot)", err)
 	}
-	regs := perfsnap.Compare(old, fresh, opts)
+	regs := perfsnap.Compare(old, fresh, perfsnap.Options{
+		TimeTol:    timeTol,
+		AllocTol:   allocTol,
+		MinDerived: map[string]float64{perfsnap.SpeedupKey: minSpeedup},
+	})
 	if len(regs) == 0 {
 		fmt.Fprintln(os.Stderr, "no regressions against", file)
 		return nil

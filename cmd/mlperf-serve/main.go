@@ -33,46 +33,9 @@
 package main
 
 import (
-	"flag"
-	"fmt"
-	"net"
 	"os"
-	"strconv"
 
 	"mlperf/internal/serve"
-	"mlperf/internal/telecli"
-	"mlperf/internal/telemetry"
 )
 
-func main() {
-	cacheDir := flag.String("cache-dir", "", "persistent cell cache directory (a failing disk reads as misses, counted in /v1/stats cache.DiskErrors)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "cap the cache directory's size in bytes, evicting oldest entries on overflow (0 = unbounded)")
-	maxInflight := flag.Int("max-inflight", 8, "max concurrently executing requests")
-	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a slot before shedding (0 = 2*max-inflight)")
-	tenantRate := flag.Float64("tenant-rate", 100, "per-tenant sustained requests/second (negative = unlimited)")
-	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	sink := telecli.RegisterDaemon("mlperf-serve", nil)
-	flag.Parse()
-
-	os.Exit(sink.Serve(func(reg *telemetry.Registry, ln net.Listener) (telecli.Daemon, error) {
-		srv, err := serve.New(serve.Config{
-			CacheDir:      *cacheDir,
-			CacheMaxBytes: *cacheMax,
-			MaxInFlight:   *maxInflight,
-			MaxQueue:      *maxQueue,
-			TenantRate:    *tenantRate,
-			Telemetry:     reg,
-			Logger:        sink.Logger,
-			EnablePprof:   *pprof,
-		})
-		if err != nil {
-			return nil, telecli.Usage(err) // the cache flags, checked as mlperf-sweep checks them
-		}
-		sink.Config("cache-dir", *cacheDir)
-		sink.Config("cache-max-bytes", strconv.FormatInt(*cacheMax, 10))
-		sink.Config("max-inflight", strconv.Itoa(*maxInflight))
-		sink.Config("max-cells", strconv.Itoa(serve.MaxRequestCells))
-		fmt.Printf("mlperf-serve: listening on %s\n", ln.Addr())
-		return srv, nil
-	}))
-}
+func main() { os.Exit(serve.Main(os.Args[1:])) }

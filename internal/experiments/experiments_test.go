@@ -151,7 +151,7 @@ func TestFig2Renders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := RenderFig2(r)
-	for _, want := range []string{"fp16-tensor", "memory slope", "Deep_Red_Cu", "all workloads memory-bound: true"} {
+	for _, want := range []string{"fp16-tensor", "memory slope", "Deep_Red_Cu", "all workloads memory-bound within 1.15x of the fp16-tensor ridge: true (paper: true); past the exact ridge: MLPf_SSD_Py 1.10x\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderFig2 missing %q", want)
 		}
